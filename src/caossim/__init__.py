@@ -52,7 +52,6 @@ from .sensor import (
     apply_adc,
     capture,
     capture_dual,
-    carrier_value,
     synthesize,
     synthesize_dual,
 )

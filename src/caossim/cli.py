@@ -23,7 +23,7 @@ from . import scene as scene_mod
 from . import sensor as sensor_mod
 from .errors import CaosError, ConfigError
 from .presets import ExperimentConfig
-from .scene import DetectorModel, Scene
+from .scene import DetectorModel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,38 +60,26 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _load_scene_file(path, grid) -> Scene:
-    if path.endswith(".pgm"):
-        return Scene(grid=grid, irradiance=scene_mod.read_image_pgm(path))
-    return Scene(grid=grid, irradiance=scene_mod.read_image_csv(path))
-
-
 def _load_detector(path) -> DetectorModel:
     if path is None:
         return DetectorModel()
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    bad = set(data) - set(presets_mod.DetectorConfig.__dataclass_fields__)
-    if bad:
-        raise ConfigError(f"unknown detector fields: {sorted(bad)}")
-    return presets_mod.DetectorConfig(**data).build()
+        return presets_mod.DetectorConfig.from_dict(json.load(fh)).build()
 
 
 def cmd_simulate(args) -> int:
     cplan = plan_mod.load_plan(args.plan)
-    scn = _load_scene_file(args.scene, cplan.grid)
+    kind = "pgm" if args.scene.endswith(".pgm") else "csv"
+    scn = presets_mod.build_scene(cplan.grid, {"preset": kind, "path": args.scene})
     detector = _load_detector(args.detector)
     os.makedirs(args.out, exist_ok=True)
     seed = 0 if args.seed is None else args.seed
+    capture = sensor_mod.capture_dual if args.dual else sensor_mod.capture
+    paths = sensor_mod.write_streams(capture(cplan, scn, detector, seed=seed), args.out)
     if args.dual:
-        dual = sensor_mod.capture_dual(cplan, scn, detector, seed=seed)
-        sensor_mod.write_stream(dual.pd1, os.path.join(args.out, "stream_pd1"))
-        sensor_mod.write_stream(dual.pd2, os.path.join(args.out, "stream_pd2"))
         print(f"wrote stream_pd1/.f32 and stream_pd2/.f32 under {args.out}")
     else:
-        stream = sensor_mod.capture(cplan, scn, detector, seed=seed)
-        raw, meta = sensor_mod.write_stream(stream, os.path.join(args.out, "stream_pd1"))
-        print(f"wrote {raw} and {meta}")
+        print(f"wrote {paths[0][0]} and {paths[0][1]}")
     return EXIT_OK
 
 
@@ -100,20 +88,10 @@ def cmd_decode(args) -> int:
     stream = sensor_mod.read_stream(args.stream)
     os.makedirs(args.out, exist_ok=True)
     if args.stream2:
-        dual = sensor_mod.DualStreams(pd1=stream, pd2=sensor_mod.read_stream(args.stream2))
-        images = list(decode_mod.decode_frame(dual, cplan))
-    else:
-        decoded = decode_mod.decode_frame(stream, cplan)
-        images = decoded if isinstance(decoded, list) else [decoded]
-    truth = None
-    if args.truth:
-        truth = scene_mod.read_image_csv(args.truth)
-    for i, img in enumerate(images):
-        tag = f"source{i + 1}" if img.source_index is not None else (img.pd_side if i < 2 else str(i))
-        scene_mod.write_image_pgm(img.values, os.path.join(args.out, f"image_{tag}.pgm"))
-        scene_mod.write_image_csv(img.values, os.path.join(args.out, f"image_{tag}.csv"))
-    report = decode_mod.decode_report(images, cplan, truth=truth)
-    decode_mod.write_decode_report(report, os.path.join(args.out, "decode_report.json"))
+        stream = sensor_mod.DualStreams(pd1=stream, pd2=sensor_mod.read_stream(args.stream2))
+    images = decode_mod.image_list(decode_mod.decode_frame(stream, cplan))
+    truth = scene_mod.read_image_csv(args.truth) if args.truth else None
+    report = decode_mod.write_decode_outputs(args.out, images, cplan, truth=truth)
     if truth is not None:
         flags = [entry.get("truth_correlation_ok") for entry in report["images"]]
         rhos = [entry.get("truth_correlation") for entry in report["images"]]
@@ -203,10 +181,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CaosError as exc:

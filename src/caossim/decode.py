@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import CodeBook, bipolar
+from . import scene as scene_mod
+from .codes import bipolar
 from .errors import LengthMismatch, PlanMismatch
 from .plan import COMPLEMENT_CODED_MODES, CodingPlan, Mode
 from .sensor import PD2, DualStreams, SampleStream, carrier_matrix
@@ -82,49 +84,6 @@ def per_bit_spectra(stream: SampleStream, plan: CodingPlan) -> np.ndarray:
         stop = min(stream.bits, start + chunk)
         out[start:stop] = np.abs(per_bit[start:stop].astype(np.float64) @ basis)
     return out
-
-
-def channel_sequence(
-    spectra: np.ndarray,
-    plan: CodingPlan,
-    pixel: tuple[int, int],
-    equalize: bool = True,
-) -> np.ndarray:
-    """One pixel's bin readings across the W bits, hop-schedule aware.
-
-    With equalize=True (the default, what decode_frame consumes) readings
-    are divided by the channel's unit-carrier gain so the sequence is in
-    gain * irradiance units.
-    """
-    positions = plan.positions()
-    idx = positions.index(pixel)
-    member = int(plan.member_index[idx])
-    cols = _member_columns(plan, member)
-    seq = spectra[np.arange(spectra.shape[0]), cols]
-    if equalize:
-        seq = seq / carrier_bin_gains(plan)[cols]
-    return seq
-
-
-def _member_columns(plan: CodingPlan, member: int) -> np.ndarray:
-    if plan.hop_schedule is None:
-        return np.full(plan.code_length, member, dtype=np.int64)
-    return plan.hop_schedule[:, member]
-
-
-def correlate(sequence: np.ndarray, codebook: CodeBook, code_rows=None) -> np.ndarray:
-    """Time-integrated correlation against the signed codes.
-
-    Returns (2 / W) * sum_w sequence[w] * (2 c[w] - 1) for each selected
-    codebook row; raw values, negatives preserved.
-    """
-    seq = np.asarray(sequence, dtype=np.float64)
-    if seq.size != codebook.length:
-        raise LengthMismatch(f"sequence length {seq.size} != code length {codebook.length}")
-    signed = bipolar(codebook.codes).astype(np.float64)
-    if code_rows is not None:
-        signed = signed[np.asarray(code_rows, dtype=np.int64)]
-    return (2.0 / codebook.length) * (signed @ seq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,21 +162,6 @@ def _finish(raw_map, plan, stream, normalize, source_index):
     )
 
 
-def _share_reference(images: list[RecoveredImage]) -> list[RecoveredImage]:
-    reference = max(img.normalization_reference for img in images)
-    return [
-        RecoveredImage(
-            values=img.values,
-            raw=img.raw,
-            normalization_reference=reference,
-            mode=img.mode,
-            pd_side=img.pd_side,
-            source_index=img.source_index,
-        )
-        for img in images
-    ]
-
-
 def decode_frame(stream, plan: CodingPlan, normalize: bool = True):
     """Full frame decode.
 
@@ -233,9 +177,17 @@ def decode_frame(stream, plan: CodingPlan, normalize: bool = True):
             decode_frame(stream.pd2, plan, normalize=normalize),
         )
     images = _decode_single(stream, plan, normalize)
-    if plan.mode is Mode.ACTIVE_OVERLAPPED:
-        return _share_reference(images) if normalize else images
-    return images[0]
+    if plan.mode is not Mode.ACTIVE_OVERLAPPED:
+        return images[0]
+    if normalize:
+        reference = max(img.normalization_reference for img in images)
+        images = [replace(img, normalization_reference=reference) for img in images]
+    return images
+
+
+def image_list(decoded) -> list[RecoveredImage]:
+    """decode_frame's result (one image, a dual pair or a source list) as a list."""
+    return list(decoded) if isinstance(decoded, (list, tuple)) else [decoded]
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +244,17 @@ def write_decode_report(report: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_decode_outputs(out_dir, images, plan: CodingPlan, truth=None) -> dict:
+    """image_<tag>.pgm/.csv per image plus decode_report.json; returns the report.
+
+    The tag is source<k> for per-source images and the detector side otherwise.
+    """
+    for i, img in enumerate(images):
+        tag = f"source{i + 1}" if img.source_index is not None else img.pd_side
+        scene_mod.write_image_pgm(img.values, os.path.join(out_dir, f"image_{tag}.pgm"))
+        scene_mod.write_image_csv(img.values, os.path.join(out_dir, f"image_{tag}.csv"))
+    report = decode_report(images, plan, truth=truth)
+    write_decode_report(report, os.path.join(out_dir, "decode_report.json"))
+    return report

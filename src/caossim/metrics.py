@@ -174,11 +174,8 @@ def image_correlation(a, b) -> float:
 
     def flatten(x):
         if isinstance(x, (list, tuple)):
-            return np.concatenate([_raw(i).ravel() for i in x])
-        return _raw(x).ravel()
-
-    def _raw(x):
-        return x.raw if isinstance(x, RecoveredImage) else np.asarray(x, dtype=np.float64)
+            return np.concatenate([_as_array(i).ravel() for i in x])
+        return _as_array(x).ravel()
 
     fa, fb = flatten(a), flatten(b)
     if fa.std() == 0 or fb.std() == 0:

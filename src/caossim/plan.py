@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -255,30 +256,51 @@ def _rng(key_seed: int, stream: int, extra: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _check_timing(freq: FrequencyPlan, sample_rate: float, mode: Mode) -> int:
-    """Validate integer cycles and samples; return samples per bit F."""
-    t = freq.bit_duration
-    samples = sample_rate * t
-    if abs(samples - round(samples)) > 1e-9 or round(samples) < 1:
-        raise TimingError(f"sample_rate * T = {samples} is not a positive integer")
-    f_count = int(round(samples))
-    if mode is not Mode.PLAIN_CDMA:
-        for f_p, k in zip(freq.frequencies, freq.cycles_per_bit()):
-            if abs(k - round(k)) > 1e-9 or round(k) < 1:
-                raise TimingError(
-                    f"carrier {f_p} Hz gives {k} cycles per bit; needs a positive integer"
-                )
-        top = max(freq.frequencies)
+#: Timing rows build_plan enforces, with the error each raises; the other
+#: rows are reported by validate_plan only.
+_TIMING_ERRORS = {
+    "samples-per-bit-integer": TimingError,
+    "carrier-cycles-integer": TimingError,
+    "nyquist": NyquistError,
+}
+
+
+def _timing_rows(freq: FrequencyPlan, sample_rate: float, mode: Mode):
+    """Integer-bin and Nyquist timing checks as (name, ok, detail) rows.
+
+    A failing row's detail is the message build_plan raises with.
+    """
+    samples = sample_rate * freq.bit_duration
+    ok = abs(samples - round(samples)) <= 1e-9 and round(samples) >= 1
+    yield (
+        "samples-per-bit-integer",
+        ok,
+        f"F = {samples}" if ok else f"sample_rate * T = {samples} is not a positive integer",
+    )
+    if mode is Mode.PLAIN_CDMA:
+        return
+    cycles = freq.cycles_per_bit()
+    bad = [
+        f"carrier {f_p} Hz gives {k} cycles per bit; needs a positive integer"
+        for f_p, k in zip(freq.frequencies, cycles)
+        if abs(k - round(k)) > 1e-9 or round(k) < 1
+    ]
+    yield "carrier-cycles-integer", not bad, bad[0] if bad else f"cycles per bit = {cycles}"
+    bins = [round(k) for k in cycles]
+    yield "carrier-bins-distinct", len(set(bins)) == len(bins), f"bins = {bins}"
+    top = max(freq.frequencies)
+    if freq.waveform == "square":
+        # The harmonic margin keeps odd harmonics of the top carrier below Nyquist.
         needed = 2.0 * freq.harmonics * top
-        if freq.waveform == "square":
-            if sample_rate < needed or (freq.harmonics == 1 and sample_rate <= needed):
-                raise NyquistError(
-                    f"sample_rate {sample_rate} too low for {top} Hz square carrier"
-                    f" with harmonic margin {freq.harmonics}"
-                )
-        elif sample_rate <= 2.0 * top:
-            raise NyquistError(f"sample_rate {sample_rate} too low for {top} Hz carrier")
-    return f_count
+        ok = sample_rate >= needed and (freq.harmonics != 1 or sample_rate > needed)
+        failure = (
+            f"sample_rate {sample_rate} too low for {top} Hz square carrier"
+            f" with harmonic margin {freq.harmonics}"
+        )
+    else:
+        ok = sample_rate > 2.0 * top
+        failure = f"sample_rate {sample_rate} too low for {top} Hz carrier"
+    yield "nyquist", ok, f"sample_rate {sample_rate} vs highest carrier {top}" if ok else failure
 
 
 def build_plan(
@@ -324,6 +346,8 @@ def build_plan(
         if f1 is None:
             raise ConfigError("either f1 or an explicit frequency list is required")
         freq_list = tuple(float(f1) * 2**p for p in range(channels))
+    if not freq_list:
+        raise ConfigError("at least one carrier frequency is required")
     if waveform is None:
         waveform = "sine" if mode is Mode.ACTIVE_OVERLAPPED else "square"
 
@@ -333,7 +357,10 @@ def build_plan(
         waveform=waveform,
         harmonics=harmonics,
     )
-    samples_per_bit = _check_timing(freq, float(sample_rate), mode)
+    for name, ok, detail in _timing_rows(freq, float(sample_rate), mode):
+        if not ok and name in _TIMING_ERRORS:
+            raise _TIMING_ERRORS[name](detail)
+    samples_per_bit = int(round(float(sample_rate) * freq.bit_duration))
 
     if shuffle_pixels is None:
         shuffle_pixels = key_seed != 0
@@ -341,11 +368,7 @@ def build_plan(
         shuffle_codes = key_seed != 0
 
     # Pixel -> (set, member) layout.
-    if mode is Mode.ACTIVE_OVERLAPPED:
-        set_count = q
-        base_set = np.arange(q)
-        base_member = np.zeros(q, dtype=np.int64)
-    elif mode is Mode.FM_TDMA:
+    if mode in (Mode.ACTIVE_OVERLAPPED, Mode.FM_TDMA):
         set_count = q
         base_set = np.arange(q)
         base_member = np.zeros(q, dtype=np.int64)
@@ -411,23 +434,7 @@ def build_plan(
 
 def rebuild(plan: CodingPlan, **overrides) -> CodingPlan:
     """Re-run build_plan with this plan's parameters, some overridden."""
-    kwargs = dict(
-        mode=plan.mode,
-        channels=plan.channel_count,
-        frequencies=plan.frequencies.frequencies,
-        bit_rate=plan.bit_rate,
-        sample_rate=plan.sample_rate,
-        key_seed=plan.key_seed,
-        hopping=plan.hopping,
-        waveform=plan.frequencies.waveform,
-        harmonics=plan.frequencies.harmonics,
-        min_code_length=plan.code_length_override,
-        shuffle_pixels=plan.shuffle_pixels,
-        shuffle_codes=plan.shuffle_codes,
-        frame_index=plan.frame_index,
-    )
-    kwargs.update(overrides)
-    return build_plan(plan.grid, **kwargs)
+    return build_plan(plan.grid, **{**_plan_params(plan), **overrides})
 
 
 def reallocate(plan: CodingPlan, frame_index: int) -> CodingPlan:
@@ -465,45 +472,26 @@ def validate_plan(plan: CodingPlan) -> PlanReport:
     """Check every plan invariant and report pass/fail without raising."""
     report = PlanReport()
     freq = plan.frequencies
-    t = freq.bit_duration
-    f_count = plan.sample_rate * t
-    report.add(
-        "samples-per-bit-integer",
-        abs(f_count - round(f_count)) < 1e-9 and plan.samples_per_bit == round(f_count),
-        f"F = {f_count}",
-    )
+    for row in _timing_rows(freq, plan.sample_rate, plan.mode):
+        report.add(*row)
 
-    if plan.mode is not Mode.PLAIN_CDMA:
-        cycles = freq.cycles_per_bit()
-        ok = all(abs(k - round(k)) < 1e-9 and round(k) >= 1 for k in cycles)
-        detail = f"cycles per bit = {cycles}"
-        if not ok:
-            detail = "TimingError: " + detail
-        report.add("carrier-cycles-integer", ok, detail)
-        bins = [round(k) for k in cycles]
-        report.add("carrier-bins-distinct", len(set(bins)) == len(bins), f"bins = {bins}")
-        top = max(freq.frequencies)
-        report.add(
-            "nyquist",
-            plan.sample_rate > 2.0 * top,
-            f"sample_rate {plan.sample_rate} vs highest carrier {top}",
-        )
-        if freq.waveform == "square":
-            # No odd harmonic of one carrier (alias-folded) may land on
-            # another carrier's bin.
-            collision = False
-            total = plan.samples_per_bit
-            for kp in bins:
-                if kp < 1:
-                    continue
-                h = 3
-                while h * kp <= total // 2:
-                    folded = (h * kp) % total
-                    folded = min(folded, total - folded)
-                    if folded in bins and folded != kp:
-                        collision = True
-                    h += 2
-            report.add("odd-harmonics-clear", not collision)
+    if plan.mode is not Mode.PLAIN_CDMA and freq.waveform == "square":
+        # No odd harmonic of one carrier (alias-folded) may land on
+        # another carrier's bin.
+        bins = [round(k) for k in freq.cycles_per_bit()]
+        collision = False
+        total = plan.samples_per_bit
+        for kp in bins:
+            if kp < 1:
+                continue
+            h = 3
+            while h * kp <= total // 2:
+                folded = (h * kp) % total
+                folded = min(folded, total - folded)
+                if folded in bins and folded != kp:
+                    collision = True
+                h += 2
+        report.add("odd-harmonics-clear", not collision)
 
     q = plan.grid.pixel_count
     if plan.mode is Mode.ACTIVE_OVERLAPPED:
@@ -562,6 +550,74 @@ _PLAN_FORMAT = "caossim-plan"
 _PLAN_VERSION = 1
 
 
+def _typed(kind, *accepted):
+    """Parser of a JSON value of the accepted types (default: kind), converted to kind."""
+    accepted = accepted or (kind,)
+
+    def parse(value):
+        if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return kind(value)
+
+    return parse
+
+
+_INT, _REAL, _FLAG, _TEXT = _typed(int), _typed(float, int, float), _typed(bool), _typed(str)
+_LIST = _typed(tuple, list, tuple)
+
+
+def _fields(doc, parsers: dict, defaults: dict, what: str) -> dict:
+    """Parse a JSON object; unknown, missing or mistyped fields raise ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(doc) - set(parsers)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    doc = {**defaults, **doc}
+    out = {}
+    for name, parse in parsers.items():
+        if name not in doc:
+            raise ConfigError(f"{what} field {name!r} is missing")
+        try:
+            out[name] = parse(doc[name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{what} field {name!r}: {exc}") from None
+    return out
+
+
+def _grid(value) -> PixelGrid:
+    parsers = {
+        "columns": _INT,
+        "rows": _INT,
+        "pixel_size": _INT,
+        "active_pixels": lambda v: tuple((_INT(m), _INT(n)) for m, n in _LIST(v or ())) or None,
+    }
+    return PixelGrid(**_fields(value, parsers, {"pixel_size": 1, "active_pixels": None}, "grid"))
+
+
+#: The build_plan parameters a plan records: keyword -> (CodingPlan
+#: attribute, plan-file parser). Plan files, plan_from_dict and rebuild all
+#: read this one table.
+_PLAN_PARAMS = {
+    "mode": ("mode.value", Mode),
+    "frequencies": ("frequencies.frequencies", lambda v: tuple(map(_REAL, _LIST(v)))),
+    "waveform": ("frequencies.waveform", _TEXT),
+    "harmonics": ("frequencies.harmonics", _INT),
+    "bit_rate": ("bit_rate", _REAL),
+    "sample_rate": ("sample_rate", _REAL),
+    "key_seed": ("key_seed", _INT),
+    "frame_index": ("frame_index", _INT),
+    "hopping": ("hopping", _FLAG),
+    "shuffle_pixels": ("shuffle_pixels", _FLAG),
+    "shuffle_codes": ("shuffle_codes", _FLAG),
+    "min_code_length": ("code_length_override", lambda v: None if v is None else _INT(v)),
+}
+
+
+def _plan_params(plan: CodingPlan) -> dict:
+    return {name: attrgetter(attr)(plan) for name, (attr, _) in _PLAN_PARAMS.items()}
+
+
 def plan_to_dict(plan: CodingPlan) -> dict:
     grid = {
         "columns": plan.grid.columns,
@@ -574,19 +630,8 @@ def plan_to_dict(plan: CodingPlan) -> dict:
         "format": _PLAN_FORMAT,
         "version": _PLAN_VERSION,
         "grid": grid,
-        "mode": plan.mode.value,
-        "frequencies": list(plan.frequencies.frequencies),
-        "waveform": plan.frequencies.waveform,
-        "harmonics": plan.frequencies.harmonics,
-        "bit_rate": plan.bit_rate,
-        "sample_rate": plan.sample_rate,
-        "key_seed": plan.key_seed,
-        "frame_index": plan.frame_index,
-        "hopping": plan.hopping,
-        "shuffle_pixels": plan.shuffle_pixels,
-        "shuffle_codes": plan.shuffle_codes,
         "code_length": plan.code_length,
-        "min_code_length": plan.code_length_override,
+        **_plan_params(plan),
     }
 
 
@@ -596,64 +641,20 @@ def save_plan(plan: CodingPlan, path) -> None:
         fh.write("\n")
 
 
-_PLAN_KEYS = {
-    "format",
-    "version",
-    "grid",
-    "mode",
-    "frequencies",
-    "waveform",
-    "harmonics",
-    "bit_rate",
-    "sample_rate",
-    "key_seed",
-    "frame_index",
-    "hopping",
-    "shuffle_pixels",
-    "shuffle_codes",
-    "code_length",
-    "min_code_length",
-}
-_GRID_KEYS = {"columns", "rows", "pixel_size", "active_pixels"}
-
-
 def plan_from_dict(data: dict) -> CodingPlan:
     if not isinstance(data, dict) or data.get("format") != _PLAN_FORMAT:
         raise ConfigError("not a caossim plan document")
     if data.get("version") != _PLAN_VERSION:
         raise ConfigError(f"unsupported plan version {data.get('version')}")
-    unknown = set(data) - _PLAN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown plan fields: {sorted(unknown)}")
-    gdata = data["grid"]
-    unknown = set(gdata) - _GRID_KEYS
-    if unknown:
-        raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
-    active = gdata.get("active_pixels")
-    grid = PixelGrid(
-        columns=int(gdata["columns"]),
-        rows=int(gdata["rows"]),
-        pixel_size=int(gdata.get("pixel_size", 1)),
-        active_pixels=tuple((int(m), int(n)) for m, n in active) if active else None,
-    )
-    plan = build_plan(
-        grid,
-        mode=Mode(data["mode"]),
-        frequencies=tuple(data["frequencies"]),
-        bit_rate=float(data["bit_rate"]),
-        sample_rate=float(data["sample_rate"]),
-        key_seed=int(data["key_seed"]),
-        hopping=bool(data["hopping"]),
-        waveform=data["waveform"],
-        harmonics=int(data["harmonics"]),
-        min_code_length=data.get("min_code_length"),
-        shuffle_pixels=bool(data["shuffle_pixels"]),
-        shuffle_codes=bool(data["shuffle_codes"]),
-        frame_index=int(data.get("frame_index", 0)),
-    )
-    if plan.code_length != int(data["code_length"]):
+    parsers = {"grid": _grid, "code_length": _INT}
+    parsers.update((name, parse) for name, (_, parse) in _PLAN_PARAMS.items())
+    body = {k: v for k, v in data.items() if k not in ("format", "version")}
+    fields = _fields(body, parsers, {"frame_index": 0, "min_code_length": None}, "plan")
+    code_length = fields.pop("code_length")
+    plan = build_plan(fields.pop("grid"), **fields)
+    if plan.code_length != code_length:
         raise ConfigError(
-            f"plan file declares code_length {data['code_length']}"
+            f"plan file declares code_length {code_length}"
             f" but parameters resolve to {plan.code_length}"
         )
     return plan

@@ -65,22 +65,24 @@ class DetectorConfig:
     adc_fullscale: float = 1.0
     responsivity: str = "flat"
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "DetectorConfig":
+        """The one loader of detector settings read from JSON; rejects unknown fields."""
+        if not isinstance(data, dict):
+            raise ConfigError("detector config must be a JSON object")
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown detector fields: {sorted(unknown)}")
+        return cls(**data)
+
     def build(self) -> DetectorModel:
         resp = _RESPONSIVITIES.get(self.responsivity)
         if resp is None:
             raise ConfigError(f"unknown responsivity preset {self.responsivity!r}")
-        if callable(resp):
-            resp = resp()
-        return DetectorModel(
-            responsivity=resp,
-            gain=self.gain,
-            noise_sigma=self.noise_sigma,
-            shot_noise=self.shot_noise,
-            shot_factor=self.shot_factor,
-            pink_noise=tuple(self.pink_noise) if self.pink_noise else None,
-            adc_bits=self.adc_bits,
-            adc_fullscale=self.adc_fullscale,
-        )
+        # Every other field carries over to DetectorModel under its own name.
+        fields = {**asdict(self), "responsivity": resp() if callable(resp) else resp}
+        fields["pink_noise"] = tuple(self.pink_noise) if self.pink_noise else None
+        return DetectorModel(**fields)
 
 
 @dataclass
@@ -124,11 +126,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         for det_key in ("detector", "detector2"):
             if data.get(det_key) is not None:
-                det = data[det_key]
-                bad = set(det) - set(DetectorConfig.__dataclass_fields__)
-                if bad:
-                    raise ConfigError(f"unknown detector fields: {sorted(bad)}")
-                data[det_key] = DetectorConfig(**det)
+                data[det_key] = DetectorConfig.from_dict(data[det_key])
         return cls(**data)
 
     def build_plan(self) -> plan_mod.CodingPlan:
@@ -312,19 +310,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         streams = sensor_mod.capture_dual(
             cplan, scn, detector, detector2, seed=config.noise_seed, dtype=dtype
         )
-        decoded = decode_mod.decode_frame(streams, cplan)
-        images = list(decoded)
     else:
-        stream = sensor_mod.capture(cplan, scn, detector, seed=config.noise_seed, dtype=dtype)
-        streams = stream
-        decoded = decode_mod.decode_frame(stream, cplan)
-        images = decoded if isinstance(decoded, list) else [decoded]
+        streams = sensor_mod.capture(cplan, scn, detector, seed=config.noise_seed, dtype=dtype)
+    images = decode_mod.image_list(decode_mod.decode_frame(streams, cplan))
 
     lines, ok, patch_report = _evaluate(config, cplan, scn, images)
-
-    if out_dir is not None:
-        _write_outputs(out_dir, config, cplan, streams, images, lines, ok, patch_report)
-    return ExperimentResult(
+    result = ExperimentResult(
         config=config,
         plan=cplan,
         scene=scn,
@@ -333,6 +324,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         ok=ok,
         patch_report=patch_report,
     )
+    if out_dir is not None:
+        _write_outputs(out_dir, result, streams)
+    return result
 
 
 def _evaluate(config, cplan, scn, images):
@@ -432,29 +426,20 @@ def _evaluate_active(config, scn, images):
     return lines, ok, None
 
 
-def _write_outputs(out_dir, config, cplan, streams, images, lines, ok, patch_report):
+def _write_outputs(out_dir, result: ExperimentResult, streams):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        fh.write(config.to_json())
-    plan_mod.save_plan(cplan, os.path.join(out_dir, "plan.json"))
-    if isinstance(streams, sensor_mod.DualStreams):
-        sensor_mod.write_stream(streams.pd1, os.path.join(out_dir, "stream_pd1"))
-        sensor_mod.write_stream(streams.pd2, os.path.join(out_dir, "stream_pd2"))
-    else:
-        sensor_mod.write_stream(streams, os.path.join(out_dir, "stream_pd1"))
-    for i, img in enumerate(images):
-        tag = f"source{i + 1}" if img.source_index is not None else img.pd_side
-        scene_mod.write_image_pgm(img.values, os.path.join(out_dir, f"image_{tag}.pgm"))
-        scene_mod.write_image_csv(img.values, os.path.join(out_dir, f"image_{tag}.csv"))
-    report = decode_mod.decode_report(images, cplan)
-    decode_mod.write_decode_report(report, os.path.join(out_dir, "decode_report.json"))
-    if patch_report is not None:
+        fh.write(result.config.to_json())
+    plan_mod.save_plan(result.plan, os.path.join(out_dir, "plan.json"))
+    sensor_mod.write_streams(streams, out_dir)
+    decode_mod.write_decode_outputs(out_dir, result.images, result.plan)
+    if result.patch_report is not None:
         with open(os.path.join(out_dir, "patch_report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(patch_report.to_text())
+            fh.write(result.patch_report.to_text())
         with open(os.path.join(out_dir, "patch_report.csv"), "w", encoding="utf-8") as fh:
-            fh.write(patch_report.to_csv())
+            fh.write(result.patch_report.to_csv())
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join([f"preset {config.name}: {'PASS' if ok else 'FAIL'}", *lines]) + "\n")
+        fh.write(result.summary_text())
 
 
 # ---------------------------------------------------------------------------

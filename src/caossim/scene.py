@@ -99,6 +99,13 @@ def band_integrate(a: SpectralCurve, b: SpectralCurve, refine: int = 4) -> float
     return float(np.trapezoid(product, grid))
 
 
+def _detected(curve: SpectralCurve, responsivity) -> float:
+    """Band integral of a spectrum seen through a curve or flat responsivity."""
+    if isinstance(responsivity, SpectralCurve):
+        return band_integrate(curve, responsivity)
+    return float(responsivity) * float(np.trapezoid(curve.values, curve.wavelengths))
+
+
 def curve_product(a: SpectralCurve, b: SpectralCurve) -> SpectralCurve | None:
     """Pointwise product on the union grid, or None for disjoint supports."""
     grid = _union_grid(a, b, refine=1)
@@ -121,13 +128,7 @@ class SpectralField:
             mask = self.index == i
             if not mask.any():
                 continue
-            if isinstance(responsivity, SpectralCurve):
-                weight = band_integrate(curve, responsivity)
-            else:
-                weight = float(responsivity) * float(
-                    np.trapezoid(curve.values, curve.wavelengths)
-                )
-            out[mask] = self.scale[mask] * weight
+            out[mask] = self.scale[mask] * _detected(curve, responsivity)
         return out
 
 
@@ -350,12 +351,7 @@ def two_hole_target(
             through = curve_product(spectrum, filt)
             if through is None:
                 continue
-            if isinstance(responsivity, SpectralCurve):
-                value = band_integrate(through, responsivity)
-            else:
-                value = float(responsivity) * float(
-                    np.trapezoid(through.values, through.wavelengths)
-                )
+            value = _detected(through, responsivity)
             if value <= 0.0:
                 continue
             maps[p][disc_mask(grid, pos, hole_radius)] = gain * value

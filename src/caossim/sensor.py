@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,11 +99,6 @@ def carrier_matrix(plan: CodingPlan) -> np.ndarray:
         else:
             raise ConfigError(f"unknown waveform {waveform!r}")
     return np.stack(rows)
-
-
-def carrier_value(plan: CodingPlan, channel: int, sample_index: int) -> float:
-    """Value of one channel's carrier at a sample index within a bit (channel 1-based)."""
-    return float(carrier_matrix(plan)[channel - 1, sample_index % plan.samples_per_bit])
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +234,13 @@ def synthesize_dual(
 
 
 def add_noise(stream: SampleStream, detector: DetectorModel, seed) -> SampleStream:
-    """Seeded detector noise: white Gaussian, optional shot and 1/f terms."""
+    """Seeded detector noise: white Gaussian, optional shot and 1/f terms.
+
+    Returns the input stream itself when the detector has no noise term.
+    """
     rng = np.random.default_rng(seed)
+    if not (detector.noise_sigma > 0 or detector.shot_noise or detector.pink_noise is not None):
+        return stream
     samples = stream.samples.astype(np.float64, copy=True)
     n = samples.size
     if detector.noise_sigma > 0:
@@ -298,15 +299,10 @@ def capture_dual(
     detector = detector or DetectorModel()
     detector2 = detector2 or detector
     seeds = np.random.SeedSequence(seed).spawn(2)
-    pd1 = apply_adc(
-        add_noise(synthesize(plan, scene, detector, PD1, dtype=dtype), detector, seeds[0]),
-        detector,
+    return DualStreams(
+        pd1=capture(plan, scene, detector, seeds[0], PD1, dtype=dtype),
+        pd2=capture(plan, scene, detector2, seeds[1], PD2, dtype=dtype),
     )
-    pd2 = apply_adc(
-        add_noise(synthesize(plan, scene, detector2, PD2, dtype=dtype), detector2, seeds[1]),
-        detector2,
-    )
-    return DualStreams(pd1=pd1, pd2=pd2)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +314,6 @@ _STREAM_VERSION = 1
 
 
 def stream_paths(base):
-    import os
-
     base = os.fspath(base)
     if base.endswith(".f32"):
         base = base[:-4]
@@ -343,6 +337,12 @@ def write_stream(stream: SampleStream, base) -> tuple[str, str]:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return raw_path, meta_path
+
+
+def write_streams(streams, out_dir) -> list[tuple[str, str]]:
+    """stream_pd1 (plus stream_pd2 for DualStreams) under out_dir; returns their paths."""
+    sides = (streams.pd1, streams.pd2) if isinstance(streams, DualStreams) else (streams,)
+    return [write_stream(s, os.path.join(out_dir, f"stream_{s.pd_side}")) for s in sides]
 
 
 def read_stream(base) -> SampleStream:

@@ -128,6 +128,37 @@ class TestPipeline:
         assert not report["images"][0]["truth_correlation_ok"]
 
 
+def _drop_mode(plan):
+    del plan["mode"]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _drop_mode,
+        lambda plan: plan["grid"].update(columns="x"),
+        lambda plan: plan.update(mode="zzz"),
+        lambda plan: plan.update(frequencies=None),
+    ],
+    ids=["missing-mode", "text-columns", "unknown-mode", "null-frequencies"],
+)
+def test_decode_malformed_plan_exits_config_code(tmp_path, capsys, tamper):
+    plan_dir = tmp_path / "plan"
+    assert run_cli("plan", "--preset", "exp2-dualband", "--out", str(plan_dir)) == 0
+    data = json.loads((plan_dir / "plan.json").read_text())
+    tamper(data)
+    bad_plan = tmp_path / "bad.json"
+    bad_plan.write_text(json.dumps(data))
+    code = run_cli(
+        "decode",
+        "--plan", str(bad_plan),
+        "--stream", str(tmp_path / "none"),
+        "--out", str(tmp_path / "d"),
+    )
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 class TestExperimentCommand:
     def test_exp2_writes_two_band_images(self, tmp_path):
         out = tmp_path / "exp2"

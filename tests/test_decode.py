@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caossim import codes, decode, sensor
 from caossim.errors import PlanMismatch
@@ -73,61 +75,47 @@ class TestPerBitSpectra:
             decode.per_bit_spectra(stream, other)
 
 
-class TestChannelSequence:
-    def test_static_plan_reads_constant_column(self):
-        grid = PixelGrid(4, 2)
-        plan = build_plan(grid, channels=4, f1=2.0, bit_rate=1.0, sample_rate=128.0)
-        stream = sensor.synthesize(plan, positive_scene(grid))
-        spectra = decode.per_bit_spectra(stream, plan)
-        seq = decode.channel_sequence(spectra, plan, (2, 1), equalize=False)
-        assert np.array_equal(seq, spectra[:, 1])
+class TestOneLitPixel:
+    """A single lit pixel decodes back to its own position and nowhere else."""
 
-    def test_hopped_plan_matches_table_lookup(self):
-        grid = PixelGrid(4, 2)
+    def assert_single_pixel(self, plan, pixel):
+        img = np.zeros((plan.grid.rows, plan.grid.columns))
+        img[pixel[1] - 1, pixel[0] - 1] = 0.75
+        stream = sensor.synthesize(plan, Scene(grid=plan.grid, irradiance=img))
+        image = decode.decode_frame(stream, plan)
+        assert np.max(np.abs(image.raw - img)) < 1e-9 * img.max()
+
+    def test_static_plan(self):
+        plan = build_plan(PixelGrid(4, 2), channels=4, f1=2.0, bit_rate=1.0, sample_rate=128.0)
+        self.assert_single_pixel(plan, (2, 1))
+
+    def test_hopped_plan(self):
         plan = build_plan(
-            grid, channels=4, f1=2.0, bit_rate=1.0, sample_rate=128.0, key_seed=8, hopping=True
+            PixelGrid(4, 2),
+            channels=4, f1=2.0, bit_rate=1.0, sample_rate=128.0, key_seed=8, hopping=True,
         )
-        stream = sensor.synthesize(plan, positive_scene(grid))
-        spectra = decode.per_bit_spectra(stream, plan)
-        positions = plan.positions()
-        pixel = positions[5]
-        member = int(plan.member_index[5])
-        seq = decode.channel_sequence(spectra, plan, pixel, equalize=False)
-        reference = np.array(
-            [spectra[w, plan.hop_schedule[w, member]] for w in range(plan.code_length)]
-        )
-        assert np.array_equal(seq, reference)
+        self.assert_single_pixel(plan, plan.positions()[5])
 
-    def test_single_channel_plan(self):
-        grid = PixelGrid(3, 1)
-        plan = build_plan(grid, mode=Mode.FM_CDMA, f1=4.0, bit_rate=1.0, sample_rate=64.0)
-        stream = sensor.synthesize(plan, positive_scene(grid))
-        spectra = decode.per_bit_spectra(stream, plan)
-        seq = decode.channel_sequence(spectra, plan, (1, 1), equalize=False)
-        assert np.array_equal(seq, spectra[:, 0])
+    def test_fm_cdma_plan(self):
+        plan = build_plan(
+            PixelGrid(3, 1), mode=Mode.FM_CDMA, f1=4.0, bit_rate=1.0, sample_rate=64.0
+        )
+        self.assert_single_pixel(plan, (1, 1))
 
 
 class TestCorrelate:
     def test_walsh_identity_brute_force(self):
+        # The decoder's correlation, (2 / W) bipolar(codes) @ seq, maps a
+        # sequence a * codes[j] to a on code j and to zero on every other code.
         book = codes.codebook(7)  # W = 8
+        signed = codes.bipolar(book.codes).astype(np.float64)
         for j in range(book.num_codes):
             amplitude = 2.75
             seq = amplitude * book.codes[j].astype(np.float64)
-            est = decode.correlate(seq, book)
+            est = (2.0 / book.length) * (signed @ seq)
             expected = np.zeros(book.num_codes)
             expected[j] = amplitude
             assert np.allclose(est, expected, atol=1e-12)
-
-    def test_zero_sequence(self):
-        book = codes.codebook(3)
-        assert np.all(decode.correlate(np.zeros(book.length), book) == 0.0)
-
-    def test_subset_rows(self):
-        book = codes.codebook(5)
-        seq = 4.0 * book.codes[2].astype(np.float64)
-        est = decode.correlate(seq, book, code_rows=[2, 3])
-        assert est[0] == pytest.approx(4.0)
-        assert est[1] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRoundTrip:
@@ -254,3 +242,48 @@ def test_decode_report_flags_wrong_truth(tmp_path):
     path = tmp_path / "report.json"
     decode.write_decode_report(good, path)
     assert "caossim-decode-report" in path.read_text()
+
+
+@st.composite
+def noiseless_captures(draw):
+    """Random valid plan plus a positive scene on one detector side."""
+    mode = draw(st.sampled_from(list(Mode)))
+    grid = PixelGrid(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    channels = draw(st.integers(1, 4))
+    timing = {
+        Mode.PASSIVE_FDMA_CDMA: dict(channels=channels, f1=2.0, sample_rate=128.0),
+        Mode.FM_CDMA: dict(f1=4.0, sample_rate=64.0),
+        Mode.FM_TDMA: dict(f1=4.0, sample_rate=64.0),
+        Mode.PLAIN_CDMA: dict(sample_rate=64.0),
+        Mode.ACTIVE_OVERLAPPED: dict(frequencies=(3.0, 5.0, 7.0, 9.0)[:channels], sample_rate=64.0),
+    }[mode]
+    plan = build_plan(
+        grid,
+        mode=mode,
+        bit_rate=1.0,
+        key_seed=draw(st.integers(0, 2**32)),
+        hopping=draw(st.booleans()),
+        frame_index=draw(st.integers(0, 5)),
+        **timing,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if mode is Mode.ACTIVE_OVERLAPPED:
+        maps = rng.uniform(0.05, 1.0, (plan.channel_count, grid.rows, grid.columns))
+        scene, truth = Scene(grid=grid, per_source=maps), list(maps)
+    else:
+        img = rng.uniform(0.05, 1.0, (grid.rows, grid.columns))
+        scene, truth = Scene(grid=grid, irradiance=img), [img]
+    return plan, scene, truth, draw(st.sampled_from((sensor.PD1, sensor.PD2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(noiseless_captures())
+def test_noiseless_decode_matches_scene(case):
+    plan, scene, truth, pd_side = case
+    gain = 1.5
+    stream = sensor.capture(plan, scene, DetectorModel(gain=gain), seed=3, pd_side=pd_side)
+    images = decode.image_list(decode.decode_frame(stream, plan))
+    assert len(images) == len(truth)
+    for image, expected in zip(images, truth):
+        assert image.pd_side == pd_side
+        assert np.max(np.abs(image.raw - gain * expected)) <= 1e-9 * gain * expected.max()

@@ -132,6 +132,17 @@ def test_validate_flags_fractional_cycles():
     assert "carrier-cycles-integer" in report.failures()
 
 
+def test_validate_nyquist_applies_square_harmonic_margin():
+    # Top carrier 16 Hz at 64 Hz sampling clears plain Nyquist but not the
+    # margin for the 3rd harmonic; validate_plan must agree with build_plan.
+    p = small_plan(channels=3, f1=4.0, sample_rate=64.0)
+    with_margin = planmod.replace(p, frequencies=planmod.replace(p.frequencies, harmonics=3))
+    report = planmod.validate_plan(with_margin)
+    assert report.failures() == ["nyquist"]
+    with pytest.raises(NyquistError):
+        small_plan(channels=3, f1=4.0, sample_rate=64.0, harmonics=3)
+
+
 def test_frame_time_law_on_power_of_two_grid():
     grid = PixelGrid(254, 8)
     frames = {}

@@ -55,11 +55,6 @@ class TestCarrier:
         spectrum = np.fft.rfft(waves[0])
         assert abs(spectrum[3]) == pytest.approx(64 / 4, rel=1e-12)
 
-    def test_carrier_value_matches_matrix(self):
-        plan = make_plan()
-        waves = sensor.carrier_matrix(plan)
-        assert sensor.carrier_value(plan, 2, 5) == waves[1, 5]
-
 
 class TestSynthesize:
     def test_single_pixel_code_one_bit_equals_carrier(self):
@@ -150,6 +145,13 @@ class TestNoise:
         stream = sensor.synthesize(plan, uniform_scene(plan.grid))
         noisy = sensor.add_noise(stream, DetectorModel(), seed=1)
         assert np.array_equal(noisy.samples, stream.samples)
+
+    def test_no_noise_returns_input_stream(self):
+        plan = make_plan()
+        stream = sensor.synthesize(plan, uniform_scene(plan.grid), dtype=np.float32)
+        assert sensor.add_noise(stream, DetectorModel(), seed=1) is stream
+        with pytest.raises(TypeError):
+            sensor.add_noise(stream, DetectorModel(), seed="not a seed")
 
     def test_white_noise_variance(self):
         n = 1_000_000
