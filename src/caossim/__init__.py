@@ -10,7 +10,7 @@ experiment presets with a command-line front end (presets, cli).
 """
 
 from .codes import CodeBook, bipolar, codebook, hadamard
-from .decode import RecoveredImage, decode_frame, dsp_gain_db, per_bit_spectra
+from .decode import RecoveredImage, decode_capture, decode_frame, dsp_gain_db, per_bit_spectra
 from .errors import (
     CaosError,
     ConfigError,

@@ -5,7 +5,9 @@ F-point DFT read at the carrier bins (exact integers by plan construction,
 so no window is needed). Each pixel's bin readings across the W bits form a
 sequence, hop-schedule aware. Correlating a sequence against the signed
 codes recovers one scaled irradiance per set, and the keyed assignment maps
-values back to pixel positions.
+values back to pixel positions. decode_frame runs these steps on a stream;
+decode_capture runs them on bit blocks straight from the capture chain, so a
+run that needs no stream file never holds the whole stream.
 
 Bin readings are equalized by each channel's unit-carrier magnitude (for a
 sampled 0/1 square at k cycles per bit that is k / sin(pi k / F), for a
@@ -26,9 +28,17 @@ import numpy as np
 
 from . import scene as scene_mod
 from .codes import bipolar
-from .errors import LengthMismatch, PlanMismatch
+from .errors import ConfigError, PlanMismatch
 from .plan import COMPLEMENT_CODED_MODES, CodingPlan, Mode
-from .sensor import PD2, DualStreams, SampleStream, carrier_matrix
+from .sensor import (
+    PD2,
+    BlockCapture,
+    DualStreams,
+    SampleStream,
+    bit_blocks,
+    capture_sides,
+    carrier_matrix,
+)
 
 
 def dsp_gain_db(samples_per_bit: int) -> float:
@@ -59,19 +69,22 @@ def carrier_bin_gains(plan: CodingPlan) -> np.ndarray:
 
 
 def _check_stream(stream: SampleStream, plan: CodingPlan) -> None:
-    if stream.bits != plan.code_length or stream.samples_per_bit != plan.samples_per_bit:
+    if stream.samples_per_bit != plan.samples_per_bit or stream.bits > plan.code_length:
         raise PlanMismatch(
             f"stream is {stream.bits} x {stream.samples_per_bit} samples,"
             f" plan expects {plan.code_length} x {plan.samples_per_bit}"
         )
     if stream.rate != plan.sample_rate:
         raise PlanMismatch(f"stream rate {stream.rate} != plan rate {plan.sample_rate}")
-    if stream.samples.size != plan.code_length * plan.samples_per_bit:
-        raise LengthMismatch("stream length is not bits * samples_per_bit")
 
 
 def per_bit_spectra(stream: SampleStream, plan: CodingPlan) -> np.ndarray:
-    """Raw per-bit carrier-bin peak magnitudes, shape (W, channels)."""
+    """Raw per-bit carrier-bin peak magnitudes, shape (stream bits, channels).
+
+    The stream is a whole frame or a block of at most W bits of one. Raises
+    ConfigError naming the first bit whose magnitudes are not finite, so a NaN
+    or infinite sample cannot silently spread into every decoded pixel.
+    """
     _check_stream(stream, plan)
     f_count = plan.samples_per_bit
     bins = carrier_bins(plan)
@@ -79,10 +92,12 @@ def per_bit_spectra(stream: SampleStream, plan: CodingPlan) -> np.ndarray:
     basis = np.exp(-2j * np.pi * np.outer(idx, bins) / f_count)  # (F, P)
     per_bit = stream.per_bit()
     out = np.empty((stream.bits, plan.channel_count))
-    chunk = max(1, int(4_000_000 // max(f_count, 1)))
-    for start in range(0, stream.bits, chunk):
-        stop = min(stream.bits, start + chunk)
-        out[start:stop] = np.abs(per_bit[start:stop].astype(np.float64) @ basis)
+    with np.errstate(invalid="ignore"):  # an infinite sample is reported below
+        for start, stop in bit_blocks(stream.bits, f_count):
+            out[start:stop] = np.abs(per_bit[start:stop].astype(np.float64, copy=False) @ basis)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"non-finite samples in bit {int(np.argmin(finite))} of the stream")
     return out
 
 
@@ -117,8 +132,12 @@ def _scatter(plan: CodingPlan, per_pixel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decode_single(stream: SampleStream, plan: CodingPlan, normalize: bool):
-    spectra = per_bit_spectra(stream, plan)
+def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str, normalize: bool):
+    """Equalize, correlate and scatter one detector's per-bit spectra.
+
+    Returns one RecoveredImage, or for the active overlapped mode one per
+    source, normalized by the brightest pixel across the set.
+    """
     gains = carrier_bin_gains(plan)
     eq = spectra / gains[None, :]
     w = plan.code_length
@@ -126,7 +145,7 @@ def _decode_single(stream: SampleStream, plan: CodingPlan, normalize: bool):
 
     if plan.mode is Mode.FM_TDMA:
         raw_map = _scatter(plan, eq[plan.set_index, 0])
-        return [_finish(raw_map, plan, stream, normalize, None)]
+        return _finish(raw_map, plan, pd_side, normalize, None)
 
     if plan.hop_schedule is None:
         member_seq = eq
@@ -135,21 +154,24 @@ def _decode_single(stream: SampleStream, plan: CodingPlan, normalize: bool):
 
     signed = bipolar(plan.codebook.codes[plan.code_row]).astype(np.float64)
     estimates = (2.0 / w) * (signed @ member_seq)  # (sets, members/channels)
-    if stream.pd_side == PD2 and plan.mode in COMPLEMENT_CODED_MODES:
+    if pd_side == PD2 and plan.mode in COMPLEMENT_CODED_MODES:
         estimates = -estimates
 
     if plan.mode is Mode.ACTIVE_OVERLAPPED:
         images = []
         for p in range(plan.channel_count):
             raw_map = _scatter(plan, estimates[plan.set_index, p])
-            images.append(_finish(raw_map, plan, stream, normalize, p))
+            images.append(_finish(raw_map, plan, pd_side, normalize, p))
+        if normalize:
+            reference = max(img.normalization_reference for img in images)
+            images = [replace(img, normalization_reference=reference) for img in images]
         return images
 
     raw_pixel = estimates[plan.set_index, plan.member_index]
-    return [_finish(_scatter(plan, raw_pixel), plan, stream, normalize, None)]
+    return _finish(_scatter(plan, raw_pixel), plan, pd_side, normalize, None)
 
 
-def _finish(raw_map, plan, stream, normalize, source_index):
+def _finish(raw_map, plan, pd_side, normalize, source_index):
     clamped = np.clip(raw_map, 0.0, None)
     reference = float(clamped.max()) if normalize else 1.0
     return RecoveredImage(
@@ -157,7 +179,7 @@ def _finish(raw_map, plan, stream, normalize, source_index):
         raw=raw_map,
         normalization_reference=reference,
         mode=plan.mode,
-        pd_side=stream.pd_side,
+        pd_side=pd_side,
         source_index=source_index,
     )
 
@@ -168,21 +190,35 @@ def decode_frame(stream, plan: CodingPlan, normalize: bool = True):
     A single passive stream yields one RecoveredImage; DualStreams yield a
     (pd1, pd2) pair decoded independently; an active overlapped stream
     yields one image per source, normalized by the brightest pixel across
-    the whole image set. Decoding under a wrong-key plan is not an error,
-    it simply produces garbage.
+    the whole image set. A sensor.BlockCapture is captured and read one bit
+    block at a time. Decoding under a wrong-key plan is not an error, it
+    simply produces garbage.
     """
     if isinstance(stream, DualStreams):
         return (
             decode_frame(stream.pd1, plan, normalize=normalize),
             decode_frame(stream.pd2, plan, normalize=normalize),
         )
-    images = _decode_single(stream, plan, normalize)
-    if plan.mode is not Mode.ACTIVE_OVERLAPPED:
-        return images[0]
-    if normalize:
-        reference = max(img.normalization_reference for img in images)
-        images = [replace(img, normalization_reference=reference) for img in images]
-    return images
+    blocks = stream.blocks() if isinstance(stream, BlockCapture) else (stream,)
+    spectra = np.concatenate([per_bit_spectra(block, plan) for block in blocks])
+    if spectra.shape[0] != plan.code_length:
+        raise PlanMismatch(f"stream has {spectra.shape[0]} bits, plan expects {plan.code_length}")
+    return _decode_spectra(spectra, plan, stream.pd_side, normalize)
+
+
+def decode_capture(plan: CodingPlan, scene: scene_mod.Scene, detectors, seed=0, dtype=np.float64):
+    """Capture and decode in one pass over bit blocks, without materializing the stream.
+
+    detectors holds one DetectorModel (PD1) or two (PD1, PD2). The result is
+    bitwise what decode_frame(capture(...)) or decode_frame(capture_dual(...))
+    returns for the same seed and dtype; only one bit block and the
+    (W, channels) spectra of each side are held at a time.
+    """
+    results = tuple(
+        decode_frame(BlockCapture(plan, scene, det, side_seed, side, dtype), plan)
+        for det, side_seed, side in capture_sides(detectors, seed)
+    )
+    return results[0] if len(results) == 1 else results
 
 
 def image_list(decoded) -> list[RecoveredImage]:

@@ -562,11 +562,18 @@ def _typed(kind, *accepted):
     return parse
 
 
-_INT, _REAL, _FLAG, _TEXT = _typed(int), _typed(float, int, float), _typed(bool), _typed(str)
-_LIST = _typed(tuple, list, tuple)
+#: JSON value parsers shared by plan files, stream sidecars and detector
+#: configs: each raises TypeError on a value of the wrong JSON type.
+json_int, json_real, json_flag = _typed(int), _typed(float, int, float), _typed(bool)
+json_text, json_list = _typed(str), _typed(tuple, list, tuple)
 
 
-def _fields(doc, parsers: dict, defaults: dict, what: str) -> dict:
+def json_optional(parse):
+    """Parser accepting null (as None) or what parse accepts."""
+    return lambda value: None if value is None else parse(value)
+
+
+def parse_fields(doc, parsers: dict, defaults: dict, what: str) -> dict:
     """Parse a JSON object; unknown, missing or mistyped fields raise ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -587,12 +594,15 @@ def _fields(doc, parsers: dict, defaults: dict, what: str) -> dict:
 
 def _grid(value) -> PixelGrid:
     parsers = {
-        "columns": _INT,
-        "rows": _INT,
-        "pixel_size": _INT,
-        "active_pixels": lambda v: tuple((_INT(m), _INT(n)) for m, n in _LIST(v or ())) or None,
+        "columns": json_int,
+        "rows": json_int,
+        "pixel_size": json_int,
+        "active_pixels": lambda v: (
+            tuple((json_int(m), json_int(n)) for m, n in json_list(v or ())) or None
+        ),
     }
-    return PixelGrid(**_fields(value, parsers, {"pixel_size": 1, "active_pixels": None}, "grid"))
+    defaults = {"pixel_size": 1, "active_pixels": None}
+    return PixelGrid(**parse_fields(value, parsers, defaults, "grid"))
 
 
 #: The build_plan parameters a plan records: keyword -> (CodingPlan
@@ -600,17 +610,17 @@ def _grid(value) -> PixelGrid:
 #: read this one table.
 _PLAN_PARAMS = {
     "mode": ("mode.value", Mode),
-    "frequencies": ("frequencies.frequencies", lambda v: tuple(map(_REAL, _LIST(v)))),
-    "waveform": ("frequencies.waveform", _TEXT),
-    "harmonics": ("frequencies.harmonics", _INT),
-    "bit_rate": ("bit_rate", _REAL),
-    "sample_rate": ("sample_rate", _REAL),
-    "key_seed": ("key_seed", _INT),
-    "frame_index": ("frame_index", _INT),
-    "hopping": ("hopping", _FLAG),
-    "shuffle_pixels": ("shuffle_pixels", _FLAG),
-    "shuffle_codes": ("shuffle_codes", _FLAG),
-    "min_code_length": ("code_length_override", lambda v: None if v is None else _INT(v)),
+    "frequencies": ("frequencies.frequencies", lambda v: tuple(map(json_real, json_list(v)))),
+    "waveform": ("frequencies.waveform", json_text),
+    "harmonics": ("frequencies.harmonics", json_int),
+    "bit_rate": ("bit_rate", json_real),
+    "sample_rate": ("sample_rate", json_real),
+    "key_seed": ("key_seed", json_int),
+    "frame_index": ("frame_index", json_int),
+    "hopping": ("hopping", json_flag),
+    "shuffle_pixels": ("shuffle_pixels", json_flag),
+    "shuffle_codes": ("shuffle_codes", json_flag),
+    "min_code_length": ("code_length_override", json_optional(json_int)),
 }
 
 
@@ -646,10 +656,10 @@ def plan_from_dict(data: dict) -> CodingPlan:
         raise ConfigError("not a caossim plan document")
     if data.get("version") != _PLAN_VERSION:
         raise ConfigError(f"unsupported plan version {data.get('version')}")
-    parsers = {"grid": _grid, "code_length": _INT}
+    parsers = {"grid": _grid, "code_length": json_int}
     parsers.update((name, parse) for name, (_, parse) in _PLAN_PARAMS.items())
     body = {k: v for k, v in data.items() if k not in ("format", "version")}
-    fields = _fields(body, parsers, {"frame_index": 0, "min_code_length": None}, "plan")
+    fields = parse_fields(body, parsers, {"frame_index": 0, "min_code_length": None}, "plan")
     code_length = fields.pop("code_length")
     plan = build_plan(fields.pop("grid"), **fields)
     if plan.code_length != code_length:

@@ -29,7 +29,17 @@ from . import plan as plan_mod
 from . import scene as scene_mod
 from . import sensor as sensor_mod
 from .errors import ConfigError
-from .plan import Mode, PixelGrid
+from .plan import (
+    Mode,
+    PixelGrid,
+    json_flag,
+    json_int,
+    json_list,
+    json_optional,
+    json_real,
+    json_text,
+    parse_fields,
+)
 from .scene import DetectorModel, Scene
 
 HDR_LEVELS_DB = (0.0, 20.0, 30.0, 48.0, 58.0, 64.0)
@@ -54,26 +64,38 @@ _RESPONSIVITIES = {
 }
 
 
+def _pink_pair(value) -> list:
+    pair = [json_real(v) for v in json_list(value)]
+    if len(pair) != 2:
+        raise ValueError(f"expected [amplitude, alpha], got {value!r}")
+    return pair
+
+
+def _json_field(default, parse):
+    """A config field with its default and the parser of its JSON value."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass
 class DetectorConfig:
-    gain: float = 1.0
-    noise_sigma: float = 0.0
-    shot_noise: bool = False
-    shot_factor: float = 1.0
-    pink_noise: list | None = None
-    adc_bits: int | None = None
-    adc_fullscale: float = 1.0
-    responsivity: str = "flat"
+    gain: float = _json_field(1.0, json_real)
+    noise_sigma: float = _json_field(0.0, json_real)
+    shot_noise: bool = _json_field(False, json_flag)
+    shot_factor: float = _json_field(1.0, json_real)
+    pink_noise: list | None = _json_field(None, json_optional(_pink_pair))
+    adc_bits: int | None = _json_field(None, json_optional(json_int))
+    adc_fullscale: float = _json_field(1.0, json_real)
+    responsivity: str = _json_field("flat", json_text)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorConfig":
-        """The one loader of detector settings read from JSON; rejects unknown fields."""
-        if not isinstance(data, dict):
-            raise ConfigError("detector config must be a JSON object")
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown detector fields: {sorted(unknown)}")
-        return cls(**data)
+        """The one loader of detector settings read from JSON.
+
+        Unknown or mistyped fields raise ConfigError; missing ones take the
+        defaults.
+        """
+        parsers = {name: f.metadata["parse"] for name, f in cls.__dataclass_fields__.items()}
+        return cls(**parse_fields(data, parsers, asdict(cls()), "detector"))
 
     def build(self) -> DetectorModel:
         resp = _RESPONSIVITIES.get(self.responsivity)
@@ -118,6 +140,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ConfigError("experiment config must be a JSON object")
         if data.pop("format", None) != "caossim-experiment" or data.pop("version", None) != 1:
             raise ConfigError("not a caossim experiment config")
         known = set(cls.__dataclass_fields__)
@@ -302,17 +326,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Build plan and scene, capture, decode, evaluate and optionally write files."""
     cplan = config.build_plan()
     scn = config.build_scene(cplan.grid)
-    detector = config.detector.build()
+    detectors = (config.detector.build(),)
+    if config.dual:
+        detectors += ((config.detector2 or config.detector).build(),)
     dtype = np.float32 if cplan.frame_samples > 2**24 else np.float64
 
-    if config.dual:
-        detector2 = (config.detector2 or config.detector).build()
-        streams = sensor_mod.capture_dual(
-            cplan, scn, detector, detector2, seed=config.noise_seed, dtype=dtype
-        )
+    streams = None
+    if out_dir is None:
+        # Nothing needs the stream itself: capture and decode block by block.
+        decoded = decode_mod.decode_capture(cplan, scn, detectors, config.noise_seed, dtype)
     else:
-        streams = sensor_mod.capture(cplan, scn, detector, seed=config.noise_seed, dtype=dtype)
-    images = decode_mod.image_list(decode_mod.decode_frame(streams, cplan))
+        capture = sensor_mod.capture_dual if config.dual else sensor_mod.capture
+        streams = capture(cplan, scn, *detectors, seed=config.noise_seed, dtype=dtype)
+        decoded = decode_mod.decode_frame(streams, cplan)
+    images = decode_mod.image_list(decoded)
 
     lines, ok, patch_report = _evaluate(config, cplan, scn, images)
     result = ExperimentResult(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, LengthMismatch
-from .plan import CodingPlan, Mode
+from .plan import CodingPlan, Mode, json_int, json_real, parse_fields
 from .scene import DetectorModel, Scene
 
 PD1 = "pd1"
@@ -175,37 +175,63 @@ def _apply_hops(plan: CodingPlan, member_sums: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Samples per processing block. synthesize, per_bit_spectra and BlockCapture
+#: walk the frame in the same bit blocks, so the per-block matrix products see
+#: the same inputs on every path.
+BLOCK_SAMPLES = 4_000_000
+
+
+def bit_blocks(bits: int, samples_per_bit: int):
+    """(start, stop) bit ranges of at most about BLOCK_SAMPLES samples each."""
+    chunk = max(1, BLOCK_SAMPLES // max(samples_per_bit, 1))
+    for start in range(0, bits, chunk):
+        yield start, min(bits, start + chunk)
+
+
 def synthesize(
     plan: CodingPlan,
     scene: Scene,
     detector: DetectorModel | None = None,
     pd_side: str = PD1,
     dtype=np.float64,
+    *,
+    bit_range: tuple[int, int] | None = None,
 ) -> SampleStream:
-    """Noiseless, unquantized encoded stream for one detector side."""
+    """Noiseless, unquantized encoded stream for one detector side.
+
+    bit_range=(start, stop) synthesizes only bits start..stop-1 of the frame,
+    as a stream of stop - start bits.
+    """
     detector = detector or DetectorModel()
     if pd_side not in (PD1, PD2):
         raise ConfigError(f"pd_side must be {PD1!r} or {PD2!r}")
+    first, last = bit_range or (0, plan.code_length)
+    if not 0 <= first < last <= plan.code_length:
+        raise ConfigError(f"bit range {bit_range} is outside the {plan.code_length}-bit frame")
     pd1_amp, pd2_amp, pd2_const = _bit_amplitudes(plan, scene, detector.responsivity)
     carriers = carrier_matrix(plan)
-    w, f_count = plan.code_length, plan.samples_per_bit
+    f_count = plan.samples_per_bit
     gain = detector.gain
 
-    out = np.empty(w * f_count, dtype=dtype)
-    chunk = max(1, int(4_000_000 // max(f_count, 1)))
-    for start in range(0, w, chunk):
-        stop = min(w, start + chunk)
+    out = np.empty((last - first) * f_count, dtype=dtype)
+    for start, stop in bit_blocks(plan.code_length, f_count):
+        if stop <= first or start >= last:
+            continue
+        # Whole frame blocks: a product's rounding can depend on its shape.
         if pd_side == PD1:
             block = pd1_amp[start:stop] @ carriers
         elif pd2_amp is not None:  # complement-coded modes
             block = pd2_amp[start:stop] @ carriers
         else:  # passive: complement waveform plus parked light
             block = pd1_amp[start:stop] @ (1.0 - carriers) + pd2_const[start:stop, None]
-        out[start * f_count : stop * f_count] = (gain * block).ravel()
+        lo, hi = max(start, first), min(stop, last)
+        out[(lo - first) * f_count : (hi - first) * f_count] = (
+            gain * block[lo - start : hi - start]
+        ).ravel()
     return SampleStream(
         rate=plan.sample_rate,
         samples=out,
-        bits=w,
+        bits=last - first,
         samples_per_bit=f_count,
         pd_side=pd_side,
         gain=gain,
@@ -236,7 +262,9 @@ def synthesize_dual(
 def add_noise(stream: SampleStream, detector: DetectorModel, seed) -> SampleStream:
     """Seeded detector noise: white Gaussian, optional shot and 1/f terms.
 
-    Returns the input stream itself when the detector has no noise term.
+    seed is anything np.random.default_rng accepts; a Generator is drawn from
+    in place, so successive calls continue one noise sequence. Returns the
+    input stream itself when the detector has no noise term.
     """
     rng = np.random.default_rng(seed)
     if not (detector.noise_sigma > 0 or detector.shot_noise or detector.pink_noise is not None):
@@ -287,6 +315,20 @@ def capture(
     return apply_adc(stream, detector)
 
 
+def capture_sides(detectors, seed) -> list:
+    """(detector, seed, pd_side) per captured side.
+
+    One detector reads PD1 with seed itself; a pair reads PD1 and PD2 with
+    independent seeds spawned from seed.
+    """
+    detectors = tuple(detectors)
+    if len(detectors) == 1:
+        return [(detectors[0], seed, PD1)]
+    if len(detectors) != 2:
+        raise ConfigError(f"a capture has one or two detectors, got {len(detectors)}")
+    return list(zip(detectors, np.random.SeedSequence(seed).spawn(2), (PD1, PD2)))
+
+
 def capture_dual(
     plan: CodingPlan,
     scene: Scene,
@@ -298,11 +340,44 @@ def capture_dual(
     """Dual capture with independent noise draws per detector."""
     detector = detector or DetectorModel()
     detector2 = detector2 or detector
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    return DualStreams(
-        pd1=capture(plan, scene, detector, seeds[0], PD1, dtype=dtype),
-        pd2=capture(plan, scene, detector2, seeds[1], PD2, dtype=dtype),
+    pd1, pd2 = (
+        capture(plan, scene, det, side_seed, side, dtype=dtype)
+        for det, side_seed, side in capture_sides((detector, detector2), seed)
     )
+    return DualStreams(pd1=pd1, pd2=pd2)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockCapture:
+    """capture() of one detector side, run one bit block at a time.
+
+    blocks() yields the captured stream as consecutive SampleStreams of the
+    bit_blocks ranges, each bitwise equal to the same bits of
+    capture(plan, scene, detector, seed, pd_side, dtype), so the whole stream
+    never exists at once. White noise is drawn block by block from one
+    default_rng(seed): successive normal() calls on a generator concatenate
+    exactly to a single call. Shot and 1/f terms are drawn over the whole
+    stream, so a detector using either yields its whole capture as one block.
+    """
+
+    plan: CodingPlan
+    scene: Scene
+    detector: DetectorModel
+    seed: object = 0
+    pd_side: str = PD1
+    dtype: object = np.float64
+
+    def blocks(self):
+        plan, detector = self.plan, self.detector
+        if detector.shot_noise or detector.pink_noise is not None:
+            yield capture(plan, self.scene, detector, self.seed, self.pd_side, self.dtype)
+            return
+        rng = np.random.default_rng(self.seed)
+        for bit_range in bit_blocks(plan.code_length, plan.samples_per_bit):
+            block = synthesize(
+                plan, self.scene, detector, self.pd_side, self.dtype, bit_range=bit_range
+            )
+            yield apply_adc(add_noise(block, detector, rng), detector)
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +420,37 @@ def write_streams(streams, out_dir) -> list[tuple[str, str]]:
     return [write_stream(s, os.path.join(out_dir, f"stream_{s.pd_side}")) for s in sides]
 
 
+def _pd_side(value) -> str:
+    if value not in (PD1, PD2):
+        raise ValueError(f"expected {PD1!r} or {PD2!r}, got {value!r}")
+    return value
+
+
+#: Stream sidecar fields after format and version, with their JSON parsers.
+_SIDECAR_FIELDS = {
+    "rate": json_real,
+    "length": json_int,
+    "bits": json_int,
+    "samples_per_bit": json_int,
+    "pd_side": _pd_side,
+    "gain": json_real,
+}
+
+
 def read_stream(base) -> SampleStream:
     raw_path, meta_path = stream_paths(base)
     with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
-    if meta.get("format") != _STREAM_FORMAT or meta.get("version") != _STREAM_VERSION:
+    if (
+        not isinstance(meta, dict)
+        or meta.get("format") != _STREAM_FORMAT
+        or meta.get("version") != _STREAM_VERSION
+    ):
         raise ConfigError("not a caossim stream sidecar")
+    body = {k: v for k, v in meta.items() if k not in ("format", "version")}
+    fields = parse_fields(body, _SIDECAR_FIELDS, {}, "stream sidecar")
+    length = fields.pop("length")
     samples = np.fromfile(raw_path, dtype="<f4").astype(np.float64)
-    if samples.size != meta["length"]:
-        raise LengthMismatch(
-            f"raw file has {samples.size} samples, sidecar declares {meta['length']}"
-        )
-    return SampleStream(
-        rate=float(meta["rate"]),
-        samples=samples,
-        bits=int(meta["bits"]),
-        samples_per_bit=int(meta["samples_per_bit"]),
-        pd_side=meta["pd_side"],
-        gain=float(meta["gain"]),
-    )
+    if samples.size != length:
+        raise LengthMismatch(f"raw file has {samples.size} samples, sidecar declares {length}")
+    return SampleStream(samples=samples, **fields)

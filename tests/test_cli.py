@@ -203,3 +203,101 @@ def test_experiment_config_rejects_unknown_detector_field():
     data["detector"]["extra"] = 1
     with pytest.raises(ConfigError):
         presets.ExperimentConfig.from_json(json.dumps(data))
+
+
+def test_experiment_config_rejects_non_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert run_cli("plan", "--config", str(path), "--out", str(tmp_path / "p")) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "detector",
+    [
+        {"gain": "x"},
+        {"shot_noise": 1},
+        {"adc_bits": 12.0},
+        {"adc_bits": True},
+        {"pink_noise": [0.1]},
+        {"pink_noise": [0.1, "a"]},
+        {"noise_sigma": None},
+        {"responsivity": 1.0},
+    ],
+    ids=["text-gain", "int-flag", "float-bits", "bool-bits", "short-pink", "text-pink",
+         "null-sigma", "number-responsivity"],
+)
+def test_simulate_mistyped_detector_exits_config_code(tmp_path, capsys, detector):
+    plan_dir = tmp_path / "plan"
+    assert run_cli("plan", "--preset", "exp3-active", "--out", str(plan_dir)) == 0
+    scene_path = tmp_path / "scene.csv"
+    sc.write_image_csv(np.ones((15, 32)), scene_path)
+    det_path = tmp_path / "det.json"
+    det_path.write_text(json.dumps(detector))
+    code = run_cli(
+        "simulate",
+        "--plan", str(plan_dir / "plan.json"),
+        "--scene", str(scene_path),
+        "--detector", str(det_path),
+        "--out", str(tmp_path / "sim"),
+    )
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_detector_config_accepts_ints_for_numbers():
+    config = presets.DetectorConfig.from_dict({"gain": 2, "adc_bits": 12, "pink_noise": [0.1, 1]})
+    assert config == presets.DetectorConfig(gain=2.0, adc_bits=12, pink_noise=[0.1, 1.0])
+
+
+def _drop_length(meta):
+    del meta["length"]
+
+
+def _nan_sample(out):
+    raw = out / "stream_pd1.f32"
+    samples = np.fromfile(raw, dtype="<f4")
+    samples[7 * samples.size // 512] = np.nan  # bit 7 of the 512-bit exp3-active frame
+    samples.tofile(raw)
+
+
+def _tamper_sidecar(change):
+    def tamper(out):
+        meta_path = out / "stream_pd1.json"
+        meta = json.loads(meta_path.read_text())
+        change(meta)
+        meta_path.write_text(json.dumps(meta))
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _tamper_sidecar(_drop_length),
+        _tamper_sidecar(lambda meta: meta.update(bits="512")),
+        _tamper_sidecar(lambda meta: meta.update(rate=None)),
+        _tamper_sidecar(lambda meta: meta.update(pd_side="pd3")),
+        _tamper_sidecar(lambda meta: meta.update(extra=1)),
+        _nan_sample,
+    ],
+    ids=[
+        "missing-length", "text-bits", "null-rate", "unknown-side", "unknown-field", "nan-sample"
+    ],
+)
+def test_decode_malformed_stream_exits_config_code(tmp_path, capsys, tamper):
+    out = tmp_path / "exp3"
+    assert run_cli("experiment", "--preset", "exp3-active", "--out", str(out)) == 0
+    tamper(out)
+    capsys.readouterr()
+    code = run_cli(
+        "decode",
+        "--plan", str(out / "plan.json"),
+        "--stream", str(out / "stream_pd1"),
+        "--out", str(tmp_path / "d"),
+    )
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if tamper is _nan_sample:
+        assert "bit 7 " in err

@@ -1,10 +1,13 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caossim import codes, decode, sensor
-from caossim.errors import PlanMismatch
+from caossim import codes, decode, presets, sensor
+from caossim.errors import ConfigError, PlanMismatch
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import DetectorModel, Scene
 
@@ -73,6 +76,23 @@ class TestPerBitSpectra:
         stream = sensor.synthesize(plan, positive_scene(grid))
         with pytest.raises(PlanMismatch):
             decode.per_bit_spectra(stream, other)
+
+    def test_block_spectra_are_rows_of_frame_spectra(self):
+        grid = PixelGrid(6, 6)
+        plan = build_plan(grid, channels=3, f1=2.0, bit_rate=1.0, sample_rate=64.0, key_seed=3)
+        scene = positive_scene(grid)
+        # Same block boundaries on both sides: a product's rounding can depend on its shape.
+        with mock.patch.object(sensor, "BLOCK_SAMPLES", 4 * plan.samples_per_bit):
+            frame = decode.per_bit_spectra(sensor.synthesize(plan, scene), plan)
+            block = sensor.synthesize(plan, scene, bit_range=(4, 8))
+            assert decode.per_bit_spectra(block, plan).tobytes() == frame[4:8].tobytes()
+
+    def test_decode_frame_rejects_a_partial_stream(self):
+        grid = PixelGrid(2, 2)
+        plan = build_plan(grid, channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0)
+        block = sensor.synthesize(plan, positive_scene(grid), bit_range=(0, 2))
+        with pytest.raises(PlanMismatch, match="2 bits"):
+            decode.decode_frame(block, plan)
 
 
 class TestOneLitPixel:
@@ -287,3 +307,107 @@ def test_noiseless_decode_matches_scene(case):
     for image, expected in zip(images, truth):
         assert image.pd_side == pd_side
         assert np.max(np.abs(image.raw - gain * expected)) <= 1e-9 * gain * expected.max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_names_its_bit(bad):
+    grid = PixelGrid(4, 4)
+    plan = build_plan(grid, channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0, key_seed=1)
+    stream = sensor.synthesize(plan, positive_scene(grid))
+    samples = stream.samples.copy()
+    samples[5 * plan.samples_per_bit + 3] = bad
+    stream = replace(stream, samples=samples)
+    with pytest.raises(ConfigError, match="bit 5 "):
+        decode.per_bit_spectra(stream, plan)
+    with pytest.raises(ConfigError, match="bit 5 "):
+        decode.decode_frame(stream, plan)
+
+
+# ---------------------------------------------------------------------------
+# decode_capture: the streaming capture -> decode path
+# ---------------------------------------------------------------------------
+
+
+def assert_bitwise_equal(got, want):
+    """decode_frame-shaped results (image, image list or dual pair) are bit for bit equal."""
+    assert type(got) is type(want)
+    if isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_bitwise_equal(g, w)
+        return
+    assert got.raw.tobytes() == want.raw.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.normalization_reference == want.normalization_reference
+    for name in ("mode", "pd_side", "source_index"):
+        assert getattr(got, name) == getattr(want, name)
+
+
+def materialized_decode(plan, scene, detectors, seed, dtype):
+    if len(detectors) == 1:
+        stream = sensor.capture(plan, scene, detectors[0], seed=seed, dtype=dtype)
+    else:
+        stream = sensor.capture_dual(plan, scene, *detectors, seed=seed, dtype=dtype)
+    return decode.decode_frame(stream, plan)
+
+
+def assert_streaming_matches(plan, scene, detectors, seed, dtype=np.float64):
+    got = decode.decode_capture(plan, scene, detectors, seed, dtype)
+    assert_bitwise_equal(got, materialized_decode(plan, scene, detectors, seed, dtype))
+
+
+@st.composite
+def noisy_captures(draw):
+    """A random plan and scene, one or two noisy detectors, a seed, dtype and block size."""
+    plan, scene, _, _ = draw(noiseless_captures())
+    detectors = tuple(
+        DetectorModel(
+            gain=1.5,
+            noise_sigma=draw(st.sampled_from((0.0, 0.05, 0.5))),
+            adc_bits=draw(st.sampled_from((None, 6, 12))),
+            adc_fullscale=draw(st.sampled_from((4.0, 100.0))),
+        )
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    f_count = plan.samples_per_bit
+    block = draw(st.sampled_from((sensor.BLOCK_SAMPLES, f_count, 3 * f_count, 5 * f_count - 1)))
+    dtype = draw(st.sampled_from((np.float64, np.float32)))
+    return plan, scene, detectors, draw(st.integers(0, 2**32)), dtype, block
+
+
+@settings(max_examples=200, deadline=None)
+@given(noisy_captures())
+def test_decode_capture_matches_materialized_decode(case):
+    plan, scene, detectors, seed, dtype, block = case
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        assert_streaming_matches(plan, scene, detectors, seed, dtype)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_decode_capture_shot_and_pink_noise(count):
+    grid = PixelGrid(5, 4)
+    plan = build_plan(
+        grid, channels=3, f1=2.0, bit_rate=1.0, sample_rate=64.0, key_seed=4, hopping=True
+    )
+    detector = DetectorModel(
+        noise_sigma=0.05, shot_noise=True, shot_factor=0.02, pink_noise=(0.1, 1.0), adc_bits=12,
+        adc_fullscale=30.0,
+    )
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", 3 * plan.samples_per_bit):
+        assert_streaming_matches(plan, positive_scene(grid), (detector,) * count, seed=11)
+
+
+def test_decode_capture_multi_block_preset():
+    # Desk exp1-fmcdma: W = 1280 bits at F = 4096 spans two 976-bit blocks.
+    config = presets.preset_config("exp1-fmcdma")
+    plan = config.build_plan()
+    assert plan.code_length > sensor.BLOCK_SAMPLES // plan.samples_per_bit
+    scene = config.build_scene(plan.grid)
+    assert_streaming_matches(plan, scene, (config.detector.build(),), config.noise_seed)
+
+
+def test_decode_capture_rejects_three_detectors():
+    grid = PixelGrid(2, 2)
+    plan = build_plan(grid, channels=2, f1=2.0, bit_rate=1.0, sample_rate=32.0)
+    with pytest.raises(ConfigError):
+        decode.decode_capture(plan, positive_scene(grid), (DetectorModel(),) * 3)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from caossim import decode, presets
+from caossim import decode, presets, sensor
 from caossim.errors import ConfigError
 
 
@@ -66,6 +68,24 @@ class TestRunDeterminism:
         a = presets.run_experiment(cfg1)
         b = presets.run_experiment(cfg2)
         assert not np.array_equal(a.images[0].values, b.images[0].values)
+
+
+def test_in_memory_run_never_holds_the_whole_stream():
+    # Full-scale exp1-hdr: 21 M samples. Without out_dir, run_experiment
+    # captures and decodes block by block, so its traced peak stays below one
+    # float64 copy of the stream (167.8 MB).
+    config = presets.preset_config("exp1-hdr", full_scale=True)
+    frame_samples = config.build_plan().frame_samples
+    assert frame_samples > 4 * sensor.BLOCK_SAMPLES
+    stream_bytes = frame_samples * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        result = presets.run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.images[0].raw.shape == (29, 44)
+    assert peak < stream_bytes
 
 
 def test_calibration_targets_comparator_weak_patch():

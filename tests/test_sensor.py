@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from caossim import sensor
-from caossim.errors import DimensionMismatch
+from caossim.errors import ConfigError, DimensionMismatch
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import DetectorModel, Scene
 
@@ -139,6 +141,36 @@ class TestSynthesize:
             sensor.synthesize(plan, uniform_scene(PixelGrid(3, 3)))
 
 
+@pytest.mark.parametrize("mode", [Mode.PASSIVE_FDMA_CDMA, Mode.ACTIVE_OVERLAPPED])
+@pytest.mark.parametrize("side", [sensor.PD1, sensor.PD2])
+def test_synthesize_bit_range_is_that_slice_of_the_frame(mode, side):
+    grid = PixelGrid(4, 3)
+    if mode is Mode.ACTIVE_OVERLAPPED:
+        plan = build_plan(
+            grid, mode=mode, frequencies=(3.0, 5.0, 7.0), bit_rate=1.0, sample_rate=64.0
+        )
+        per_source = np.random.default_rng(1).uniform(0.1, 1.0, (3, 3, 4))
+        scene = Scene(grid=grid, per_source=per_source)
+    else:
+        plan = make_plan(grid=grid, channels=3, f1=2.0, sample_rate=64.0, key_seed=2)
+        scene = Scene(grid=grid, irradiance=np.random.default_rng(1).uniform(0.1, 1.0, (3, 4)))
+    f_count = plan.samples_per_bit
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", 3 * f_count):
+        frame = sensor.synthesize(plan, scene, pd_side=side)
+        for start, stop in [(0, 3), (3, 6), (2, 5), (plan.code_length - 1, plan.code_length)]:
+            part = sensor.synthesize(plan, scene, pd_side=side, bit_range=(start, stop))
+            assert part.bits == stop - start and part.pd_side == side
+            want = frame.samples[start * f_count : stop * f_count]
+            assert part.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bit_range", [(0, 0), (-1, 2), (3, 2), (0, 10**6)])
+def test_synthesize_rejects_bit_range_outside_frame(bit_range):
+    plan = make_plan()
+    with pytest.raises(ConfigError, match="bit range"):
+        sensor.synthesize(plan, uniform_scene(plan.grid), bit_range=bit_range)
+
+
 class TestNoise:
     def test_no_noise_is_identity(self):
         plan = make_plan()
@@ -193,6 +225,64 @@ class TestNoise:
         hi_band = acc[512:1024].mean()
         # PSD ~ 1/f: a 64x frequency step should drop power by ~64.
         assert lo_band / hi_band == pytest.approx(64.0, rel=0.5)
+
+
+def whole_stream_noise(samples, detector, seed):
+    """Reference: every noise term drawn at full stream length in one call."""
+    rng = np.random.default_rng(seed)
+    out = samples.astype(np.float64, copy=True)
+    n = out.size
+    if detector.noise_sigma > 0:
+        out += rng.normal(0.0, detector.noise_sigma, n)
+    if detector.shot_noise:
+        out += rng.standard_normal(n) * np.sqrt(detector.shot_factor * np.clip(samples, 0.0, None))
+    if detector.pink_noise is not None:
+        amplitude, alpha = detector.pink_noise
+        spectrum = np.fft.rfft(rng.standard_normal(n))
+        shaping = np.zeros(spectrum.size)
+        shaping[1:] = np.arange(1, spectrum.size, dtype=np.float64) ** (-alpha / 2.0)
+        shaped = np.fft.irfft(spectrum * shaping, n)
+        out += shaped * (amplitude / float(np.sqrt(np.mean(shaped**2))))
+    return out.astype(samples.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "detector",
+    [
+        DetectorModel(noise_sigma=0.2, adc_bits=10, adc_fullscale=3.0),
+        DetectorModel(shot_noise=True, shot_factor=0.3),
+        DetectorModel(noise_sigma=0.2, shot_noise=True, pink_noise=(0.4, 1.5), adc_bits=8),
+    ],
+    ids=["white-adc", "shot", "white-shot-pink-adc"],
+)
+def test_blocked_noise_and_adc_match_whole_stream_reference(detector, dtype):
+    # Block-wise draws must give the realization of one whole-stream draw.
+    plan = make_plan(grid=PixelGrid(3, 3), channels=3, f1=2.0, sample_rate=64.0)
+    scene = uniform_scene(plan.grid)
+    stream = sensor.synthesize(plan, scene, dtype=dtype)
+    want = whole_stream_noise(stream.samples, detector, seed=5)
+    assert sensor.add_noise(stream, detector, seed=5).samples.tobytes() == want.tobytes()
+    if detector.adc_bits is not None:
+        step = detector.adc_fullscale / (2**detector.adc_bits - 1)
+        want = np.round(np.clip(want, 0.0, detector.adc_fullscale) / step) * step
+    want = want.astype(dtype, copy=False)
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", 3 * plan.samples_per_bit):
+        blocks = list(sensor.BlockCapture(plan, scene, detector, seed=5, dtype=dtype).blocks())
+    whole_draws = detector.shot_noise or detector.pink_noise is not None
+    assert len(blocks) == 1 if whole_draws else len(blocks) > 1
+    assert np.concatenate([b.samples for b in blocks]).tobytes() == want.tobytes()
+
+
+def test_dual_capture_draws_each_side_from_a_spawned_seed():
+    plan = make_plan()
+    scene = uniform_scene(plan.grid)
+    det = DetectorModel(noise_sigma=0.1)
+    dual = sensor.capture_dual(plan, scene, det, seed=9)
+    seeds = np.random.SeedSequence(9).spawn(2)
+    for stream, seed, side in zip((dual.pd1, dual.pd2), seeds, (sensor.PD1, sensor.PD2)):
+        want = sensor.capture(plan, scene, det, seed=seed, pd_side=side)
+        assert stream.samples.tobytes() == want.samples.tobytes()
 
 
 class TestAdc:
