@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,7 +95,7 @@ def per_bit_spectra(stream: SampleStream, plan: CodingPlan) -> np.ndarray:
     out = np.empty((stream.bits, plan.channel_count))
     with np.errstate(invalid="ignore"):  # an infinite sample is reported below
         for start, stop in bit_blocks(stream.bits, f_count):
-            out[start:stop] = np.abs(per_bit[start:stop].astype(np.float64, copy=False) @ basis)
+            out[start:stop] = np.abs(per_bit[start:stop] @ basis)
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         raise ConfigError(f"non-finite samples in bit {int(np.argmin(finite))} of the stream")
@@ -199,8 +200,11 @@ def decode_frame(stream, plan: CodingPlan, normalize: bool = True):
             decode_frame(stream.pd1, plan, normalize=normalize),
             decode_frame(stream.pd2, plan, normalize=normalize),
         )
-    blocks = stream.blocks() if isinstance(stream, BlockCapture) else (stream,)
-    spectra = np.concatenate([per_bit_spectra(block, plan) for block in blocks])
+    if isinstance(stream, BlockCapture):
+        with closing(stream.blocks()) as blocks:  # ends its noise thread on any exit
+            spectra = np.concatenate([per_bit_spectra(block, plan) for block in blocks])
+    else:
+        spectra = per_bit_spectra(stream, plan)
     if spectra.shape[0] != plan.code_length:
         raise PlanMismatch(f"stream has {spectra.shape[0]} bits, plan expects {plan.code_length}")
     return _decode_spectra(spectra, plan, stream.pd_side, normalize)

@@ -562,10 +562,10 @@ def _typed(kind, *accepted):
     return parse
 
 
-#: JSON value parsers shared by plan files, stream sidecars and detector
-#: configs: each raises TypeError on a value of the wrong JSON type.
+#: JSON value parsers shared by plan files, stream sidecars and experiment
+#: and detector configs: each raises TypeError on a value of the wrong JSON type.
 json_int, json_real, json_flag = _typed(int), _typed(float, int, float), _typed(bool)
-json_text, json_list = _typed(str), _typed(tuple, list, tuple)
+json_text, json_list, json_object = _typed(str), _typed(tuple, list, tuple), _typed(dict)
 
 
 def json_optional(parse):
@@ -574,21 +574,26 @@ def json_optional(parse):
 
 
 def parse_fields(doc, parsers: dict, defaults: dict, what: str) -> dict:
-    """Parse a JSON object; unknown, missing or mistyped fields raise ConfigError."""
+    """Parse a JSON object; unknown, missing or mistyped fields raise ConfigError.
+
+    A missing field with an entry in defaults takes that value as it is.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
     unknown = set(doc) - set(parsers)
     if unknown:
         raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
-    doc = {**defaults, **doc}
     out = {}
     for name, parse in parsers.items():
-        if name not in doc:
+        if name in doc:
+            try:
+                out[name] = parse(doc[name])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{what} field {name!r}: {exc}") from None
+        elif name in defaults:
+            out[name] = defaults[name]
+        else:
             raise ConfigError(f"{what} field {name!r} is missing")
-        try:
-            out[name] = parse(doc[name])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{what} field {name!r}: {exc}") from None
     return out
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .plan import (
     json_flag,
     json_int,
     json_list,
+    json_object,
     json_optional,
     json_real,
     json_text,
@@ -64,16 +65,37 @@ _RESPONSIVITIES = {
 }
 
 
-def _pink_pair(value) -> list:
-    pair = [json_real(v) for v in json_list(value)]
-    if len(pair) != 2:
-        raise ValueError(f"expected [amplitude, alpha], got {value!r}")
+def _pair(parse):
+    """Parser of a JSON list of exactly two values that parse accepts."""
+
+    def pair(value) -> list:
+        items = [parse(v) for v in json_list(value)]
+        if len(items) != 2:
+            raise ValueError(f"expected 2 values, got {value!r}")
+        return items
+
     return pair
 
 
-def _json_field(default, parse):
-    """A config field with its default and the parser of its JSON value."""
-    return field(default=default, metadata={"parse": parse})
+def _json_field(default, parse, factory=MISSING):
+    """A config field with its default (MISSING: required) and the parser of its JSON value."""
+    return field(default=default, default_factory=factory, metadata={"parse": parse})
+
+
+def _from_json_fields(cls, data, what: str):
+    """cls from a JSON object through its fields' parsers.
+
+    Unknown, mistyped or missing required fields raise ConfigError; other
+    missing fields take their defaults.
+    """
+    parsers, defaults = {}, {}
+    for f in fields(cls):
+        parsers[f.name] = f.metadata["parse"]
+        if f.default is not MISSING:
+            defaults[f.name] = f.default
+        elif f.default_factory is not MISSING:
+            defaults[f.name] = f.default_factory()
+    return cls(**parse_fields(data, parsers, defaults, what))
 
 
 @dataclass
@@ -82,7 +104,7 @@ class DetectorConfig:
     noise_sigma: float = _json_field(0.0, json_real)
     shot_noise: bool = _json_field(False, json_flag)
     shot_factor: float = _json_field(1.0, json_real)
-    pink_noise: list | None = _json_field(None, json_optional(_pink_pair))
+    pink_noise: list | None = _json_field(None, json_optional(_pair(json_real)))
     adc_bits: int | None = _json_field(None, json_optional(json_int))
     adc_fullscale: float = _json_field(1.0, json_real)
     responsivity: str = _json_field("flat", json_text)
@@ -94,42 +116,81 @@ class DetectorConfig:
         Unknown or mistyped fields raise ConfigError; missing ones take the
         defaults.
         """
-        parsers = {name: f.metadata["parse"] for name, f in cls.__dataclass_fields__.items()}
-        return cls(**parse_fields(data, parsers, asdict(cls()), "detector"))
+        return _from_json_fields(cls, data, "detector")
 
     def build(self) -> DetectorModel:
         resp = _RESPONSIVITIES.get(self.responsivity)
         if resp is None:
             raise ConfigError(f"unknown responsivity preset {self.responsivity!r}")
         # Every other field carries over to DetectorModel under its own name.
-        fields = {**asdict(self), "responsivity": resp() if callable(resp) else resp}
-        fields["pink_noise"] = tuple(self.pink_noise) if self.pink_noise else None
-        return DetectorModel(**fields)
+        params = {**asdict(self), "responsivity": resp() if callable(resp) else resp}
+        params["pink_noise"] = tuple(self.pink_noise) if self.pink_noise else None
+        return DetectorModel(**params)
+
+
+def _mode(value) -> str:
+    return Mode(json_text(value)).value
+
+
+def _real_list(value) -> list:
+    return [json_real(v) for v in json_list(value)]
+
+
+#: Scene presets of config files, with the JSON parser of each parameter.
+_SCENE_PARAMS = {
+    "hdr-patches": {"levels_db": _real_list, "layout": _pair(json_int)},
+    "fiber-spot": {"center": _pair(json_int), "radius": json_optional(json_real)},
+    "two-hole": {"variant": json_text, "radius": json_optional(json_real)},
+    "uniform": {"value": json_real},
+    "pgm": {"path": json_text},
+    "csv": {"path": json_text},
+}
+
+
+def _scene_params(value) -> dict:
+    """A config scene: a known preset with only that preset's parameters, typed."""
+    params = json_object(value)  # a copy
+    kind = params.pop("preset", None)
+    if kind not in _SCENE_PARAMS:
+        raise ValueError(f"unknown scene preset {kind!r}")
+    parsers = _SCENE_PARAMS[kind]
+    unknown = set(params) - set(parsers)
+    if unknown:
+        raise ValueError(f"unknown {kind} scene parameters: {sorted(unknown)}")
+    if kind in ("pgm", "csv") and "path" not in params:
+        raise ValueError(f"a {kind} scene needs a path")
+    typed = {"preset": kind}
+    for name, v in params.items():
+        try:
+            typed[name] = parsers[name](v)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{kind} scene parameter {name!r}: {exc}") from None
+    return typed
 
 
 @dataclass
 class ExperimentConfig:
     """Lossless, strictly-validated description of one experiment run."""
 
-    name: str
-    mode: str
-    grid_columns: int
-    grid_rows: int
-    pixel_size: int = 1
-    channels: int = 1
-    f1: float | None = None
-    frequencies: list | None = None
-    bit_rate: float = 1.0
-    sample_rate: float = 2.0
-    code_length: int | None = None
-    key_seed: int = 0
-    hopping: bool = False
-    noise_seed: int = 0
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
-    detector2: DetectorConfig | None = None
-    scene: dict = field(default_factory=dict)
-    dual: bool = False
-    convention: int = 20
+    name: str = _json_field(MISSING, json_text)
+    mode: str = _json_field(MISSING, _mode)
+    grid_columns: int = _json_field(MISSING, json_int)
+    grid_rows: int = _json_field(MISSING, json_int)
+    pixel_size: int = _json_field(1, json_int)
+    channels: int = _json_field(1, json_int)
+    f1: float | None = _json_field(None, json_optional(json_real))
+    frequencies: list | None = _json_field(None, json_optional(_real_list))
+    bit_rate: float = _json_field(1.0, json_real)
+    sample_rate: float = _json_field(2.0, json_real)
+    code_length: int | None = _json_field(None, json_optional(json_int))
+    key_seed: int = _json_field(0, json_int)
+    hopping: bool = _json_field(False, json_flag)
+    noise_seed: int = _json_field(0, json_int)
+    detector: DetectorConfig = _json_field(MISSING, DetectorConfig.from_dict, DetectorConfig)
+    detector2: DetectorConfig | None = _json_field(None, json_optional(DetectorConfig.from_dict))
+    scene: dict = _json_field(MISSING, _scene_params, dict)
+    dual: bool = _json_field(False, json_flag)
+    convention: int = _json_field(20, json_int)
 
     def to_json(self) -> str:
         data = asdict(self)
@@ -139,19 +200,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Parse a config file; unknown, missing or mistyped fields raise ConfigError."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ConfigError("experiment config must be a JSON object")
         if data.pop("format", None) != "caossim-experiment" or data.pop("version", None) != 1:
             raise ConfigError("not a caossim experiment config")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for det_key in ("detector", "detector2"):
-            if data.get(det_key) is not None:
-                data[det_key] = DetectorConfig.from_dict(data[det_key])
-        return cls(**data)
+        return _from_json_fields(cls, data, "experiment config")
 
     def build_plan(self) -> plan_mod.CodingPlan:
         return plan_mod.build_plan(
@@ -172,28 +227,30 @@ class ExperimentConfig:
 
 
 def build_scene(grid: PixelGrid, params: dict) -> Scene:
-    """Scene constructor lookup for config files."""
-    params = dict(params)
-    kind = params.pop("preset", None)
+    """Scene constructor lookup for config files.
+
+    An unknown preset or a parameter the preset does not take raises
+    ConfigError.
+    """
+    try:
+        params = _scene_params(params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    kind, get = params["preset"], params.get
     if kind == "hdr-patches":
         return scene_mod.hdr_patch_target(
-            grid,
-            params.pop("levels_db", list(HDR_LEVELS_DB)),
-            layout=tuple(params.pop("layout", (2, 3))),
+            grid, get("levels_db", list(HDR_LEVELS_DB)), layout=tuple(get("layout", (2, 3)))
         )
     if kind == "fiber-spot":
-        center = tuple(params.pop("center", (grid.columns // 2 + 1, grid.rows // 2 + 1)))
-        return scene_mod.dual_band_source(grid, center, radius=params.pop("radius", None))
+        center = tuple(get("center", (grid.columns // 2 + 1, grid.rows // 2 + 1)))
+        return scene_mod.dual_band_source(grid, center, radius=get("radius"))
     if kind == "two-hole":
-        return _two_hole_scene(grid, params.pop("variant", "a"), params.pop("radius", None))
+        return _two_hole_scene(grid, get("variant", "a"), get("radius"))
     if kind == "uniform":
-        value = float(params.pop("value", 1.0))
+        value = get("value", 1.0)
         return Scene(grid=grid, irradiance=np.full((grid.rows, grid.columns), value))
-    if kind == "pgm":
-        return Scene(grid=grid, irradiance=scene_mod.read_image_pgm(params.pop("path")))
-    if kind == "csv":
-        return Scene(grid=grid, irradiance=scene_mod.read_image_csv(params.pop("path")))
-    raise ConfigError(f"unknown scene preset {kind!r}")
+    reader = scene_mod.read_image_pgm if kind == "pgm" else scene_mod.read_image_csv
+    return Scene(grid=grid, irradiance=reader(params["path"]))
 
 
 def active_source_curves():

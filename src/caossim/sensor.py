@@ -225,9 +225,8 @@ def synthesize(
         else:  # passive: complement waveform plus parked light
             block = pd1_amp[start:stop] @ (1.0 - carriers) + pd2_const[start:stop, None]
         lo, hi = max(start, first), min(stop, last)
-        out[(lo - first) * f_count : (hi - first) * f_count] = (
-            gain * block[lo - start : hi - start]
-        ).ravel()
+        target = out[(lo - first) * f_count : (hi - first) * f_count].reshape(hi - lo, f_count)
+        np.multiply(block[lo - start : hi - start], gain, out=target)
     return SampleStream(
         rate=plan.sample_rate,
         samples=out,
@@ -259,20 +258,44 @@ def synthesize_dual(
 # ---------------------------------------------------------------------------
 
 
-def add_noise(stream: SampleStream, detector: DetectorModel, seed) -> SampleStream:
+def white_noise(rng: np.random.Generator, sigma: float, n: int, out=None) -> np.ndarray:
+    """n white Gaussian samples of std sigma drawn from rng, into out if given.
+
+    Bitwise rng.normal(0.0, sigma, n), which computes 0.0 + sigma * z from
+    the same standard normal draws z, except where sigma * z is -0.0: normal
+    turns that into +0.0, and a sum with any sample but -0.0 is the same
+    either way. Calls numpy only.
+    """
+    out = rng.standard_normal(n, out=out)
+    out *= sigma
+    return out
+
+
+def add_noise(stream: SampleStream, detector: DetectorModel, seed, *, white=None) -> SampleStream:
     """Seeded detector noise: white Gaussian, optional shot and 1/f terms.
 
     seed is anything np.random.default_rng accepts; a Generator is drawn from
-    in place, so successive calls continue one noise sequence. Returns the
-    input stream itself when the detector has no noise term.
+    in place, so successive calls continue one noise sequence. white, if
+    given, is the white term already drawn with white_noise from that
+    generator, and is added instead of drawing it. Returns the input stream
+    itself when the detector has no noise term.
     """
     rng = np.random.default_rng(seed)
     if not (detector.noise_sigma > 0 or detector.shot_noise or detector.pink_noise is not None):
         return stream
-    samples = stream.samples.astype(np.float64, copy=True)
-    n = samples.size
-    if detector.noise_sigma > 0:
-        samples += rng.normal(0.0, detector.noise_sigma, n)
+    n = stream.samples.size
+    white_only = not (detector.shot_noise or detector.pink_noise is not None)
+    # A white-only sum is rounded once to the stream dtype, with no float64
+    # copy. The output comes before the draw, so freeing the draw leaves no
+    # hole in the heap below it.
+    samples = np.empty_like(stream.samples) if white_only else stream.samples.astype(np.float64)
+    if detector.noise_sigma > 0 and white is None:
+        white = white_noise(rng, detector.noise_sigma, n)
+    if white_only:
+        np.add(stream.samples, white, out=samples, casting="same_kind")
+        return replace(stream, samples=samples)
+    if white is not None:
+        samples += white
     if detector.shot_noise:
         # Gaussian approximation: variance proportional to the clean signal.
         sigma = np.sqrt(detector.shot_factor * np.clip(stream.samples, 0.0, None))
@@ -295,9 +318,11 @@ def apply_adc(stream: SampleStream, detector: DetectorModel) -> SampleStream:
     if detector.adc_bits is None:
         return stream
     step = detector.adc_fullscale / (2**detector.adc_bits - 1)
-    clipped = np.clip(stream.samples, 0.0, detector.adc_fullscale)
-    quantized = np.round(clipped / step) * step
-    return replace(stream, samples=quantized.astype(stream.samples.dtype, copy=False))
+    quantized = np.clip(stream.samples, 0.0, detector.adc_fullscale)
+    quantized /= step
+    np.round(quantized, out=quantized)
+    quantized *= step
+    return replace(stream, samples=quantized)
 
 
 def capture(
@@ -355,9 +380,16 @@ class BlockCapture:
     bit_blocks ranges, each bitwise equal to the same bits of
     capture(plan, scene, detector, seed, pd_side, dtype), so the whole stream
     never exists at once. White noise is drawn block by block from one
-    default_rng(seed): successive normal() calls on a generator concatenate
-    exactly to a single call. Shot and 1/f terms are drawn over the whole
-    stream, so a detector using either yields its whole capture as one block.
+    default_rng(seed): successive draws on a generator concatenate exactly to
+    a single draw. Shot and 1/f terms are drawn over the whole stream, so a
+    detector using either yields its whole capture as one block.
+
+    With white noise, the next block's draw runs on one worker thread while
+    the caller works on the current block (numpy's draws release the GIL).
+    It fills one reused block-sized buffer and is submitted only after the
+    current block's noise has been added; the worker runs white_noise alone,
+    which calls numpy only. Closing the generator, or an error in either
+    thread, ends the worker before blocks() returns.
     """
 
     plan: CodingPlan
@@ -373,11 +405,38 @@ class BlockCapture:
             yield capture(plan, self.scene, detector, self.seed, self.pd_side, self.dtype)
             return
         rng = np.random.default_rng(self.seed)
-        for bit_range in bit_blocks(plan.code_length, plan.samples_per_bit):
-            block = synthesize(
-                plan, self.scene, detector, self.pd_side, self.dtype, bit_range=bit_range
-            )
-            yield apply_adc(add_noise(block, detector, rng), detector)
+        ranges = list(bit_blocks(plan.code_length, plan.samples_per_bit))
+        if not detector.noise_sigma > 0:
+            for bit_range in ranges:
+                yield apply_adc(add_noise(self._synthesize(bit_range), detector, rng), detector)
+            return
+        # Imported here: concurrent.futures (with the logging it loads) would slow
+        # `import caossim`, and only a noisy block capture needs it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        f_count, sigma = plan.samples_per_bit, detector.noise_sigma
+        buffer = np.empty((ranges[0][1] - ranges[0][0]) * f_count)  # the largest block
+
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="caossim-noise") as pool:
+
+            def draw(bit_range):
+                size = (bit_range[1] - bit_range[0]) * f_count
+                return pool.submit(white_noise, rng, sigma, size, buffer[:size])
+
+            pending = draw(ranges[0])
+            for i, bit_range in enumerate(ranges):
+                # Each stage rebinds block, so no earlier stage is held across the yield.
+                block = self._synthesize(bit_range)
+                block = add_noise(block, detector, rng, white=pending.result())
+                if i + 1 < len(ranges):
+                    pending = draw(ranges[i + 1])  # the buffer is free again
+                block = apply_adc(block, detector)
+                yield block
+
+    def _synthesize(self, bit_range) -> SampleStream:
+        return synthesize(
+            self.plan, self.scene, self.detector, self.pd_side, self.dtype, bit_range=bit_range
+        )
 
 
 # ---------------------------------------------------------------------------

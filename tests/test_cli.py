@@ -212,6 +212,91 @@ def test_experiment_config_rejects_non_object(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+_DROP = object()
+
+
+def _config_edit(field, value):
+    """Set one experiment-config field to value, or delete it for _DROP."""
+
+    def edit(data):
+        if value is _DROP:
+            del data[field]
+        else:
+            data[field] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _config_edit("grid_columns", "x"),
+        _config_edit("bit_rate", "fast"),
+        _config_edit("hopping", 1),
+        _config_edit("frequencies", 25000.0),
+        _config_edit("frequencies", [25000.0, "x", 35000.0]),
+        _config_edit("mode", "no-such-mode"),
+        _config_edit("grid_rows", _DROP),
+        _config_edit("scene", {"preset": "uniform", "valu": 3}),
+        _config_edit("scene", {"preset": "no-such-scene"}),
+        _config_edit("scene", [1]),
+    ],
+    ids=[
+        "text-int", "text-real", "int-flag", "number-list", "text-in-list", "unknown-mode",
+        "missing-required", "unknown-scene-key", "unknown-scene", "list-scene",
+    ],
+)
+def test_plan_mistyped_experiment_config_exits_config_code(tmp_path, capsys, edit):
+    data = json.loads(presets.preset_config("exp3-active").to_json())
+    edit(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("plan", "--config", str(path), "--out", str(tmp_path / "p")) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: experiment config field ")
+
+
+def test_experiment_config_fills_defaults_and_accepts_ints_for_numbers():
+    data = {
+        "format": "caossim-experiment",
+        "version": 1,
+        "name": "tiny",
+        "mode": "passive-fdma-cdma",
+        "grid_columns": 4,
+        "grid_rows": 4,
+        "f1": 2,
+        "scene": {"preset": "uniform"},
+    }
+    config = presets.ExperimentConfig.from_json(json.dumps(data))
+    assert config == presets.ExperimentConfig(
+        name="tiny", mode="passive-fdma-cdma", grid_columns=4, grid_rows=4, f1=2.0,
+        scene={"preset": "uniform"},
+    )
+    assert isinstance(config.f1, float)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"preset": "uniform", "valu": 3}, r"unknown uniform scene parameters: \['valu'\]"),
+        ({"preset": "two-hole", "variant": "b", "levels_db": [0]}, r"\['levels_db'\]"),
+        ({"preset": "csv"}, "needs a path"),
+        ({}, "unknown scene preset None"),
+        ({"preset": "hdr-patches", "layout": "x"}, "hdr-patches scene parameter 'layout'"),
+        ({"preset": "hdr-patches", "levels_db": [0, "a"]}, "parameter 'levels_db'"),
+        ({"preset": "fiber-spot", "center": [1, 2, 3]}, "parameter 'center': expected 2"),
+        ({"preset": "uniform", "value": "abc"}, "uniform scene parameter 'value'"),
+        ({"preset": "two-hole", "radius": "big"}, "parameter 'radius'"),
+    ],
+    ids=[
+        "unknown-key", "other-preset-key", "missing-path", "no-preset", "text-layout",
+        "text-in-levels", "long-center", "text-value", "text-radius",
+    ],
+)
+def test_build_scene_rejects_unknown_or_mistyped_parameters(params, message):
+    with pytest.raises(ConfigError, match=message):
+        presets.build_scene(PixelGrid(4, 4), params)
+
+
 @pytest.mark.parametrize(
     "detector",
     [

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -404,6 +405,54 @@ def test_decode_capture_multi_block_preset():
     assert plan.code_length > sensor.BLOCK_SAMPLES // plan.samples_per_bit
     scene = config.build_scene(plan.grid)
     assert_streaming_matches(plan, scene, (config.detector.build(),), config.noise_seed)
+
+
+def prefetching_capture():
+    """Plan, scene and noisy detector of a four-block capture, and the BLOCK_SAMPLES to patch in."""
+    grid = PixelGrid(4, 4)
+    plan = build_plan(grid, channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0, key_seed=2)
+    block = (plan.code_length // 4) * plan.samples_per_bit
+    return plan, positive_scene(grid), DetectorModel(noise_sigma=0.1), block
+
+
+def test_non_finite_block_mid_frame_ends_the_noise_thread():
+    plan, scene, detector, block = prefetching_capture()
+    real_synthesize = sensor.synthesize
+
+    def nan_in_third_block(*args, bit_range, **kwargs):
+        stream = real_synthesize(*args, bit_range=bit_range, **kwargs)
+        if bit_range[0] == 2 * block // plan.samples_per_bit:
+            stream.samples[0] = np.nan
+        return stream
+
+    before = threading.active_count()
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block), \
+            mock.patch.object(sensor, "synthesize", nan_in_third_block):
+        with pytest.raises(ConfigError, match="non-finite samples in bit ") as raised:
+            decode.decode_capture(plan, scene, (detector,), seed=4)
+    # Checked while the traceback, and every frame it holds, is still alive.
+    assert threading.active_count() == before
+    assert raised.traceback
+
+
+def test_noise_thread_error_reaches_the_caller():
+    plan, scene, detector, block = prefetching_capture()
+    draws, real_white_noise = [], sensor.white_noise
+
+    def fail_on_third_draw(rng, sigma, n, out):
+        draws.append(threading.current_thread())
+        if len(draws) == 3:
+            raise RuntimeError("draw failed")
+        return real_white_noise(rng, sigma, n, out)
+
+    before = threading.active_count()
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block), \
+            mock.patch.object(sensor, "white_noise", fail_on_third_draw):
+        with pytest.raises(RuntimeError, match="draw failed") as raised:
+            decode.decode_capture(plan, scene, (detector,), seed=4)
+    assert threading.active_count() == before
+    assert raised.traceback
+    assert len(draws) == 3 and threading.main_thread() not in draws
 
 
 def test_decode_capture_rejects_three_detectors():

@@ -1,7 +1,11 @@
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caossim import sensor
 from caossim.errors import ConfigError, DimensionMismatch
@@ -272,6 +276,76 @@ def test_blocked_noise_and_adc_match_whole_stream_reference(detector, dtype):
     whole_draws = detector.shot_noise or detector.pink_noise is not None
     assert len(blocks) == 1 if whole_draws else len(blocks) > 1
     assert np.concatenate([b.samples for b in blocks]).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    sigma=st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False) | st.just(0.0),
+    n=st.integers(0, 5000),
+    into_buffer=st.booleans(),
+)
+def test_white_noise_is_generator_normal_bitwise(seed, sigma, n, into_buffer):
+    out = np.full(n, np.nan) if into_buffer else None
+    got = sensor.white_noise(np.random.default_rng(seed), sigma, n, out)
+    want = np.random.default_rng(seed).normal(0.0, sigma, n)
+    assert got is out if into_buffer else got.dtype == np.float64
+    # normal adds loc 0.0, which turns a -0.0 product (sigma 0, or an underflow) into +0.0.
+    assert np.array_equal(got, want)
+    nonzero = want != 0.0
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+def multi_block_capture(detector, blocks=4):
+    """A BlockCapture whose frame spans several bit blocks once BLOCK_SAMPLES is patched."""
+    plan = make_plan(grid=PixelGrid(3, 3), channels=3, f1=2.0, sample_rate=64.0)
+    block = (plan.code_length // blocks) * plan.samples_per_bit
+    return sensor.BlockCapture(plan, uniform_scene(plan.grid), detector, seed=3), block
+
+
+def test_block_capture_runs_one_noise_thread_and_closing_ends_it():
+    capture, block = multi_block_capture(DetectorModel(noise_sigma=0.1))
+    before = threading.active_count()
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        blocks = capture.blocks()
+        next(blocks)
+        assert threading.active_count() == before + 1
+        blocks.close()
+    assert threading.active_count() == before
+
+
+def test_noiseless_block_capture_starts_no_thread():
+    capture, block = multi_block_capture(DetectorModel(adc_bits=8, adc_fullscale=10.0))
+    before = threading.active_count()
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        for _ in capture.blocks():
+            assert threading.active_count() == before
+
+
+def test_concurrent_block_captures_stay_bitwise_whole_stream_captures():
+    # Four captures, each with its own noise thread, on more threads than cores.
+    capture, block = multi_block_capture(DetectorModel(noise_sigma=0.1, adc_bits=10), blocks=8)
+    got = {}
+
+    def run(seed):
+        blocks = sensor.BlockCapture(capture.plan, capture.scene, capture.detector, seed).blocks()
+        got[seed] = np.concatenate([b.samples for b in blocks])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in range(4):
+        want = sensor.capture(capture.plan, capture.scene, capture.detector, seed=seed)
+        assert got[seed].tobytes() == want.samples.tobytes()
 
 
 def test_dual_capture_draws_each_side_from_a_spawned_seed():
