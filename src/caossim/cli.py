@@ -74,12 +74,10 @@ def cmd_simulate(args) -> int:
     detector = _load_detector(args.detector)
     os.makedirs(args.out, exist_ok=True)
     seed = 0 if args.seed is None else args.seed
-    capture = sensor_mod.capture_dual if args.dual else sensor_mod.capture
-    paths = sensor_mod.write_streams(capture(cplan, scn, detector, seed=seed), args.out)
-    if args.dual:
-        print(f"wrote stream_pd1/.f32 and stream_pd2/.f32 under {args.out}")
-    else:
-        print(f"wrote {paths[0][0]} and {paths[0][1]}")
+    for det, side_seed, side in sensor_mod.capture_sides((detector,) * (1 + args.dual), seed):
+        for block in sensor_mod.BlockCapture(cplan, scn, det, side_seed, side).blocks():
+            paths = sensor_mod.write_stream(block, os.path.join(args.out, f"stream_{side}"))
+        print(f"wrote {paths[0]} and {paths[1]}")
     return EXIT_OK
 
 

@@ -160,7 +160,3 @@ def bipolar(code: np.ndarray) -> np.ndarray:
         raise ValueError("code must have length >= 1")
     return (2 * arr.astype(np.int64) - 1).astype(np.int8)
 
-
-def write_codebook_csv(book: CodeBook, path) -> None:
-    """Export one code per row, bits as 0/1, for hardware hand-off."""
-    np.savetxt(path, book.codes, fmt="%d", delimiter=",")

@@ -5,9 +5,9 @@ F-point DFT read at the carrier bins (exact integers by plan construction,
 so no window is needed). Each pixel's bin readings across the W bits form a
 sequence, hop-schedule aware. Correlating a sequence against the signed
 codes recovers one scaled irradiance per set, and the keyed assignment maps
-values back to pixel positions. decode_frame runs these steps on a stream;
-decode_capture runs them on bit blocks straight from the capture chain, so a
-run that needs no stream file never holds the whole stream.
+values back to pixel positions. decode_frame runs these steps on a stream or
+its bit blocks; decode_capture feeds it blocks straight from the capture
+chain, writing them to stream files when asked, so no run holds the stream.
 
 Bin readings are equalized by each channel's unit-carrier magnitude (for a
 sampled 0/1 square at k cycles per bit that is k / sin(pi k / F), for a
@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import scene as scene_mod
+from . import sensor as sensor_mod
 from .codes import bipolar
 from .errors import ConfigError, PlanMismatch
 from .plan import COMPLEMENT_CODED_MODES, CodingPlan, Mode
@@ -70,7 +71,8 @@ def carrier_bin_gains(plan: CodingPlan) -> np.ndarray:
 
 
 def _check_stream(stream: SampleStream, plan: CodingPlan) -> None:
-    if stream.samples_per_bit != plan.samples_per_bit or stream.bits > plan.code_length:
+    last = stream.first_bit + stream.bits
+    if stream.samples_per_bit != plan.samples_per_bit or last > plan.code_length:
         raise PlanMismatch(
             f"stream is {stream.bits} x {stream.samples_per_bit} samples,"
             f" plan expects {plan.code_length} x {plan.samples_per_bit}"
@@ -82,9 +84,9 @@ def _check_stream(stream: SampleStream, plan: CodingPlan) -> None:
 def per_bit_spectra(stream: SampleStream, plan: CodingPlan) -> np.ndarray:
     """Raw per-bit carrier-bin peak magnitudes, shape (stream bits, channels).
 
-    The stream is a whole frame or a block of at most W bits of one. Raises
-    ConfigError naming the first bit whose magnitudes are not finite, so a NaN
-    or infinite sample cannot silently spread into every decoded pixel.
+    The stream is a whole frame or a block of one. Raises ConfigError naming
+    the first frame bit whose magnitudes are not finite, so a NaN or infinite
+    sample cannot silently spread into every decoded pixel.
     """
     _check_stream(stream, plan)
     f_count = plan.samples_per_bit
@@ -98,7 +100,8 @@ def per_bit_spectra(stream: SampleStream, plan: CodingPlan) -> np.ndarray:
             out[start:stop] = np.abs(per_bit[start:stop] @ basis)
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
-        raise ConfigError(f"non-finite samples in bit {int(np.argmin(finite))} of the stream")
+        bit = stream.first_bit + int(np.argmin(finite))
+        raise ConfigError(f"non-finite samples in bit {bit} of the stream")
     return out
 
 
@@ -191,38 +194,50 @@ def decode_frame(stream, plan: CodingPlan, normalize: bool = True):
     A single passive stream yields one RecoveredImage; DualStreams yield a
     (pd1, pd2) pair decoded independently; an active overlapped stream
     yields one image per source, normalized by the brightest pixel across
-    the whole image set. A sensor.BlockCapture is captured and read one bit
-    block at a time. Decoding under a wrong-key plan is not an error, it
-    simply produces garbage.
+    the whole image set. A sensor.BlockCapture, or a generator of one
+    side's consecutive bit blocks, is read one block at a time. Decoding
+    under a wrong-key plan is not an error, it simply produces garbage.
     """
     if isinstance(stream, DualStreams):
         return (
             decode_frame(stream.pd1, plan, normalize=normalize),
             decode_frame(stream.pd2, plan, normalize=normalize),
         )
-    if isinstance(stream, BlockCapture):
-        with closing(stream.blocks()) as blocks:  # ends its noise thread on any exit
-            spectra = np.concatenate([per_bit_spectra(block, plan) for block in blocks])
+    if isinstance(stream, SampleStream):
+        spectra, pd_side = per_bit_spectra(stream, plan), stream.pd_side
     else:
-        spectra = per_bit_spectra(stream, plan)
+        blocks = stream.blocks() if isinstance(stream, BlockCapture) else stream
+        with closing(blocks):  # ends a capture's noise thread on any exit
+            parts = [(block.pd_side, per_bit_spectra(block, plan)) for block in blocks]
+        pd_side, spectra = parts[0][0], np.concatenate([p for _, p in parts])
     if spectra.shape[0] != plan.code_length:
         raise PlanMismatch(f"stream has {spectra.shape[0]} bits, plan expects {plan.code_length}")
-    return _decode_spectra(spectra, plan, stream.pd_side, normalize)
+    return _decode_spectra(spectra, plan, pd_side, normalize)
 
 
-def decode_capture(plan: CodingPlan, scene: scene_mod.Scene, detectors, seed=0, dtype=np.float64):
+def decode_capture(plan: CodingPlan, scene, detectors, seed=0, dtype=np.float64, out_dir=None):
     """Capture and decode in one pass over bit blocks, without materializing the stream.
 
-    detectors holds one DetectorModel (PD1) or two (PD1, PD2). The result is
-    bitwise what decode_frame(capture(...)) or decode_frame(capture_dual(...))
-    returns for the same seed and dtype; only one bit block and the
-    (W, channels) spectra of each side are held at a time.
+    detectors holds one DetectorModel (PD1) or two (PD1, PD2). Only one bit
+    block and the (W, channels) spectra of each side are held at a time. With
+    out_dir, each block is also written, as it passes, to out_dir/stream_<side>.
     """
-    results = tuple(
-        decode_frame(BlockCapture(plan, scene, det, side_seed, side, dtype), plan)
-        for det, side_seed, side in capture_sides(detectors, seed)
-    )
-    return results[0] if len(results) == 1 else results
+    results = []
+    for det, side_seed, side in capture_sides(detectors, seed):
+        blocks = BlockCapture(plan, scene, det, side_seed, side, dtype).blocks()
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            blocks = _written(blocks, os.path.join(out_dir, f"stream_{side}"))
+        results.append(decode_frame(blocks, plan))
+    return results[0] if len(results) == 1 else tuple(results)
+
+
+def _written(blocks, base):
+    """blocks, each written on to the stream file at base as it passes."""
+    with closing(blocks):
+        for block in blocks:
+            sensor_mod.write_stream(block, base)
+            yield block
 
 
 def image_list(decoded) -> list[RecoveredImage]:

@@ -118,14 +118,6 @@ class FrequencyPlan:
     def channel_count(self) -> int:
         return len(self.frequencies)
 
-    @property
-    def delta_f(self) -> float:
-        return 1.0 / self.bit_duration
-
-    @property
-    def fundamental(self) -> float:
-        return self.frequencies[0]
-
     def cycles_per_bit(self) -> tuple[float, ...]:
         """f_p * T per channel; integers on a valid plan."""
         return tuple(f * self.bit_duration for f in self.frequencies)

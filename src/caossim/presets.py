@@ -27,7 +27,6 @@ from . import decode as decode_mod
 from . import metrics as metrics_mod
 from . import plan as plan_mod
 from . import scene as scene_mod
-from . import sensor as sensor_mod
 from .errors import ConfigError
 from .plan import (
     Mode,
@@ -388,14 +387,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         detectors += ((config.detector2 or config.detector).build(),)
     dtype = np.float32 if cplan.frame_samples > 2**24 else np.float64
 
-    streams = None
-    if out_dir is None:
-        # Nothing needs the stream itself: capture and decode block by block.
-        decoded = decode_mod.decode_capture(cplan, scn, detectors, config.noise_seed, dtype)
-    else:
-        capture = sensor_mod.capture_dual if config.dual else sensor_mod.capture
-        streams = capture(cplan, scn, *detectors, seed=config.noise_seed, dtype=dtype)
-        decoded = decode_mod.decode_frame(streams, cplan)
+    decoded = decode_mod.decode_capture(cplan, scn, detectors, config.noise_seed, dtype, out_dir)
     images = decode_mod.image_list(decoded)
 
     lines, ok, patch_report = _evaluate(config, cplan, scn, images)
@@ -409,7 +401,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         patch_report=patch_report,
     )
     if out_dir is not None:
-        _write_outputs(out_dir, result, streams)
+        _write_outputs(out_dir, result)
     return result
 
 
@@ -510,12 +502,10 @@ def _evaluate_active(config, scn, images):
     return lines, ok, None
 
 
-def _write_outputs(out_dir, result: ExperimentResult, streams):
-    os.makedirs(out_dir, exist_ok=True)
+def _write_outputs(out_dir, result: ExperimentResult):
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
         fh.write(result.config.to_json())
     plan_mod.save_plan(result.plan, os.path.join(out_dir, "plan.json"))
-    sensor_mod.write_streams(streams, out_dir)
     decode_mod.write_decode_outputs(out_dir, result.images, result.plan)
     if result.patch_report is not None:
         with open(os.path.join(out_dir, "patch_report.txt"), "w", encoding="utf-8") as fh:

@@ -9,6 +9,10 @@ detector: during a code-1 bit PD2 sees 1 - carrier, and a parked pixel
 (code 0) rests on PD2 for the whole bit. Sine carriers model modulated
 active sources and ride on the light itself, so a parked pixel hands its
 full modulated signal to PD2.
+
+BlockCapture runs the capture chain synthesize -> add_noise -> apply_adc one
+bit block at a time; capture, decode.decode_capture and caossim simulate all
+take their samples from it, and write_stream appends each block to a file.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +35,7 @@ PD2 = "pd2"
 
 @dataclass(frozen=True, eq=False)
 class SampleStream:
-    """Digitized detector output: length == bits * samples_per_bit."""
+    """Digitized detector output: length == bits * samples_per_bit, from frame bit first_bit."""
 
     rate: float
     samples: np.ndarray
@@ -38,6 +43,7 @@ class SampleStream:
     samples_per_bit: int
     pd_side: str = PD1
     gain: float = 1.0
+    first_bit: int = 0
 
     def __post_init__(self):
         if self.samples.ndim != 1:
@@ -200,7 +206,7 @@ def synthesize(
     """Noiseless, unquantized encoded stream for one detector side.
 
     bit_range=(start, stop) synthesizes only bits start..stop-1 of the frame,
-    as a stream of stop - start bits.
+    as a stream of stop - start bits with first_bit start.
     """
     detector = detector or DetectorModel()
     if pd_side not in (PD1, PD2):
@@ -234,6 +240,7 @@ def synthesize(
         samples_per_bit=f_count,
         pd_side=pd_side,
         gain=gain,
+        first_bit=first,
     )
 
 
@@ -246,11 +253,8 @@ def synthesize_dual(
 ) -> DualStreams:
     """Both detector sides at once; detector2 defaults to detector."""
     detector = detector or DetectorModel()
-    detector2 = detector2 or detector
-    return DualStreams(
-        pd1=synthesize(plan, scene, detector, PD1, dtype=dtype),
-        pd2=synthesize(plan, scene, detector2, PD2, dtype=dtype),
-    )
+    sides = ((detector, PD1), (detector2 or detector, PD2))
+    return DualStreams(*(synthesize(plan, scene, det, side, dtype) for det, side in sides))
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +337,18 @@ def capture(
     pd_side: str = PD1,
     dtype=np.float64,
 ) -> SampleStream:
-    """synthesize -> add_noise -> adc, the full single-detector chain."""
-    detector = detector or DetectorModel()
-    stream = synthesize(plan, scene, detector, pd_side, dtype=dtype)
-    stream = add_noise(stream, detector, seed)
-    return apply_adc(stream, detector)
+    """The BlockCapture chain of one side as one stream; a one-block frame is returned as is."""
+    samples = None
+    chain = BlockCapture(plan, scene, detector or DetectorModel(), seed, pd_side, dtype)
+    with closing(chain.blocks()) as blocks:
+        for block in blocks:
+            if block.bits == plan.code_length:
+                return block
+            if samples is None:
+                samples = np.empty(plan.frame_samples, dtype=dtype)
+            start = block.first_bit * plan.samples_per_bit
+            samples[start : start + block.samples.size] = block.samples
+    return replace(block, samples=samples, bits=plan.code_length, first_bit=0)
 
 
 def capture_sides(detectors, seed) -> list:
@@ -364,32 +375,26 @@ def capture_dual(
 ) -> DualStreams:
     """Dual capture with independent noise draws per detector."""
     detector = detector or DetectorModel()
-    detector2 = detector2 or detector
-    pd1, pd2 = (
-        capture(plan, scene, det, side_seed, side, dtype=dtype)
-        for det, side_seed, side in capture_sides((detector, detector2), seed)
-    )
-    return DualStreams(pd1=pd1, pd2=pd2)
+    sides = capture_sides((detector, detector2 or detector), seed)
+    return DualStreams(*(capture(plan, scene, det, s, side, dtype) for det, s, side in sides))
 
 
 @dataclass(frozen=True, eq=False)
 class BlockCapture:
-    """capture() of one detector side, run one bit block at a time.
+    """The capture chain of one detector side: synthesize -> add_noise -> apply_adc.
 
-    blocks() yields the captured stream as consecutive SampleStreams of the
-    bit_blocks ranges, each bitwise equal to the same bits of
-    capture(plan, scene, detector, seed, pd_side, dtype), so the whole stream
+    blocks() is the one place where the chain runs. It yields the stream as
+    consecutive SampleStreams of the bit_blocks ranges, so the whole stream
     never exists at once. White noise is drawn block by block from one
-    default_rng(seed): successive draws on a generator concatenate exactly to
-    a single draw. Shot and 1/f terms are drawn over the whole stream, so a
-    detector using either yields its whole capture as one block.
+    default_rng(seed), which concatenates exactly to a single draw. Shot and
+    1/f terms are drawn over the whole stream, so a detector using either is
+    captured as one block.
 
-    With white noise, the next block's draw runs on one worker thread while
-    the caller works on the current block (numpy's draws release the GIL).
-    It fills one reused block-sized buffer and is submitted only after the
-    current block's noise has been added; the worker runs white_noise alone,
-    which calls numpy only. Closing the generator, or an error in either
-    thread, ends the worker before blocks() returns.
+    With white noise and several blocks, block i+1's draw runs on one worker
+    thread (numpy releases the GIL) into one reused buffer, submitted once
+    block i's noise is added. The worker calls numpy only, through
+    white_noise. Closing the generator, or an error in either thread, ends
+    the worker before blocks() returns.
     """
 
     plan: CodingPlan
@@ -400,43 +405,36 @@ class BlockCapture:
     dtype: object = np.float64
 
     def blocks(self):
-        plan, detector = self.plan, self.detector
-        if detector.shot_noise or detector.pink_noise is not None:
-            yield capture(plan, self.scene, detector, self.seed, self.pd_side, self.dtype)
-            return
-        rng = np.random.default_rng(self.seed)
-        ranges = list(bit_blocks(plan.code_length, plan.samples_per_bit))
-        if not detector.noise_sigma > 0:
-            for bit_range in ranges:
-                yield apply_adc(add_noise(self._synthesize(bit_range), detector, rng), detector)
-            return
-        # Imported here: concurrent.futures (with the logging it loads) would slow
-        # `import caossim`, and only a noisy block capture needs it.
-        from concurrent.futures import ThreadPoolExecutor
-
+        plan, scene, detector = self.plan, self.scene, self.detector
         f_count, sigma = plan.samples_per_bit, detector.noise_sigma
-        buffer = np.empty((ranges[0][1] - ranges[0][0]) * f_count)  # the largest block
+        whole = detector.shot_noise or detector.pink_noise is not None
+        ranges = [(0, plan.code_length)] if whole else list(bit_blocks(plan.code_length, f_count))
+        rng = np.random.default_rng(self.seed)
+        # One block has nothing to overlap, so add_noise draws its white term itself;
+        # several share one buffer the size of the first, largest, block.
+        prefetch = sigma > 0 and len(ranges) > 1
+        buffer = np.empty((ranges[0][1] - ranges[0][0]) * f_count if prefetch else 0)
+        if prefetch:  # imported here, so that `import caossim` loads neither it nor logging
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="caossim-noise") as pool:
+        with ThreadPoolExecutor(1, "caossim-noise") if prefetch else nullcontext() as pool:
 
             def draw(bit_range):
+                """Start bit_range's white draw; returns a callable giving the term, or None."""
+                if not prefetch:
+                    return lambda: None
                 size = (bit_range[1] - bit_range[0]) * f_count
-                return pool.submit(white_noise, rng, sigma, size, buffer[:size])
+                return pool.submit(white_noise, rng, sigma, size, buffer[:size]).result
 
             pending = draw(ranges[0])
-            for i, bit_range in enumerate(ranges):
+            for i, bits in enumerate(ranges):
                 # Each stage rebinds block, so no earlier stage is held across the yield.
-                block = self._synthesize(bit_range)
-                block = add_noise(block, detector, rng, white=pending.result())
+                block = synthesize(plan, scene, detector, self.pd_side, self.dtype, bit_range=bits)
+                block = add_noise(block, detector, rng, white=pending())
                 if i + 1 < len(ranges):
                     pending = draw(ranges[i + 1])  # the buffer is free again
                 block = apply_adc(block, detector)
                 yield block
-
-    def _synthesize(self, bit_range) -> SampleStream:
-        return synthesize(
-            self.plan, self.scene, self.detector, self.pd_side, self.dtype, bit_range=bit_range
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +453,27 @@ def stream_paths(base):
 
 
 def write_stream(stream: SampleStream, base) -> tuple[str, str]:
+    """Write a stream as raw little-endian float32 plus a JSON sidecar, block by block.
+
+    A block goes at bit first_bit of the .f32 file, which must hold exactly
+    that many bits (bit 0 starts the file). The sidecar is rewritten to cover
+    every bit written so far, so the pair is always a valid stream.
+    """
     raw_path, meta_path = stream_paths(base)
-    stream.samples.astype("<f4").tofile(raw_path)
+    f_count = stream.samples_per_bit
+    held = os.path.getsize(raw_path) if stream.first_bit and os.path.exists(raw_path) else 0
+    if held != 4 * stream.first_bit * f_count:
+        raise LengthMismatch(f"{raw_path} does not end at bit {stream.first_bit}")
+    with open(raw_path, "ab" if stream.first_bit else "wb") as fh:
+        np.asarray(stream.samples, dtype="<f4").tofile(fh)
+    bits = stream.first_bit + stream.bits
     meta = {
         "format": _STREAM_FORMAT,
         "version": _STREAM_VERSION,
         "rate": stream.rate,
-        "length": int(stream.samples.size),
-        "bits": stream.bits,
-        "samples_per_bit": stream.samples_per_bit,
+        "length": bits * f_count,
+        "bits": bits,
+        "samples_per_bit": f_count,
         "pd_side": stream.pd_side,
         "gain": stream.gain,
     }
@@ -471,12 +481,6 @@ def write_stream(stream: SampleStream, base) -> tuple[str, str]:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return raw_path, meta_path
-
-
-def write_streams(streams, out_dir) -> list[tuple[str, str]]:
-    """stream_pd1 (plus stream_pd2 for DualStreams) under out_dir; returns their paths."""
-    sides = (streams.pd1, streams.pd2) if isinstance(streams, DualStreams) else (streams,)
-    return [write_stream(s, os.path.join(out_dir, f"stream_{s.pd_side}")) for s in sides]
 
 
 def _pd_side(value) -> str:
@@ -509,7 +513,7 @@ def read_stream(base) -> SampleStream:
     body = {k: v for k, v in meta.items() if k not in ("format", "version")}
     fields = parse_fields(body, _SIDECAR_FIELDS, {}, "stream sidecar")
     length = fields.pop("length")
-    samples = np.fromfile(raw_path, dtype="<f4").astype(np.float64)
+    samples = np.fromfile(raw_path, dtype="<f4")
     if samples.size != length:
         raise LengthMismatch(f"raw file has {samples.size} samples, sidecar declares {length}")
     return SampleStream(samples=samples, **fields)

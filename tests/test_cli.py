@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from caossim import cli, plan as planmod, presets, scene as sc
+from caossim import cli, plan as planmod, presets, scene as sc, sensor
 from caossim.errors import ConfigError
 from caossim.plan import PixelGrid, build_plan
+from test_sensor import whole_stream_capture
 
 
 def run_cli(*argv):
@@ -295,6 +298,31 @@ def test_experiment_config_fills_defaults_and_accepts_ints_for_numbers():
 def test_build_scene_rejects_unknown_or_mistyped_parameters(params, message):
     with pytest.raises(ConfigError, match=message):
         presets.build_scene(PixelGrid(4, 4), params)
+
+
+def test_simulate_writes_each_side_block_by_block(tmp_path):
+    plan_dir = tmp_path / "plan"
+    assert run_cli("plan", "--preset", "exp1-hdr", "--out", str(plan_dir)) == 0
+    cplan = planmod.load_plan(plan_dir / "plan.json")
+    scene_path = tmp_path / "scene.csv"
+    grid = cplan.grid
+    sc.write_image_csv(np.random.default_rng(2).uniform(0.1, 1.0, (grid.rows, grid.columns)), scene_path)
+    settings = {"noise_sigma": 0.05, "adc_bits": 12, "adc_fullscale": 400.0}
+    det_path = tmp_path / "det.json"
+    det_path.write_text(json.dumps(settings))
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", 100 * cplan.samples_per_bit):
+        assert run_cli(
+            "simulate", "--plan", str(plan_dir / "plan.json"), "--scene", str(scene_path),
+            "--detector", str(det_path), "--dual", "--seed", "5", "--out", str(tmp_path / "sim"),
+        ) == 0
+    scn = presets.build_scene(grid, {"preset": "csv", "path": str(scene_path)})
+    detector = presets.DetectorConfig.from_dict(settings).build()
+    for det, seed, side in sensor.capture_sides((detector, detector), 5):
+        want = whole_stream_capture(cplan, scn, det, seed, side)
+        sensor.write_stream(want, tmp_path / "want")
+        got = sensor.stream_paths(tmp_path / "sim" / f"stream_{side}")
+        for got_path, want_path in zip(got, sensor.stream_paths(tmp_path / "want")):
+            assert Path(got_path).read_bytes() == Path(want_path).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -107,10 +107,3 @@ def test_bipolar_rejects_empty():
     with pytest.raises(ValueError):
         codes.bipolar(np.array([]))
 
-
-def test_codebook_csv_export(tmp_path):
-    book = codes.codebook(5)
-    path = tmp_path / "codes.csv"
-    codes.write_codebook_csv(book, path)
-    loaded = np.loadtxt(path, delimiter=",", dtype=np.int64)
-    assert np.array_equal(loaded, book.codes)

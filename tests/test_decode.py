@@ -1,5 +1,8 @@
+import os
+import tempfile
 import threading
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caossim import codes, decode, presets, sensor
-from caossim.errors import ConfigError, PlanMismatch
+from caossim.errors import ConfigError, LengthMismatch, PlanMismatch
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import DetectorModel, Scene
+from test_sensor import whole_stream_capture
 
 
 def positive_scene(grid, seed=0):
@@ -345,11 +349,11 @@ def assert_bitwise_equal(got, want):
 
 
 def materialized_decode(plan, scene, detectors, seed, dtype):
-    if len(detectors) == 1:
-        stream = sensor.capture(plan, scene, detectors[0], seed=seed, dtype=dtype)
-    else:
-        stream = sensor.capture_dual(plan, scene, *detectors, seed=seed, dtype=dtype)
-    return decode.decode_frame(stream, plan)
+    streams = [
+        whole_stream_capture(plan, scene, det, side_seed, side, dtype)
+        for det, side_seed, side in sensor.capture_sides(detectors, seed)
+    ]
+    return decode.decode_frame(streams[0] if len(streams) == 1 else sensor.DualStreams(*streams), plan)
 
 
 def assert_streaming_matches(plan, scene, detectors, seed, dtype=np.float64):
@@ -359,7 +363,7 @@ def assert_streaming_matches(plan, scene, detectors, seed, dtype=np.float64):
 
 @st.composite
 def noisy_captures(draw):
-    """A random plan and scene, one or two noisy detectors, a seed, dtype and block size."""
+    """A random plan and scene, one or two detectors, a seed, dtype and block size."""
     plan, scene, _, _ = draw(noiseless_captures())
     detectors = tuple(
         DetectorModel(
@@ -367,6 +371,8 @@ def noisy_captures(draw):
             noise_sigma=draw(st.sampled_from((0.0, 0.05, 0.5))),
             adc_bits=draw(st.sampled_from((None, 6, 12))),
             adc_fullscale=draw(st.sampled_from((4.0, 100.0))),
+            shot_noise=draw(st.booleans()),
+            shot_factor=0.01,
         )
         for _ in range(draw(st.integers(1, 2)))
     )
@@ -382,6 +388,37 @@ def test_decode_capture_matches_materialized_decode(case):
     plan, scene, detectors, seed, dtype, block = case
     with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
         assert_streaming_matches(plan, scene, detectors, seed, dtype)
+
+
+def file_bytes(base):
+    return [Path(path).read_bytes() for path in sensor.stream_paths(base)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(noisy_captures())
+def test_block_written_stream_files_equal_a_whole_stream_write(case):
+    plan, scene, detectors, seed, dtype, block = case
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        decode.decode_capture(plan, scene, detectors, seed, dtype, out_dir=out)
+        for det, side_seed, side in sensor.capture_sides(detectors, seed):
+            want = whole_stream_capture(plan, scene, det, side_seed, side, dtype)
+            sensor.write_stream(want, os.path.join(out, "whole"))
+            written = os.path.join(out, f"stream_{side}")
+            assert file_bytes(written) == file_bytes(os.path.join(out, "whole"))
+            back = sensor.read_stream(written)
+            assert back.samples.dtype == np.float32
+            assert back.samples.tobytes() == want.samples.astype("<f4").tobytes()
+
+            blocks = list(sensor.BlockCapture(plan, scene, det, side_seed, side, dtype).blocks())
+            shuffled = os.path.join(out, f"shuffled_{side}")
+            for late in blocks[1:]:  # a block before the ones ahead of it
+                with pytest.raises(LengthMismatch):
+                    sensor.write_stream(late, shuffled)
+            sensor.write_stream(blocks[0], shuffled)
+            gap = replace(blocks[0], first_bit=blocks[0].bits + 1)
+            for late in [*blocks[2:], gap]:  # a block after a missing one
+                with pytest.raises(LengthMismatch):
+                    sensor.write_stream(late, shuffled)
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -428,7 +465,8 @@ def test_non_finite_block_mid_frame_ends_the_noise_thread():
     before = threading.active_count()
     with mock.patch.object(sensor, "BLOCK_SAMPLES", block), \
             mock.patch.object(sensor, "synthesize", nan_in_third_block):
-        with pytest.raises(ConfigError, match="non-finite samples in bit ") as raised:
+        third = 2 * block // plan.samples_per_bit
+        with pytest.raises(ConfigError, match=f"non-finite samples in bit {third} ") as raised:
             decode.decode_capture(plan, scene, (detector,), seed=4)
     # Checked while the traceback, and every frame it holds, is still alive.
     assert threading.active_count() == before

@@ -88,6 +88,23 @@ def test_in_memory_run_never_holds_the_whole_stream():
     assert peak < stream_bytes
 
 
+def test_file_writing_run_never_holds_the_whole_stream(tmp_path):
+    # The same run with out_dir writes the stream file block by block as it decodes.
+    config = presets.preset_config("exp1-hdr", full_scale=True)
+    plan = config.build_plan()
+    stream_bytes = plan.frame_samples * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        result = presets.run_experiment(config, out_dir=tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stream_bytes
+    stream = sensor.read_stream(tmp_path / "stream_pd1")
+    assert stream.bits == plan.code_length
+    assert decode.decode_frame(stream, plan).raw.tobytes() == result.images[0].raw.tobytes()
+
+
 def test_calibration_targets_comparator_weak_patch():
     sigma = presets.calibrate_hdr_sigma(target_snr=3.0, iterations=3)
     # The frozen constant should match a fresh sweep to within a few percent.

@@ -1,5 +1,7 @@
+import os
 import sys
 import threading
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caossim import sensor
-from caossim.errors import ConfigError, DimensionMismatch
+from caossim.errors import ConfigError, DimensionMismatch, LengthMismatch
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import DetectorModel, Scene
 
@@ -231,6 +233,12 @@ class TestNoise:
         assert lo_band / hi_band == pytest.approx(64.0, rel=0.5)
 
 
+def whole_stream_capture(plan, scene, detector, seed=0, pd_side=sensor.PD1, dtype=np.float64):
+    """Reference: synthesize -> add_noise -> apply_adc, each run once on the whole stream."""
+    stream = sensor.synthesize(plan, scene, detector, pd_side, dtype=dtype)
+    return sensor.apply_adc(sensor.add_noise(stream, detector, seed), detector)
+
+
 def whole_stream_noise(samples, detector, seed):
     """Reference: every noise term drawn at full stream length in one call."""
     rng = np.random.default_rng(seed)
@@ -322,6 +330,13 @@ def test_noiseless_block_capture_starts_no_thread():
             assert threading.active_count() == before
 
 
+def test_one_block_noisy_capture_starts_no_thread():
+    capture, _ = multi_block_capture(DetectorModel(noise_sigma=0.1, shot_noise=True))
+    before = threading.active_count()
+    for _ in capture.blocks():
+        assert threading.active_count() == before
+
+
 def test_concurrent_block_captures_stay_bitwise_whole_stream_captures():
     # Four captures, each with its own noise thread, on more threads than cores.
     capture, block = multi_block_capture(DetectorModel(noise_sigma=0.1, adc_bits=10), blocks=8)
@@ -344,8 +359,20 @@ def test_concurrent_block_captures_stay_bitwise_whole_stream_captures():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     for seed in range(4):
-        want = sensor.capture(capture.plan, capture.scene, capture.detector, seed=seed)
+        want = whole_stream_capture(capture.plan, capture.scene, capture.detector, seed)
         assert got[seed].tobytes() == want.samples.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_capture_is_the_whole_stream_chain(blocks, dtype):
+    capture, block = multi_block_capture(DetectorModel(noise_sigma=0.1, adc_bits=10), blocks)
+    plan = capture.plan
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        got = sensor.capture(plan, capture.scene, capture.detector, seed=3, dtype=dtype)
+    want = whole_stream_capture(plan, capture.scene, capture.detector, 3, dtype=dtype)
+    assert (got.bits, got.first_bit, got.samples.dtype) == (plan.code_length, 0, dtype)
+    assert got.samples.tobytes() == want.samples.tobytes()
 
 
 def test_dual_capture_draws_each_side_from_a_spawned_seed():
@@ -355,7 +382,7 @@ def test_dual_capture_draws_each_side_from_a_spawned_seed():
     dual = sensor.capture_dual(plan, scene, det, seed=9)
     seeds = np.random.SeedSequence(9).spawn(2)
     for stream, seed, side in zip((dual.pd1, dual.pd2), seeds, (sensor.PD1, sensor.PD2)):
-        want = sensor.capture(plan, scene, det, seed=seed, pd_side=side)
+        want = whole_stream_capture(plan, scene, det, seed, side)
         assert stream.samples.tobytes() == want.samples.tobytes()
 
 
@@ -394,4 +421,24 @@ def test_stream_file_roundtrip(tmp_path):
     assert back.bits == stream.bits
     assert back.samples_per_bit == stream.samples_per_bit
     assert back.pd_side == sensor.PD2
-    assert np.allclose(back.samples, stream.samples, atol=1e-6)
+    assert back.samples.dtype == np.float32
+    assert np.array_equal(back.samples, stream.samples.astype("<f4"))
+
+
+def test_stream_block_must_continue_the_file(tmp_path):
+    plan = make_plan()
+    stream = sensor.synthesize(plan, uniform_scene(plan.grid))
+    base = tmp_path / "capture"
+    with pytest.raises(LengthMismatch):  # no file holds bits 0..1 yet
+        sensor.write_stream(replace(stream, first_bit=2), base)
+    assert not any(os.path.exists(path) for path in sensor.stream_paths(base))
+    half = plan.code_length // 2
+    first, rest = (sensor.synthesize(plan, uniform_scene(plan.grid), bit_range=r)
+                   for r in ((0, half), (half, plan.code_length)))
+    sensor.write_stream(first, base)
+    assert sensor.read_stream(base).bits == half  # a valid stream of the bits so far
+    sensor.write_stream(rest, base)
+    with pytest.raises(LengthMismatch):  # written twice
+        sensor.write_stream(rest, base)
+    back = sensor.read_stream(base)
+    assert back.samples.tobytes() == stream.samples.astype("<f4").tobytes()
