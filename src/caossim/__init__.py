@@ -23,7 +23,7 @@ from .errors import (
     TimingError,
     UnsupportedOrder,
 )
-from .metrics import crosstalk, patch_dr, rmse, speedup, wrong_key_correlation
+from .metrics import crosstalk, patch_dr, speedup, wrong_key_correlation
 from .plan import (
     CodingPlan,
     FrequencyPlan,
@@ -53,7 +53,6 @@ from .sensor import (
     capture,
     capture_dual,
     synthesize,
-    synthesize_dual,
 )
 
 __version__ = "0.1.0"

@@ -75,7 +75,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     seed = 0 if args.seed is None else args.seed
     for det, side_seed, side in sensor_mod.capture_sides((detector,) * (1 + args.dual), seed):
-        for block in sensor_mod.BlockCapture(cplan, scn, det, side_seed, side).blocks():
+        for block in sensor_mod.capture_blocks(cplan, scn, det, side_seed, side):
             paths = sensor_mod.write_stream(block, os.path.join(args.out, f"stream_{side}"))
         print(f"wrote {paths[0]} and {paths[1]}")
     return EXIT_OK

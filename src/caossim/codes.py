@@ -121,13 +121,11 @@ class CodeBook:
 
     Attributes:
         length: Bits per code (the Hadamard order W).
-        codes: (num_codes, length) array over {0, 1}.
-        source_rows: Hadamard row index each code came from (row 0 excluded).
+        codes: (num_codes, length) array over {0, 1}; code i is Hadamard row i + 1.
     """
 
     length: int
     codes: np.ndarray
-    source_rows: tuple[int, ...]
 
     @property
     def num_codes(self) -> int:
@@ -150,7 +148,7 @@ def codebook(num_codes: int, min_length: int | None = None) -> CodeBook:
         length = min_length
     rows = hadamard(length)[1 : num_codes + 1]
     codes = ((1 + rows) // 2).astype(np.uint8)
-    return CodeBook(length=length, codes=codes, source_rows=tuple(range(1, num_codes + 1)))
+    return CodeBook(length=length, codes=codes)
 
 
 def bipolar(code: np.ndarray) -> np.ndarray:
@@ -158,5 +156,5 @@ def bipolar(code: np.ndarray) -> np.ndarray:
     arr = np.asarray(code)
     if arr.size == 0:
         raise ValueError("code must have length >= 1")
-    return (2 * arr.astype(np.int64) - 1).astype(np.int8)
+    return 2 * arr.astype(np.int8) - 1
 

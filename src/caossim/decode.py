@@ -32,15 +32,7 @@ from . import sensor as sensor_mod
 from .codes import bipolar
 from .errors import ConfigError, PlanMismatch
 from .plan import COMPLEMENT_CODED_MODES, CodingPlan, Mode
-from .sensor import (
-    PD2,
-    BlockCapture,
-    DualStreams,
-    SampleStream,
-    bit_blocks,
-    capture_sides,
-    carrier_matrix,
-)
+from .sensor import PD2, DualStreams, SampleStream, bit_blocks, capture_sides, carrier_matrix
 
 
 def dsp_gain_db(samples_per_bit: int) -> float:
@@ -136,7 +128,7 @@ def _scatter(plan: CodingPlan, per_pixel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str, normalize: bool):
+def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str):
     """Equalize, correlate and scatter one detector's per-bit spectra.
 
     Returns one RecoveredImage, or for the active overlapped mode one per
@@ -149,7 +141,7 @@ def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str, normali
 
     if plan.mode is Mode.FM_TDMA:
         raw_map = _scatter(plan, eq[plan.set_index, 0])
-        return _finish(raw_map, plan, pd_side, normalize, None)
+        return _finish(raw_map, plan, pd_side, None)
 
     if plan.hop_schedule is None:
         member_seq = eq
@@ -165,54 +157,47 @@ def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str, normali
         images = []
         for p in range(plan.channel_count):
             raw_map = _scatter(plan, estimates[plan.set_index, p])
-            images.append(_finish(raw_map, plan, pd_side, normalize, p))
-        if normalize:
-            reference = max(img.normalization_reference for img in images)
-            images = [replace(img, normalization_reference=reference) for img in images]
-        return images
+            images.append(_finish(raw_map, plan, pd_side, p))
+        reference = max(img.normalization_reference for img in images)
+        return [replace(img, normalization_reference=reference) for img in images]
 
     raw_pixel = estimates[plan.set_index, plan.member_index]
-    return _finish(_scatter(plan, raw_pixel), plan, pd_side, normalize, None)
+    return _finish(_scatter(plan, raw_pixel), plan, pd_side, None)
 
 
-def _finish(raw_map, plan, pd_side, normalize, source_index):
+def _finish(raw_map, plan, pd_side, source_index):
     clamped = np.clip(raw_map, 0.0, None)
-    reference = float(clamped.max()) if normalize else 1.0
     return RecoveredImage(
         values=clamped,
         raw=raw_map,
-        normalization_reference=reference,
+        normalization_reference=float(clamped.max()),
         mode=plan.mode,
         pd_side=pd_side,
         source_index=source_index,
     )
 
 
-def decode_frame(stream, plan: CodingPlan, normalize: bool = True):
+def decode_frame(stream, plan: CodingPlan):
     """Full frame decode.
 
     A single passive stream yields one RecoveredImage; DualStreams yield a
     (pd1, pd2) pair decoded independently; an active overlapped stream
     yields one image per source, normalized by the brightest pixel across
-    the whole image set. A sensor.BlockCapture, or a generator of one
-    side's consecutive bit blocks, is read one block at a time. Decoding
+    the whole image set. A generator of one side's consecutive bit blocks,
+    such as sensor.capture_blocks, is read one block at a time. Decoding
     under a wrong-key plan is not an error, it simply produces garbage.
     """
     if isinstance(stream, DualStreams):
-        return (
-            decode_frame(stream.pd1, plan, normalize=normalize),
-            decode_frame(stream.pd2, plan, normalize=normalize),
-        )
+        return decode_frame(stream.pd1, plan), decode_frame(stream.pd2, plan)
     if isinstance(stream, SampleStream):
         spectra, pd_side = per_bit_spectra(stream, plan), stream.pd_side
     else:
-        blocks = stream.blocks() if isinstance(stream, BlockCapture) else stream
-        with closing(blocks):  # ends a capture's noise thread on any exit
-            parts = [(block.pd_side, per_bit_spectra(block, plan)) for block in blocks]
+        with closing(stream):  # ends a capture's noise thread on any exit
+            parts = [(block.pd_side, per_bit_spectra(block, plan)) for block in stream]
         pd_side, spectra = parts[0][0], np.concatenate([p for _, p in parts])
     if spectra.shape[0] != plan.code_length:
         raise PlanMismatch(f"stream has {spectra.shape[0]} bits, plan expects {plan.code_length}")
-    return _decode_spectra(spectra, plan, pd_side, normalize)
+    return _decode_spectra(spectra, plan, pd_side)
 
 
 def decode_capture(plan: CodingPlan, scene, detectors, seed=0, dtype=np.float64, out_dir=None):
@@ -224,7 +209,7 @@ def decode_capture(plan: CodingPlan, scene, detectors, seed=0, dtype=np.float64,
     """
     results = []
     for det, side_seed, side in capture_sides(detectors, seed):
-        blocks = BlockCapture(plan, scene, det, side_seed, side, dtype).blocks()
+        blocks = sensor_mod.capture_blocks(plan, scene, det, side_seed, side, dtype)
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             blocks = _written(blocks, os.path.join(out_dir, f"stream_{side}"))
@@ -253,13 +238,33 @@ _REPORT_FORMAT = "caossim-decode-report"
 _REPORT_VERSION = 1
 
 
-def decode_report(
-    images,
-    plan: CodingPlan,
-    spectra: np.ndarray | None = None,
-    truth: np.ndarray | None = None,
-) -> dict:
-    """Structured decode summary; per-bit peak matrix only on request."""
+def _raw_arrays(images) -> list[np.ndarray]:
+    """An image or an image list as float arrays; a RecoveredImage gives its raw values."""
+    items = images if isinstance(images, (list, tuple)) else [images]
+    return [i.raw if isinstance(i, RecoveredImage) else np.asarray(i, dtype=np.float64) for i in items]
+
+
+def _shapes(arrays) -> str:
+    """Shapes as text: 21x21, or 21x21 + 21x21 for two images."""
+    return " + ".join("x".join(map(str, x.shape)) for x in arrays)
+
+
+def image_correlation(a, b) -> float:
+    """Pearson correlation between two images or image lists; 0 when either is constant.
+
+    Raises ConfigError naming both shapes when they differ.
+    """
+    a, b = _raw_arrays(a), _raw_arrays(b)
+    if [x.shape for x in a] != [x.shape for x in b]:
+        raise ConfigError(f"cannot correlate a {_shapes(a)} image with a {_shapes(b)} one")
+    fa, fb = np.concatenate([x.ravel() for x in a]), np.concatenate([x.ravel() for x in b])
+    if not (fa.std() > 0 and fb.std() > 0):
+        return 0.0
+    return float(np.corrcoef(fa, fb)[0, 1])
+
+
+def decode_report(images, plan: CodingPlan, truth: np.ndarray | None = None) -> dict:
+    """Structured decode summary, with each image's correlation against truth if given."""
     if isinstance(images, RecoveredImage):
         images = [images]
     entries = []
@@ -271,16 +276,11 @@ def decode_report(
             "raw_values": [[float(v) for v in row] for row in img.raw],
         }
         if truth is not None:
-            flat_a = img.raw.ravel()
-            flat_b = np.asarray(truth, dtype=np.float64).ravel()
-            if flat_a.size == flat_b.size and flat_a.std() > 0 and flat_b.std() > 0:
-                rho = float(np.corrcoef(flat_a, flat_b)[0, 1])
-            else:
-                rho = 0.0
+            rho = image_correlation(img, truth)
             entry["truth_correlation"] = rho
             entry["truth_correlation_ok"] = bool(rho > 0.999)
         entries.append(entry)
-    report = {
+    return {
         "format": _REPORT_FORMAT,
         "version": _REPORT_VERSION,
         "mode": plan.mode.value,
@@ -290,9 +290,6 @@ def decode_report(
         "dsp_gain_db": dsp_gain_db(plan.samples_per_bit),
         "images": entries,
     }
-    if spectra is not None:
-        report["per_bit_peaks"] = [[float(v) for v in row] for row in spectra]
-    return report
 
 
 def write_decode_report(report: dict, path) -> None:
@@ -305,11 +302,12 @@ def write_decode_outputs(out_dir, images, plan: CodingPlan, truth=None) -> dict:
     """image_<tag>.pgm/.csv per image plus decode_report.json; returns the report.
 
     The tag is source<k> for per-source images and the detector side otherwise.
+    A truth of the wrong shape raises ConfigError before any file is written.
     """
+    report = decode_report(images, plan, truth=truth)
     for i, img in enumerate(images):
         tag = f"source{i + 1}" if img.source_index is not None else img.pd_side
         scene_mod.write_image_pgm(img.values, os.path.join(out_dir, f"image_{tag}.pgm"))
         scene_mod.write_image_csv(img.values, os.path.join(out_dir, f"image_{tag}.csv"))
-    report = decode_report(images, plan, truth=truth)
     write_decode_report(report, os.path.join(out_dir, "decode_report.json"))
     return report

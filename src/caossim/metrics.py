@@ -164,36 +164,12 @@ def wrong_key_correlation(stream, true_plan: CodingPlan, wrong_seed: int) -> flo
     key recovers.
     """
     wrong_plan = plan_mod.rebuild(true_plan, key_seed=wrong_seed)
-    wrong = decode_mod.decode_frame(stream, wrong_plan, normalize=False)
-    truth = decode_mod.decode_frame(stream, true_plan, normalize=False)
-    return image_correlation(wrong, truth)
-
-
-def image_correlation(a, b) -> float:
-    """Pearson correlation between two images or image lists."""
-
-    def flatten(x):
-        if isinstance(x, (list, tuple)):
-            return np.concatenate([_as_array(i).ravel() for i in x])
-        return _as_array(x).ravel()
-
-    fa, fb = flatten(a), flatten(b)
-    if fa.std() == 0 or fb.std() == 0:
-        return 0.0
-    return float(np.corrcoef(fa, fb)[0, 1])
+    wrong = decode_mod.decode_frame(stream, wrong_plan)
+    truth = decode_mod.decode_frame(stream, true_plan)
+    return decode_mod.image_correlation(wrong, truth)
 
 
 def speedup(plan_a: CodingPlan, plan_b: CodingPlan) -> float:
     """Frame-time ratio plan_b / plan_a: how much faster plan_a captures a frame."""
     return plan_b.frame_time / plan_a.frame_time
 
-
-def rmse(image, reference) -> float:
-    """Root-mean-square error between peak-normalized images."""
-    a = _as_array(image)
-    b = reference.effective_irradiance() if isinstance(reference, Scene) else _as_array(reference)
-    if a.shape != b.shape:
-        raise EmptyRegion(f"shape mismatch {a.shape} vs {b.shape}")
-    a = a / a.max() if a.max() > 0 else a
-    b = b / b.max() if b.max() > 0 else b
-    return float(np.sqrt(np.mean((a - b) ** 2)))

@@ -222,14 +222,15 @@ class ExperimentConfig:
         )
 
     def build_scene(self, grid: PixelGrid) -> Scene:
-        return build_scene(grid, self.scene)
+        return build_scene(grid, self.scene, self.convention)
 
 
-def build_scene(grid: PixelGrid, params: dict) -> Scene:
+def build_scene(grid: PixelGrid, params: dict, convention: int = 20) -> Scene:
     """Scene constructor lookup for config files.
 
-    An unknown preset or a parameter the preset does not take raises
-    ConfigError.
+    An HDR target's levels are in dB of the given convention, the one its
+    patches are measured in. An unknown preset or a parameter the preset
+    does not take raises ConfigError.
     """
     try:
         params = _scene_params(params)
@@ -237,9 +238,8 @@ def build_scene(grid: PixelGrid, params: dict) -> Scene:
         raise ConfigError(str(exc)) from None
     kind, get = params["preset"], params.get
     if kind == "hdr-patches":
-        return scene_mod.hdr_patch_target(
-            grid, get("levels_db", list(HDR_LEVELS_DB)), layout=tuple(get("layout", (2, 3)))
-        )
+        levels, layout = get("levels_db", list(HDR_LEVELS_DB)), tuple(get("layout", (2, 3)))
+        return scene_mod.hdr_patch_target(grid, levels, layout=layout, convention=convention)
     if kind == "fiber-spot":
         center = tuple(get("center", (grid.columns // 2 + 1, grid.rows // 2 + 1)))
         return scene_mod.dual_band_source(grid, center, radius=get("radius"))

@@ -9,7 +9,6 @@ through a detector band. Image arrays are indexed [row, column], i.e. pixel
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -46,17 +45,14 @@ class SpectralCurve:
         """Linear interpolation, zero outside the support."""
         return np.interp(wavelengths, self.wavelengths, self.values, left=0.0, right=0.0)
 
-    def scaled(self, factor: float) -> "SpectralCurve":
-        return SpectralCurve(self.wavelengths, self.values * factor)
-
 
 def flat_spectrum(lo_nm: float, hi_nm: float, value: float = 1.0) -> SpectralCurve:
     """Flat band between two wavelengths, zero outside."""
     return SpectralCurve(np.array([lo_nm, hi_nm]), np.array([value, value]))
 
 
-def gaussian_spectrum(center_nm: float, fwhm_nm: float, span_sigmas: float = 2.0) -> SpectralCurve:
-    """Gaussian line shape with peak 1, truncated at center +- span_sigmas * sigma.
+def gaussian_spectrum(center_nm: float, fwhm_nm: float) -> SpectralCurve:
+    """Gaussian line shape with peak 1, truncated at center +- 2 sigma.
 
     The compact support stands in for the steep skirts of real LEDs and
     interference filters: curves whose nominal bands do not overlap
@@ -66,7 +62,7 @@ def gaussian_spectrum(center_nm: float, fwhm_nm: float, span_sigmas: float = 2.0
     if fwhm_nm <= 0:
         raise ConfigError("fwhm must be > 0")
     sigma = fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    half = span_sigmas * sigma
+    half = 2.0 * sigma
     wl = np.linspace(center_nm - half, center_nm + half, 1025)
     vals = np.exp(-0.5 * ((wl - center_nm) / sigma) ** 2)
     return SpectralCurve(wl, vals)
@@ -283,19 +279,18 @@ def dual_band_source(
     grid: PixelGrid,
     spot: tuple[int, int],
     radius: float | None = None,
-    temperature_k: float = 2850.0,
 ) -> Scene:
     """Broadband fiber-spot target spanning 350-1800 nm.
 
-    The spot carries a normalized blackbody-like spectrum (halogen bulb
-    color temperature) so both a silicon-band and a germanium-band detector
-    see it.
+    The spot carries a normalized blackbody spectrum at a halogen bulb's
+    color temperature, 2850 K, so both a silicon-band and a germanium-band
+    detector see it.
     """
     if radius is None:
         radius = max(1.0, min(grid.columns, grid.rows) / 6.0)
     wl = np.arange(350.0, 1800.0 + 1e-9, 2.0)
     # Planck's law up to constants, peak-normalized.
-    x = 1.4388e7 / (wl * temperature_k)  # hc / (lambda k T) with lambda in nm
+    x = 1.4388e7 / (wl * 2850.0)  # hc / (lambda k T) with lambda in nm
     vals = (1.0 / wl**5) / np.expm1(x)
     vals /= vals.max()
     curve = SpectralCurve(wl, vals)
@@ -323,23 +318,18 @@ def two_hole_target(
     hole_positions,
     hole_filters,
     sources,
-    responsivity: SpectralCurve | float = 1.0,
     hole_radius: float | None = None,
-    hole_gains=None,
 ) -> Scene:
     """Active-illumination target: filtered holes under P modulated sources.
 
     sources is a list of (spectrum, channel) pairs ordered by channel; the
-    per-source irradiance of a hole pixel is the source x filter x
-    responsivity band integral, zero elsewhere. hole_gains optionally scales
-    each hole (non-uniform illumination).
+    per-source irradiance of a hole pixel is the source x filter band
+    integral, zero elsewhere.
     """
     if hole_radius is None:
         hole_radius = max(1.0, min(grid.columns, grid.rows) / 6.0)
-    if hole_gains is None:
-        hole_gains = [1.0] * len(hole_positions)
-    if len(hole_filters) != len(hole_positions) or len(hole_gains) != len(hole_positions):
-        raise ConfigError("one filter and gain per hole required")
+    if len(hole_filters) != len(hole_positions):
+        raise ConfigError("one filter per hole required")
     for m, n in hole_positions:
         if not (1 <= m <= grid.columns and 1 <= n <= grid.rows):
             raise LayoutError(f"hole ({m}, {n}) outside the grid")
@@ -347,32 +337,30 @@ def two_hole_target(
     ordered = sorted(sources, key=lambda sc: sc[1])
     maps = np.zeros((len(ordered), grid.rows, grid.columns))
     for p, (spectrum, _channel) in enumerate(ordered):
-        for pos, filt, gain in zip(hole_positions, hole_filters, hole_gains):
+        for pos, filt in zip(hole_positions, hole_filters):
             through = curve_product(spectrum, filt)
             if through is None:
                 continue
-            value = _detected(through, responsivity)
+            value = _detected(through, 1.0)
             if value <= 0.0:
                 continue
-            maps[p][disc_mask(grid, pos, hole_radius)] = gain * value
+            maps[p][disc_mask(grid, pos, hole_radius)] = value
     return Scene(grid=grid, per_source=maps)
 
 
 # ---------------------------------------------------------------------------
-# File formats: 16-bit PGM, float CSV, two-column curve CSV
+# File formats: 16-bit PGM, float CSV
 # ---------------------------------------------------------------------------
 
 
-def write_image_pgm(image: np.ndarray, path, scale: float | None = None) -> None:
+def write_image_pgm(image: np.ndarray, path) -> None:
     """Store a nonnegative float image as 16-bit binary PGM.
 
-    Values are divided by `scale` (default: image max) and quantized to
-    0..65535; the scale is kept in a header comment so loads can restore
-    absolute values.
+    Values are divided by the image max and quantized to 0..65535; the scale
+    is kept in a header comment so loads can restore absolute values.
     """
     arr = np.asarray(image, dtype=np.float64)
-    if scale is None:
-        scale = float(arr.max()) if arr.size and arr.max() > 0 else 1.0
+    scale = float(arr.max()) if arr.size and arr.max() > 0 else 1.0
     q = np.clip(np.round(arr / scale * 65535.0), 0, 65535).astype(">u2")
     with open(path, "wb") as fh:
         header = f"P5\n# scale {scale!r}\n{arr.shape[1]} {arr.shape[0]}\n65535\n"
@@ -381,26 +369,33 @@ def write_image_pgm(image: np.ndarray, path, scale: float | None = None) -> None
 
 
 def read_image_pgm(path) -> np.ndarray:
+    """A 16-bit binary PGM as floats, times the scale in its header comment.
+
+    A file that is not such a PGM, or ends before its last pixel, raises
+    ConfigError naming it.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = []
     scale = 1.0
     pos = 0
-    while len(tokens) < 4:
-        end = data.find(b"\n", pos)
-        line = data[pos : end if end >= 0 else len(data)]
-        pos = end + 1
-        text = line.decode("ascii", errors="replace").strip()
-        if text.startswith("#"):
-            parts = text[1:].split()
-            if len(parts) == 2 and parts[0] == "scale":
-                scale = float(parts[1])
-            continue
-        tokens.extend(text.split())
-    if tokens[0] != "P5" or tokens[3] != "65535":
-        raise ConfigError("expected a 16-bit binary PGM")
-    width, height = int(tokens[1]), int(tokens[2])
-    pixels = np.frombuffer(data, dtype=">u2", offset=pos, count=width * height)
+    try:
+        while len(tokens) < 4:
+            end = data.index(b"\n", pos)  # a header line without its newline ends the file
+            text = data[pos:end].decode("ascii", errors="replace").strip()
+            pos = end + 1
+            if text.startswith("#"):
+                parts = text[1:].split()
+                if len(parts) == 2 and parts[0] == "scale":
+                    scale = float(parts[1])
+                continue
+            tokens.extend(text.split())
+        width, height = int(tokens[1]), int(tokens[2])
+        if tokens[0] != "P5" or tokens[3] != "65535" or width < 1 or height < 1:
+            raise ValueError
+        pixels = np.frombuffer(data, dtype=">u2", offset=pos, count=width * height)
+    except ValueError:
+        raise ConfigError(f"{path} is not a complete 16-bit binary PGM") from None
     return pixels.reshape(height, width).astype(np.float64) / 65535.0 * scale
 
 
@@ -409,25 +404,8 @@ def write_image_csv(image: np.ndarray, path) -> None:
 
 
 def read_image_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
-
-
-def write_curve_csv(curve: SpectralCurve, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["wavelength_nm", "value"])
-        for wl, val in zip(curve.wavelengths, curve.values):
-            writer.writerow([repr(float(wl)), repr(float(val))])
-
-
-def read_curve_csv(path) -> SpectralCurve:
-    wavelengths, values = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["wavelength_nm", "value"]:
-            raise ConfigError("curve CSV must start with 'wavelength_nm,value'")
-        for row in reader:
-            wavelengths.append(float(row[0]))
-            values.append(float(row[1]))
-    return SpectralCurve(np.array(wavelengths), np.array(values))
+    """A float CSV image; a cell that is not a number raises ConfigError naming the file."""
+    try:
+        return np.atleast_2d(np.loadtxt(path, delimiter=","))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -10,9 +10,9 @@ detector: during a code-1 bit PD2 sees 1 - carrier, and a parked pixel
 active sources and ride on the light itself, so a parked pixel hands its
 full modulated signal to PD2.
 
-BlockCapture runs the capture chain synthesize -> add_noise -> apply_adc one
-bit block at a time; capture, decode.decode_capture and caossim simulate all
-take their samples from it, and write_stream appends each block to a file.
+capture_blocks runs the capture chain synthesize -> add_noise -> apply_adc
+one bit block at a time; capture, decode.decode_capture and caossim simulate
+all take their samples from it, and write_stream appends each block to a file.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def _apply_hops(plan: CodingPlan, member_sums: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Samples per processing block. synthesize, per_bit_spectra and BlockCapture
+#: Samples per processing block. synthesize, per_bit_spectra and capture_blocks
 #: walk the frame in the same bit blocks, so the per-block matrix products see
 #: the same inputs on every path.
 BLOCK_SAMPLES = 4_000_000
@@ -242,19 +242,6 @@ def synthesize(
         gain=gain,
         first_bit=first,
     )
-
-
-def synthesize_dual(
-    plan: CodingPlan,
-    scene: Scene,
-    detector: DetectorModel | None = None,
-    detector2: DetectorModel | None = None,
-    dtype=np.float64,
-) -> DualStreams:
-    """Both detector sides at once; detector2 defaults to detector."""
-    detector = detector or DetectorModel()
-    sides = ((detector, PD1), (detector2 or detector, PD2))
-    return DualStreams(*(synthesize(plan, scene, det, side, dtype) for det, side in sides))
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +324,10 @@ def capture(
     pd_side: str = PD1,
     dtype=np.float64,
 ) -> SampleStream:
-    """The BlockCapture chain of one side as one stream; a one-block frame is returned as is."""
+    """The capture_blocks chain of one side as one stream; a one-block frame is returned as is."""
     samples = None
-    chain = BlockCapture(plan, scene, detector or DetectorModel(), seed, pd_side, dtype)
-    with closing(chain.blocks()) as blocks:
+    blocks = capture_blocks(plan, scene, detector or DetectorModel(), seed, pd_side, dtype)
+    with closing(blocks):
         for block in blocks:
             if block.bits == plan.code_length:
                 return block
@@ -379,62 +366,58 @@ def capture_dual(
     return DualStreams(*(capture(plan, scene, det, s, side, dtype) for det, s, side in sides))
 
 
-@dataclass(frozen=True, eq=False)
-class BlockCapture:
+def capture_blocks(
+    plan: CodingPlan,
+    scene: Scene,
+    detector: DetectorModel,
+    seed=0,
+    pd_side: str = PD1,
+    dtype=np.float64,
+):
     """The capture chain of one detector side: synthesize -> add_noise -> apply_adc.
 
-    blocks() is the one place where the chain runs. It yields the stream as
-    consecutive SampleStreams of the bit_blocks ranges, so the whole stream
-    never exists at once. White noise is drawn block by block from one
-    default_rng(seed), which concatenates exactly to a single draw. Shot and
-    1/f terms are drawn over the whole stream, so a detector using either is
-    captured as one block.
+    This generator is the one place where the chain runs. It yields the
+    stream as consecutive SampleStreams of the bit_blocks ranges, so the
+    whole stream never exists at once. White noise is drawn block by block
+    from one default_rng(seed), which concatenates exactly to a single draw.
+    Shot and 1/f terms are drawn over the whole stream, so a detector using
+    either is captured as one block.
 
     With white noise and several blocks, block i+1's draw runs on one worker
     thread (numpy releases the GIL) into one reused buffer, submitted once
     block i's noise is added. The worker calls numpy only, through
     white_noise. Closing the generator, or an error in either thread, ends
-    the worker before blocks() returns.
+    the worker before the generator returns.
     """
+    f_count, sigma = plan.samples_per_bit, detector.noise_sigma
+    whole = detector.shot_noise or detector.pink_noise is not None
+    ranges = [(0, plan.code_length)] if whole else list(bit_blocks(plan.code_length, f_count))
+    rng = np.random.default_rng(seed)
+    # One block has nothing to overlap, so add_noise draws its white term itself;
+    # several share one buffer the size of the first, largest, block.
+    prefetch = sigma > 0 and len(ranges) > 1
+    buffer = np.empty((ranges[0][1] - ranges[0][0]) * f_count if prefetch else 0)
+    if prefetch:  # imported here, so that `import caossim` loads neither it nor logging
+        from concurrent.futures import ThreadPoolExecutor
 
-    plan: CodingPlan
-    scene: Scene
-    detector: DetectorModel
-    seed: object = 0
-    pd_side: str = PD1
-    dtype: object = np.float64
+    with ThreadPoolExecutor(1, "caossim-noise") if prefetch else nullcontext() as pool:
 
-    def blocks(self):
-        plan, scene, detector = self.plan, self.scene, self.detector
-        f_count, sigma = plan.samples_per_bit, detector.noise_sigma
-        whole = detector.shot_noise or detector.pink_noise is not None
-        ranges = [(0, plan.code_length)] if whole else list(bit_blocks(plan.code_length, f_count))
-        rng = np.random.default_rng(self.seed)
-        # One block has nothing to overlap, so add_noise draws its white term itself;
-        # several share one buffer the size of the first, largest, block.
-        prefetch = sigma > 0 and len(ranges) > 1
-        buffer = np.empty((ranges[0][1] - ranges[0][0]) * f_count if prefetch else 0)
-        if prefetch:  # imported here, so that `import caossim` loads neither it nor logging
-            from concurrent.futures import ThreadPoolExecutor
+        def draw(bit_range):
+            """Start bit_range's white draw; returns a callable giving the term, or None."""
+            if not prefetch:
+                return lambda: None
+            size = (bit_range[1] - bit_range[0]) * f_count
+            return pool.submit(white_noise, rng, sigma, size, buffer[:size]).result
 
-        with ThreadPoolExecutor(1, "caossim-noise") if prefetch else nullcontext() as pool:
-
-            def draw(bit_range):
-                """Start bit_range's white draw; returns a callable giving the term, or None."""
-                if not prefetch:
-                    return lambda: None
-                size = (bit_range[1] - bit_range[0]) * f_count
-                return pool.submit(white_noise, rng, sigma, size, buffer[:size]).result
-
-            pending = draw(ranges[0])
-            for i, bits in enumerate(ranges):
-                # Each stage rebinds block, so no earlier stage is held across the yield.
-                block = synthesize(plan, scene, detector, self.pd_side, self.dtype, bit_range=bits)
-                block = add_noise(block, detector, rng, white=pending())
-                if i + 1 < len(ranges):
-                    pending = draw(ranges[i + 1])  # the buffer is free again
-                block = apply_adc(block, detector)
-                yield block
+        pending = draw(ranges[0])
+        for i, bits in enumerate(ranges):
+            # Each stage rebinds block, so no earlier stage is held across the yield.
+            block = synthesize(plan, scene, detector, pd_side, dtype, bit_range=bits)
+            block = add_noise(block, detector, rng, white=pending())
+            if i + 1 < len(ranges):
+                pending = draw(ranges[i + 1])  # the buffer is free again
+            block = apply_adc(block, detector)
+            yield block
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def max_roundtrip_error(plan, rng):
         want = img / img.max()
 
     errors = []
-    dual = sensor.synthesize_dual(plan, scene)
+    dual = sensor.capture_dual(plan, scene)
     for stream in (dual.pd1, dual.pd2):
         decoded = decode.decode_frame(stream, plan)
         images = decoded if isinstance(decoded, list) else [decoded]
@@ -173,8 +173,8 @@ def test_criterion_05_multiplex_snr_advantage():
     for trial in range(120):
         noisy_c = sensor.add_noise(clean_c, detector, (1, trial))
         noisy_t = sensor.add_noise(clean_t, detector, (2, trial))
-        trials_c.append(decode.decode_frame(noisy_c, cdma, normalize=False).raw)
-        trials_t.append(decode.decode_frame(noisy_t, tdma, normalize=False).raw)
+        trials_c.append(decode.decode_frame(noisy_c, cdma).raw)
+        trials_t.append(decode.decode_frame(noisy_t, tdma).raw)
     trials_c = np.asarray(trials_c)
     trials_t = np.asarray(trials_t)
     snr_c = float((trials_c.mean(axis=0) / trials_c.std(axis=0)).mean())
@@ -333,7 +333,7 @@ def test_criterion_11_conservation():
         plan = build_plan(grid, mode=mode, bit_rate=1.0, key_seed=3, hopping=True, **kwargs)
         img = rng.uniform(0.1, 1.0, (5, 6))
         gain = 1.3
-        dual = sensor.synthesize_dual(
+        dual = sensor.capture_dual(
             plan, Scene(grid=grid, irradiance=img), DetectorModel(gain=gain)
         )
         total = gain * img.sum()

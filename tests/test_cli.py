@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -414,3 +417,57 @@ def test_decode_malformed_stream_exits_config_code(tmp_path, capsys, tamper):
     assert err.startswith("config error: ")
     if tamper is _nan_sample:
         assert "bit 7 " in err
+
+
+_PGM_HEADER = b"P5\n# scale 1.0\n21 21\n65535\n"
+
+#: Scene files for a 21x21 plan that are not valid images.
+_MALFORMED_SCENES = {
+    "empty.pgm": b"",
+    "header-cut.pgm": b"P5\n21 21\n",
+    "no-newline.pgm": b"P5\n21 21\n65535",
+    "text-size.pgm": b"P5\n21 x\n65535\n" + bytes(2 * 21 * 21),
+    "negative-size.pgm": b"P5\n-21 21\n65535\n" + bytes(2 * 21 * 21),
+    "text-scale.pgm": _PGM_HEADER.replace(b"1.0", b"big") + bytes(2 * 21 * 21),
+    "short-pixels.pgm": _PGM_HEADER + bytes(2 * 21 * 21 - 1),
+    "text-cell.csv": b"1,2\n3,x\n",
+    "ragged.csv": b"1,2\n3\n",
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED_SCENES))
+def test_simulate_malformed_scene_file_exits_config_code(tmp_path, name):
+    # A subprocess under a timeout, so a parser that loops forever fails the test.
+    plan_dir = tmp_path / "plan"
+    assert run_cli("plan", "--preset", "exp2-dualband", "--out", str(plan_dir)) == 0
+    scene_path = tmp_path / name
+    scene_path.write_bytes(_MALFORMED_SCENES[name])
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "caossim.cli", "simulate", "--plan", str(plan_dir / "plan.json"),
+         "--scene", str(scene_path), "--out", str(tmp_path / "sim")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: ") and str(scene_path) in proc.stderr
+
+
+def test_decode_wrong_shape_truth_exits_config_code(tmp_path, capsys):
+    plan_dir = tmp_path / "plan"
+    assert run_cli("plan", "--preset", "exp2-dualband", "--out", str(plan_dir)) == 0
+    scene_path, truth_path = tmp_path / "scene.csv", tmp_path / "truth.csv"
+    sc.write_image_csv(np.random.default_rng(1).uniform(0.1, 1.0, (21, 21)), scene_path)
+    sc.write_image_csv(np.random.default_rng(2).uniform(0.1, 1.0, (3, 3)), truth_path)
+    assert run_cli("simulate", "--plan", str(plan_dir / "plan.json"), "--scene", str(scene_path),
+                   "--out", str(tmp_path / "sim")) == 0
+    capsys.readouterr()
+    code = run_cli(
+        "decode",
+        "--plan", str(plan_dir / "plan.json"),
+        "--stream", str(tmp_path / "sim" / "stream_pd1"),
+        "--truth", str(truth_path),
+        "--out", str(tmp_path / "d"),
+    )
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: cannot correlate a 21x21 image with a 3x3 one\n"
+    assert not any((tmp_path / "d").iterdir())  # checked before any output is written

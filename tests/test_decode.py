@@ -188,7 +188,7 @@ class TestRoundTrip:
             grid, channels=4, f1=2.0, bit_rate=1.0, sample_rate=128.0, key_seed=21
         )
         scene = positive_scene(grid, seed=2)
-        pair = decode.decode_frame(sensor.synthesize_dual(plan, scene), plan)
+        pair = decode.decode_frame(sensor.capture_dual(plan, scene), plan)
         assert np.allclose(pair[0].normalized, pair[1].normalized, atol=1e-9)
 
     def test_active_overlapped_per_source_images(self):
@@ -246,7 +246,7 @@ class TestRoundTrip:
         lo_vals, hi_vals = [], []
         for seed in range(120):
             noisy = sensor.add_noise(clean, det, seed)
-            image = decode.decode_frame(noisy, plan, normalize=False)
+            image = decode.decode_frame(noisy, plan)
             lo_vals.append(image.raw[0, 0])
             hi_vals.append(image.raw[0, 3])
         snr_lo = np.mean(lo_vals) / np.std(lo_vals)
@@ -409,7 +409,7 @@ def test_block_written_stream_files_equal_a_whole_stream_write(case):
             assert back.samples.dtype == np.float32
             assert back.samples.tobytes() == want.samples.astype("<f4").tobytes()
 
-            blocks = list(sensor.BlockCapture(plan, scene, det, side_seed, side, dtype).blocks())
+            blocks = list(sensor.capture_blocks(plan, scene, det, side_seed, side, dtype))
             shuffled = os.path.join(out, f"shuffled_{side}")
             for late in blocks[1:]:  # a block before the ones ahead of it
                 with pytest.raises(LengthMismatch):
@@ -498,3 +498,17 @@ def test_decode_capture_rejects_three_detectors():
     plan = build_plan(grid, channels=2, f1=2.0, bit_rate=1.0, sample_rate=32.0)
     with pytest.raises(ConfigError):
         decode.decode_capture(plan, positive_scene(grid), (DetectorModel(),) * 3)
+
+
+def test_image_correlation_rejects_a_wrong_shape_naming_both():
+    grid = PixelGrid(4, 3)
+    plan = build_plan(grid, channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0, key_seed=1)
+    image = decode.decode_frame(sensor.synthesize(plan, positive_scene(grid)), plan)
+    with pytest.raises(ConfigError, match="a 3x4 image with a 4x3 one"):
+        decode.image_correlation(image, np.ones((4, 3)))
+    with pytest.raises(ConfigError, match="3x4 \\+ 3x4 image with a 3x4 one"):
+        decode.image_correlation([image, image], image)
+    with pytest.raises(ConfigError):
+        decode.decode_report(image, plan, truth=np.ones((4, 3)))
+    assert decode.image_correlation([image, image], [image.raw, image.raw]) == pytest.approx(1.0)
+    assert decode.image_correlation(image, np.ones((3, 4))) == 0.0

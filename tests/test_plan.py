@@ -1,5 +1,11 @@
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caossim import plan as planmod
 from caossim.errors import ConfigError, NyquistError, TimingError
@@ -193,6 +199,64 @@ def test_plan_file_roundtrip_byte_identical(tmp_path):
     assert np.array_equal(loaded.member_index, p.member_index)
     if p.hop_schedule is not None:
         assert np.array_equal(loaded.hop_schedule, p.hop_schedule)
+
+
+@st.composite
+def random_plans(draw):
+    """A random valid plan over every mode, some re-keyed for a later frame by reallocate."""
+    mode = draw(st.sampled_from(list(Mode)))
+    columns, rows = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = st.tuples(st.integers(1, columns), st.integers(1, rows))
+    active = draw(st.none() | st.lists(cells, min_size=1, unique=True).map(tuple))
+    grid = PixelGrid(columns, rows, draw(st.integers(1, 20)), active)
+    channels = draw(st.integers(1, 4))
+    timing = {
+        Mode.PASSIVE_FDMA_CDMA: dict(channels=channels, f1=2.0, sample_rate=128.0),
+        Mode.FM_CDMA: dict(f1=4.0, sample_rate=64.0),
+        Mode.FM_TDMA: dict(f1=4.0, sample_rate=64.0),
+        Mode.PLAIN_CDMA: dict(sample_rate=64.0),
+        Mode.ACTIVE_OVERLAPPED: dict(frequencies=(3.0, 5.0, 7.0, 9.0)[:channels], sample_rate=64.0),
+    }[mode]
+    plan = build_plan(
+        grid,
+        mode=mode,
+        bit_rate=1.0,
+        key_seed=draw(st.integers(0, 2**63 - 1)),
+        hopping=draw(st.booleans()),
+        min_code_length=draw(st.sampled_from((None, 8, 12, 20, 32, 40, 64, 96))),
+        shuffle_pixels=draw(st.none() | st.booleans()),
+        shuffle_codes=draw(st.none() | st.booleans()),
+        **timing,
+    )
+    frame_index = draw(st.integers(0, 5))
+    return planmod.reallocate(plan, frame_index) if frame_index else plan
+
+
+def assert_same_plan(got, want):
+    """Every CodingPlan field equal, arrays in dtype and values, the code book in its codes."""
+    for field in dataclasses.fields(planmod.CodingPlan):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        if field.name == "codebook" and b is not None:
+            assert a.length == b.length
+            a, b = a.codes, b.codes
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_plans())
+def test_plan_file_roundtrip_is_exact(plan):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        planmod.save_plan(plan, first)
+        loaded = planmod.load_plan(first)
+        assert_same_plan(loaded, plan)
+        planmod.save_plan(loaded, second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
 
 
 def test_plan_file_rejects_unknown_fields(tmp_path):

@@ -112,3 +112,14 @@ def test_calibration_targets_comparator_weak_patch():
     cfg = presets.preset_config("exp1-fmcdma")
     result = presets.run_experiment(cfg)
     assert result.patch_report.patches[3].snr == pytest.approx(3.0, rel=0.1)
+
+
+@pytest.mark.parametrize("convention", [10, 20])
+def test_noiseless_hdr_patches_measure_their_levels_at_either_convention(convention):
+    # The target is built in the convention its patches are measured in.
+    config = presets.preset_config("exp1-hdr", convention=convention)
+    config.detector = presets.DetectorConfig(gain=config.detector.gain)  # no noise, no ADC
+    result = presets.run_experiment(config)
+    assert result.patch_report.convention == convention
+    measured = result.patch_report.dr_values()
+    assert max(abs(got - level) for got, level in zip(measured, presets.HDR_LEVELS_DB)) <= 1.0

@@ -83,7 +83,7 @@ class TestSynthesize:
         scene = Scene(grid=grid, irradiance=rng.uniform(0.2, 2.0, (4, 4)))
         gain = 1.7
         det = DetectorModel(gain=gain)
-        dual = sensor.synthesize_dual(plan, scene, det)
+        dual = sensor.capture_dual(plan, scene, det)
         total = gain * scene.irradiance.sum()
         combined = dual.pd1.samples + dual.pd2.samples
         assert np.allclose(combined, total, rtol=1e-9, atol=0)
@@ -122,7 +122,7 @@ class TestSynthesize:
         grid = PixelGrid(2, 2)
         plan = make_plan(grid=grid, channels=2, f1=2.0, sample_rate=64.0)
         scene = Scene(grid=grid, irradiance=np.array([[1.0, 0.5], [0.25, 2.0]]))
-        dual = sensor.synthesize_dual(plan, scene)
+        dual = sensor.capture_dual(plan, scene)
         bins = [round(k) for k in plan.frequencies.cycles_per_bit()]
         spectrum1 = np.fft.rfft(dual.pd1.per_bit(), axis=1)
         spectrum2 = np.fft.rfft(dual.pd2.per_bit(), axis=1)
@@ -133,7 +133,7 @@ class TestSynthesize:
         grid = PixelGrid(1, 1)
         plan = make_plan(grid=grid, channels=1, f1=2.0, sample_rate=64.0)
         scene = uniform_scene(grid)
-        dual = sensor.synthesize_dual(plan, scene)
+        dual = sensor.capture_dual(plan, scene)
         bits = plan.code_bits(0)
         k = round(plan.frequencies.cycles_per_bit()[0])
         for side in (dual.pd1, dual.pd2):
@@ -280,7 +280,7 @@ def test_blocked_noise_and_adc_match_whole_stream_reference(detector, dtype):
         want = np.round(np.clip(want, 0.0, detector.adc_fullscale) / step) * step
     want = want.astype(dtype, copy=False)
     with mock.patch.object(sensor, "BLOCK_SAMPLES", 3 * plan.samples_per_bit):
-        blocks = list(sensor.BlockCapture(plan, scene, detector, seed=5, dtype=dtype).blocks())
+        blocks = list(sensor.capture_blocks(plan, scene, detector, seed=5, dtype=dtype))
     whole_draws = detector.shot_noise or detector.pink_noise is not None
     assert len(blocks) == 1 if whole_draws else len(blocks) > 1
     assert np.concatenate([b.samples for b in blocks]).tobytes() == want.tobytes()
@@ -304,18 +304,18 @@ def test_white_noise_is_generator_normal_bitwise(seed, sigma, n, into_buffer):
     assert got[nonzero].tobytes() == want[nonzero].tobytes()
 
 
-def multi_block_capture(detector, blocks=4):
-    """A BlockCapture whose frame spans several bit blocks once BLOCK_SAMPLES is patched."""
+def multi_block_frame(blocks=4):
+    """Plan and scene of a frame that spans several bit blocks, and the BLOCK_SAMPLES to patch in."""
     plan = make_plan(grid=PixelGrid(3, 3), channels=3, f1=2.0, sample_rate=64.0)
     block = (plan.code_length // blocks) * plan.samples_per_bit
-    return sensor.BlockCapture(plan, uniform_scene(plan.grid), detector, seed=3), block
+    return plan, uniform_scene(plan.grid), block
 
 
 def test_block_capture_runs_one_noise_thread_and_closing_ends_it():
-    capture, block = multi_block_capture(DetectorModel(noise_sigma=0.1))
+    plan, scene, block = multi_block_frame()
     before = threading.active_count()
     with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
-        blocks = capture.blocks()
+        blocks = sensor.capture_blocks(plan, scene, DetectorModel(noise_sigma=0.1), seed=3)
         next(blocks)
         assert threading.active_count() == before + 1
         blocks.close()
@@ -323,27 +323,30 @@ def test_block_capture_runs_one_noise_thread_and_closing_ends_it():
 
 
 def test_noiseless_block_capture_starts_no_thread():
-    capture, block = multi_block_capture(DetectorModel(adc_bits=8, adc_fullscale=10.0))
+    plan, scene, block = multi_block_frame()
+    detector = DetectorModel(adc_bits=8, adc_fullscale=10.0)
     before = threading.active_count()
     with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
-        for _ in capture.blocks():
+        for _ in sensor.capture_blocks(plan, scene, detector, seed=3):
             assert threading.active_count() == before
 
 
 def test_one_block_noisy_capture_starts_no_thread():
-    capture, _ = multi_block_capture(DetectorModel(noise_sigma=0.1, shot_noise=True))
+    plan, scene, _ = multi_block_frame()
+    detector = DetectorModel(noise_sigma=0.1, shot_noise=True)
     before = threading.active_count()
-    for _ in capture.blocks():
+    for _ in sensor.capture_blocks(plan, scene, detector, seed=3):
         assert threading.active_count() == before
 
 
 def test_concurrent_block_captures_stay_bitwise_whole_stream_captures():
     # Four captures, each with its own noise thread, on more threads than cores.
-    capture, block = multi_block_capture(DetectorModel(noise_sigma=0.1, adc_bits=10), blocks=8)
+    plan, scene, block = multi_block_frame(blocks=8)
+    detector = DetectorModel(noise_sigma=0.1, adc_bits=10)
     got = {}
 
     def run(seed):
-        blocks = sensor.BlockCapture(capture.plan, capture.scene, capture.detector, seed).blocks()
+        blocks = sensor.capture_blocks(plan, scene, detector, seed)
         got[seed] = np.concatenate([b.samples for b in blocks])
 
     interval = sys.getswitchinterval()
@@ -359,18 +362,18 @@ def test_concurrent_block_captures_stay_bitwise_whole_stream_captures():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     for seed in range(4):
-        want = whole_stream_capture(capture.plan, capture.scene, capture.detector, seed)
+        want = whole_stream_capture(plan, scene, detector, seed)
         assert got[seed].tobytes() == want.samples.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("blocks", [1, 4])
 def test_capture_is_the_whole_stream_chain(blocks, dtype):
-    capture, block = multi_block_capture(DetectorModel(noise_sigma=0.1, adc_bits=10), blocks)
-    plan = capture.plan
+    plan, scene, block = multi_block_frame(blocks)
+    detector = DetectorModel(noise_sigma=0.1, adc_bits=10)
     with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
-        got = sensor.capture(plan, capture.scene, capture.detector, seed=3, dtype=dtype)
-    want = whole_stream_capture(plan, capture.scene, capture.detector, 3, dtype=dtype)
+        got = sensor.capture(plan, scene, detector, seed=3, dtype=dtype)
+    want = whole_stream_capture(plan, scene, detector, 3, dtype=dtype)
     assert (got.bits, got.first_bit, got.samples.dtype) == (plan.code_length, 0, dtype)
     assert got.samples.tobytes() == want.samples.tobytes()
 
