@@ -9,7 +9,7 @@ per-bit spectrum-analysis decoding back to linear irradiance images
 experiment presets with a command-line front end (presets, cli).
 """
 
-from .codes import CodeBook, bipolar, codebook, hadamard
+from .codes import CodeBook, codebook, hadamard
 from .decode import RecoveredImage, decode_capture, decode_frame, dsp_gain_db, per_bit_spectra
 from .errors import (
     CaosError,

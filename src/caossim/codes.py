@@ -11,11 +11,21 @@ Orders are built by Sylvester doubling on seed matrices of order 1, 12 and
 over GF(11) and GF(19). That covers every order s * 2**a with s in
 {1, 12, 20}, including the non power-of-two lengths 320 and 1280 used by the
 camera presets.
+
+The codec never builds the W x W matrix. H = kron(S, H2^a) with S the s x s
+seed and H2^a the Sylvester matrix, whose entry (i, j) is (-1)**popcount(i & j).
+So hadamard_transform computes H @ x as a fast Walsh-Hadamard transform
+(in-place butterflies, O(W log W) per column; Fino & Algazi 1976) followed
+by a dense s x s product with the seed, and CodeBook.code builds one code in
+O(W) from the same two factors. Encoding is a transform by H.T of the
+per-set sums, decoding a transform by H of the per-bit readings.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,28 +67,26 @@ def _paley_seed(q: int) -> np.ndarray:
     return h
 
 
-def _sylvester(power: int) -> np.ndarray:
-    """Sylvester Hadamard matrix of order 2**power."""
+def _sylvester(order: int) -> np.ndarray:
+    """Sylvester Hadamard matrix of a power-of-two order."""
     h = np.array([[1]], dtype=np.int64)
     block = np.array([[1, 1], [1, -1]], dtype=np.int64)
-    for _ in range(power):
+    while h.shape[0] < order:
         h = np.kron(h, block)
     return h
 
 
-def _factorization(order: int) -> tuple[int, int] | None:
-    """Return (seed, power) with order == seed * 2**power, or None."""
+def _seed_order(order: int) -> int | None:
+    """The seed order s with order == s * 2**a, or None."""
     for seed in SEED_ORDERS:
-        if order % seed:
-            continue
         rest = order // seed
-        if rest > 0 and rest & (rest - 1) == 0:
-            return seed, rest.bit_length() - 1
+        if order % seed == 0 and rest > 0 and rest & (rest - 1) == 0:
+            return seed
     return None
 
 
 def is_supported_order(order: int) -> bool:
-    return order >= 2 and _factorization(order) is not None
+    return order >= 2 and _seed_order(order) is not None
 
 
 def min_supported_order(minimum: int) -> int:
@@ -94,42 +102,89 @@ def min_supported_order(minimum: int) -> int:
     return best
 
 
-def hadamard(order: int) -> np.ndarray:
-    """Hadamard matrix of the given order with entries in {+1, -1}.
-
-    The result satisfies H @ H.T == order * I in exact integer arithmetic,
-    row 0 is all ones, and every other row sums to zero.
+def seed_matrix(order: int) -> np.ndarray:
+    """The s x s seed S of the Hadamard matrix of this order, H = kron(S, H2^a).
 
     Raises:
         UnsupportedOrder: order is not seed * 2**power for seed in {1, 12, 20}.
     """
-    factors = _factorization(order)
-    if order < 2 or factors is None:
+    seed = _seed_order(order) if order >= 2 else None
+    if seed is None:
         raise UnsupportedOrder(
             f"order {order} is not s * 2**a for s in {SEED_ORDERS} (order >= 2)"
         )
-    seed, power = factors
-    if seed == 1:
-        return _sylvester(power)
-    base = _paley_seed(seed - 1)
-    return np.kron(base, _sylvester(power))
+    return np.ones((1, 1), dtype=np.int64) if seed == 1 else _paley_seed(seed - 1)
+
+
+def hadamard(order: int) -> np.ndarray:
+    """Hadamard matrix of the given order with entries in {+1, -1}.
+
+    The result satisfies H @ H.T == order * I in exact integer arithmetic,
+    row 0 is all ones, and every other row sums to zero. It takes order**2
+    int64 entries; the codec itself uses hadamard_transform instead.
+
+    Raises:
+        UnsupportedOrder: order is not seed * 2**power for seed in {1, 12, 20}.
+    """
+    seed = seed_matrix(order)
+    return np.kron(seed, _sylvester(order // len(seed)))
+
+
+def hadamard_transform(x, transpose: bool = False) -> np.ndarray:
+    """H @ x, or H.T @ x, along axis 0 of x, for the Hadamard matrix H of order len(x).
+
+    A fast Walsh-Hadamard transform over the 2**a axis and a dense product
+    with the seed; the matrix is never built. Integer input is transformed
+    exactly in int64, anything else in float64 (or complex128).
+
+    Raises:
+        UnsupportedOrder: len(x) is not a supported Hadamard order.
+    """
+    x = np.asarray(x)
+    seed = seed_matrix(len(x))
+    s, span, columns = len(seed), len(x) // len(seed), math.prod(x.shape[1:])
+    y = x.reshape(s, span, columns).astype(np.result_type(x.dtype, np.int64))
+    half = 1
+    while half < span:  # butterflies on index bit log2(half) of the 2**a axis
+        pairs = y.reshape(s, span // (2 * half), 2, half, columns)
+        top, bottom = pairs[:, :, 0], pairs[:, :, 1]
+        diff = top - bottom
+        top += bottom
+        bottom[...] = diff
+        half *= 2
+    if s > 1:
+        y = np.tensordot(seed.T if transpose else seed, y, axes=1)
+    return y.reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class CodeBook:
     """Ordered set of balanced binary codes drawn from one Hadamard matrix.
 
+    Code i is Hadamard row i + 1 mapped to {0, 1}.
+
     Attributes:
         length: Bits per code (the Hadamard order W).
-        codes: (num_codes, length) array over {0, 1}; code i is Hadamard row i + 1.
+        num_codes: Codes in the book, at most length - 1.
     """
 
     length: int
-    codes: np.ndarray
+    num_codes: int
 
-    @property
-    def num_codes(self) -> int:
-        return self.codes.shape[0]
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """(num_codes, length) array over {0, 1}, built from the full matrix on first access."""
+        rows = hadamard(self.length)[1 : self.num_codes + 1]
+        return ((1 + rows) // 2).astype(np.uint8)
+
+    def code(self, index: int) -> np.ndarray:
+        """Code index as a 0/1 uint8 row of the book, in O(length) without the matrix."""
+        seed = seed_matrix(self.length)
+        span = self.length // len(seed)
+        row, cols = index + 1, np.arange(self.length)
+        odd = np.bitwise_count((row % span) & (cols % span)) & 1
+        negative = (seed[row // span, cols // span] < 0) ^ odd.astype(bool)
+        return (~negative).astype(np.uint8)
 
 
 def codebook(num_codes: int, min_length: int | None = None) -> CodeBook:
@@ -146,15 +201,5 @@ def codebook(num_codes: int, min_length: int | None = None) -> CodeBook:
         if not is_supported_order(min_length):
             raise UnsupportedOrder(f"min_length {min_length} is not a supported order")
         length = min_length
-    rows = hadamard(length)[1 : num_codes + 1]
-    codes = ((1 + rows) // 2).astype(np.uint8)
-    return CodeBook(length=length, codes=codes)
-
-
-def bipolar(code: np.ndarray) -> np.ndarray:
-    """Map a 0/1 sequence (or stack of sequences) to -1/+1."""
-    arr = np.asarray(code)
-    if arr.size == 0:
-        raise ValueError("code must have length >= 1")
-    return 2 * arr.astype(np.int8) - 1
+    return CodeBook(length=length, num_codes=num_codes)
 

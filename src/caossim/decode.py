@@ -29,7 +29,7 @@ import numpy as np
 
 from . import scene as scene_mod
 from . import sensor as sensor_mod
-from .codes import bipolar
+from .codes import hadamard_transform
 from .errors import ConfigError, PlanMismatch
 from .plan import COMPLEMENT_CODED_MODES, CodingPlan, Mode
 from .sensor import PD2, DualStreams, SampleStream, bit_blocks, capture_sides, carrier_matrix
@@ -43,10 +43,18 @@ def dsp_gain_db(samples_per_bit: int) -> float:
 
 
 def carrier_bins(plan: CodingPlan) -> np.ndarray:
-    """DFT bin index per channel within one bit."""
+    """DFT bin index per channel within one bit.
+
+    Raises PlanMismatch for a bin outside 0..F/2, which build_plan's timing
+    checks rule out.
+    """
     f_count = plan.samples_per_bit
-    bins = [min(max(int(round(k)), 0), f_count // 2) for k in plan.frequencies.cycles_per_bit()]
-    return np.asarray(bins, dtype=np.int64)
+    bins = np.array([round(k) for k in plan.frequencies.cycles_per_bit()], dtype=np.int64)
+    if bins.min() < 0 or bins.max() > f_count // 2:
+        raise PlanMismatch(
+            f"carrier bins {bins.tolist()} outside 0..{f_count // 2} of an {f_count}-point bit"
+        )
+    return bins
 
 
 def carrier_bin_gains(plan: CodingPlan) -> np.ndarray:
@@ -148,8 +156,8 @@ def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str):
     else:
         member_seq = eq[rows, plan.hop_schedule]  # (W, members)
 
-    signed = bipolar(plan.codebook.codes[plan.code_row]).astype(np.float64)
-    estimates = (2.0 / w) * (signed @ member_seq)  # (sets, members/channels)
+    # Row 1 + code_row[j] of H @ member_seq correlates set j's signed code.
+    estimates = (2.0 / w) * hadamard_transform(member_seq)[1 + plan.code_row]
     if pd_side == PD2 and plan.mode in COMPLEMENT_CODED_MODES:
         estimates = -estimates
 

@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -79,6 +80,23 @@ class PixelGrid:
         return tuple(
             (m, n) for n in range(1, self.rows + 1) for m in range(1, self.columns + 1)
         )
+
+    def index(self, pixel) -> int:
+        """Index of pixel in positions(); ValueError when it is not an active pixel."""
+        m, n = pixel
+        if self.active_pixels is not None:
+            idx = self._active_index.get((m, n))
+        elif 1 <= m <= self.columns and 1 <= n <= self.rows:
+            idx = (n - 1) * self.columns + (m - 1)
+        else:
+            idx = None
+        if idx is None:
+            raise ValueError(f"pixel {pixel} is not in the plan grid")
+        return idx
+
+    @cached_property
+    def _active_index(self) -> dict:
+        return {pos: i for i, pos in enumerate(self.active_pixels)}
 
     @property
     def pixel_count(self) -> int:
@@ -216,7 +234,7 @@ class CodingPlan:
             bits = np.zeros(self.code_length, dtype=np.uint8)
             bits[set_idx] = 1
             return bits
-        return self.codebook.codes[self.code_row[set_idx]]
+        return self.codebook.code(int(self.code_row[set_idx]))
 
 
 def coding_element(plan: CodingPlan, pixel: tuple[int, int], bit_index: int):
@@ -228,11 +246,7 @@ def coding_element(plan: CodingPlan, pixel: tuple[int, int], bit_index: int):
     """
     if not (1 <= bit_index <= plan.code_length):
         raise ValueError(f"bit_index {bit_index} outside 1..{plan.code_length}")
-    positions = plan.positions()
-    try:
-        idx = positions.index(pixel)
-    except ValueError:
-        raise ValueError(f"pixel {pixel} is not in the plan grid") from None
+    idx = plan.grid.index(pixel)
     bit = int(plan.code_bits(int(plan.set_index[idx]))[bit_index - 1])
     if bit == 0:
         return 0, None
@@ -512,18 +526,33 @@ def validate_plan(plan: CodingPlan) -> PlanReport:
         )
         report.add("hop-rows-are-permutations", rows_ok)
 
-    if plan.codebook is not None and plan.set_count <= 512:
-        signed = codes.bipolar(plan.codebook.codes).astype(np.float64)
-        gram = plan.codebook.codes.astype(np.float64) @ signed.T
-        w = plan.codebook.length
-        n = plan.codebook.num_codes
-        report.add(
-            "code-correlation-identity",
-            np.array_equal(gram, (w // 2) * np.eye(n)),
-        )
+    if plan.codebook is not None:
+        report.add("code-correlation-identity", *_code_identity(plan.codebook))
 
     report.speedup_vs_single_channel = _speedup_vs_single_channel(plan)
     return report
+
+
+def _code_identity(book: CodeBook, probes: int = 4) -> tuple[bool, str]:
+    """The Hadamard identities behind exact on/off correlation, at any code length.
+
+    Checks, in exact int64 arithmetic through the transform the codec uses:
+    the seed S exactly (S @ S.T == s I); balance, H @ 1 == W e0 (every code
+    row sums to zero); and H @ (H.T @ r) == W r for `probes` fixed-seed
+    random integer vectors r (Freivalds 1977). Together they give every code
+    W / 2 ones and correlation (W / 2) I against the signed codes.
+    """
+    w, seed = book.length, codes.seed_matrix(book.length)
+    ones = codes.hadamard_transform(np.ones(w, dtype=np.int64))
+    r = np.random.default_rng(0).integers(-(2**15), 2**15, size=(w, probes))
+    back = codes.hadamard_transform(codes.hadamard_transform(r, transpose=True))
+    checks = {
+        "seed": np.array_equal(seed @ seed.T, len(seed) * np.eye(len(seed), dtype=np.int64)),
+        "balance": book.num_codes < w and ones[0] == w and not ones[1:].any(),
+        f"{probes} Freivalds probes": np.array_equal(back, w * r),
+    }
+    detail = ", ".join(f"{name} {'ok' if ok else 'FAIL'}" for name, ok in checks.items())
+    return bool(all(checks.values())), f"W = {w}: {detail}"
 
 
 def _speedup_vs_single_channel(plan: CodingPlan) -> float:

@@ -127,6 +127,13 @@ class DetectorConfig:
         return DetectorModel(**params)
 
 
+def _convention(value) -> int:
+    value = json_int(value)
+    if value not in (10, 20):
+        raise ValueError(f"expected 10 or 20, got {value}")
+    return value
+
+
 def _mode(value) -> str:
     return Mode(json_text(value)).value
 
@@ -189,7 +196,7 @@ class ExperimentConfig:
     detector2: DetectorConfig | None = _json_field(None, json_optional(DetectorConfig.from_dict))
     scene: dict = _json_field(MISSING, _scene_params, dict)
     dual: bool = _json_field(False, json_flag)
-    convention: int = _json_field(20, json_int)
+    convention: int = _json_field(20, _convention)
 
     def to_json(self) -> str:
         data = asdict(self)

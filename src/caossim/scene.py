@@ -404,8 +404,14 @@ def write_image_csv(image: np.ndarray, path) -> None:
 
 
 def read_image_csv(path) -> np.ndarray:
-    """A float CSV image; a cell that is not a number raises ConfigError naming the file."""
+    """A float CSV image; a cell that is not a finite number raises ConfigError naming the file."""
     try:
-        return np.atleast_2d(np.loadtxt(path, delimiter=","))
+        image = np.atleast_2d(np.loadtxt(path, delimiter=","))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    bad = np.argwhere(~np.isfinite(image))
+    if bad.size:
+        row, col = bad[0]
+        value = image[row, col]
+        raise ConfigError(f"{path}: non-finite value {value} in row {row + 1}, column {col + 1}")
+    return image

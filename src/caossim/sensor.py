@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .codes import hadamard_transform
 from .errors import ConfigError, DimensionMismatch, LengthMismatch
 from .plan import CodingPlan, Mode, json_int, json_real, parse_fields
 from .scene import DetectorModel, Scene
@@ -118,11 +119,18 @@ def _pixel_values(plan: CodingPlan, image: np.ndarray) -> np.ndarray:
     return np.asarray(image, dtype=np.float64)[pos[:, 1] - 1, pos[:, 0] - 1]
 
 
-def _set_codes(plan: CodingPlan) -> np.ndarray:
-    """(set_count, W) 0/1 code matrix in set order."""
+def _on_sums(plan: CodingPlan, per_set: np.ndarray) -> np.ndarray:
+    """(W, channels) sums of the per_set rows whose code bit is 1 during each bit.
+
+    Set j's code is (1 + H[1 + code_row[j]]) / 2, so the sums are
+    (per_set.sum(0) + H.T @ y) / 2 with per_set scattered to rows
+    1 + code_row of an otherwise zero y. An FM-TDMA set is on in its own slot only.
+    """
     if plan.mode is Mode.FM_TDMA:
-        return np.eye(plan.set_count, dtype=np.float64)
-    return plan.codebook.codes[plan.code_row].astype(np.float64)
+        return per_set
+    y = np.zeros((plan.code_length, per_set.shape[1]))
+    y[1 + plan.code_row] = per_set
+    return (per_set.sum(axis=0) + hadamard_transform(y, transpose=True)) / 2
 
 
 def _bit_amplitudes(plan: CodingPlan, scene: Scene, responsivity):
@@ -141,7 +149,6 @@ def _bit_amplitudes(plan: CodingPlan, scene: Scene, responsivity):
         )
     w = plan.code_length
     channels = plan.channel_count
-    codes = _set_codes(plan)
 
     if plan.mode is Mode.ACTIVE_OVERLAPPED:
         if scene.per_source is None:
@@ -155,7 +162,7 @@ def _bit_amplitudes(plan: CodingPlan, scene: Scene, responsivity):
         )  # (Q, channels); pixel order == position order
         by_code = np.zeros_like(per_pixel)
         by_code[plan.set_index] = per_pixel  # reorder into set order
-        sums = codes.T @ by_code  # (W, channels) per-source ON sums
+        sums = _on_sums(plan, by_code)  # (W, channels) per-source ON sums
         totals = per_pixel.sum(axis=0)  # (channels,)
         pd1 = _apply_hops(plan, sums)
         pd2 = _apply_hops(plan, totals[None, :] - sums)
@@ -166,7 +173,7 @@ def _bit_amplitudes(plan: CodingPlan, scene: Scene, responsivity):
     total = float(values.sum())
     member_sums = np.zeros((plan.set_count, channels))
     np.add.at(member_sums, (plan.set_index, plan.member_index), values)
-    sums = codes.T @ member_sums  # (W, channels) ON sums per channel slot
+    sums = _on_sums(plan, member_sums)  # (W, channels) ON sums per channel slot
     parked = total - sums.sum(axis=1)  # (W,) light resting on PD2
     return _apply_hops(plan, sums), None, parked
 

@@ -211,6 +211,15 @@ def test_experiment_config_rejects_unknown_detector_field():
         presets.ExperimentConfig.from_json(json.dumps(data))
 
 
+def test_experiment_config_rejects_an_unknown_convention():
+    data = json.loads(presets.preset_config("exp1-hdr").to_json())
+    data["convention"] = 15
+    with mock.patch.object(sensor, "capture_blocks") as capture:
+        with pytest.raises(ConfigError, match="field 'convention': expected 10 or 20, got 15"):
+            presets.ExperimentConfig.from_json(json.dumps(data))
+    capture.assert_not_called()
+
+
 def test_experiment_config_rejects_non_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[]")
@@ -246,10 +255,11 @@ def _config_edit(field, value):
         _config_edit("scene", {"preset": "uniform", "valu": 3}),
         _config_edit("scene", {"preset": "no-such-scene"}),
         _config_edit("scene", [1]),
+        _config_edit("convention", 15),
     ],
     ids=[
         "text-int", "text-real", "int-flag", "number-list", "text-in-list", "unknown-mode",
-        "missing-required", "unknown-scene-key", "unknown-scene", "list-scene",
+        "missing-required", "unknown-scene-key", "unknown-scene", "list-scene", "convention-15",
     ],
 )
 def test_plan_mistyped_experiment_config_exits_config_code(tmp_path, capsys, edit):
@@ -431,6 +441,7 @@ _MALFORMED_SCENES = {
     "text-scale.pgm": _PGM_HEADER.replace(b"1.0", b"big") + bytes(2 * 21 * 21),
     "short-pixels.pgm": _PGM_HEADER + bytes(2 * 21 * 21 - 1),
     "text-cell.csv": b"1,2\n3,x\n",
+    "inf-cell.csv": b"1,2\n3,inf\n",
     "ragged.csv": b"1,2\n3\n",
 }
 
@@ -471,3 +482,25 @@ def test_decode_wrong_shape_truth_exits_config_code(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == "config error: cannot correlate a 21x21 image with a 3x3 one\n"
     assert not any((tmp_path / "d").iterdir())  # checked before any output is written
+
+
+def test_decode_non_finite_truth_cell_exits_config_code(tmp_path, capsys):
+    plan_dir = tmp_path / "plan"
+    assert run_cli("plan", "--preset", "exp2-dualband", "--out", str(plan_dir)) == 0
+    scene_path, truth_path = tmp_path / "scene.csv", tmp_path / "truth.csv"
+    image = np.random.default_rng(1).uniform(0.1, 1.0, (21, 21))
+    sc.write_image_csv(image, scene_path)
+    image[4, 7] = np.nan
+    sc.write_image_csv(image, truth_path)
+    assert run_cli("simulate", "--plan", str(plan_dir / "plan.json"), "--scene", str(scene_path),
+                   "--out", str(tmp_path / "sim")) == 0
+    capsys.readouterr()
+    code = run_cli(
+        "decode",
+        "--plan", str(plan_dir / "plan.json"),
+        "--stream", str(tmp_path / "sim" / "stream_pd1"),
+        "--truth", str(truth_path),
+        "--out", str(tmp_path / "d"),
+    )
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {truth_path}: non-finite value nan in row 5, column 8\n"

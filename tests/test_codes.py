@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,25 +87,79 @@ def test_codebook_balance_and_correlation_identity(num_codes):
     assert not np.any(ones == 0) and not np.any(ones == w)
     # G[a][b] = sum_t c_a(t) * (2 c_b(t) - 1) must be (W/2) * I exactly;
     # this is the identity that makes on/off encoding decodable.
-    signed = codes.bipolar(book.codes).astype(np.int64)
+    signed = 2 * book.codes.astype(np.int64) - 1
     gram = book.codes.astype(np.int64) @ signed.T
     assert np.array_equal(gram, (w // 2) * np.eye(num_codes, dtype=np.int64))
 
 
-def test_bipolar_examples():
-    assert codes.bipolar(np.array([1, 0, 0, 1])).tolist() == [1, -1, -1, 1]
-    assert codes.bipolar(np.ones(8, dtype=np.uint8)).tolist() == [1] * 8
+# ---------------------------------------------------------------------------
+# The transform the codec uses in place of the matrix
+# ---------------------------------------------------------------------------
+
+#: Orders over all three seed families, up to the largest a test builds densely.
+TRANSFORM_ORDERS = (8, 12, 20, 24, 40, 320, 1280, 5120)
 
 
-def test_bipolar_sums_to_zero_over_codebook():
-    book = codes.codebook(19)
-    signed = codes.bipolar(book.codes)
-    # Exhaustive per-code sum.
-    for row in signed:
-        assert int(row.astype(np.int64).sum()) == 0
+@functools.lru_cache(maxsize=None)
+def dense(order):
+    """hadamard(order) as int8, built once per order (26 MB at order 5120)."""
+    return codes.hadamard(order).astype(np.int8)
 
 
-def test_bipolar_rejects_empty():
-    with pytest.raises(ValueError):
-        codes.bipolar(np.array([]))
+def dense_product(h, x):
+    """h @ x in float64, 512 rows at a time so no float64 copy of h exists."""
+    return np.concatenate([h[i : i + 512].astype(np.float64) @ x for i in range(0, len(h), 512)])
 
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(TRANSFORM_ORDERS),
+    st.integers(1, 5),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_hadamard_transform_equals_dense_product(order, columns, transpose, seed):
+    x = np.random.default_rng(seed).standard_normal((order, columns))
+    h = dense(order).T if transpose else dense(order)
+    want = dense_product(h, x)
+    got = codes.hadamard_transform(x, transpose=transpose)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("order", TRANSFORM_ORDERS)
+def test_hadamard_transform_is_exact_on_integers(order):
+    r = np.random.default_rng(order).integers(-1000, 1000, size=(order, 2))
+    got = codes.hadamard_transform(r)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, dense(order).astype(np.int64) @ r)
+    # One-dimensional input is a single column.
+    want = dense(order).T.astype(np.int64) @ r[:, 0]
+    assert np.array_equal(codes.hadamard_transform(r[:, 0], transpose=True), want)
+
+
+def test_hadamard_transform_rejects_unsupported_lengths():
+    with pytest.raises(UnsupportedOrder):
+        codes.hadamard_transform(np.ones((36, 2)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(TRANSFORM_ORDERS), st.data())
+def test_code_rows_equal_dense_rows(order, data):
+    book = codes.codebook(order - 1)
+    assert book.length == order
+    index = data.draw(st.integers(0, book.num_codes - 1))
+    code = book.code(index)
+    assert code.dtype == np.uint8
+    assert np.array_equal(code, (1 + dense(order)[index + 1]) // 2)
+    assert "codes" not in book.__dict__  # no matrix was built
+
+
+@pytest.mark.parametrize("num_codes", [1, 11, 255, 319, 1276])
+def test_lazy_codes_equal_the_matrix_rows(num_codes):
+    book = codes.codebook(num_codes)
+    assert "codes" not in book.__dict__
+    rows = codes.hadamard(book.length)[1 : num_codes + 1]
+    assert book.codes.dtype == np.uint8
+    assert np.array_equal(book.codes, (1 + rows) // 2)
+    assert book.codes is book.codes  # computed once

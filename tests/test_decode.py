@@ -14,6 +14,7 @@ from caossim import codes, decode, presets, sensor
 from caossim.errors import ConfigError, LengthMismatch, PlanMismatch
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import DetectorModel, Scene
+from test_plan import large_grid_plan
 from test_sensor import whole_stream_capture
 
 
@@ -130,10 +131,10 @@ class TestOneLitPixel:
 
 class TestCorrelate:
     def test_walsh_identity_brute_force(self):
-        # The decoder's correlation, (2 / W) bipolar(codes) @ seq, maps a
-        # sequence a * codes[j] to a on code j and to zero on every other code.
+        # The correlation the decoder computes by transform, (2 / W) (2 codes - 1) @ seq,
+        # maps a sequence a * codes[j] to a on code j and to zero on every other code.
         book = codes.codebook(7)  # W = 8
-        signed = codes.bipolar(book.codes).astype(np.float64)
+        signed = 2.0 * book.codes - 1.0
         for j in range(book.num_codes):
             amplitude = 2.75
             seq = amplitude * book.codes[j].astype(np.float64)
@@ -141,6 +142,40 @@ class TestCorrelate:
             expected = np.zeros(book.num_codes)
             expected[j] = amplitude
             assert np.allclose(est, expected, atol=1e-12)
+
+
+    def test_transform_correlation_equals_signed_code_product(self):
+        plan = build_plan(PixelGrid(9, 7), channels=3, f1=2.0, bit_rate=1.0, sample_rate=64.0,
+                          key_seed=5, hopping=True)
+        eq = np.random.default_rng(0).uniform(0.0, 2.0, (plan.code_length, plan.channel_count))
+        signed = 2.0 * plan.codebook.codes[plan.code_row] - 1.0
+        want = (2.0 / plan.code_length) * (signed @ eq)
+        got = (2.0 / plan.code_length) * codes.hadamard_transform(eq)[1 + plan.code_row]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestCarrierBins:
+    def test_bins_outside_half_the_bit_raise(self):
+        plan = build_plan(PixelGrid(2, 2), channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0)
+        assert decode.carrier_bins(plan).tolist() == [2, 4]
+        stream = sensor.synthesize(plan, positive_scene(plan.grid))
+        for frequencies in ((2.0, 40.0), (-2.0, 4.0)):
+            swapped = replace(plan, frequencies=replace(plan.frequencies, frequencies=frequencies))
+            with pytest.raises(PlanMismatch, match="outside 0..32"):
+                decode.carrier_bins(swapped)
+            with pytest.raises(PlanMismatch):
+                decode.decode_frame(stream, swapped)
+
+
+def test_noiseless_large_hopping_grid_decodes_exactly():
+    # 65536 pixels in 16384 sets, W = 20480: the dense code matrix alone
+    # would take 3.4 GB, the transform needs none.
+    plan = large_grid_plan()
+    scene = positive_scene(plan.grid, seed=4)
+    image = decode.decode_frame(sensor.synthesize(plan, scene), plan)
+    truth = scene.effective_irradiance()
+    assert np.max(np.abs(image.raw - truth)) <= 1e-9 * truth.max()
+    assert "codes" not in plan.codebook.__dict__
 
 
 class TestRoundTrip:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caossim import plan as planmod
+from caossim import codes, plan as planmod
 from caossim.errors import ConfigError, NyquistError, TimingError
 from caossim.plan import Mode, PixelGrid, build_plan, coding_element, pixel_sets
 
@@ -24,6 +24,19 @@ def small_plan(**kwargs):
     defaults.update(kwargs)
     grid = defaults.pop("grid", PixelGrid(4, 4))
     return build_plan(grid, **defaults)
+
+
+def large_grid_plan():
+    """256x256 pixels on 4 hopping octave carriers: 16384 sets, W = 20480, F = 32."""
+    return build_plan(
+        PixelGrid(256, 256),
+        channels=4,
+        f1=1.0,
+        bit_rate=1.0,
+        sample_rate=32.0,
+        key_seed=9,
+        hopping=True,
+    )
 
 
 @pytest.mark.parametrize(
@@ -259,6 +272,18 @@ def test_plan_file_roundtrip_is_exact(plan):
             assert fa.read() == fb.read()
 
 
+@settings(max_examples=50, deadline=None)
+@given(random_plans(), st.data())
+def test_code_bits_equal_the_code_matrix_rows(plan, data):
+    set_idx = data.draw(st.integers(0, plan.set_count - 1))
+    if plan.codebook is None:  # FM-TDMA: set i owns slot i
+        want = np.eye(plan.code_length, dtype=np.uint8)[set_idx]
+    else:
+        want = plan.codebook.codes[plan.code_row[set_idx]]
+    got = plan.code_bits(set_idx)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_plan_file_rejects_unknown_fields(tmp_path):
     p = small_plan()
     data = planmod.plan_to_dict(p)
@@ -307,3 +332,53 @@ def test_assignment_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "m,n,set_index,member_index,channel,code_row"
     assert len(lines) == 1 + 8
+
+
+def test_coding_element_on_a_large_grid_builds_no_code_matrix():
+    p = large_grid_plan()
+    assert p.code_length == 20480
+    positions = p.positions()
+    for pixel, bit in (((1, 1), 1), ((256, 256), 20480), ((17, 200), 777), ((200, 17), 20001)):
+        idx = positions.index(pixel)
+        want = int(p.code_bits(int(p.set_index[idx]))[bit - 1])
+        code_bit, channel = coding_element(p, pixel, bit)
+        assert code_bit == want
+        slot = p.channel_slot(bit, int(p.member_index[idx])) + 1
+        assert channel == (slot if want else None)
+    with pytest.raises(ValueError, match="not in the plan grid"):
+        coding_element(p, (257, 1), 1)
+    assert "codes" not in p.codebook.__dict__
+
+
+def test_coding_element_on_an_active_pixel_list():
+    active = ((3, 1), (1, 2), (2, 2))
+    p = small_plan(grid=PixelGrid(3, 2, active_pixels=active), key_seed=4)
+    for idx, pixel in enumerate(active):
+        for bit in range(1, p.code_length + 1):
+            want = int(p.code_bits(int(p.set_index[idx]))[bit - 1])
+            code_bit, channel = coding_element(p, pixel, bit)
+            assert code_bit == want
+            assert (channel is None) == (want == 0)
+    with pytest.raises(ValueError, match="not in the plan grid"):
+        coding_element(p, (1, 1), 1)
+
+
+def test_code_identity_is_checked_above_512_sets(monkeypatch):
+    p = build_plan(PixelGrid(30, 20), channels=1, f1=2.0, bit_rate=1.0, sample_rate=64.0)
+    assert p.set_count == 600 and p.code_length == 640  # seed 20
+    report = planmod.validate_plan(p)
+    assert report.passed, report.failures()
+    assert "code-correlation-identity" in [name for name, _, _ in report.entries]
+
+    paley_seed = codes._paley_seed
+
+    def one_sign_flipped(q):
+        seed = paley_seed(q)
+        seed[3, 5] *= -1
+        return seed
+
+    monkeypatch.setattr(codes, "_paley_seed", one_sign_flipped)
+    report = planmod.validate_plan(p)
+    assert report.failures() == ["code-correlation-identity"]
+    detail = dict((name, detail) for name, _, detail in report.entries)["code-correlation-identity"]
+    assert "seed FAIL" in detail and "Freivalds probes FAIL" in detail
