@@ -31,10 +31,6 @@ EXIT_VALIDATION = 3
 EXIT_ACCEPTANCE = 4
 
 
-def _convention(text: str) -> int:
-    return 10 if text == "10log" else 20
-
-
 def cmd_plan(args) -> int:
     if args.preset:
         config = presets_mod.preset_config(
@@ -68,6 +64,8 @@ def _load_detector(path) -> DetectorModel:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"noise seed must be >= 0, got {args.seed}")
     cplan = plan_mod.load_plan(args.plan)
     kind = "pgm" if args.scene.endswith(".pgm") else "csv"
     scn = presets_mod.build_scene(cplan.grid, {"preset": kind, "path": args.scene})
@@ -106,7 +104,7 @@ def cmd_experiment(args) -> int:
         full_scale=args.full_scale,
         variant=args.variant,
         seed=args.seed,
-        convention=_convention(args.convention),
+        convention=10 if args.convention == "10log" else 20,
     )
     result = presets_mod.run_experiment(config, out_dir=args.out)
     print(result.summary_text())

@@ -107,6 +107,8 @@ class PixelGrid:
     def check(self) -> None:
         if self.columns < 1 or self.rows < 1:
             raise ConfigError("grid must be at least 1x1")
+        if self.pixel_size < 1:
+            raise ConfigError(f"pixel_size must be >= 1, got {self.pixel_size}")
         pos = self.positions()
         if len(pos) < 1:
             raise ConfigError("grid needs at least one active pixel")
@@ -335,6 +337,15 @@ def build_plan(
     key_seed != 0.
     """
     grid.check()
+    for name, value, ok, rule in (
+        ("bit_rate", bit_rate, 0 < bit_rate < math.inf, "finite and > 0"),
+        ("sample_rate", sample_rate, 0 < sample_rate < math.inf, "finite and > 0"),
+        ("harmonics", harmonics, harmonics >= 1, ">= 1"),
+        ("key_seed", key_seed, key_seed >= 0, ">= 0"),
+        ("frame_index", frame_index, frame_index >= 0, ">= 0"),
+    ):
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}, got {value}")
     q = grid.pixel_count
     mode = Mode(mode)
 
@@ -354,6 +365,8 @@ def build_plan(
         freq_list = tuple(float(f1) * 2**p for p in range(channels))
     if not freq_list:
         raise ConfigError("at least one carrier frequency is required")
+    if not all(map(math.isfinite, freq_list)):
+        raise ConfigError(f"carrier frequencies must be finite, got {freq_list}")
     if waveform is None:
         waveform = "sine" if mode is Mode.ACTIVE_OVERLAPPED else "square"
 
@@ -623,8 +636,8 @@ def _grid(value) -> PixelGrid:
         "columns": json_int,
         "rows": json_int,
         "pixel_size": json_int,
-        "active_pixels": lambda v: (
-            tuple((json_int(m), json_int(n)) for m, n in json_list(v or ())) or None
+        "active_pixels": json_optional(
+            lambda v: tuple((json_int(m), json_int(n)) for m, n in json_list(v))
         ),
     }
     defaults = {"pixel_size": 1, "active_pixels": None}

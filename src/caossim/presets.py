@@ -8,10 +8,12 @@ camera:
   exp2-dualband broadband fiber spot decoded on two detector bands at once
   exp3-active   3-source modulated illumination of a two-hole filter target
 
-Default timing is scaled (bit rates raised) so a preset runs in seconds;
-full_scale=True restores the hardware bit rates, which changes only the
-simulated duration, not the decoded values. All randomness is seeded, so a
-preset reproduces bit-identical outputs on every run.
+Each preset is one record of the PRESETS table: the builder of its config
+and the evaluator of its decoded images, which reads what it checks from
+that config. Default timing is scaled (bit rates raised) so a preset runs
+in seconds; full_scale=True restores the hardware bit rates, which changes
+only the simulated duration, not the decoded values. All randomness is
+seeded, so a preset reproduces bit-identical outputs on every run.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -54,8 +57,6 @@ HDR_NOISE_SIGMA = 0.091876
 #: green on the first carrier, red on the second, blue on the third.
 ACTIVE_SOURCES = ((530.0, 35.0), (625.0, 17.0), (455.0, 18.0))
 FILTER_BANDS = {"blue": (450.0, 40.0), "green": (550.0, 40.0), "red": (620.0, 10.0)}
-
-PRESET_NAMES = ("exp1-hdr", "exp1-fmcdma", "exp2-dualband", "exp3-active")
 
 _RESPONSIVITIES = {
     "flat": 1.0,
@@ -142,29 +143,78 @@ def _real_list(value) -> list:
     return [json_real(v) for v in json_list(value)]
 
 
-#: Scene presets of config files, with the JSON parser of each parameter.
-_SCENE_PARAMS = {
-    "hdr-patches": {"levels_db": _real_list, "layout": _pair(json_int)},
-    "fiber-spot": {"center": _pair(json_int), "radius": json_optional(json_real)},
-    "two-hole": {"variant": json_text, "radius": json_optional(json_real)},
-    "uniform": {"value": json_real},
-    "pgm": {"path": json_text},
-    "csv": {"path": json_text},
+# ---------------------------------------------------------------------------
+# Scene kinds of config files
+# ---------------------------------------------------------------------------
+
+
+def _hdr_scene(grid: PixelGrid, convention: int, levels_db=HDR_LEVELS_DB, layout=(2, 3)):
+    """HDR patch target; its levels are in dB of the convention its patches are measured in."""
+    return scene_mod.hdr_patch_target(grid, levels_db, layout=tuple(layout), convention=convention)
+
+
+def _fiber_spot_scene(grid: PixelGrid, convention: int, center=None, radius=None):
+    if center is None:
+        center = (grid.columns // 2 + 1, grid.rows // 2 + 1)
+    return scene_mod.dual_band_source(grid, tuple(center), radius=radius)
+
+
+#: Two-hole variants: the filter bands on the (left, right) holes.
+_TWO_HOLE_FILTERS = {"a": ("red", "green"), "b": ("green", "blue")}
+
+
+def _two_hole_scene(grid: PixelGrid, convention: int, variant="a", radius=None):
+    bands = _TWO_HOLE_FILTERS.get(variant)
+    if bands is None:
+        raise ConfigError(f"unknown two-hole variant {variant!r}")
+    left = (grid.columns // 4 + 1, grid.rows // 2 + 1)
+    right = (3 * grid.columns // 4 + 1, grid.rows // 2 + 1)
+    return scene_mod.two_hole_target(
+        grid,
+        hole_positions=[left, right],
+        hole_filters=[scene_mod.gaussian_spectrum(*FILTER_BANDS[b]) for b in bands],
+        sources=[(scene_mod.gaussian_spectrum(*s), p + 1) for p, s in enumerate(ACTIVE_SOURCES)],
+        hole_radius=radius if radius is not None else max(2.0, min(grid.columns, grid.rows) / 6.0),
+    )
+
+
+def _uniform_scene(grid: PixelGrid, convention: int, value=1.0):
+    return Scene(grid=grid, irradiance=np.full((grid.rows, grid.columns), value))
+
+
+def _image_scene(read):
+    """Constructor of a scalar scene read from an image file by read."""
+    return lambda grid, convention, path: Scene(grid=grid, irradiance=read(path))
+
+
+#: Scene kinds of config files, keyed by their "preset" value: (the parser of
+#: each parameter, the parameters without a default, the constructor, called
+#: as build(grid, convention, **params)).
+SCENE_KINDS = {
+    "hdr-patches": ({"levels_db": _real_list, "layout": _pair(json_int)}, (), _hdr_scene),
+    "fiber-spot": (
+        {"center": _pair(json_int), "radius": json_optional(json_real)}, (), _fiber_spot_scene
+    ),
+    "two-hole": ({"variant": json_text, "radius": json_optional(json_real)}, (), _two_hole_scene),
+    "uniform": ({"value": json_real}, (), _uniform_scene),
+    "pgm": ({"path": json_text}, ("path",), _image_scene(scene_mod.read_image_pgm)),
+    "csv": ({"path": json_text}, ("path",), _image_scene(scene_mod.read_image_csv)),
 }
 
 
 def _scene_params(value) -> dict:
-    """A config scene: a known preset with only that preset's parameters, typed."""
+    """A config scene: a known kind with only that kind's parameters, typed."""
     params = json_object(value)  # a copy
     kind = params.pop("preset", None)
-    if kind not in _SCENE_PARAMS:
+    if kind not in SCENE_KINDS:
         raise ValueError(f"unknown scene preset {kind!r}")
-    parsers = _SCENE_PARAMS[kind]
+    parsers, required, _ = SCENE_KINDS[kind]
     unknown = set(params) - set(parsers)
     if unknown:
         raise ValueError(f"unknown {kind} scene parameters: {sorted(unknown)}")
-    if kind in ("pgm", "csv") and "path" not in params:
-        raise ValueError(f"a {kind} scene needs a path")
+    for param in required:
+        if param not in params:
+            raise ValueError(f"a {kind} scene needs a {param}")
     typed = {"preset": kind}
     for name, v in params.items():
         try:
@@ -172,6 +222,20 @@ def _scene_params(value) -> dict:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{kind} scene parameter {name!r}: {exc}") from None
     return typed
+
+
+def build_scene(grid: PixelGrid, params: dict, convention: int = 20) -> Scene:
+    """Scene constructor lookup for config files.
+
+    An HDR target's levels are in dB of the given convention. An unknown
+    kind or a parameter the kind does not take raises ConfigError.
+    """
+    try:
+        params = _scene_params(params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    *_, build = SCENE_KINDS[params.pop("preset")]
+    return build(grid, convention, **params)
 
 
 @dataclass
@@ -214,6 +278,10 @@ class ExperimentConfig:
             raise ConfigError("not a caossim experiment config")
         return _from_json_fields(cls, data, "experiment config")
 
+    def sides(self) -> tuple:
+        """The detector config of each captured side: PD1, then PD2 when dual."""
+        return (self.detector, self.detector2 or self.detector)[: 1 + self.dual]
+
     def build_plan(self) -> plan_mod.CodingPlan:
         return plan_mod.build_plan(
             PixelGrid(self.grid_columns, self.grid_rows, self.pixel_size),
@@ -232,61 +300,136 @@ class ExperimentConfig:
         return build_scene(grid, self.scene, self.convention)
 
 
-def build_scene(grid: PixelGrid, params: dict, convention: int = 20) -> Scene:
-    """Scene constructor lookup for config files.
-
-    An HDR target's levels are in dB of the given convention, the one its
-    patches are measured in. An unknown preset or a parameter the preset
-    does not take raises ConfigError.
-    """
-    try:
-        params = _scene_params(params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    kind, get = params["preset"], params.get
-    if kind == "hdr-patches":
-        levels, layout = get("levels_db", list(HDR_LEVELS_DB)), tuple(get("layout", (2, 3)))
-        return scene_mod.hdr_patch_target(grid, levels, layout=layout, convention=convention)
-    if kind == "fiber-spot":
-        center = tuple(get("center", (grid.columns // 2 + 1, grid.rows // 2 + 1)))
-        return scene_mod.dual_band_source(grid, center, radius=get("radius"))
-    if kind == "two-hole":
-        return _two_hole_scene(grid, get("variant", "a"), get("radius"))
-    if kind == "uniform":
-        value = get("value", 1.0)
-        return Scene(grid=grid, irradiance=np.full((grid.rows, grid.columns), value))
-    reader = scene_mod.read_image_pgm if kind == "pgm" else scene_mod.read_image_csv
-    return Scene(grid=grid, irradiance=reader(params["path"]))
-
-
-def active_source_curves():
-    return tuple(scene_mod.gaussian_spectrum(c, f) for c, f in ACTIVE_SOURCES)
-
-
-def _two_hole_scene(grid: PixelGrid, variant: str, radius) -> Scene:
-    """Hole arrangements: variant a = red left / green right, b = green left / blue right."""
-    filters = {name: scene_mod.gaussian_spectrum(c, f) for name, (c, f) in FILTER_BANDS.items()}
-    if variant == "a":
-        hole_filters = [filters["red"], filters["green"]]
-    elif variant == "b":
-        hole_filters = [filters["green"], filters["blue"]]
-    else:
-        raise ConfigError(f"unknown two-hole variant {variant!r}")
-    left = (grid.columns // 4 + 1, grid.rows // 2 + 1)
-    right = (3 * grid.columns // 4 + 1, grid.rows // 2 + 1)
-    sources = [(curve, p + 1) for p, curve in enumerate(active_source_curves())]
-    return scene_mod.two_hole_target(
-        grid,
-        hole_positions=[left, right],
-        hole_filters=hole_filters,
-        sources=sources,
-        hole_radius=radius if radius is not None else max(2.0, min(grid.columns, grid.rows) / 6.0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Preset definitions
 # ---------------------------------------------------------------------------
+
+
+def _hdr_config(name, full_scale, variant, *, mode, channels, f1, noise_seed):
+    """An experiment-1 capture of the HDR patch target at the calibrated noise floor."""
+    scale = 1 if full_scale else 16
+    # The calibration freezes the decoded noise floor at the desk-scale
+    # bit length (F = 4096). Longer bits integrate more samples, so the
+    # per-sample sigma grows with sqrt(F ratio) to keep the same floor.
+    sigma = HDR_NOISE_SIGMA * math.sqrt(16.0 / scale)
+    return ExperimentConfig(
+        name=name,
+        mode=mode.value,
+        grid_columns=44, grid_rows=29, pixel_size=8,
+        channels=channels, f1=f1 * scale,
+        bit_rate=1.0 * scale, sample_rate=65536.0,
+        key_seed=101, noise_seed=noise_seed,
+        detector=DetectorConfig(gain=0.1, noise_sigma=sigma, adc_bits=16, adc_fullscale=10.0),
+        scene={"preset": "hdr-patches", "levels_db": list(HDR_LEVELS_DB), "layout": [2, 3]},
+    )
+
+
+def _dualband_config(name, full_scale, variant):
+    cols, rows, bit_rate, f1 = (65, 63, 4.0, 128.0) if full_scale else (21, 21, 16.0, 2048.0)
+    return ExperimentConfig(
+        name=name,
+        mode=Mode.PASSIVE_FDMA_CDMA.value,
+        grid_columns=cols, grid_rows=rows,
+        channels=4, f1=f1,
+        bit_rate=bit_rate, sample_rate=65536.0,
+        key_seed=202,
+        detector=DetectorConfig(responsivity="si-band"),
+        detector2=DetectorConfig(responsivity="ge-band"),
+        scene={"preset": "fiber-spot"},
+        dual=True,
+    )
+
+
+def _active_config(name, full_scale, variant):
+    bit_rate, fs = (31.25, 2_000_000.0) if full_scale else (500.0, 256_000.0)
+    return ExperimentConfig(
+        name=name,
+        mode=Mode.ACTIVE_OVERLAPPED.value,
+        grid_columns=32, grid_rows=15, pixel_size=20,
+        channels=3, frequencies=[25000.0, 29000.0, 35000.0],
+        bit_rate=bit_rate, sample_rate=fs,
+        key_seed=303,
+        scene={"preset": "two-hole", "variant": variant},
+    )
+
+
+def _evaluate_hdr(config, cplan, scn, detectors, images, *, tolerance_db, recovered):
+    """Patch levels: the `recovered` brightest within tolerance_db, the rest at SNR < 1.
+
+    When every patch is to be recovered, the dimmest must also reach SNR 1.
+    """
+    levels = config.scene["levels_db"]
+    layout = scene_mod.hdr_patch_layout(cplan.grid, config.scene["layout"])
+    report = metrics_mod.patch_dr(
+        images[0], layout.patches, background=layout.background, convention=config.convention
+    )
+    snrs = [p.snr for p in report.patches]
+    rows = []
+    for i, (level, got, snr) in enumerate(zip(levels, report.dr_values(), snrs)):
+        if i < recovered:
+            good, text = abs(got - level) <= tolerance_db, f"-> {got:.2f} dB (snr {snr:.2f})"
+        else:
+            good, text = snr < 1.0, f"unrecoverable (snr {snr:.2f} < 1)"
+        rows.append((good, f"patch {level:g} dB {text}"))
+    if recovered == len(levels):
+        rows.append((snrs[-1] >= 1.0, f"dimmest patch snr {snrs[-1]:.2f} >= 1"))
+    return rows, report
+
+
+def _evaluate_dualband(config, cplan, scn, detectors, images):
+    """Each side's image against the spot's band integral through that side's responsivity."""
+    rows = []
+    for img, side, detector in zip(images, config.sides(), detectors):
+        expected = scn.effective_irradiance(detector.responsivity)
+        spot = expected > 0
+        rel = np.max(
+            np.abs(img.raw[spot] - expected[spot]) / expected[spot]
+        ) if spot.any() else math.inf
+        matches = f"{side.responsivity} spot matches band integral (max rel err {rel:.2e})"
+        rows.append((rel < 1e-6, matches))
+        rows.append((img.values.max() > 0, f"{side.responsivity} image shows the spot"))
+    return rows, None
+
+
+def _evaluate_active(config, cplan, scn, detectors, images):
+    """A source's image shows exactly the holes its spectrum reaches, at their band integrals."""
+    rows = []
+    peak = max(img.values.max() for img in images)
+    for p, img in enumerate(images):
+        expected = scn.per_source[p]
+        should_show = expected.max() > 0
+        good = (img.values.max() > 1e-6 * peak) == should_show
+        if should_show:
+            inside = expected > 0
+            rel = np.max(np.abs(img.raw[inside] - expected[inside]) / expected[inside])
+            good &= rel < 1e-6
+            detail = f"hole present (max rel err {rel:.2e})"
+        else:
+            detail = f"image empty (peak ratio {img.values.max() / peak:.2e})"
+        rows.append((good, f"source {p + 1}: {detail}"))
+    return rows, None
+
+
+#: The presets as (config builder, evaluator) records. A builder is called as
+#: build(name, full_scale, variant); an evaluator as evaluate(config, plan,
+#: scene, detectors, images) and returns (rows, patch report or None), one
+#: (passed, text) row per summary line. An experiment-1 evaluator's row is
+#: (dB tolerance, patches recovered, brightest first).
+PRESETS = {
+    "exp1-hdr": (
+        partial(_hdr_config, mode=Mode.PASSIVE_FDMA_CDMA, channels=4, f1=128.0, noise_seed=2101),
+        partial(_evaluate_hdr, tolerance_db=1.0, recovered=6),
+    ),
+    "exp1-fmcdma": (
+        partial(_hdr_config, mode=Mode.FM_CDMA, channels=1, f1=1024.0, noise_seed=2102),
+        # The single-channel comparator loses the two dimmest patches at this noise floor.
+        partial(_evaluate_hdr, tolerance_db=1.5, recovered=4),
+    ),
+    "exp2-dualband": (_dualband_config, _evaluate_dualband),
+    "exp3-active": (_active_config, _evaluate_active),
+}
+
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset_config(
@@ -297,72 +440,14 @@ def preset_config(
     convention: int = 20,
 ) -> ExperimentConfig:
     """Parameter set for a named preset at desk or hardware scale."""
-    if name in ("exp1-hdr", "exp1-fmcdma"):
-        scale = 1 if full_scale else 16
-        # The calibration freezes the decoded noise floor at the desk-scale
-        # bit length (F = 4096). Longer bits integrate more samples, so the
-        # per-sample sigma grows with sqrt(F ratio) to keep the same floor.
-        sigma = HDR_NOISE_SIGMA * math.sqrt(16.0 / scale)
-        fdma = name == "exp1-hdr"
-        return ExperimentConfig(
-            name=name,
-            mode=(Mode.PASSIVE_FDMA_CDMA if fdma else Mode.FM_CDMA).value,
-            grid_columns=44,
-            grid_rows=29,
-            pixel_size=8,
-            channels=4 if fdma else 1,
-            f1=(128.0 if fdma else 1024.0) * scale,
-            bit_rate=1.0 * scale,
-            sample_rate=65536.0,
-            key_seed=101 if seed is None else seed,
-            noise_seed=2101 if fdma else 2102,
-            detector=DetectorConfig(
-                gain=0.1, noise_sigma=sigma, adc_bits=16, adc_fullscale=10.0
-            ),
-            scene={"preset": "hdr-patches", "levels_db": list(HDR_LEVELS_DB), "layout": [2, 3]},
-            convention=convention,
-        )
-    if name == "exp2-dualband":
-        if full_scale:
-            cols, rows, bit_rate, f1, fs = 65, 63, 4.0, 128.0, 65536.0
-        else:
-            cols, rows, bit_rate, f1, fs = 21, 21, 16.0, 2048.0, 65536.0
-        return ExperimentConfig(
-            name=name,
-            mode=Mode.PASSIVE_FDMA_CDMA.value,
-            grid_columns=cols,
-            grid_rows=rows,
-            channels=4,
-            f1=f1,
-            bit_rate=bit_rate,
-            sample_rate=fs,
-            key_seed=202 if seed is None else seed,
-            detector=DetectorConfig(responsivity="si-band"),
-            detector2=DetectorConfig(responsivity="ge-band"),
-            scene={"preset": "fiber-spot"},
-            dual=True,
-            convention=convention,
-        )
-    if name == "exp3-active":
-        if full_scale:
-            bit_rate, fs = 31.25, 2_000_000.0
-        else:
-            bit_rate, fs = 500.0, 256_000.0
-        return ExperimentConfig(
-            name=name,
-            mode=Mode.ACTIVE_OVERLAPPED.value,
-            grid_columns=32,
-            grid_rows=15,
-            pixel_size=20,
-            channels=3,
-            frequencies=[25000.0, 29000.0, 35000.0],
-            bit_rate=bit_rate,
-            sample_rate=fs,
-            key_seed=303 if seed is None else seed,
-            scene={"preset": "two-hole", "variant": variant},
-            convention=convention,
-        )
-    raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    build, _ = PRESETS[name]
+    config = build(name, full_scale, variant)
+    config.convention = convention
+    if seed is not None:
+        config.key_seed = seed
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +474,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Build plan and scene, capture, decode, evaluate and optionally write files."""
     cplan = config.build_plan()
     scn = config.build_scene(cplan.grid)
-    detectors = (config.detector.build(),)
-    if config.dual:
-        detectors += ((config.detector2 or config.detector).build(),)
+    detectors = tuple(side.build() for side in config.sides())
     dtype = np.float32 if cplan.frame_samples > 2**24 else np.float64
 
     decoded = decode_mod.decode_capture(cplan, scn, detectors, config.noise_seed, dtype, out_dir)
     images = decode_mod.image_list(decoded)
 
-    lines, ok, patch_report = _evaluate(config, cplan, scn, images)
+    preset = PRESETS.get(config.name)
+    if preset is None:
+        lines, ok, patch_report = [f"no acceptance checks defined for {config.name}"], True, None
+    else:
+        _, evaluate = preset
+        rows, patch_report = evaluate(config, cplan, scn, detectors, images)
+        lines = [f"{'PASS' if good else 'FAIL'} {text}" for good, text in rows]
+        ok = all(good for good, _ in rows)
     result = ExperimentResult(
         config=config,
         plan=cplan,
@@ -410,103 +500,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     if out_dir is not None:
         _write_outputs(out_dir, result)
     return result
-
-
-def _evaluate(config, cplan, scn, images):
-    name = config.name
-    if name in ("exp1-hdr", "exp1-fmcdma"):
-        return _evaluate_hdr(config, cplan, images[0])
-    if name == "exp2-dualband":
-        return _evaluate_dualband(config, scn, images)
-    if name == "exp3-active":
-        return _evaluate_active(config, scn, images)
-    return [f"no acceptance checks defined for {name}"], True, None
-
-
-def _evaluate_hdr(config, cplan, image):
-    layout = scene_mod.hdr_patch_layout(cplan.grid, (2, 3))
-    report = metrics_mod.patch_dr(
-        image, layout.patches, background=layout.background, convention=config.convention
-    )
-    lines = []
-    measured = report.dr_values()
-    snrs = [p.snr for p in report.patches]
-    if config.name == "exp1-hdr":
-        ok = True
-        for level, got, snr in zip(HDR_LEVELS_DB, measured, snrs):
-            good = abs(got - level) <= 1.0
-            ok &= good
-            lines.append(
-                f"{'PASS' if good else 'FAIL'} patch {level:g} dB ->"
-                f" {got:.2f} dB (snr {snr:.2f})"
-            )
-        dim_ok = snrs[-1] >= 1.0
-        ok &= dim_ok
-        lines.append(
-            f"{'PASS' if dim_ok else 'FAIL'} dimmest patch snr {snrs[-1]:.2f} >= 1"
-        )
-        return lines, ok, report
-    # Single-channel comparator: recovers the bright patches but loses the
-    # two dimmest at this noise floor.
-    ok = True
-    for level, got, snr in zip(HDR_LEVELS_DB[:4], measured[:4], snrs[:4]):
-        good = abs(got - level) <= 1.5
-        ok &= good
-        lines.append(
-            f"{'PASS' if good else 'FAIL'} patch {level:g} dB -> {got:.2f} dB (snr {snr:.2f})"
-        )
-    for level, snr in zip(HDR_LEVELS_DB[4:], snrs[4:]):
-        failed_as_expected = snr < 1.0
-        ok &= failed_as_expected
-        lines.append(
-            f"{'PASS' if failed_as_expected else 'FAIL'} patch {level:g} dB"
-            f" unrecoverable (snr {snr:.2f} < 1)"
-        )
-    return lines, ok, report
-
-
-def _evaluate_dualband(config, scn, images):
-    lines = []
-    ok = True
-    bands = [scene_mod.si_band_responsivity(), scene_mod.ge_band_responsivity()]
-    names = ["si-band", "ge-band"]
-    for img, band, label in zip(images, bands, names):
-        expected = scn.effective_irradiance(band)
-        spot = expected > 0
-        rel = np.max(
-            np.abs(img.raw[spot] - expected[spot]) / expected[spot]
-        ) if spot.any() else math.inf
-        good = spot.any() and rel < 1e-6
-        ok &= good
-        lines.append(
-            f"{'PASS' if good else 'FAIL'} {label} spot matches band integral"
-            f" (max rel err {rel:.2e})"
-        )
-        visible = img.values.max() > 0
-        ok &= visible
-        lines.append(f"{'PASS' if visible else 'FAIL'} {label} image shows the spot")
-    return lines, ok, None
-
-
-def _evaluate_active(config, scn, images):
-    lines = []
-    ok = True
-    peak = max(img.values.max() for img in images)
-    for p, img in enumerate(images):
-        expected = scn.per_source[p]
-        should_show = expected.max() > 0
-        shows = img.values.max() > 1e-6 * peak
-        good = shows == should_show
-        if should_show:
-            inside = expected > 0
-            rel = np.max(np.abs(img.raw[inside] - expected[inside]) / expected[inside])
-            good &= rel < 1e-6
-            detail = f"hole present (max rel err {rel:.2e})"
-        else:
-            detail = f"image empty (peak ratio {img.values.max() / peak:.2e})"
-        ok &= good
-        lines.append(f"{'PASS' if good else 'FAIL'} source {p + 1}: {detail}")
-    return lines, ok, None
 
 
 def _write_outputs(out_dir, result: ExperimentResult):

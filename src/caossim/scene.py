@@ -111,34 +111,17 @@ def curve_product(a: SpectralCurve, b: SpectralCurve) -> SpectralCurve | None:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Per-pixel radiance: a shared curve list, an index map and a scale map."""
-
-    curves: tuple[SpectralCurve, ...]
-    index: np.ndarray  # (rows, cols) int, -1 for dark pixels
-    scale: np.ndarray  # (rows, cols) float
-
-    def effective_irradiance(self, responsivity) -> np.ndarray:
-        out = np.zeros_like(self.scale)
-        for i, curve in enumerate(self.curves):
-            mask = self.index == i
-            if not mask.any():
-                continue
-            out[mask] = self.scale[mask] * _detected(curve, responsivity)
-        return out
-
-
-@dataclass(frozen=True, eq=False)
 class Scene:
     """Target description over a pixel grid.
 
-    Exactly one of irradiance (scalar map), radiance (spectral field) or
-    per_source (stack of P maps for active multi-source captures) is set.
+    Exactly one of irradiance (scalar map) or per_source (stack of P maps
+    for active multi-source captures) is set. With a spectrum, every pixel
+    radiates that one spectrum, scaled by its irradiance value.
     """
 
     grid: PixelGrid
     irradiance: np.ndarray | None = None
-    radiance: SpectralField | None = None
+    spectrum: SpectralCurve | None = None
     per_source: np.ndarray | None = None
 
     def __post_init__(self):
@@ -168,11 +151,11 @@ class Scene:
         Scalar scenes are treated as already detector-referred; a curve
         responsivity only matters for spectral scenes.
         """
-        if self.irradiance is not None:
+        if self.irradiance is None:
+            raise ConfigError("scene has no scalar or spectral content")
+        if self.spectrum is None:
             return self.irradiance
-        if self.radiance is not None:
-            return self.radiance.effective_irradiance(responsivity)
-        raise ConfigError("scene has no scalar or spectral content")
+        return self.irradiance * _detected(self.spectrum, responsivity)
 
 
 @dataclass(frozen=True)
@@ -194,16 +177,30 @@ class DetectorModel:
     adc_fullscale: float = 1.0
 
     def __post_init__(self):
+        amp, alpha = self.pink_noise or (0.0, 1.0)
+        for name, value in (
+            ("gain", self.gain),
+            ("noise_sigma", self.noise_sigma),
+            ("shot_factor", self.shot_factor),
+            ("adc_fullscale", self.adc_fullscale),
+            ("pink noise amplitude", amp),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.gain <= 0:
             raise ConfigError("gain must be > 0")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
-        if self.pink_noise is not None:
-            amp, alpha = self.pink_noise
-            if amp < 0 or not (0.0 < alpha <= 2.0):
-                raise ConfigError("pink noise needs amplitude >= 0 and 0 < alpha <= 2")
-        if self.adc_bits is not None and self.adc_fullscale <= 0:
-            raise ConfigError("adc_fullscale must be > 0 when adc_bits is set")
+        if self.shot_factor < 0:
+            raise ConfigError("shot_factor must be >= 0")
+        if amp < 0 or not (0.0 < alpha <= 2.0):
+            raise ConfigError("pink noise needs amplitude >= 0 and 0 < alpha <= 2")
+        if self.adc_bits is not None:
+            # 2**53 - 1 levels is the most a float64 step still resolves.
+            if not 1 <= self.adc_bits <= 53:
+                raise ConfigError(f"adc_bits must be between 1 and 53, got {self.adc_bits}")
+            if self.adc_fullscale <= 0:
+                raise ConfigError("adc_fullscale must be > 0 when adc_bits is set")
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +290,8 @@ def dual_band_source(
     x = 1.4388e7 / (wl * 2850.0)  # hc / (lambda k T) with lambda in nm
     vals = (1.0 / wl**5) / np.expm1(x)
     vals /= vals.max()
-    curve = SpectralCurve(wl, vals)
-    mask = disc_mask(grid, spot, radius)
-    index = np.where(mask, 0, -1)
-    scale = mask.astype(np.float64)
-    return Scene(
-        grid=grid,
-        radiance=SpectralField(curves=(curve,), index=index, scale=scale),
-    )
+    scale = disc_mask(grid, spot, radius).astype(np.float64)
+    return Scene(grid=grid, irradiance=scale, spectrum=SpectralCurve(wl, vals))
 
 
 def si_band_responsivity() -> SpectralCurve:

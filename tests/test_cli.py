@@ -1,12 +1,17 @@
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caossim import cli, plan as planmod, presets, scene as sc, sensor
 from caossim.errors import ConfigError
@@ -349,9 +354,21 @@ def test_simulate_writes_each_side_block_by_block(tmp_path):
         {"pink_noise": [0.1, "a"]},
         {"noise_sigma": None},
         {"responsivity": 1.0},
+        {"adc_bits": 0},
+        {"adc_bits": 2000},
+        {"adc_bits": -3},
+        {"noise_sigma": math.nan},
+        {"noise_sigma": math.inf},
+        {"gain": math.nan},
+        {"gain": math.inf},
+        {"adc_bits": 12, "adc_fullscale": math.nan},
+        {"shot_noise": True, "shot_factor": -1.0},
+        {"pink_noise": [math.nan, 1.0]},
     ],
     ids=["text-gain", "int-flag", "float-bits", "bool-bits", "short-pink", "text-pink",
-         "null-sigma", "number-responsivity"],
+         "null-sigma", "number-responsivity", "zero-bits", "2000-bits", "negative-bits",
+         "nan-sigma", "inf-sigma", "nan-gain", "inf-gain", "nan-fullscale",
+         "negative-shot-factor", "nan-pink-amplitude"],
 )
 def test_simulate_mistyped_detector_exits_config_code(tmp_path, capsys, detector):
     plan_dir = tmp_path / "plan"
@@ -504,3 +521,138 @@ def test_decode_non_finite_truth_cell_exits_config_code(tmp_path, capsys):
     )
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {truth_path}: non-finite value nan in row 5, column 8\n"
+
+
+def _plan_file_case(field, value, in_grid=False):
+    """argv of a decode whose desk exp1-hdr plan file has field set to value."""
+
+    def argv(tmp_path):
+        assert run_cli("plan", "--preset", "exp1-hdr", "--out", str(tmp_path / "p")) == 0
+        data = json.loads((tmp_path / "p" / "plan.json").read_text())
+        (data["grid"] if in_grid else data)[field] = value
+        path = tmp_path / "bad_plan.json"
+        path.write_text(json.dumps(data))
+        return ["decode", "--plan", str(path), "--stream", str(tmp_path / "none"),
+                "--out", str(tmp_path / "d")]
+
+    return argv
+
+
+def _config_case(field, value):
+    """argv of a plan built from the desk exp1-hdr experiment config with field set to value."""
+
+    def argv(tmp_path):
+        data = json.loads(presets.preset_config("exp1-hdr").to_json())
+        data[field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        return ["plan", "--config", str(path), "--out", str(tmp_path / "p")]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "case, names",
+    [
+        (_plan_file_case("bit_rate", 0), "bit_rate"),
+        (_plan_file_case("bit_rate", math.nan), "bit_rate"),
+        (_config_case("bit_rate", math.inf), "bit_rate"),
+        (_plan_file_case("sample_rate", 0), "sample_rate"),
+        (_config_case("sample_rate", math.nan), "sample_rate"),
+        (_plan_file_case("sample_rate", math.inf), "sample_rate"),
+        (_plan_file_case("key_seed", -1), "key_seed"),
+        (_config_case("key_seed", -1), "key_seed"),
+        (lambda tmp: ["plan", "--preset", "exp1-hdr", "--seed", "-1", "--out", str(tmp / "p")],
+         "key_seed"),
+        (_plan_file_case("frame_index", -1), "frame_index"),
+        (_plan_file_case("harmonics", 0), "harmonics"),
+        (_plan_file_case("pixel_size", 0, in_grid=True), "pixel_size"),
+        (_config_case("pixel_size", 0), "pixel_size"),
+        (_plan_file_case("active_pixels", [], in_grid=True), "active pixel"),
+        (_config_case("f1", math.nan), "carrier frequencies"),
+    ],
+    ids=[
+        "plan-zero-bit-rate", "plan-nan-bit-rate", "config-inf-bit-rate", "plan-zero-sample-rate",
+        "config-nan-sample-rate", "plan-inf-sample-rate", "plan-negative-key-seed",
+        "config-negative-key-seed", "preset-seed-minus-one", "plan-negative-frame-index",
+        "plan-zero-harmonics", "plan-zero-pixel-size", "config-zero-pixel-size",
+        "plan-no-active-pixels", "config-nan-f1",
+    ],
+)
+def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, names):
+    argv = case(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err, err
+
+
+def test_simulate_negative_noise_seed_exits_config_code(tmp_path, capsys):
+    assert run_cli("plan", "--preset", "exp3-active", "--out", str(tmp_path / "p")) == 0
+    code = run_cli("simulate", "--plan", str(tmp_path / "p" / "plan.json"), "--scene",
+                   str(tmp_path / "none.csv"), "--seed", "-1", "--out", str(tmp_path / "sim"))
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: noise seed must be >= 0, got -1\n"
+
+
+#: Values put in place of one field of a valid input file. Huge magnitudes are
+#: left out: a 10**6 x 10**6 grid is a memory problem, not a parse error.
+_HOSTILE = (0, -1, 0.5, math.nan, math.inf, -math.inf, "x", None, [], {}, True)
+
+
+#: The valid JSON input files the property edits, each under its name in valid_inputs.
+_VALID_FILES = ("plan.json", "stream_pd1.json", "det.json", "config.json")
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A directory of valid inputs: a desk exp2-dualband plan, its PD1 stream, a
+    scene and a detector config, and the desk exp1-hdr experiment config."""
+    root = tmp_path_factory.mktemp("valid")
+    assert run_cli("plan", "--preset", "exp2-dualband", "--out", str(root)) == 0
+    sc.write_image_csv(np.random.default_rng(4).uniform(0.1, 1.0, (21, 21)), root / "scene.csv")
+    detector = {
+        "gain": 2.0, "noise_sigma": 0.01, "shot_noise": False, "shot_factor": 1.0,
+        "pink_noise": [0.01, 1.0], "adc_bits": 12, "adc_fullscale": 4.0, "responsivity": "flat",
+    }
+    (root / "det.json").write_text(json.dumps(detector))
+    assert run_cli("simulate", "--plan", str(root / "plan.json"), "--scene", str(root / "scene.csv"),
+                   "--detector", str(root / "det.json"), "--out", str(root)) == 0
+    (root / "config.json").write_text(presets.preset_config("exp1-hdr").to_json())
+    return root
+
+
+def _field_paths(doc):
+    """Every top-level field of a JSON object and every field of an object inside it."""
+    paths = []
+    for key, value in doc.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths.extend((key, inner) for inner in value)
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hostile_field_ends_in_an_exit_code_not_an_exception(valid_inputs, data):
+    # A plan file or stream sidecar goes to decode, a detector config to
+    # simulate, an experiment config to plan; all other inputs stay valid.
+    root = valid_inputs
+    name = data.draw(st.sampled_from(_VALID_FILES), label="file")
+    doc = json.loads((root / name).read_text())
+    *parents, key = data.draw(st.sampled_from(_field_paths(doc)), label="field")
+    (doc[parents[0]] if parents else doc)[key] = data.draw(st.sampled_from(_HOSTILE), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, name), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        plan, stream = str(root / "plan.json"), str(root / "stream_pd1")
+        argv = {
+            "plan.json": ["decode", "--plan", path, "--stream", stream],
+            "stream_pd1.json": ["decode", "--plan", plan, "--stream", os.path.join(tmp, "stream_pd1")],
+            "det.json": ["simulate", "--plan", plan, "--scene", str(root / "scene.csv"),
+                         "--detector", path],
+            "config.json": ["plan", "--config", path],
+        }[name]
+        shutil.copy(root / "stream_pd1.f32", tmp)
+        assert cli.main([*argv, "--out", out]) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_VALIDATION)

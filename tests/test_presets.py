@@ -123,3 +123,30 @@ def test_noiseless_hdr_patches_measure_their_levels_at_either_convention(convent
     assert result.patch_report.convention == convention
     measured = result.patch_report.dr_values()
     assert max(abs(got - level) for got, level in zip(measured, presets.HDR_LEVELS_DB)) <= 1.0
+
+
+def test_hdr_evaluator_reads_the_levels_of_its_config():
+    config = presets.preset_config("exp1-hdr")
+    config.detector = presets.DetectorConfig(gain=config.detector.gain)  # no noise, no ADC
+    config.scene["levels_db"] = [0.0, 6.0, 12.0, 18.0, 24.0, 30.0]
+    result = presets.run_experiment(config)
+    assert result.ok
+    assert [line.split(" dB")[0] for line in result.summary_lines[:6]] == [
+        f"PASS patch {level}" for level in (0, 6, 12, 18, 24, 30)
+    ]
+
+
+def test_dualband_evaluator_labels_each_side_by_its_responsivity():
+    config = presets.preset_config("exp2-dualband")
+    config.detector, config.detector2 = config.detector2, config.detector
+    result = presets.run_experiment(config)
+    assert result.ok
+    assert [line.split()[1] for line in result.summary_lines] == ["ge-band"] * 2 + ["si-band"] * 2
+
+
+def test_config_without_a_preset_record_runs_unchecked():
+    config = presets.preset_config("exp2-dualband")
+    config.name = "my-spot"
+    result = presets.run_experiment(config)
+    assert result.ok
+    assert result.summary_text() == "preset my-spot: PASS\nno acceptance checks defined for my-spot\n"

@@ -115,6 +115,13 @@ class TestDualBandSource:
         spot = sc.disc_mask(grid, (4, 4), 2.0)
         assert np.all(si[~spot] == 0) and np.all(ge[~spot] == 0)
 
+    def test_spot_is_one_spectrum_scaled_per_pixel(self):
+        grid = PixelGrid(8, 8)
+        target = sc.dual_band_source(grid, spot=(4, 4), radius=2.0)
+        band = sc.ge_band_responsivity()
+        expected = sc.disc_mask(grid, (4, 4), 2.0) * sc.band_integrate(target.spectrum, band)
+        assert np.array_equal(target.effective_irradiance(band), expected)
+
 
 class TestTwoHoleTarget:
     def setup_method(self):
