@@ -31,19 +31,24 @@ EXIT_VALIDATION = 3
 EXIT_ACCEPTANCE = 4
 
 
-def cmd_plan(args) -> int:
+def _experiment_config(args) -> ExperimentConfig:
+    """The config of --preset or --config, with the --seed and --convention overrides."""
     if args.preset:
-        config = presets_mod.preset_config(
-            args.preset, full_scale=args.full_scale, variant=args.variant, seed=args.seed
-        )
+        config = presets_mod.preset_config(args.preset, args.full_scale, args.variant)
     elif args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = ExperimentConfig.from_json(fh.read())
-        if args.seed is not None:
-            config.key_seed = args.seed
     else:
         raise ConfigError("plan needs --config or --preset")
-    cplan = config.build_plan()
+    if args.seed is not None:
+        config.key_seed = args.seed
+    if args.convention is not None:
+        config.convention = 10 if args.convention == "10log" else 20
+    return config
+
+
+def cmd_plan(args) -> int:
+    cplan = _experiment_config(args).build_plan()
     report = plan_mod.validate_plan(cplan)
     os.makedirs(args.out, exist_ok=True)
     plan_mod.save_plan(cplan, os.path.join(args.out, "plan.json"))
@@ -99,14 +104,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = presets_mod.preset_config(
-        args.preset,
-        full_scale=args.full_scale,
-        variant=args.variant,
-        seed=args.seed,
-        convention=10 if args.convention == "10log" else 20,
-    )
-    result = presets_mod.run_experiment(config, out_dir=args.out)
+    result = presets_mod.run_experiment(_experiment_config(args), out_dir=args.out)
     print(result.summary_text())
     return EXIT_OK if result.ok else EXIT_ACCEPTANCE
 
@@ -116,9 +114,7 @@ def cmd_calibrate(args) -> int:
     print(f"calibrated noise sigma: {sigma:.6g}")
     print(f"frozen preset value:    {presets_mod.HDR_NOISE_SIGMA:.6g}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"noise_sigma": sigma, "target_snr": args.target_snr}, fh, indent=2)
-            fh.write("\n")
+        plan_mod.write_json({"noise_sigma": sigma, "target_snr": args.target_snr}, args.out)
     return EXIT_OK
 
 
@@ -136,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-scale", action="store_true")
     p.add_argument("--seed", type=int, default=None, help="key seed override")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_plan)
+    p.set_defaults(func=cmd_plan, convention=None)
 
     p = sub.add_parser("simulate", help="synthesize detector streams for a plan")
     p.add_argument("--plan", required=True)
@@ -162,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--convention", choices=("20log", "10log"), default="20log")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, config=None)
 
     p = sub.add_parser("calibrate", help="re-run the HDR preset noise calibration sweep")
     p.add_argument("--target-snr", type=float, default=3.0)
@@ -177,7 +173,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CaosError as exc:

@@ -19,7 +19,6 @@ irradiance per pixel to floating-point precision.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from contextlib import closing
@@ -31,8 +30,8 @@ from . import scene as scene_mod
 from . import sensor as sensor_mod
 from .codes import hadamard_transform
 from .errors import ConfigError, PlanMismatch
-from .plan import COMPLEMENT_CODED_MODES, CodingPlan, Mode
-from .sensor import PD2, DualStreams, SampleStream, bit_blocks, capture_sides, carrier_matrix
+from .plan import COMPLEMENT_CODED_MODES, CodingPlan, Mode, write_json
+from .sensor import PD1, PD2, DualStreams, SampleStream, bit_blocks, capture_sides, carrier_matrix
 
 
 def dsp_gain_db(samples_per_bit: int) -> float:
@@ -136,11 +135,11 @@ def _scatter(plan: CodingPlan, per_pixel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str):
+def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str) -> list[RecoveredImage]:
     """Equalize, correlate and scatter one detector's per-bit spectra.
 
-    Returns one RecoveredImage, or for the active overlapped mode one per
-    source, normalized by the brightest pixel across the set.
+    Returns a list of one RecoveredImage, or for the active overlapped mode
+    one per source, normalized by the brightest pixel across the set.
     """
     gains = carrier_bin_gains(plan)
     eq = spectra / gains[None, :]
@@ -149,7 +148,7 @@ def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str):
 
     if plan.mode is Mode.FM_TDMA:
         raw_map = _scatter(plan, eq[plan.set_index, 0])
-        return _finish(raw_map, plan, pd_side, None)
+        return [_finish(raw_map, plan, pd_side, None)]
 
     if plan.hop_schedule is None:
         member_seq = eq
@@ -170,7 +169,7 @@ def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str):
         return [replace(img, normalization_reference=reference) for img in images]
 
     raw_pixel = estimates[plan.set_index, plan.member_index]
-    return _finish(_scatter(plan, raw_pixel), plan, pd_side, None)
+    return [_finish(_scatter(plan, raw_pixel), plan, pd_side, None)]
 
 
 def _finish(raw_map, plan, pd_side, source_index):
@@ -185,18 +184,31 @@ def _finish(raw_map, plan, pd_side, source_index):
     )
 
 
+def _result(sides: list, plan: CodingPlan):
+    """decode_frame's result from each detector side's image list.
+
+    Two sides give one flat tuple, PD1's images then PD2's; one side gives
+    its source list in the active overlapped mode and its one image otherwise.
+    """
+    if len(sides) == 2:
+        return (*sides[0], *sides[1])
+    return sides[0] if plan.mode is Mode.ACTIVE_OVERLAPPED else sides[0][0]
+
+
 def decode_frame(stream, plan: CodingPlan):
     """Full frame decode.
 
-    A single passive stream yields one RecoveredImage; DualStreams yield a
-    (pd1, pd2) pair decoded independently; an active overlapped stream
-    yields one image per source, normalized by the brightest pixel across
-    the whole image set. A generator of one side's consecutive bit blocks,
-    such as sensor.capture_blocks, is read one block at a time. Decoding
-    under a wrong-key plan is not an error, it simply produces garbage.
+    A single passive stream yields one RecoveredImage; an active overlapped
+    stream yields one image per source, normalized by the brightest pixel
+    across the whole image set. DualStreams are decoded independently into
+    one flat tuple, PD1's images then PD2's: a (pd1, pd2) pair in the passive
+    modes. A generator of one side's consecutive bit blocks, such as
+    sensor.capture_blocks, is read one block at a time. Decoding under a
+    wrong-key plan is not an error, it simply produces garbage.
     """
     if isinstance(stream, DualStreams):
-        return decode_frame(stream.pd1, plan), decode_frame(stream.pd2, plan)
+        sides = [image_list(decode_frame(side, plan)) for side in (stream.pd1, stream.pd2)]
+        return _result(sides, plan)
     if isinstance(stream, SampleStream):
         spectra, pd_side = per_bit_spectra(stream, plan), stream.pd_side
     else:
@@ -205,24 +217,25 @@ def decode_frame(stream, plan: CodingPlan):
         pd_side, spectra = parts[0][0], np.concatenate([p for _, p in parts])
     if spectra.shape[0] != plan.code_length:
         raise PlanMismatch(f"stream has {spectra.shape[0]} bits, plan expects {plan.code_length}")
-    return _decode_spectra(spectra, plan, pd_side)
+    return _result([_decode_spectra(spectra, plan, pd_side)], plan)
 
 
 def decode_capture(plan: CodingPlan, scene, detectors, seed=0, dtype=np.float64, out_dir=None):
     """Capture and decode in one pass over bit blocks, without materializing the stream.
 
-    detectors holds one DetectorModel (PD1) or two (PD1, PD2). Only one bit
-    block and the (W, channels) spectra of each side are held at a time. With
-    out_dir, each block is also written, as it passes, to out_dir/stream_<side>.
+    detectors holds one DetectorModel (PD1) or two (PD1, PD2); the result is
+    shaped as decode_frame's. Only one bit block and the (W, channels) spectra
+    of each side are held at a time. With out_dir, each block is also written,
+    as it passes, to out_dir/stream_<side>.
     """
-    results = []
+    sides = []
     for det, side_seed, side in capture_sides(detectors, seed):
         blocks = sensor_mod.capture_blocks(plan, scene, det, side_seed, side, dtype)
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             blocks = _written(blocks, os.path.join(out_dir, f"stream_{side}"))
-        results.append(decode_frame(blocks, plan))
-    return results[0] if len(results) == 1 else tuple(results)
+        sides.append(image_list(decode_frame(blocks, plan)))
+    return _result(sides, plan)
 
 
 def _written(blocks, base):
@@ -233,9 +246,20 @@ def _written(blocks, base):
             yield block
 
 
-def image_list(decoded) -> list[RecoveredImage]:
-    """decode_frame's result (one image, a dual pair or a source list) as a list."""
+def image_list(decoded) -> list:
+    """decode_frame's result (one image, a source list or a dual tuple) as a list."""
     return list(decoded) if isinstance(decoded, (list, tuple)) else [decoded]
+
+
+def raw_values(image) -> np.ndarray:
+    """An image as a float array; a RecoveredImage gives its unclamped raw values.
+
+    Noise statistics need the raw channel: clamping negative estimates to
+    zero would bias patch means up and squash the background std.
+    """
+    if isinstance(image, RecoveredImage):
+        return image.raw
+    return np.asarray(image, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +268,6 @@ def image_list(decoded) -> list[RecoveredImage]:
 
 _REPORT_FORMAT = "caossim-decode-report"
 _REPORT_VERSION = 1
-
-
-def _raw_arrays(images) -> list[np.ndarray]:
-    """An image or an image list as float arrays; a RecoveredImage gives its raw values."""
-    items = images if isinstance(images, (list, tuple)) else [images]
-    return [i.raw if isinstance(i, RecoveredImage) else np.asarray(i, dtype=np.float64) for i in items]
 
 
 def _shapes(arrays) -> str:
@@ -262,7 +280,7 @@ def image_correlation(a, b) -> float:
 
     Raises ConfigError naming both shapes when they differ.
     """
-    a, b = _raw_arrays(a), _raw_arrays(b)
+    a, b = [raw_values(x) for x in image_list(a)], [raw_values(x) for x in image_list(b)]
     if [x.shape for x in a] != [x.shape for x in b]:
         raise ConfigError(f"cannot correlate a {_shapes(a)} image with a {_shapes(b)} one")
     fa, fb = np.concatenate([x.ravel() for x in a]), np.concatenate([x.ravel() for x in b])
@@ -273,10 +291,8 @@ def image_correlation(a, b) -> float:
 
 def decode_report(images, plan: CodingPlan, truth: np.ndarray | None = None) -> dict:
     """Structured decode summary, with each image's correlation against truth if given."""
-    if isinstance(images, RecoveredImage):
-        images = [images]
     entries = []
-    for img in images:
+    for img in image_list(images):
         entry = {
             "pd_side": img.pd_side,
             "source_index": img.source_index,
@@ -301,20 +317,22 @@ def decode_report(images, plan: CodingPlan, truth: np.ndarray | None = None) -> 
 
 
 def write_decode_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report, path)
 
 
 def write_decode_outputs(out_dir, images, plan: CodingPlan, truth=None) -> dict:
     """image_<tag>.pgm/.csv per image plus decode_report.json; returns the report.
 
-    The tag is source<k> for per-source images and the detector side otherwise.
-    A truth of the wrong shape raises ConfigError before any file is written.
+    The tag is the detector side, or source<k> for PD1's k-th per-source
+    image and pd2_source<k> for PD2's. A truth of the wrong shape raises
+    ConfigError before any file is written.
     """
     report = decode_report(images, plan, truth=truth)
-    for i, img in enumerate(images):
-        tag = f"source{i + 1}" if img.source_index is not None else img.pd_side
+    for img in images:
+        tag = img.pd_side
+        if img.source_index is not None:
+            source = f"source{img.source_index + 1}"
+            tag = source if img.pd_side == PD1 else f"{img.pd_side}_{source}"
         scene_mod.write_image_pgm(img.values, os.path.join(out_dir, f"image_{tag}.pgm"))
         scene_mod.write_image_csv(img.values, os.path.join(out_dir, f"image_{tag}.csv"))
     write_decode_report(report, os.path.join(out_dir, "decode_report.json"))

@@ -19,21 +19,11 @@ import numpy as np
 from . import decode as decode_mod
 from . import plan as plan_mod
 from . import sensor as sensor_mod
-from .decode import RecoveredImage
 from .errors import EmptyRegion
 from .plan import CodingPlan
 from .scene import Scene
 
 Rect = tuple[int, int, int, int]  # (col0, row0, width, height), 0-based
-
-
-def _as_array(image) -> np.ndarray:
-    # Noise statistics need the unclamped diagnostics channel: clamping
-    # negative estimates to zero would bias patch means up and squash the
-    # background standard deviation.
-    if isinstance(image, RecoveredImage):
-        return image.raw
-    return np.asarray(image, dtype=np.float64)
 
 
 def _region(image: np.ndarray, rect: Rect) -> np.ndarray:
@@ -100,7 +90,7 @@ def patch_dr(
     """
     if convention not in (10, 20):
         raise ValueError("convention must be 10 or 20")
-    arr = _as_array(image)
+    arr = decode_mod.raw_values(image)
     means, stds = [], []
     for rect in regions:
         patch = _region(arr, rect)

@@ -631,6 +631,28 @@ def parse_fields(doc, parsers: dict, defaults: dict, what: str) -> dict:
     return out
 
 
+def json_document(doc: dict) -> str:
+    """The text of a caossim JSON document: sorted keys, two-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(doc: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json_document(doc))
+
+
+def document_fields(data, kind: str, version: int) -> dict:
+    """A versioned caossim document's fields besides its format and version.
+
+    Raises ConfigError unless data is a JSON object of format kind and that version.
+    """
+    if not isinstance(data, dict) or data.get("format") != kind:
+        raise ConfigError(f"not a {kind} document")
+    if data.get("version") != version:
+        raise ConfigError(f"unsupported {kind} version {data.get('version')!r}")
+    return {k: v for k, v in data.items() if k not in ("format", "version")}
+
+
 def _grid(value) -> PixelGrid:
     parsers = {
         "columns": json_int,
@@ -685,19 +707,13 @@ def plan_to_dict(plan: CodingPlan) -> dict:
 
 
 def save_plan(plan: CodingPlan, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan_to_dict(plan), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(plan_to_dict(plan), path)
 
 
 def plan_from_dict(data: dict) -> CodingPlan:
-    if not isinstance(data, dict) or data.get("format") != _PLAN_FORMAT:
-        raise ConfigError("not a caossim plan document")
-    if data.get("version") != _PLAN_VERSION:
-        raise ConfigError(f"unsupported plan version {data.get('version')}")
+    body = document_fields(data, _PLAN_FORMAT, _PLAN_VERSION)
     parsers = {"grid": _grid, "code_length": json_int}
     parsers.update((name, parse) for name, (_, parse) in _PLAN_PARAMS.items())
-    body = {k: v for k, v in data.items() if k not in ("format", "version")}
     fields = parse_fields(body, parsers, {"frame_index": 0, "min_code_length": None}, "plan")
     code_length = fields.pop("code_length")
     plan = build_plan(fields.pop("grid"), **fields)

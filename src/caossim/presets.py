@@ -34,6 +34,8 @@ from .errors import ConfigError
 from .plan import (
     Mode,
     PixelGrid,
+    document_fields,
+    json_document,
     json_flag,
     json_int,
     json_list,
@@ -132,6 +134,13 @@ def _convention(value) -> int:
     value = json_int(value)
     if value not in (10, 20):
         raise ValueError(f"expected 10 or 20, got {value}")
+    return value
+
+
+def _seed(value) -> int:
+    value = json_int(value)
+    if value < 0:
+        raise ValueError(f"expected a seed >= 0, got {value}")
     return value
 
 
@@ -238,6 +247,10 @@ def build_scene(grid: PixelGrid, params: dict, convention: int = 20) -> Scene:
     return build(grid, convention, **params)
 
 
+_CONFIG_FORMAT = "caossim-experiment"
+_CONFIG_VERSION = 1
+
+
 @dataclass
 class ExperimentConfig:
     """Lossless, strictly-validated description of one experiment run."""
@@ -255,7 +268,7 @@ class ExperimentConfig:
     code_length: int | None = _json_field(None, json_optional(json_int))
     key_seed: int = _json_field(0, json_int)
     hopping: bool = _json_field(False, json_flag)
-    noise_seed: int = _json_field(0, json_int)
+    noise_seed: int = _json_field(0, _seed)
     detector: DetectorConfig = _json_field(MISSING, DetectorConfig.from_dict, DetectorConfig)
     detector2: DetectorConfig | None = _json_field(None, json_optional(DetectorConfig.from_dict))
     scene: dict = _json_field(MISSING, _scene_params, dict)
@@ -263,20 +276,13 @@ class ExperimentConfig:
     convention: int = _json_field(20, _convention)
 
     def to_json(self) -> str:
-        data = asdict(self)
-        data["format"] = "caossim-experiment"
-        data["version"] = 1
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        return json_document({**asdict(self), "format": _CONFIG_FORMAT, "version": _CONFIG_VERSION})
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         """Parse a config file; unknown, missing or mistyped fields raise ConfigError."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ConfigError("experiment config must be a JSON object")
-        if data.pop("format", None) != "caossim-experiment" or data.pop("version", None) != 1:
-            raise ConfigError("not a caossim experiment config")
-        return _from_json_fields(cls, data, "experiment config")
+        body = document_fields(json.loads(text), _CONFIG_FORMAT, _CONFIG_VERSION)
+        return _from_json_fields(cls, body, "experiment config")
 
     def sides(self) -> tuple:
         """The detector config of each captured side: PD1, then PD2 when dual."""
@@ -395,8 +401,8 @@ def _evaluate_active(config, cplan, scn, detectors, images):
     """A source's image shows exactly the holes its spectrum reaches, at their band integrals."""
     rows = []
     peak = max(img.values.max() for img in images)
-    for p, img in enumerate(images):
-        expected = scn.per_source[p]
+    for img in images:
+        expected = scn.per_source[img.source_index]
         should_show = expected.max() > 0
         good = (img.values.max() > 1e-6 * peak) == should_show
         if should_show:
@@ -406,7 +412,8 @@ def _evaluate_active(config, cplan, scn, detectors, images):
             detail = f"hole present (max rel err {rel:.2e})"
         else:
             detail = f"image empty (peak ratio {img.values.max() / peak:.2e})"
-        rows.append((good, f"source {p + 1}: {detail}"))
+        side = f"{img.pd_side} " if config.dual else ""
+        rows.append((good, f"{side}source {img.source_index + 1}: {detail}"))
     return rows, None
 
 
@@ -432,22 +439,12 @@ PRESETS = {
 PRESET_NAMES = tuple(PRESETS)
 
 
-def preset_config(
-    name: str,
-    full_scale: bool = False,
-    variant: str = "a",
-    seed: int | None = None,
-    convention: int = 20,
-) -> ExperimentConfig:
+def preset_config(name: str, full_scale: bool = False, variant: str = "a") -> ExperimentConfig:
     """Parameter set for a named preset at desk or hardware scale."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     build, _ = PRESETS[name]
-    config = build(name, full_scale, variant)
-    config.convention = convention
-    if seed is not None:
-        config.key_seed = seed
-    return config
+    return build(name, full_scale, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +469,8 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Build plan and scene, capture, decode, evaluate and optionally write files."""
+    if config.noise_seed < 0:
+        raise ConfigError(f"noise_seed must be >= 0, got {config.noise_seed}")
     cplan = config.build_plan()
     scn = config.build_scene(cplan.grid)
     detectors = tuple(side.build() for side in config.sides())

@@ -68,29 +68,21 @@ def gaussian_spectrum(center_nm: float, fwhm_nm: float) -> SpectralCurve:
     return SpectralCurve(wl, vals)
 
 
-def _union_grid(a: SpectralCurve, b: SpectralCurve, refine: int) -> np.ndarray | None:
-    lo = max(a.support[0], b.support[0])
-    hi = min(a.support[1], b.support[1])
-    if hi <= lo:
-        return None
-    knots = np.concatenate([a.wavelengths, b.wavelengths])
-    knots = np.unique(np.clip(knots, lo, hi))
-    if refine > 1:
-        steps = np.linspace(0.0, 1.0, refine, endpoint=False)[1:]
-        extra = knots[:-1, None] + np.diff(knots)[:, None] * steps[None, :]
-        knots = np.unique(np.concatenate([knots, extra.ravel()]))
-    return knots
-
-
 def band_integrate(a: SpectralCurve, b: SpectralCurve, refine: int = 4) -> float:
     """Trapezoidal integral of a(l) * b(l) over the overlapping support.
 
     Quadrature runs on the union of both knot sets, each interval split
     `refine` times. Returns 0.0 when the supports are disjoint.
     """
-    grid = _union_grid(a, b, refine)
-    if grid is None:
+    lo = max(a.support[0], b.support[0])
+    hi = min(a.support[1], b.support[1])
+    if hi <= lo:
         return 0.0
+    grid = np.unique(np.clip(np.concatenate([a.wavelengths, b.wavelengths]), lo, hi))
+    if refine > 1:
+        steps = np.linspace(0.0, 1.0, refine, endpoint=False)[1:]
+        extra = grid[:-1, None] + np.diff(grid)[:, None] * steps[None, :]
+        grid = np.unique(np.concatenate([grid, extra.ravel()]))
     product = a.sample(grid) * b.sample(grid)
     return float(np.trapezoid(product, grid))
 
@@ -100,14 +92,6 @@ def _detected(curve: SpectralCurve, responsivity) -> float:
     if isinstance(responsivity, SpectralCurve):
         return band_integrate(curve, responsivity)
     return float(responsivity) * float(np.trapezoid(curve.values, curve.wavelengths))
-
-
-def curve_product(a: SpectralCurve, b: SpectralCurve) -> SpectralCurve | None:
-    """Pointwise product on the union grid, or None for disjoint supports."""
-    grid = _union_grid(a, b, refine=1)
-    if grid is None:
-        return None
-    return SpectralCurve(grid, a.sample(grid) * b.sample(grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,10 +313,8 @@ def two_hole_target(
     maps = np.zeros((len(ordered), grid.rows, grid.columns))
     for p, (spectrum, _channel) in enumerate(ordered):
         for pos, filt in zip(hole_positions, hole_filters):
-            through = curve_product(spectrum, filt)
-            if through is None:
-                continue
-            value = _detected(through, 1.0)
+            # On the union knots alone, as the filtered spectrum's own trapezoid.
+            value = band_integrate(spectrum, filt, refine=1)
             if value <= 0.0:
                 continue
             maps[p][disc_mask(grid, pos, hole_radius)] = value

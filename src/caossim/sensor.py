@@ -27,7 +27,7 @@ import numpy as np
 
 from .codes import hadamard_transform
 from .errors import ConfigError, DimensionMismatch, LengthMismatch
-from .plan import CodingPlan, Mode, json_int, json_real, parse_fields
+from .plan import CodingPlan, Mode, document_fields, json_int, json_real, parse_fields, write_json
 from .scene import DetectorModel, Scene
 
 PD1 = "pd1"
@@ -133,22 +133,24 @@ def _on_sums(plan: CodingPlan, per_set: np.ndarray) -> np.ndarray:
     return (per_set.sum(axis=0) + hadamard_transform(y, transpose=True)) / 2
 
 
-def _bit_amplitudes(plan: CodingPlan, scene: Scene, responsivity):
-    """Per-bit coherent channel sums.
+def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str):
+    """One detector side's per-bit coherent channel sums and what they ride on.
 
-    Returns (amplitudes, pd2_amplitudes, pd2_constant) where amplitudes is
-    (W, channels): the summed irradiance riding each channel slot during each
-    bit for PD1. For passive modes pd2_constant carries the parked pixels'
-    unmodulated light; for complement-coded modes pd2_amplitudes carries the
-    complement sums on the carriers.
+    Returns (amplitudes, waves, constant): the side's samples during bit w
+    are amplitudes[w] @ waves + constant[w]. amplitudes is (W, channels), the
+    summed irradiance riding each channel slot during each bit; waves is the
+    (channels, F) unit waveform of each slot. PD1 and both sides of the
+    complement-coded active mode ride the carriers, with no constant. Passive
+    PD2 sees PD1's sums on the complement waveforms plus, as constant, the
+    parked pixels' unmodulated light.
     """
     if scene.grid.columns != plan.grid.columns or scene.grid.rows != plan.grid.rows:
         raise DimensionMismatch(
             f"scene grid {scene.grid.columns}x{scene.grid.rows}"
             f" != plan grid {plan.grid.columns}x{plan.grid.rows}"
         )
-    w = plan.code_length
     channels = plan.channel_count
+    carriers = carrier_matrix(plan)
 
     if plan.mode is Mode.ACTIVE_OVERLAPPED:
         if scene.per_source is None:
@@ -163,19 +165,18 @@ def _bit_amplitudes(plan: CodingPlan, scene: Scene, responsivity):
         by_code = np.zeros_like(per_pixel)
         by_code[plan.set_index] = per_pixel  # reorder into set order
         sums = _on_sums(plan, by_code)  # (W, channels) per-source ON sums
-        totals = per_pixel.sum(axis=0)  # (channels,)
-        pd1 = _apply_hops(plan, sums)
-        pd2 = _apply_hops(plan, totals[None, :] - sums)
-        return pd1, pd2, np.zeros(w)
+        if pd_side == PD2:
+            sums = per_pixel.sum(axis=0)[None, :] - sums
+        return _apply_hops(plan, sums), carriers, None
 
-    image = scene.effective_irradiance(responsivity)
-    values = _pixel_values(plan, image)
-    total = float(values.sum())
+    values = _pixel_values(plan, scene.effective_irradiance(responsivity))
     member_sums = np.zeros((plan.set_count, channels))
     np.add.at(member_sums, (plan.set_index, plan.member_index), values)
     sums = _on_sums(plan, member_sums)  # (W, channels) ON sums per channel slot
-    parked = total - sums.sum(axis=1)  # (W,) light resting on PD2
-    return _apply_hops(plan, sums), None, parked
+    if pd_side == PD1:
+        return _apply_hops(plan, sums), carriers, None
+    parked = float(values.sum()) - sums.sum(axis=1)  # (W,) light resting on PD2
+    return _apply_hops(plan, sums), 1.0 - carriers, parked
 
 
 def _apply_hops(plan: CodingPlan, member_sums: np.ndarray) -> np.ndarray:
@@ -221,8 +222,7 @@ def synthesize(
     first, last = bit_range or (0, plan.code_length)
     if not 0 <= first < last <= plan.code_length:
         raise ConfigError(f"bit range {bit_range} is outside the {plan.code_length}-bit frame")
-    pd1_amp, pd2_amp, pd2_const = _bit_amplitudes(plan, scene, detector.responsivity)
-    carriers = carrier_matrix(plan)
+    amplitudes, waves, constant = _side_amplitudes(plan, scene, detector.responsivity, pd_side)
     f_count = plan.samples_per_bit
     gain = detector.gain
 
@@ -231,12 +231,9 @@ def synthesize(
         if stop <= first or start >= last:
             continue
         # Whole frame blocks: a product's rounding can depend on its shape.
-        if pd_side == PD1:
-            block = pd1_amp[start:stop] @ carriers
-        elif pd2_amp is not None:  # complement-coded modes
-            block = pd2_amp[start:stop] @ carriers
-        else:  # passive: complement waveform plus parked light
-            block = pd1_amp[start:stop] @ (1.0 - carriers) + pd2_const[start:stop, None]
+        block = amplitudes[start:stop] @ waves
+        if constant is not None:
+            block += constant[start:stop, None]
         lo, hi = max(start, first), min(stop, last)
         target = out[(lo - first) * f_count : (hi - first) * f_count].reshape(hi - lo, f_count)
         np.multiply(block[lo - start : hi - start], gain, out=target)
@@ -467,9 +464,7 @@ def write_stream(stream: SampleStream, base) -> tuple[str, str]:
         "pd_side": stream.pd_side,
         "gain": stream.gain,
     }
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta, meta_path)
     return raw_path, meta_path
 
 
@@ -493,14 +488,7 @@ _SIDECAR_FIELDS = {
 def read_stream(base) -> SampleStream:
     raw_path, meta_path = stream_paths(base)
     with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if (
-        not isinstance(meta, dict)
-        or meta.get("format") != _STREAM_FORMAT
-        or meta.get("version") != _STREAM_VERSION
-    ):
-        raise ConfigError("not a caossim stream sidecar")
-    body = {k: v for k, v in meta.items() if k not in ("format", "version")}
+        body = document_fields(json.load(fh), _STREAM_FORMAT, _STREAM_VERSION)
     fields = parse_fields(body, _SIDECAR_FIELDS, {}, "stream sidecar")
     length = fields.pop("length")
     samples = np.fromfile(raw_path, dtype="<f4")

@@ -570,13 +570,14 @@ def _config_case(field, value):
         (_config_case("pixel_size", 0), "pixel_size"),
         (_plan_file_case("active_pixels", [], in_grid=True), "active pixel"),
         (_config_case("f1", math.nan), "carrier frequencies"),
+        (_config_case("noise_seed", -1), "noise_seed"),
     ],
     ids=[
         "plan-zero-bit-rate", "plan-nan-bit-rate", "config-inf-bit-rate", "plan-zero-sample-rate",
         "config-nan-sample-rate", "plan-inf-sample-rate", "plan-negative-key-seed",
         "config-negative-key-seed", "preset-seed-minus-one", "plan-negative-frame-index",
         "plan-zero-harmonics", "plan-zero-pixel-size", "config-zero-pixel-size",
-        "plan-no-active-pixels", "config-nan-f1",
+        "plan-no-active-pixels", "config-nan-f1", "config-negative-noise-seed",
     ],
 )
 def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, names):
@@ -593,6 +594,74 @@ def test_simulate_negative_noise_seed_exits_config_code(tmp_path, capsys):
                    str(tmp_path / "none.csv"), "--seed", "-1", "--out", str(tmp_path / "sim"))
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == "config error: noise seed must be >= 0, got -1\n"
+
+
+def test_decode_two_active_streams_writes_each_side_per_source(tmp_path, capsys):
+    assert run_cli("plan", "--preset", "exp3-active", "--out", str(tmp_path / "p")) == 0
+    cplan = planmod.load_plan(tmp_path / "p" / "plan.json")
+    scene = presets.preset_config("exp3-active").build_scene(cplan.grid)
+    dual = sensor.capture_dual(cplan, scene)
+    sensor.write_stream(dual.pd1, tmp_path / "s1")
+    sensor.write_stream(dual.pd2, tmp_path / "s2")
+    out = tmp_path / "d"
+    assert run_cli("decode", "--plan", str(tmp_path / "p" / "plan.json"), "--stream",
+                   str(tmp_path / "s1"), "--stream2", str(tmp_path / "s2"), "--out", str(out)) == 0
+    sources = cplan.channel_count
+    assert f"decoded {2 * sources} image(s)" in capsys.readouterr().out
+    assert len(list(out.glob("image_*.csv"))) == 2 * sources
+    peak = scene.per_source.max()
+    for tag in ("source", "pd2_source"):
+        for k in range(sources):
+            image = sc.read_image_csv(out / f"image_{tag}{k + 1}.csv")
+            # Stream files hold float32 samples.
+            assert np.max(np.abs(image - scene.per_source[k])) <= 1e-6 * peak
+    report = json.loads((out / "decode_report.json").read_text())
+    sides = [(entry["pd_side"], entry["source_index"]) for entry in report["images"]]
+    assert sides == [(side, k) for side in ("pd1", "pd2") for k in range(sources)]
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caméra"}'.encode("latin-1"))
+    return str(path)
+
+
+#: argv of a command given a path the file system cannot read as asked, with
+#: the valid_inputs directory root and an empty scratch directory tmp.
+_FILE_SYSTEM_CASES = {
+    "plan-is-a-directory": lambda root, tmp: [
+        "decode", "--plan", str(tmp), "--stream", str(root / "stream_pd1"), "--out", str(tmp / "d")
+    ],
+    "plan-not-utf8": lambda root, tmp: [
+        "decode", "--plan", _not_utf8(tmp), "--stream", str(root / "stream_pd1"),
+        "--out", str(tmp / "d"),
+    ],
+    "config-not-utf8": lambda root, tmp: [
+        "plan", "--config", _not_utf8(tmp), "--out", str(tmp / "p")
+    ],
+    "detector-is-a-directory": lambda root, tmp: [
+        "simulate", "--plan", str(root / "plan.json"), "--scene", str(root / "scene.csv"),
+        "--detector", str(tmp), "--out", str(tmp / "s"),
+    ],
+    "scene-is-a-directory": lambda root, tmp: [
+        "simulate", "--plan", str(root / "plan.json"), "--scene", str(tmp), "--out", str(tmp / "s")
+    ],
+    "truth-is-a-directory": lambda root, tmp: [
+        "decode", "--plan", str(root / "plan.json"), "--stream", str(root / "stream_pd1"),
+        "--truth", str(tmp), "--out", str(tmp / "d"),
+    ],
+    "out-is-a-file": lambda root, tmp: [
+        "plan", "--preset", "exp1-hdr", "--out", str(root / "plan.json")
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(_FILE_SYSTEM_CASES))
+def test_unreadable_path_exits_config_code(valid_inputs, tmp_path, capsys, case):
+    argv = _FILE_SYSTEM_CASES[case](valid_inputs, tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 #: Values put in place of one field of a valid input file. Huge magnitudes are

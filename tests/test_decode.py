@@ -306,7 +306,7 @@ def test_decode_report_flags_wrong_truth(tmp_path):
 
 @st.composite
 def noiseless_captures(draw):
-    """Random valid plan plus a positive scene on one detector side."""
+    """Random valid plan, a positive scene, its truth maps and a detector count."""
     mode = draw(st.sampled_from(list(Mode)))
     grid = PixelGrid(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
     channels = draw(st.integers(1, 4))
@@ -333,19 +333,22 @@ def noiseless_captures(draw):
     else:
         img = rng.uniform(0.05, 1.0, (grid.rows, grid.columns))
         scene, truth = Scene(grid=grid, irradiance=img), [img]
-    return plan, scene, truth, draw(st.sampled_from((sensor.PD1, sensor.PD2)))
+    return plan, scene, truth, draw(st.integers(1, 2))
 
 
 @settings(max_examples=300, deadline=None)
 @given(noiseless_captures())
 def test_noiseless_decode_matches_scene(case):
-    plan, scene, truth, pd_side = case
+    # Two detectors give PD1's images, then PD2's, in one flat tuple.
+    plan, scene, truth, count = case
     gain = 1.5
-    stream = sensor.capture(plan, scene, DetectorModel(gain=gain), seed=3, pd_side=pd_side)
-    images = decode.image_list(decode.decode_frame(stream, plan))
-    assert len(images) == len(truth)
-    for image, expected in zip(images, truth):
-        assert image.pd_side == pd_side
+    detectors = (DetectorModel(gain=gain),) * count
+    images = decode.image_list(decode.decode_capture(plan, scene, detectors, seed=3))
+    sides = [side for side in (sensor.PD1, sensor.PD2)[:count] for _ in truth]
+    assert len(images) == len(sides)
+    for image, side, expected in zip(images, sides, truth * count):
+        assert isinstance(image, decode.RecoveredImage)
+        assert image.pd_side == side
         assert np.max(np.abs(image.raw - gain * expected)) <= 1e-9 * gain * expected.max()
 
 

@@ -117,7 +117,8 @@ def test_calibration_targets_comparator_weak_patch():
 @pytest.mark.parametrize("convention", [10, 20])
 def test_noiseless_hdr_patches_measure_their_levels_at_either_convention(convention):
     # The target is built in the convention its patches are measured in.
-    config = presets.preset_config("exp1-hdr", convention=convention)
+    config = presets.preset_config("exp1-hdr")
+    config.convention = convention
     config.detector = presets.DetectorConfig(gain=config.detector.gain)  # no noise, no ADC
     result = presets.run_experiment(config)
     assert result.patch_report.convention == convention
@@ -150,3 +151,26 @@ def test_config_without_a_preset_record_runs_unchecked():
     result = presets.run_experiment(config)
     assert result.ok
     assert result.summary_text() == "preset my-spot: PASS\nno acceptance checks defined for my-spot\n"
+
+
+def test_dual_active_capture_decodes_every_source_on_both_sides():
+    config = presets.preset_config("exp3-active")
+    config.dual = True
+    result = presets.run_experiment(config)
+    assert result.ok
+    maps = result.scene.per_source
+    sources = len(maps)
+    assert [(img.pd_side, img.source_index) for img in result.images] == [
+        (side, k) for side in (sensor.PD1, sensor.PD2) for k in range(sources)
+    ]
+    for img in result.images:
+        assert np.max(np.abs(img.raw - maps[img.source_index])) <= 1e-9 * maps.max()
+    assert result.summary_lines[sources].startswith(f"PASS {sensor.PD2} source 1: ")
+
+
+def test_negative_noise_seed_is_refused_before_any_capture(monkeypatch):
+    config = presets.preset_config("exp3-active")
+    config.noise_seed = -1
+    monkeypatch.setattr(sensor, "capture_blocks", None)  # a capture would raise TypeError
+    with pytest.raises(ConfigError, match="noise_seed"):
+        presets.run_experiment(config)
