@@ -2,12 +2,16 @@
 
 The inverse of the encoder runs in four steps. Each bit's samples get an
 F-point DFT read at the carrier bins (exact integers by plan construction,
-so no window is needed). Each pixel's bin readings across the W bits form a
-sequence, hop-schedule aware. Correlating a sequence against the signed
-codes recovers one scaled irradiance per set, and the keyed assignment maps
-values back to pixel positions. decode_frame runs these steps on a stream or
-its bit blocks; decode_capture feeds it blocks straight from the capture
-chain, writing them to stream files when asked, so no run holds the stream.
+so no window is needed): one product with the plan's real (F, 2P)
+[cos | -sin] basis gives each bin's real and imaginary part, and their
+hypot its magnitude. The product runs in float64, so a float32 block is
+read through one float64 copy. Each pixel's bin readings across the W bits
+form a sequence, hop-schedule aware. Correlating a sequence against the
+signed codes recovers one scaled irradiance per set, and the keyed
+assignment maps values back to pixel positions. decode_frame runs these
+steps on a stream or its bit blocks; decode_capture feeds it blocks
+straight from the capture chain, writing them to stream files when asked,
+so no run holds the stream.
 
 Bin readings are equalized by each channel's unit-carrier magnitude (for a
 sampled 0/1 square at k cycles per bit that is k / sin(pi k / F), for a
@@ -31,7 +35,7 @@ from . import sensor as sensor_mod
 from .codes import hadamard_transform
 from .errors import ConfigError, PlanMismatch
 from .plan import COMPLEMENT_CODED_MODES, CodingPlan, Mode, write_json
-from .sensor import PD1, PD2, DualStreams, SampleStream, bit_blocks, capture_sides, carrier_matrix
+from .sensor import PD1, PD2, DualStreams, SampleStream, bit_blocks, capture_sides
 
 
 def dsp_gain_db(samples_per_bit: int) -> float:
@@ -42,31 +46,13 @@ def dsp_gain_db(samples_per_bit: int) -> float:
 
 
 def carrier_bins(plan: CodingPlan) -> np.ndarray:
-    """DFT bin index per channel within one bit.
-
-    Raises PlanMismatch for a bin outside 0..F/2, which build_plan's timing
-    checks rule out.
-    """
-    f_count = plan.samples_per_bit
-    bins = np.array([round(k) for k in plan.frequencies.cycles_per_bit()], dtype=np.int64)
-    if bins.min() < 0 or bins.max() > f_count // 2:
-        raise PlanMismatch(
-            f"carrier bins {bins.tolist()} outside 0..{f_count // 2} of an {f_count}-point bit"
-        )
-    return bins
+    """DFT bin index per channel within one bit: plan.carrier_bins."""
+    return plan.carrier_bins
 
 
 def carrier_bin_gains(plan: CodingPlan) -> np.ndarray:
-    """Unit-carrier DFT magnitude at each channel's own bin."""
-    waves = carrier_matrix(plan)
-    bins = carrier_bins(plan)
-    f_count = plan.samples_per_bit
-    idx = np.arange(f_count)
-    gains = np.empty(plan.channel_count)
-    for p, b in enumerate(bins):
-        phase = np.exp(-2j * np.pi * b * idx / f_count)
-        gains[p] = abs(np.dot(waves[p], phase))
-    return gains
+    """Unit-carrier DFT magnitude at each channel's own bin: plan.carrier_bin_gains."""
+    return plan.carrier_bin_gains
 
 
 def _check_stream(stream: SampleStream, plan: CodingPlan) -> None:
@@ -88,15 +74,13 @@ def per_bit_spectra(stream: SampleStream, plan: CodingPlan) -> np.ndarray:
     sample cannot silently spread into every decoded pixel.
     """
     _check_stream(stream, plan)
-    f_count = plan.samples_per_bit
-    bins = carrier_bins(plan)
-    idx = np.arange(f_count)
-    basis = np.exp(-2j * np.pi * np.outer(idx, bins) / f_count)  # (F, P)
+    basis, p = plan.carrier_basis, plan.channel_count
     per_bit = stream.per_bit()
-    out = np.empty((stream.bits, plan.channel_count))
+    out = np.empty((stream.bits, p))
     with np.errstate(invalid="ignore"):  # an infinite sample is reported below
-        for start, stop in bit_blocks(stream.bits, f_count):
-            out[start:stop] = np.abs(per_bit[start:stop] @ basis)
+        for start, stop in bit_blocks(stream.bits, plan.samples_per_bit):
+            parts = per_bit[start:stop] @ basis  # (bits, 2P): real, then imaginary parts
+            np.hypot(parts[:, :p], parts[:, p:], out=out[start:stop])
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         bit = stream.first_bit + int(np.argmin(finite))
@@ -130,8 +114,8 @@ class RecoveredImage:
 
 def _scatter(plan: CodingPlan, per_pixel: np.ndarray) -> np.ndarray:
     out = np.zeros((plan.grid.rows, plan.grid.columns))
-    pos = np.asarray(plan.positions(), dtype=np.int64)
-    out[pos[:, 1] - 1, pos[:, 0] - 1] = per_pixel
+    rows, columns = plan.pixel_index.T
+    out[rows, columns] = per_pixel
     return out
 
 
@@ -141,8 +125,7 @@ def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str) -> list
     Returns a list of one RecoveredImage, or for the active overlapped mode
     one per source, normalized by the brightest pixel across the set.
     """
-    gains = carrier_bin_gains(plan)
-    eq = spectra / gains[None, :]
+    eq = spectra / plan.carrier_bin_gains[None, :]
     w = plan.code_length
     rows = np.arange(w)[:, None]
 
@@ -203,8 +186,10 @@ def decode_frame(stream, plan: CodingPlan):
     across the whole image set. DualStreams are decoded independently into
     one flat tuple, PD1's images then PD2's: a (pd1, pd2) pair in the passive
     modes. A generator of one side's consecutive bit blocks, such as
-    sensor.capture_blocks, is read one block at a time. Decoding under a
-    wrong-key plan is not an error, it simply produces garbage.
+    sensor.capture_blocks, is read one block at a time; a block that does not
+    start where the previous one ended, or comes from the other side, raises
+    PlanMismatch. Decoding under a wrong-key plan is not an error, it simply
+    produces garbage.
     """
     if isinstance(stream, DualStreams):
         sides = [image_list(decode_frame(side, plan)) for side in (stream.pd1, stream.pd2)]
@@ -212,9 +197,18 @@ def decode_frame(stream, plan: CodingPlan):
     if isinstance(stream, SampleStream):
         spectra, pd_side = per_bit_spectra(stream, plan), stream.pd_side
     else:
+        parts, pd_side, next_bit = [], None, 0
         with closing(stream):  # ends a capture's noise thread on any exit
-            parts = [(block.pd_side, per_bit_spectra(block, plan)) for block in stream]
-        pd_side, spectra = parts[0][0], np.concatenate([p for _, p in parts])
+            for block in stream:
+                if block.first_bit != next_bit:
+                    raise PlanMismatch(
+                        f"block starts at bit {block.first_bit}, expected bit {next_bit}"
+                    )
+                if pd_side not in (None, block.pd_side):
+                    raise PlanMismatch(f"{block.pd_side} block in a {pd_side} stream")
+                pd_side, next_bit = block.pd_side, next_bit + block.bits
+                parts.append(per_bit_spectra(block, plan))
+        spectra = np.concatenate(parts) if parts else np.empty((0, plan.channel_count))
     if spectra.shape[0] != plan.code_length:
         raise PlanMismatch(f"stream has {spectra.shape[0]} bits, plan expects {plan.code_length}")
     return _result([_decode_spectra(spectra, plan, pd_side)], plan)

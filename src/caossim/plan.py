@@ -34,13 +34,18 @@ import numpy as np
 
 from . import codes
 from .codes import CodeBook
-from .errors import ConfigError, NyquistError, TimingError
+from .errors import ConfigError, NyquistError, PlanMismatch, TimingError
 
 # Sub-stream labels for key_seed derived generators.
 _STREAM_PIXELS = 0
 _STREAM_CODES = 1
 _STREAM_HOPS = 2
 _STREAM_PHASES = 3
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class Mode(str, Enum):
@@ -223,6 +228,80 @@ class CodingPlan:
 
     def positions(self) -> tuple[tuple[int, int], ...]:
         return self.grid.positions()
+
+    # The carrier and pixel constants below are built on first read and kept
+    # on the plan, read-only, so they live and die with it.
+
+    @cached_property
+    def pixel_index(self) -> np.ndarray:
+        """(Q, 2) 0-based (row, column) of each active pixel, in positions() order."""
+        return _read_only(np.asarray(self.positions(), dtype=np.int64)[:, ::-1] - 1)
+
+    @cached_property
+    def carrier_matrix(self) -> np.ndarray:
+        """One bit of every channel's unit carrier, shape (channels, F).
+
+        Square: 50% duty 0/1 wave at f_p starting ON at the bit boundary.
+        Sine: (1 + sin(2 pi f_p t + phase_p)) / 2 with keyed per-channel phase.
+        Plain (waveform "none"): constant 1, the mirror statically on.
+        """
+        f_count = self.samples_per_bit
+        waveform = self.frequencies.waveform
+        rows = []
+        for p, cycles in enumerate(self.frequencies.cycles_per_bit()):
+            if waveform == "none":
+                rows.append(np.ones(f_count))
+            elif waveform == "square":
+                k = round(cycles)
+                if abs(cycles - k) < 1e-9:
+                    # Integer cycles: exact integer edge test.
+                    ticks = (k * np.arange(f_count, dtype=np.int64)) % f_count
+                    rows.append((2 * ticks < f_count).astype(np.float64))
+                else:
+                    phase = (cycles * np.arange(f_count) / f_count) % 1.0
+                    rows.append((phase < 0.5).astype(np.float64))
+            elif waveform == "sine":
+                t = np.arange(f_count) / f_count
+                phase = self.carrier_phases[p]
+                rows.append(0.5 * (1.0 + np.sin(2.0 * math.pi * cycles * t + phase)))
+            else:
+                raise ConfigError(f"unknown waveform {waveform!r}")
+        return _read_only(np.stack(rows))
+
+    @cached_property
+    def carrier_bins(self) -> np.ndarray:
+        """DFT bin index per channel within one bit.
+
+        Raises PlanMismatch for a bin outside 0..F/2, which build_plan's timing
+        checks rule out.
+        """
+        f_count = self.samples_per_bit
+        bins = np.array([round(k) for k in self.frequencies.cycles_per_bit()], dtype=np.int64)
+        if bins.min() < 0 or bins.max() > f_count // 2:
+            raise PlanMismatch(
+                f"carrier bins {bins.tolist()} outside 0..{f_count // 2} of an {f_count}-point bit"
+            )
+        return _read_only(bins)
+
+    @cached_property
+    def carrier_basis(self) -> np.ndarray:
+        """(F, 2 channels) real DFT basis [cos | -sin] at the carrier bins.
+
+        A bit's samples times the basis give the real and imaginary parts of
+        its DFT at each bin, as a Goertzel filter (1958) reads one bin. The
+        angle 2 pi n k / F is reduced exactly, as (n k) mod F, before scaling.
+        """
+        f_count = self.samples_per_bit
+        ticks = np.outer(np.arange(f_count, dtype=np.int64), self.carrier_bins) % f_count
+        angle = (2.0 * math.pi / f_count) * ticks
+        return _read_only(np.concatenate([np.cos(angle), -np.sin(angle)], axis=1))
+
+    @cached_property
+    def carrier_bin_gains(self) -> np.ndarray:
+        """Unit-carrier DFT magnitude at each channel's own bin."""
+        parts = self.carrier_matrix @ self.carrier_basis  # (channels, 2 channels)
+        p = self.channel_count
+        return _read_only(np.hypot(np.diagonal(parts[:, :p]), np.diagonal(parts[:, p:])))
 
     def channel_slot(self, bit_index: int, member: int) -> int:
         """0-based channel index used by channel slot `member` during a bit."""

@@ -18,7 +18,6 @@ all take their samples from it, and write_stream appends each block to a file.
 from __future__ import annotations
 
 import json
-import math
 import os
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
@@ -65,6 +64,9 @@ class DualStreams:
     pd2: SampleStream
 
     def __post_init__(self):
+        if self.pd1.pd_side == self.pd2.pd_side:
+            side = self.pd1.pd_side
+            raise ConfigError(f"dual streams need a {PD1} and a {PD2} stream, got two {side}")
         if (
             self.pd1.rate != self.pd2.rate
             or self.pd1.samples.size != self.pd2.samples.size
@@ -78,34 +80,8 @@ class DualStreams:
 
 
 def carrier_matrix(plan: CodingPlan) -> np.ndarray:
-    """One bit of every channel's unit carrier, shape (channels, F).
-
-    Square: 50% duty 0/1 wave at f_p starting ON at the bit boundary.
-    Sine: (1 + sin(2 pi f_p t + phase_p)) / 2 with keyed per-channel phase.
-    Plain (waveform "none"): constant 1, the mirror statically on.
-    """
-    f_count = plan.samples_per_bit
-    waveform = plan.frequencies.waveform
-    rows = []
-    for p, freq in enumerate(plan.frequencies.frequencies):
-        cycles = freq * plan.frequencies.bit_duration
-        if waveform == "none":
-            rows.append(np.ones(f_count))
-        elif waveform == "square":
-            k = round(cycles)
-            if abs(cycles - k) < 1e-9:
-                # Integer cycles: exact integer edge test.
-                ticks = (k * np.arange(f_count, dtype=np.int64)) % f_count
-                rows.append((2 * ticks < f_count).astype(np.float64))
-            else:
-                phase = (cycles * np.arange(f_count) / f_count) % 1.0
-                rows.append((phase < 0.5).astype(np.float64))
-        elif waveform == "sine":
-            t = np.arange(f_count) / f_count
-            rows.append(0.5 * (1.0 + np.sin(2.0 * math.pi * cycles * t + plan.carrier_phases[p])))
-        else:
-            raise ConfigError(f"unknown waveform {waveform!r}")
-    return np.stack(rows)
+    """One bit of every channel's unit carrier, shape (channels, F): plan.carrier_matrix."""
+    return plan.carrier_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +91,8 @@ def carrier_matrix(plan: CodingPlan) -> np.ndarray:
 
 def _pixel_values(plan: CodingPlan, image: np.ndarray) -> np.ndarray:
     """Per active pixel value, aligned with plan.positions()."""
-    pos = np.asarray(plan.positions(), dtype=np.int64)
-    return np.asarray(image, dtype=np.float64)[pos[:, 1] - 1, pos[:, 0] - 1]
+    rows, columns = plan.pixel_index.T
+    return np.asarray(image, dtype=np.float64)[rows, columns]
 
 
 def _on_sums(plan: CodingPlan, per_set: np.ndarray) -> np.ndarray:
@@ -150,7 +126,7 @@ def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str)
             f" != plan grid {plan.grid.columns}x{plan.grid.rows}"
         )
     channels = plan.channel_count
-    carriers = carrier_matrix(plan)
+    carriers = plan.carrier_matrix
 
     if plan.mode is Mode.ACTIVE_OVERLAPPED:
         if scene.per_source is None:

@@ -620,6 +620,26 @@ def test_decode_two_active_streams_writes_each_side_per_source(tmp_path, capsys)
     assert sides == [(side, k) for side in ("pd1", "pd2") for k in range(sources)]
 
 
+@pytest.mark.parametrize("second", ["s1", "s1_copy"])
+def test_decode_two_streams_of_one_side_exits_config_code(tmp_path, capsys, second):
+    # One PD1 file twice, or two PD1 files, would decode both as PD1 and
+    # write the second side's images over the first's.
+    assert run_cli("plan", "--preset", "exp3-active", "--out", str(tmp_path / "p")) == 0
+    cplan = planmod.load_plan(tmp_path / "p" / "plan.json")
+    scene = presets.preset_config("exp3-active").build_scene(cplan.grid)
+    stream = sensor.synthesize(cplan, scene)
+    sensor.write_stream(stream, tmp_path / "s1")
+    sensor.write_stream(stream, tmp_path / "s1_copy")
+    out = tmp_path / "d"
+    code = run_cli("decode", "--plan", str(tmp_path / "p" / "plan.json"), "--stream",
+                   str(tmp_path / "s1"), "--stream2", str(tmp_path / second), "--out", str(out))
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: dual streams need a pd1 and a pd2 stream, got two pd1\n"
+    )
+    assert not list(out.glob("image_*"))
+
+
 def _not_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"name": "caméra"}'.encode("latin-1"))

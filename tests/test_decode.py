@@ -366,6 +366,112 @@ def test_non_finite_sample_names_its_bit(bad):
         decode.decode_frame(stream, plan)
 
 
+@st.composite
+def spectra_cases(draw):
+    """A random valid plan on square, sine or static carriers and a noisy stream of one dtype."""
+    mode = draw(st.sampled_from(list(Mode)))
+    f_count = draw(st.integers(20, 300))
+    top = (f_count - 1) // 2  # highest bin below Nyquist
+    multichannel = mode in (Mode.PASSIVE_FDMA_CDMA, Mode.ACTIVE_OVERLAPPED)
+    channels = draw(st.integers(1, 4)) if multichannel else 1
+    if mode is Mode.ACTIVE_OVERLAPPED:
+        bins = st.lists(st.integers(1, top), min_size=channels, max_size=channels, unique=True)
+        timing = dict(frequencies=tuple(map(float, draw(bins))))
+    elif mode is Mode.PLAIN_CDMA:
+        timing = {}
+    else:
+        f1 = draw(st.integers(1, top >> (channels - 1)))
+        waveform = draw(st.sampled_from(("square", "sine")))
+        timing = dict(channels=channels, f1=float(f1), waveform=waveform)
+    plan = build_plan(
+        PixelGrid(draw(st.integers(1, 4)), draw(st.integers(1, 4))),
+        mode=mode,
+        bit_rate=1.0,
+        sample_rate=float(f_count),
+        key_seed=draw(st.integers(0, 2**32)),
+        hopping=draw(st.booleans()),
+        **timing,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if mode is Mode.ACTIVE_OVERLAPPED:
+        maps = rng.uniform(0.05, 1.0, (channels, plan.grid.rows, plan.grid.columns))
+        scene = Scene(grid=plan.grid, per_source=maps)
+    else:
+        scene = positive_scene(plan.grid, seed=int(rng.integers(2**32)))
+    dtype = draw(st.sampled_from((np.float64, np.float32)))
+    stream = sensor.synthesize(plan, scene, dtype=dtype)
+    stream = sensor.add_noise(stream, DetectorModel(noise_sigma=0.1), seed=rng)
+    block_bits = draw(st.integers(1, plan.code_length))
+    return plan, stream, block_bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectra_cases())
+def test_per_bit_spectra_are_rfft_magnitudes_at_the_carrier_bins(case):
+    plan, stream, block_bits = case
+    f_count = plan.samples_per_bit
+    want = np.abs(np.fft.rfft(stream.per_bit().astype(np.float64), axis=1))[:, plan.carrier_bins]
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block_bits * f_count):
+        got = decode.per_bit_spectra(stream, plan)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        # A block read alone gives its rows of the frame's spectra, bit for bit.
+        start = block_bits * (plan.code_length // block_bits // 2)
+        stop = min(start + block_bits, plan.code_length)
+        samples = stream.samples[start * f_count : stop * f_count].copy()
+        block = replace(stream, samples=samples, bits=stop - start, first_bit=start)
+        assert decode.per_bit_spectra(block, plan).tobytes() == got[start:stop].tobytes()
+
+
+def bit_block_generator(plan, scene, bits, order, closed):
+    """The plan's frame as blocks of `bits` bits, yielded in the given block order."""
+    try:
+        for i in order:
+            start = i * bits
+            stop = min(start + bits, plan.code_length)
+            yield sensor.synthesize(plan, scene, bit_range=(start, stop))
+    finally:
+        closed.append(True)
+
+
+@pytest.mark.parametrize(
+    "order,message",
+    [
+        ((0, 2), "block starts at bit 8, expected bit 4"),  # skips block 1
+        ((0, 1, 1, 2), "block starts at bit 4, expected bit 8"),  # repeats block 1
+        ((1, 2), "block starts at bit 4, expected bit 0"),  # misses the first block
+    ],
+)
+def test_decode_frame_rejects_blocks_out_of_order(order, message):
+    grid = PixelGrid(4, 4)
+    plan = build_plan(grid, channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0, key_seed=1)
+    assert plan.code_length == 12
+    closed = []
+    blocks = bit_block_generator(plan, positive_scene(grid), 4, order, closed)
+    with pytest.raises(PlanMismatch, match=message):
+        decode.decode_frame(blocks, plan)
+    assert closed == [True]
+    whole = bit_block_generator(plan, positive_scene(grid), 4, range(3), [])
+    assert decode.decode_frame(whole, plan).pd_side == sensor.PD1
+
+
+def test_decode_frame_rejects_a_block_of_the_other_side():
+    grid = PixelGrid(4, 4)
+    plan = build_plan(grid, channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0, key_seed=1)
+    scene = positive_scene(grid)
+    blocks = [
+        sensor.synthesize(plan, scene, pd_side=side, bit_range=(start, start + 6))
+        for side, start in ((sensor.PD1, 0), (sensor.PD2, 6))
+    ]
+    with pytest.raises(PlanMismatch, match="pd2 block in a pd1 stream"):
+        decode.decode_frame((block for block in blocks), plan)
+
+
+def test_decode_frame_rejects_an_empty_block_generator():
+    plan = build_plan(PixelGrid(2, 2), channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0)
+    with pytest.raises(PlanMismatch, match="stream has 0 bits"):
+        decode.decode_frame((block for block in ()), plan)
+
+
 # ---------------------------------------------------------------------------
 # decode_capture: the streaming capture -> decode path
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 import dataclasses
+import gc
 import os
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caossim import codes, plan as planmod
+from caossim import codes, decode, plan as planmod, scene as sc, sensor
 from caossim.errors import ConfigError, NyquistError, TimingError
 from caossim.plan import Mode, PixelGrid, build_plan, coding_element, pixel_sets
 
@@ -382,3 +384,61 @@ def test_code_identity_is_checked_above_512_sets(monkeypatch):
     assert report.failures() == ["code-correlation-identity"]
     detail = dict((name, detail) for name, _, detail in report.entries)["code-correlation-identity"]
     assert "seed FAIL" in detail and "Freivalds probes FAIL" in detail
+
+
+#: The carrier and pixel constants a plan builds once, on first read.
+PLAN_CONSTANTS = (
+    "pixel_index", "carrier_matrix", "carrier_bins", "carrier_basis", "carrier_bin_gains"
+)
+
+CONSTANT_PLANS = {
+    "square": lambda: small_plan(key_seed=3, hopping=True),
+    "sine": lambda: small_plan(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(3.0, 5.0), key_seed=3),
+    "none": lambda: small_plan(mode=Mode.PLAIN_CDMA),
+    "active-pixels": lambda: small_plan(grid=PixelGrid(4, 3, 1, ((2, 1), (4, 3), (1, 2)))),
+}
+
+
+@pytest.mark.parametrize("kind", CONSTANT_PLANS)
+@pytest.mark.parametrize("name", PLAN_CONSTANTS)
+def test_plan_constants_are_built_once_and_read_only(kind, name):
+    plan = CONSTANT_PLANS[kind]()
+    value = getattr(plan, name)
+    assert getattr(plan, name) is value
+    assert not value.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        value[...] = 0
+    for other in (
+        planmod.reallocate(plan, 1),
+        planmod.rebuild(plan),
+        dataclasses.replace(plan),
+    ):
+        rebuilt = getattr(other, name)
+        assert rebuilt is not value
+        assert rebuilt.dtype == value.dtype and np.array_equal(rebuilt, value)
+
+
+def test_pixel_index_lists_positions_as_zero_based_rows_and_columns():
+    for plan in (small_plan(grid=PixelGrid(5, 3)), CONSTANT_PLANS["active-pixels"]()):
+        want = [(n - 1, m - 1) for m, n in plan.positions()]
+        assert plan.pixel_index.dtype == np.int64
+        assert plan.pixel_index.tolist() == [list(p) for p in want]
+
+
+@pytest.mark.parametrize("kind", CONSTANT_PLANS)
+def test_plan_constants_are_released_with_their_plan(kind):
+    # A cache outside the plan (say, an lru_cache keyed by it) would keep it alive.
+    plan = CONSTANT_PLANS[kind]()
+    grid = plan.grid
+    if plan.mode is Mode.ACTIVE_OVERLAPPED:
+        maps = np.ones((plan.channel_count, grid.rows, grid.columns))
+        scene = sc.Scene(grid=grid, per_source=maps)
+    else:
+        scene = sc.Scene(grid=grid, irradiance=np.ones((grid.rows, grid.columns)))
+    decode.decode_frame(sensor.capture_dual(plan, scene), plan)
+    for name in PLAN_CONSTANTS:
+        getattr(plan, name)
+    ref = weakref.ref(plan)
+    del plan
+    gc.collect()
+    assert ref() is None

@@ -389,6 +389,14 @@ def test_dual_capture_draws_each_side_from_a_spawned_seed():
         assert stream.samples.tobytes() == want.samples.tobytes()
 
 
+@pytest.mark.parametrize("side", [sensor.PD1, sensor.PD2])
+def test_dual_streams_reject_two_streams_of_one_side(side):
+    plan = make_plan()
+    stream = sensor.synthesize(plan, uniform_scene(plan.grid), pd_side=side)
+    with pytest.raises(ConfigError, match=f"got two {side}"):
+        sensor.DualStreams(stream, stream)
+
+
 class TestAdc:
     def test_identity_when_unset(self):
         plan = make_plan()
