@@ -5,13 +5,13 @@ F-point DFT read at the carrier bins (exact integers by plan construction,
 so no window is needed): one product with the plan's real (F, 2P)
 [cos | -sin] basis gives each bin's real and imaginary part, and their
 hypot its magnitude. The product runs in float64, so a float32 block is
-read through one float64 copy. Each pixel's bin readings across the W bits
-form a sequence, hop-schedule aware. Correlating a sequence against the
-signed codes recovers one scaled irradiance per set, and the keyed
-assignment maps values back to pixel positions. decode_frame runs these
-steps on a stream or its bit blocks; decode_capture feeds it blocks
-straight from the capture chain, writing them to stream files when asked,
-so no run holds the stream.
+read through one float64 copy. The plan's estimates method then inverts
+its keyed map: it un-hops the (W, P) bin readings, correlates them against
+the signed codes to recover one scaled irradiance per set and slot, and
+picks each pixel's; plan.image puts the values back at the pixel
+positions. decode_frame runs these steps on a stream or its bit blocks;
+decode_capture feeds it blocks straight from the capture chain, writing
+them to stream files when asked, so no run holds the stream.
 
 Bin readings are equalized by each channel's unit-carrier magnitude (for a
 sampled 0/1 square at k cycles per bit that is k / sin(pi k / F), for a
@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import scene as scene_mod
 from . import sensor as sensor_mod
-from .codes import hadamard_transform
 from .errors import ConfigError, PlanMismatch
 from .plan import COMPLEMENT_CODED_MODES, CodingPlan, Mode, write_json
 from .sensor import PD1, PD2, DualStreams, SampleStream, bit_blocks, capture_sides
@@ -43,16 +42,6 @@ def dsp_gain_db(samples_per_bit: int) -> float:
     if samples_per_bit < 2:
         raise ValueError("samples_per_bit must be >= 2")
     return 10.0 * math.log10(samples_per_bit / 2.0)
-
-
-def carrier_bins(plan: CodingPlan) -> np.ndarray:
-    """DFT bin index per channel within one bit: plan.carrier_bins."""
-    return plan.carrier_bins
-
-
-def carrier_bin_gains(plan: CodingPlan) -> np.ndarray:
-    """Unit-carrier DFT magnitude at each channel's own bin: plan.carrier_bin_gains."""
-    return plan.carrier_bin_gains
 
 
 def _check_stream(stream: SampleStream, plan: CodingPlan) -> None:
@@ -112,47 +101,24 @@ class RecoveredImage:
         return self.values / self.normalization_reference
 
 
-def _scatter(plan: CodingPlan, per_pixel: np.ndarray) -> np.ndarray:
-    out = np.zeros((plan.grid.rows, plan.grid.columns))
-    rows, columns = plan.pixel_index.T
-    out[rows, columns] = per_pixel
-    return out
-
-
 def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str) -> list[RecoveredImage]:
     """Equalize, correlate and scatter one detector's per-bit spectra.
 
     Returns a list of one RecoveredImage, or for the active overlapped mode
     one per source, normalized by the brightest pixel across the set.
     """
-    eq = spectra / plan.carrier_bin_gains[None, :]
-    w = plan.code_length
-    rows = np.arange(w)[:, None]
-
-    if plan.mode is Mode.FM_TDMA:
-        raw_map = _scatter(plan, eq[plan.set_index, 0])
-        return [_finish(raw_map, plan, pd_side, None)]
-
-    if plan.hop_schedule is None:
-        member_seq = eq
-    else:
-        member_seq = eq[rows, plan.hop_schedule]  # (W, members)
-
-    # Row 1 + code_row[j] of H @ member_seq correlates set j's signed code.
-    estimates = (2.0 / w) * hadamard_transform(member_seq)[1 + plan.code_row]
+    estimates = plan.estimates(spectra / plan.carrier_bin_gains[None, :])
     if pd_side == PD2 and plan.mode in COMPLEMENT_CODED_MODES:
         estimates = -estimates
 
     if plan.mode is Mode.ACTIVE_OVERLAPPED:
-        images = []
-        for p in range(plan.channel_count):
-            raw_map = _scatter(plan, estimates[plan.set_index, p])
-            images.append(_finish(raw_map, plan, pd_side, p))
+        images = [
+            _finish(plan.image(estimates[:, p]), plan, pd_side, p)
+            for p in range(plan.channel_count)
+        ]
         reference = max(img.normalization_reference for img in images)
         return [replace(img, normalization_reference=reference) for img in images]
-
-    raw_pixel = estimates[plan.set_index, plan.member_index]
-    return [_finish(_scatter(plan, raw_pixel), plan, pd_side, None)]
+    return [_finish(plan.image(estimates), plan, pd_side, None)]
 
 
 def _finish(raw_map, plan, pd_side, source_index):
@@ -185,30 +151,28 @@ def decode_frame(stream, plan: CodingPlan):
     stream yields one image per source, normalized by the brightest pixel
     across the whole image set. DualStreams are decoded independently into
     one flat tuple, PD1's images then PD2's: a (pd1, pd2) pair in the passive
-    modes. A generator of one side's consecutive bit blocks, such as
-    sensor.capture_blocks, is read one block at a time; a block that does not
-    start where the previous one ended, or comes from the other side, raises
-    PlanMismatch. Decoding under a wrong-key plan is not an error, it simply
-    produces garbage.
+    modes. Any iterable of one side's consecutive bit blocks, such as
+    sensor.capture_blocks, is read one block at a time, and closed at the end
+    if it has a close method; a block that does not start where the previous
+    one ended, or comes from the other side, raises PlanMismatch. Decoding
+    under a wrong-key plan is not an error, it simply produces garbage.
     """
     if isinstance(stream, DualStreams):
         sides = [image_list(decode_frame(side, plan)) for side in (stream.pd1, stream.pd2)]
         return _result(sides, plan)
-    if isinstance(stream, SampleStream):
-        spectra, pd_side = per_bit_spectra(stream, plan), stream.pd_side
-    else:
-        parts, pd_side, next_bit = [], None, 0
-        with closing(stream):  # ends a capture's noise thread on any exit
-            for block in stream:
-                if block.first_bit != next_bit:
-                    raise PlanMismatch(
-                        f"block starts at bit {block.first_bit}, expected bit {next_bit}"
-                    )
-                if pd_side not in (None, block.pd_side):
-                    raise PlanMismatch(f"{block.pd_side} block in a {pd_side} stream")
-                pd_side, next_bit = block.pd_side, next_bit + block.bits
-                parts.append(per_bit_spectra(block, plan))
-        spectra = np.concatenate(parts) if parts else np.empty((0, plan.channel_count))
+    blocks = [stream] if isinstance(stream, SampleStream) else stream
+    parts, pd_side, next_bit = [], None, 0
+    # Closing a capture's generator ends its noise thread on any exit.
+    with closing(blocks) if hasattr(blocks, "close") else nullcontext():
+        for block in blocks:
+            start = block.first_bit
+            if start != next_bit:
+                raise PlanMismatch(f"block starts at bit {start}, expected bit {next_bit}")
+            if pd_side not in (None, block.pd_side):
+                raise PlanMismatch(f"{block.pd_side} block in a {pd_side} stream")
+            pd_side, next_bit = block.pd_side, next_bit + block.bits
+            parts.append(per_bit_spectra(block, plan))
+    spectra = np.concatenate(parts) if parts else np.empty((0, plan.channel_count))
     if spectra.shape[0] != plan.code_length:
         raise PlanMismatch(f"stream has {spectra.shape[0]} bits, plan expects {plan.code_length}")
     return _result([_decode_spectra(spectra, plan, pd_side)], plan)

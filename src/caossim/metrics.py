@@ -129,13 +129,11 @@ def crosstalk(plan: CodingPlan, probe_channel: int) -> np.ndarray:
     than an error. Exact-zero leakage is floored at -400 dB.
     """
     member = probe_channel - 1
-    candidates = np.nonzero(plan.member_index == member)[0]
+    candidates = np.flatnonzero(plan.member_index == member)
     if candidates.size == 0:
         raise ValueError(f"no pixel carries channel {probe_channel}")
-    pixel = plan.positions()[int(candidates[0])]
-    img = np.zeros((plan.grid.rows, plan.grid.columns))
-    img[pixel[1] - 1, pixel[0] - 1] = 1.0
-    stream = sensor_mod.synthesize(plan, Scene(grid=plan.grid, irradiance=img))
+    probe = plan.image(np.arange(plan.grid.pixel_count) == candidates[0])
+    stream = sensor_mod.synthesize(plan, Scene(grid=plan.grid, irradiance=probe))
     spectra = decode_mod.per_bit_spectra(stream, plan)
     energy = (spectra**2).sum(axis=0)
     probe_energy = energy[member]

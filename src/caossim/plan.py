@@ -178,10 +178,15 @@ class CodingPlan:
 
     set_index / member_index map each active pixel (in grid position order)
     to its code set and its channel slot within the set. code_row maps a set
-    to its codebook row. hop_schedule, when present, is a (W, P) table whose
-    row w is the permutation applied to channel slots during bit w; one
-    global permutation shared by every set, which is the weakest condition
-    that preserves exact correlation decoding.
+    to its codebook row (to its own slot in the FM-TDMA mode). hop_schedule
+    is a read-only (W, P) table whose row w is the permutation applied to
+    channel slots during bit w; one global permutation shared by every set,
+    which is the weakest condition that preserves exact correlation
+    decoding. Without hopping every row is the identity.
+
+    Only this class reads those tables: pixel_values, on_sums and hop carry
+    a scene forward through the map, estimates and image carry bin readings
+    back.
     """
 
     grid: PixelGrid
@@ -191,8 +196,8 @@ class CodingPlan:
     set_count: int
     set_index: np.ndarray
     member_index: np.ndarray
-    code_row: np.ndarray | None
-    hop_schedule: np.ndarray | None
+    code_row: np.ndarray
+    hop_schedule: np.ndarray
     key_seed: int
     frame_index: int
     sample_rate: float
@@ -260,12 +265,10 @@ class CodingPlan:
                 else:
                     phase = (cycles * np.arange(f_count) / f_count) % 1.0
                     rows.append((phase < 0.5).astype(np.float64))
-            elif waveform == "sine":
+            else:
                 t = np.arange(f_count) / f_count
                 phase = self.carrier_phases[p]
                 rows.append(0.5 * (1.0 + np.sin(2.0 * math.pi * cycles * t + phase)))
-            else:
-                raise ConfigError(f"unknown waveform {waveform!r}")
         return _read_only(np.stack(rows))
 
     @cached_property
@@ -303,10 +306,73 @@ class CodingPlan:
         p = self.channel_count
         return _read_only(np.hypot(np.diagonal(parts[:, :p]), np.diagonal(parts[:, p:])))
 
+    # The keyed pixel -> (code, slot, carrier) map. Forward, each pixel's
+    # value is summed into its set's slot, the set codes spread the slot sums
+    # over the W bits, and the hop schedule moves them to carriers; estimates
+    # runs the same steps backwards.
+
+    @property
+    def _pixel_slots(self):
+        """Index of the pixels in a (sets, P) array: each pixel's (set, slot).
+
+        In the active overlapped mode a pixel rides every source slot, so it
+        indexes its set's whole row.
+        """
+        if self.mode is Mode.ACTIVE_OVERLAPPED:
+            return self.set_index
+        return self.set_index, self.member_index
+
+    def pixel_values(self, image) -> np.ndarray:
+        """The (Q,) values of a (rows, columns) image at the active pixels."""
+        rows, columns = self.pixel_index.T
+        return np.asarray(image, dtype=np.float64)[rows, columns]
+
+    def image(self, per_pixel) -> np.ndarray:
+        """A (rows, columns) image of per-pixel values, zero off the active pixels."""
+        out = np.zeros((self.grid.rows, self.grid.columns))
+        rows, columns = self.pixel_index.T
+        out[rows, columns] = per_pixel
+        return out
+
+    def on_sums(self, per_pixel) -> np.ndarray:
+        """(W, P) sums of the pixel values ON in each slot during each bit, before hopping.
+
+        per_pixel is (Q,), each value summed into its pixel's (set, slot), or
+        in the active overlapped mode (Q, P), one column per source. Set j's
+        code is (1 + H[1 + code_row[j]]) / 2, so the sums are
+        (per_set.sum(0) + H.T @ y) / 2 with per_set scattered to rows
+        1 + code_row of an otherwise zero y. An FM-TDMA set is on in its own slot only.
+        """
+        per_set = np.zeros((self.set_count, self.channel_count))
+        np.add.at(per_set, self._pixel_slots, per_pixel)
+        if self.mode is Mode.FM_TDMA:
+            return per_set
+        y = np.zeros((self.code_length, self.channel_count))
+        y[1 + self.code_row] = per_set
+        return (per_set.sum(axis=0) + codes.hadamard_transform(y, transpose=True)) / 2
+
+    def hop(self, sums) -> np.ndarray:
+        """(W, P) slot sums moved to the carrier each slot rides during each bit."""
+        out = np.zeros_like(sums)
+        np.put_along_axis(out, self.hop_schedule, sums, axis=1)
+        return out
+
+    def estimates(self, readings) -> np.ndarray:
+        """Per-pixel values from (W, P) carrier readings: the inverse of hop(on_sums(.)).
+
+        Un-hops the readings, correlates them with set j's signed code as
+        row 1 + code_row[j] of (2 / W) H (an FM-TDMA set is read in its own
+        time slot), and picks each pixel's set and slot; shaped as on_sums'
+        input.
+        """
+        per_set = np.take_along_axis(readings, self.hop_schedule, axis=1)
+        if self.mode is not Mode.FM_TDMA:
+            w = self.code_length
+            per_set = (2.0 / w) * codes.hadamard_transform(per_set)[1 + self.code_row]
+        return per_set[self._pixel_slots]
+
     def channel_slot(self, bit_index: int, member: int) -> int:
         """0-based channel index used by channel slot `member` during a bit."""
-        if self.hop_schedule is None:
-            return member
         return int(self.hop_schedule[bit_index - 1, member])
 
     def code_bits(self, set_idx: int) -> np.ndarray:
@@ -343,12 +409,13 @@ def _rng(key_seed: int, stream: int, extra: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-#: Timing rows build_plan enforces, with the error each raises; the other
-#: rows are reported by validate_plan only.
+#: The error build_plan raises for each failing timing row.
 _TIMING_ERRORS = {
     "samples-per-bit-integer": TimingError,
     "carrier-cycles-integer": TimingError,
+    "carrier-bins-distinct": TimingError,
     "nyquist": NyquistError,
+    "odd-harmonics-clear": TimingError,
 }
 
 
@@ -374,7 +441,8 @@ def _timing_rows(freq: FrequencyPlan, sample_rate: float, mode: Mode):
     ]
     yield "carrier-cycles-integer", not bad, bad[0] if bad else f"cycles per bit = {cycles}"
     bins = [round(k) for k in cycles]
-    yield "carrier-bins-distinct", len(set(bins)) == len(bins), f"bins = {bins}"
+    ok = len(set(bins)) == len(bins)
+    yield "carrier-bins-distinct", ok, f"bins = {bins}" if ok else f"carriers share a bin: {bins}"
     top = max(freq.frequencies)
     if freq.waveform == "square":
         # The harmonic margin keeps odd harmonics of the top carrier below Nyquist.
@@ -388,6 +456,17 @@ def _timing_rows(freq: FrequencyPlan, sample_rate: float, mode: Mode):
         ok = sample_rate > 2.0 * top
         failure = f"sample_rate {sample_rate} too low for {top} Hz carrier"
     yield "nyquist", ok, f"sample_rate {sample_rate} vs highest carrier {top}" if ok else failure
+    if freq.waveform == "square":
+        # No odd harmonic (below Nyquist) of one carrier may land on another's bin.
+        half = round(samples) // 2
+        hits = [
+            f"harmonic {h} of carrier bin {k} lands on bin {h * k}"
+            for k in bins
+            if k >= 1
+            for h in range(3, half // k + 1, 2)
+            if h * k in bins
+        ]
+        yield "odd-harmonics-clear", not hits, hits[0] if hits else ""
 
 
 def build_plan(
@@ -448,6 +527,8 @@ def build_plan(
         raise ConfigError(f"carrier frequencies must be finite, got {freq_list}")
     if waveform is None:
         waveform = "sine" if mode is Mode.ACTIVE_OVERLAPPED else "square"
+    if mode is not Mode.PLAIN_CDMA and waveform not in ("square", "sine"):
+        raise ConfigError(f"waveform must be 'square' or 'sine' in {mode.value}, got {waveform!r}")
 
     freq = FrequencyPlan(
         frequencies=freq_list,
@@ -456,7 +537,7 @@ def build_plan(
         harmonics=harmonics,
     )
     for name, ok, detail in _timing_rows(freq, float(sample_rate), mode):
-        if not ok and name in _TIMING_ERRORS:
+        if not ok:
             raise _TIMING_ERRORS[name](detail)
     samples_per_bit = int(round(float(sample_rate) * freq.bit_duration))
 
@@ -486,10 +567,10 @@ def build_plan(
     set_index[order] = base_set
     member_index[order] = base_member
 
-    # Codebook and per-set code rows.
+    # Codebook and per-set code rows; an FM-TDMA set owns the slot of its index.
     if mode is Mode.FM_TDMA:
         book = None
-        code_row = None
+        code_row = np.arange(set_count)
     else:
         book = codes.codebook(set_count, min_length=min_code_length)
         if shuffle_codes:
@@ -499,10 +580,12 @@ def build_plan(
 
     code_length = q if mode is Mode.FM_TDMA else book.length
 
-    hop_schedule = None
     if hopping:
         rng = _rng(key_seed, _STREAM_HOPS)
-        hop_schedule = np.stack([rng.permutation(channels) for _ in range(code_length)])
+        hops = np.stack([rng.permutation(channels) for _ in range(code_length)])
+    else:
+        hops = np.arange(channels)  # every bit the identity, broadcast without a copy
+    hop_schedule = np.broadcast_to(hops, (code_length, channels))  # a read-only view
 
     phases = tuple(
         float(x) for x in _rng(key_seed, _STREAM_PHASES).uniform(0.0, 2.0 * math.pi, channels)
@@ -573,24 +656,6 @@ def validate_plan(plan: CodingPlan) -> PlanReport:
     for row in _timing_rows(freq, plan.sample_rate, plan.mode):
         report.add(*row)
 
-    if plan.mode is not Mode.PLAIN_CDMA and freq.waveform == "square":
-        # No odd harmonic of one carrier (alias-folded) may land on
-        # another carrier's bin.
-        bins = [round(k) for k in freq.cycles_per_bit()]
-        collision = False
-        total = plan.samples_per_bit
-        for kp in bins:
-            if kp < 1:
-                continue
-            h = 3
-            while h * kp <= total // 2:
-                folded = (h * kp) % total
-                folded = min(folded, total - folded)
-                if folded in bins and folded != kp:
-                    collision = True
-                h += 2
-        report.add("odd-harmonics-clear", not collision)
-
     q = plan.grid.pixel_count
     if plan.mode is Mode.ACTIVE_OVERLAPPED:
         report.add("active-one-code-per-pixel", plan.set_count == q)
@@ -611,7 +676,7 @@ def validate_plan(plan: CodingPlan) -> PlanReport:
             sorted(last.tolist()) == list(range(layout.last_set_size)),
         )
 
-    if plan.hop_schedule is not None:
+    if plan.hopping:
         rows_ok = plan.hop_schedule.shape == (plan.code_length, plan.channel_count) and all(
             sorted(row.tolist()) == list(range(plan.channel_count))
             for row in plan.hop_schedule
@@ -817,5 +882,4 @@ def write_assignment_csv(plan: CodingPlan, path) -> None:
         for idx, (m, n) in enumerate(plan.positions()):
             s = int(plan.set_index[idx])
             mem = int(plan.member_index[idx])
-            row = s if plan.code_row is None else int(plan.code_row[s])
-            writer.writerow([m, n, s, mem, mem + 1, row])
+            writer.writerow([m, n, s, mem, mem + 1, int(plan.code_row[s])])

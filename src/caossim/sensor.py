@@ -10,6 +10,10 @@ detector: during a code-1 bit PD2 sees 1 - carrier, and a parked pixel
 active sources and ride on the light itself, so a parked pixel hands its
 full modulated signal to PD2.
 
+The keyed pixel -> (code, slot, carrier) map belongs to the plan: its
+pixel_values, on_sums and hop methods give each bit's summed light per
+carrier, and this module turns those sums into samples.
+
 capture_blocks runs the capture chain synthesize -> add_noise -> apply_adc
 one bit block at a time; capture, decode.decode_capture and caossim simulate
 all take their samples from it, and write_stream appends each block to a file.
@@ -24,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import hadamard_transform
 from .errors import ConfigError, DimensionMismatch, LengthMismatch
 from .plan import CodingPlan, Mode, document_fields, json_int, json_real, parse_fields, write_json
 from .scene import DetectorModel, Scene
@@ -89,26 +92,6 @@ def carrier_matrix(plan: CodingPlan) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pixel_values(plan: CodingPlan, image: np.ndarray) -> np.ndarray:
-    """Per active pixel value, aligned with plan.positions()."""
-    rows, columns = plan.pixel_index.T
-    return np.asarray(image, dtype=np.float64)[rows, columns]
-
-
-def _on_sums(plan: CodingPlan, per_set: np.ndarray) -> np.ndarray:
-    """(W, channels) sums of the per_set rows whose code bit is 1 during each bit.
-
-    Set j's code is (1 + H[1 + code_row[j]]) / 2, so the sums are
-    (per_set.sum(0) + H.T @ y) / 2 with per_set scattered to rows
-    1 + code_row of an otherwise zero y. An FM-TDMA set is on in its own slot only.
-    """
-    if plan.mode is Mode.FM_TDMA:
-        return per_set
-    y = np.zeros((plan.code_length, per_set.shape[1]))
-    y[1 + plan.code_row] = per_set
-    return (per_set.sum(axis=0) + hadamard_transform(y, transpose=True)) / 2
-
-
 def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str):
     """One detector side's per-bit coherent channel sums and what they ride on.
 
@@ -118,7 +101,8 @@ def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str)
     (channels, F) unit waveform of each slot. PD1 and both sides of the
     complement-coded active mode ride the carriers, with no constant. Passive
     PD2 sees PD1's sums on the complement waveforms plus, as constant, the
-    parked pixels' unmodulated light.
+    parked pixels' unmodulated light. PD2's light is taken from the sums
+    before the hop, whose column order would change a row sum's rounding.
     """
     if scene.grid.columns != plan.grid.columns or scene.grid.rows != plan.grid.rows:
         raise DimensionMismatch(
@@ -135,34 +119,18 @@ def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str)
             raise DimensionMismatch(
                 f"scene has {scene.source_count} sources, plan has {channels} channels"
             )
-        per_pixel = np.stack(
-            [_pixel_values(plan, scene.per_source[p]) for p in range(channels)], axis=1
-        )  # (Q, channels); pixel order == position order
-        by_code = np.zeros_like(per_pixel)
-        by_code[plan.set_index] = per_pixel  # reorder into set order
-        sums = _on_sums(plan, by_code)  # (W, channels) per-source ON sums
+        per_pixel = np.stack([plan.pixel_values(image) for image in scene.per_source], axis=1)
+        sums = plan.on_sums(per_pixel)  # (W, channels) per-source ON sums
         if pd_side == PD2:
             sums = per_pixel.sum(axis=0)[None, :] - sums
-        return _apply_hops(plan, sums), carriers, None
+        return plan.hop(sums), carriers, None
 
-    values = _pixel_values(plan, scene.effective_irradiance(responsivity))
-    member_sums = np.zeros((plan.set_count, channels))
-    np.add.at(member_sums, (plan.set_index, plan.member_index), values)
-    sums = _on_sums(plan, member_sums)  # (W, channels) ON sums per channel slot
+    values = plan.pixel_values(scene.effective_irradiance(responsivity))
+    sums = plan.on_sums(values)  # (W, channels) ON sums per channel slot
     if pd_side == PD1:
-        return _apply_hops(plan, sums), carriers, None
+        return plan.hop(sums), carriers, None
     parked = float(values.sum()) - sums.sum(axis=1)  # (W,) light resting on PD2
-    return _apply_hops(plan, sums), 1.0 - carriers, parked
-
-
-def _apply_hops(plan: CodingPlan, member_sums: np.ndarray) -> np.ndarray:
-    """Map member-slot sums to carrier channels through the hop schedule."""
-    if plan.hop_schedule is None:
-        return member_sums
-    out = np.zeros_like(member_sums)
-    rows = np.arange(member_sums.shape[0])[:, None]
-    out[rows, plan.hop_schedule] = member_sums
-    return out
+    return plan.hop(sums), 1.0 - carriers, parked
 
 
 #: Samples per processing block. synthesize, per_bit_spectra and capture_blocks

@@ -569,6 +569,9 @@ def _config_case(field, value):
         (_plan_file_case("pixel_size", 0, in_grid=True), "pixel_size"),
         (_config_case("pixel_size", 0), "pixel_size"),
         (_plan_file_case("active_pixels", [], in_grid=True), "active pixel"),
+        (_plan_file_case("active_pixels", [[1, 1], [1, 1]], in_grid=True), "unique"),
+        (_plan_file_case("active_pixels", [[1, 1], [99, 1]], in_grid=True), "(99, 1) outside"),
+        (_plan_file_case("code_length", 7), "declares code_length 7"),
         (_config_case("f1", math.nan), "carrier frequencies"),
         (_config_case("noise_seed", -1), "noise_seed"),
     ],
@@ -577,7 +580,8 @@ def _config_case(field, value):
         "config-nan-sample-rate", "plan-inf-sample-rate", "plan-negative-key-seed",
         "config-negative-key-seed", "preset-seed-minus-one", "plan-negative-frame-index",
         "plan-zero-harmonics", "plan-zero-pixel-size", "config-zero-pixel-size",
-        "plan-no-active-pixels", "config-nan-f1", "config-negative-noise-seed",
+        "plan-no-active-pixels", "plan-repeated-active-pixel", "plan-active-pixel-off-grid",
+        "plan-wrong-code-length", "config-nan-f1", "config-negative-noise-seed",
     ],
 )
 def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, names):
@@ -586,6 +590,44 @@ def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, n
     assert run_cli(*argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and names in err, err
+
+
+#: Plan-file edits after which a plan cannot decode exactly, with the exit
+#: code and error text that refuse the file.
+_UNDECODABLE_PLANS = {
+    "static-waveform": (dict(waveform="none"), cli.EXIT_CONFIG, "must be 'square' or 'sine'"),
+    "unknown-waveform": (dict(waveform="triangle"), cli.EXIT_CONFIG, "got 'triangle'"),
+    "shared-bin": (
+        dict(frequencies=[2.0, 2.0]), cli.EXIT_VALIDATION, "carriers share a bin: [2, 2]"
+    ),
+    "harmonic-on-a-carrier": (
+        dict(frequencies=[1.0, 3.0]), cli.EXIT_VALIDATION,
+        "harmonic 3 of carrier bin 1 lands on bin 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNDECODABLE_PLANS))
+def test_plan_file_that_cannot_decode_exactly_is_refused(tmp_path, capsys, case):
+    edit, code, message = _UNDECODABLE_PLANS[case]
+    # A passive two-carrier plan on a 4x4 grid with F = 16, and a stream it wrote.
+    plan = build_plan(PixelGrid(4, 4), channels=2, f1=1.0, bit_rate=1.0, sample_rate=16.0)
+    data = planmod.plan_to_dict(plan)
+    good, bad, scene = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "scene.csv"
+    good.write_text(json.dumps(data))
+    bad.write_text(json.dumps({**data, **edit}))
+    sc.write_image_csv(np.random.default_rng(2).uniform(0.1, 1.0, (4, 4)), scene)
+    simulate = ["simulate", "--scene", str(scene), "--out"]
+    assert run_cli(*simulate, str(tmp_path), "--plan", str(good)) == 0
+    for argv in (
+        [*simulate, str(tmp_path / "s"), "--plan", str(bad)],
+        ["decode", "--plan", str(bad), "--stream", str(tmp_path / "stream_pd1"),
+         "--out", str(tmp_path / "d")],
+    ):
+        capsys.readouterr()
+        assert run_cli(*argv) == code
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "s").exists() and not (tmp_path / "d").exists()
 
 
 def test_simulate_negative_noise_seed_exits_config_code(tmp_path, capsys):

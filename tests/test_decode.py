@@ -157,12 +157,12 @@ class TestCorrelate:
 class TestCarrierBins:
     def test_bins_outside_half_the_bit_raise(self):
         plan = build_plan(PixelGrid(2, 2), channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0)
-        assert decode.carrier_bins(plan).tolist() == [2, 4]
+        assert plan.carrier_bins.tolist() == [2, 4]
         stream = sensor.synthesize(plan, positive_scene(plan.grid))
         for frequencies in ((2.0, 40.0), (-2.0, 4.0)):
             swapped = replace(plan, frequencies=replace(plan.frequencies, frequencies=frequencies))
             with pytest.raises(PlanMismatch, match="outside 0..32"):
-                decode.carrier_bins(swapped)
+                swapped.carrier_bins  # raises on its first read
             with pytest.raises(PlanMismatch):
                 decode.decode_frame(stream, swapped)
 
@@ -470,6 +470,16 @@ def test_decode_frame_rejects_an_empty_block_generator():
     plan = build_plan(PixelGrid(2, 2), channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0)
     with pytest.raises(PlanMismatch, match="stream has 0 bits"):
         decode.decode_frame((block for block in ()), plan)
+
+
+def test_decode_frame_reads_a_list_an_iterator_and_a_generator_alike():
+    grid = PixelGrid(4, 4)
+    plan = build_plan(grid, channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0, key_seed=1)
+    scene = positive_scene(grid)
+    blocks = [sensor.synthesize(plan, scene, bit_range=(start, start + 4)) for start in (0, 4, 8)]
+    want = decode.decode_frame(sensor.synthesize(plan, scene), plan).raw.tobytes()
+    for feed in (blocks, iter(blocks), (block for block in blocks)):
+        assert decode.decode_frame(feed, plan).raw.tobytes() == want
 
 
 # ---------------------------------------------------------------------------

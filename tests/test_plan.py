@@ -164,6 +164,35 @@ def test_validate_nyquist_applies_square_harmonic_margin():
         small_plan(channels=3, f1=4.0, sample_rate=64.0, harmonics=3)
 
 
+def test_validate_checks_the_hop_rows_of_a_hopping_plan():
+    p = small_plan(hopping=True, key_seed=11)
+    report = planmod.validate_plan(p)
+    assert report.passed, report.failures()
+    assert "hop-rows-are-permutations" in [name for name, _, _ in report.entries]
+    hops = p.hop_schedule.copy()
+    hops[5] = hops[5, 0]  # bit 6 sends every slot to one carrier
+    report = planmod.validate_plan(dataclasses.replace(p, hop_schedule=hops))
+    assert report.failures() == ["hop-rows-are-permutations"]
+    unhopped = planmod.validate_plan(small_plan())
+    assert "hop-rows-are-permutations" not in [name for name, _, _ in unhopped.entries]
+
+
+def test_unhopped_schedule_is_a_read_only_identity_without_memory():
+    p = small_plan()
+    assert p.hop_schedule.shape == (p.code_length, p.channel_count)
+    assert np.array_equal(p.hop_schedule, np.tile(np.arange(p.channel_count), (p.code_length, 1)))
+    assert p.hop_schedule.strides == (0, 8) and not p.hop_schedule.flags.writeable
+    assert not small_plan(hopping=True, key_seed=1).hop_schedule.flags.writeable
+
+
+def test_carrier_refusals_spare_plans_that_decode_exactly():
+    # test_cli.py refuses plan files that break the carrier rules. Sines have
+    # no harmonics, and plain-cdma sets its static waveform itself.
+    sines = small_plan(frequencies=(1.0, 3.0), sample_rate=16.0, waveform="sine")
+    assert planmod.validate_plan(sines).passed
+    assert small_plan(mode=Mode.PLAIN_CDMA, waveform="square").frequencies.waveform == "none"
+
+
 def test_frame_time_law_on_power_of_two_grid():
     grid = PixelGrid(254, 8)
     frames = {}
@@ -212,8 +241,7 @@ def test_plan_file_roundtrip_byte_identical(tmp_path):
     assert path1.read_bytes() == path2.read_bytes()
     assert np.array_equal(loaded.set_index, p.set_index)
     assert np.array_equal(loaded.member_index, p.member_index)
-    if p.hop_schedule is not None:
-        assert np.array_equal(loaded.hop_schedule, p.hop_schedule)
+    assert np.array_equal(loaded.hop_schedule, p.hop_schedule)
 
 
 @st.composite
@@ -272,6 +300,27 @@ def test_plan_file_roundtrip_is_exact(plan):
         planmod.save_plan(loaded, second)
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_plans(), st.integers(0, 2**32 - 1))
+def test_estimates_invert_the_forward_map(plan, seed):
+    # (Q,) values, or (Q, P) per-source values in the active overlapped mode.
+    shape = (plan.grid.pixel_count,)
+    if plan.mode is Mode.ACTIVE_OVERLAPPED:
+        shape += (plan.channel_count,)
+    x = np.random.default_rng(seed).uniform(0.01, 1.0, shape)
+    got = plan.estimates(plan.hop(plan.on_sums(x)))
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_image_and_pixel_values_are_inverse_on_the_active_pixels():
+    p = small_plan(grid=PixelGrid(4, 3, 1, ((2, 1), (4, 3), (1, 2))))
+    image = p.image(np.array([5.0, 6.0, 7.0]))
+    assert image[0, 1] == 5.0 and image[2, 3] == 6.0 and image[1, 0] == 7.0
+    assert np.count_nonzero(image) == 3
+    assert p.pixel_values(image).tolist() == [5.0, 6.0, 7.0]
 
 
 @settings(max_examples=50, deadline=None)

@@ -146,6 +146,22 @@ class TestSynthesize:
         with pytest.raises(DimensionMismatch):
             sensor.synthesize(plan, uniform_scene(PixelGrid(3, 3)))
 
+    @pytest.mark.parametrize(
+        "scene,message",
+        [
+            (uniform_scene(PixelGrid(3, 2)), "needs a per-source scene"),
+            (Scene(grid=PixelGrid(3, 2), per_source=np.ones((3, 2, 3))), "has 3 sources"),
+        ],
+        ids=["scalar-scene", "three-sources"],
+    )
+    def test_active_capture_needs_one_map_per_source(self, scene, message):
+        plan = make_plan(
+            grid=PixelGrid(3, 2), mode=Mode.ACTIVE_OVERLAPPED, frequencies=(3.0, 5.0),
+            bit_rate=1.0, sample_rate=64.0,
+        )
+        with pytest.raises(DimensionMismatch, match=message):
+            sensor.synthesize(plan, scene)
+
 
 @pytest.mark.parametrize("mode", [Mode.PASSIVE_FDMA_CDMA, Mode.ACTIVE_OVERLAPPED])
 @pytest.mark.parametrize("side", [sensor.PD1, sensor.PD2])
@@ -395,6 +411,19 @@ def test_dual_streams_reject_two_streams_of_one_side(side):
     stream = sensor.synthesize(plan, uniform_scene(plan.grid), pd_side=side)
     with pytest.raises(ConfigError, match=f"got two {side}"):
         sensor.DualStreams(stream, stream)
+
+
+@pytest.mark.parametrize("change", ["rate", "length"])
+def test_dual_streams_reject_a_different_rate_or_length(change):
+    plan = make_plan()
+    pd1 = sensor.synthesize(plan, uniform_scene(plan.grid))
+    pd2 = sensor.synthesize(plan, uniform_scene(plan.grid), pd_side=sensor.PD2)
+    if change == "rate":
+        pd2 = replace(pd2, rate=2 * pd2.rate)
+    else:
+        pd2 = replace(pd2, samples=pd2.samples[: pd2.samples_per_bit], bits=1)
+    with pytest.raises(LengthMismatch, match="share rate and length"):
+        sensor.DualStreams(pd1, pd2)
 
 
 class TestAdc:
