@@ -257,14 +257,7 @@ class CodingPlan:
             if waveform == "none":
                 rows.append(np.ones(f_count))
             elif waveform == "square":
-                k = round(cycles)
-                if abs(cycles - k) < 1e-9:
-                    # Integer cycles: exact integer edge test.
-                    ticks = (k * np.arange(f_count, dtype=np.int64)) % f_count
-                    rows.append((2 * ticks < f_count).astype(np.float64))
-                else:
-                    phase = (cycles * np.arange(f_count) / f_count) % 1.0
-                    rows.append((phase < 0.5).astype(np.float64))
+                rows.append(_square_wave(cycles, f_count))
             else:
                 t = np.arange(f_count) / f_count
                 phase = self.carrier_phases[p]
@@ -291,13 +284,9 @@ class CodingPlan:
         """(F, 2 channels) real DFT basis [cos | -sin] at the carrier bins.
 
         A bit's samples times the basis give the real and imaginary parts of
-        its DFT at each bin, as a Goertzel filter (1958) reads one bin. The
-        angle 2 pi n k / F is reduced exactly, as (n k) mod F, before scaling.
+        its DFT at each bin, as a Goertzel filter (1958) reads one bin.
         """
-        f_count = self.samples_per_bit
-        ticks = np.outer(np.arange(f_count, dtype=np.int64), self.carrier_bins) % f_count
-        angle = (2.0 * math.pi / f_count) * ticks
-        return _read_only(np.concatenate([np.cos(angle), -np.sin(angle)], axis=1))
+        return _read_only(_bin_basis(self.carrier_bins, self.samples_per_bit))
 
     @cached_property
     def carrier_bin_gains(self) -> np.ndarray:
@@ -457,16 +446,44 @@ def _timing_rows(freq: FrequencyPlan, sample_rate: float, mode: Mode):
         failure = f"sample_rate {sample_rate} too low for {top} Hz carrier"
     yield "nyquist", ok, f"sample_rate {sample_rate} vs highest carrier {top}" if ok else failure
     if freq.waveform == "square":
-        # No odd harmonic (below Nyquist) of one carrier may land on another's bin.
-        half = round(samples) // 2
-        hits = [
-            f"harmonic {h} of carrier bin {k} lands on bin {h * k}"
-            for k in bins
-            if k >= 1
-            for h in range(3, half // k + 1, 2)
-            if h * k in bins
-        ]
-        yield "odd-harmonics-clear", not hits, hits[0] if hits else ""
+        # No harmonic of one carrier may reach another's bin, folded past
+        # Nyquist or not, so the sampled carriers are read at every bin. They
+        # repeat every F / g samples, g = gcd(F, bins): one period gives each
+        # magnitude over g.
+        g = math.gcd(round(samples), *bins) or 1
+        f_count, p = round(samples) // g, len(bins)
+        waves = np.stack([_square_wave(k / g, f_count) for k in cycles])
+        parts = waves @ _bin_basis(np.array(bins) // g, f_count)
+        magnitude = np.hypot(parts[:, :p], parts[:, p:])  # (carrier, bin)
+        own = np.diagonal(magnitude)
+        leak = np.where(np.eye(p, dtype=bool), 0.0, magnitude)
+        i, j = np.unravel_index(np.argmax(leak), leak.shape)
+        ok = bool(leak[i, j] <= 1e-9 * own.min())
+        yield "odd-harmonics-clear", ok, "" if ok else (
+            f"square carrier at bin {bins[i]} puts {leak[i, j] / own[i]:.2g} of its own-bin"
+            f" magnitude on carrier bin {bins[j]}"
+        )
+
+
+def _square_wave(cycles: float, f_count: int) -> np.ndarray:
+    """One F-sample bit of a 0/1 square wave of `cycles` cycles, ON for the first half of each."""
+    k = round(cycles)
+    if abs(cycles - k) < 1e-9:
+        # Integer cycles: exact integer edge test.
+        ticks = (k * np.arange(f_count, dtype=np.int64)) % f_count
+        return (2 * ticks < f_count).astype(np.float64)
+    phase = (cycles * np.arange(f_count) / f_count) % 1.0
+    return (phase < 0.5).astype(np.float64)
+
+
+def _bin_basis(bins: np.ndarray, f_count: int) -> np.ndarray:
+    """(F, 2 bins) real DFT basis [cos | -sin] at integer bins of an F-point bit.
+
+    The angle 2 pi n k / F is reduced exactly, as (n k) mod F, before scaling.
+    """
+    ticks = np.outer(np.arange(f_count, dtype=np.int64), bins) % f_count
+    angle = (2.0 * math.pi / f_count) * ticks
+    return np.concatenate([np.cos(angle), -np.sin(angle)], axis=1)
 
 
 def build_plan(

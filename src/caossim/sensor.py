@@ -135,8 +135,10 @@ def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str)
 
 #: Samples per processing block. synthesize, per_bit_spectra and capture_blocks
 #: walk the frame in the same bit blocks, so the per-block matrix products see
-#: the same inputs on every path.
-BLOCK_SAMPLES = 4_000_000
+#: the same inputs on every path. 2**20 samples keep each block's temporaries
+#: at 8 MiB in float64; smaller blocks pay per-block fixed costs (each
+#: synthesize call's channel sums, each write_stream's sidecar) more often.
+BLOCK_SAMPLES = 1 << 20
 
 
 def bit_blocks(bits: int, samples_per_bit: int):
@@ -331,39 +333,46 @@ def capture_blocks(
     Shot and 1/f terms are drawn over the whole stream, so a detector using
     either is captured as one block.
 
-    With white noise and several blocks, block i+1's draw runs on one worker
-    thread (numpy releases the GIL) into one reused buffer, submitted once
-    block i's noise is added. The worker calls numpy only, through
-    white_noise. Closing the generator, or an error in either thread, ends
-    the worker before the generator returns.
+    With white noise and several blocks, the draws run on one worker thread
+    (numpy releases the GIL) into a ring of two buffers, which blocks use in
+    turn. Block i+1's draw is submitted as soon as block i's white term is
+    returned, so the worker draws while block i's noise and ADC run, while
+    the caller consumes it and while block i+1 is synthesized. Only one draw
+    is ever in flight, so the generator is drawn in order. Block i+1's draw
+    goes into block i-1's buffer, whose noise was added before block i-1 was
+    yielded. The worker calls numpy only, through white_noise. Closing the
+    generator, or an error in either thread, ends the worker before the
+    generator returns.
     """
     f_count, sigma = plan.samples_per_bit, detector.noise_sigma
     whole = detector.shot_noise or detector.pink_noise is not None
     ranges = [(0, plan.code_length)] if whole else list(bit_blocks(plan.code_length, f_count))
     rng = np.random.default_rng(seed)
     # One block has nothing to overlap, so add_noise draws its white term itself;
-    # several share one buffer the size of the first, largest, block.
+    # several share two buffers the size of the first, largest, block.
     prefetch = sigma > 0 and len(ranges) > 1
-    buffer = np.empty((ranges[0][1] - ranges[0][0]) * f_count if prefetch else 0)
+    largest = (ranges[0][1] - ranges[0][0]) * f_count if prefetch else 0
+    ring = (np.empty(largest), np.empty(largest))
     if prefetch:  # imported here, so that `import caossim` loads neither it nor logging
         from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1, "caossim-noise") if prefetch else nullcontext() as pool:
 
-        def draw(bit_range):
-            """Start bit_range's white draw; returns a callable giving the term, or None."""
+        def draw(i):
+            """Start block i's white draw; returns a callable giving the term, or None."""
             if not prefetch:
                 return lambda: None
-            size = (bit_range[1] - bit_range[0]) * f_count
-            return pool.submit(white_noise, rng, sigma, size, buffer[:size]).result
+            size = (ranges[i][1] - ranges[i][0]) * f_count
+            return pool.submit(white_noise, rng, sigma, size, ring[i % 2][:size]).result
 
-        pending = draw(ranges[0])
+        pending = draw(0)
         for i, bits in enumerate(ranges):
             # Each stage rebinds block, so no earlier stage is held across the yield.
             block = synthesize(plan, scene, detector, pd_side, dtype, bit_range=bits)
-            block = add_noise(block, detector, rng, white=pending())
+            white = pending()
             if i + 1 < len(ranges):
-                pending = draw(ranges[i + 1])  # the buffer is free again
+                pending = draw(i + 1)  # into the other buffer, before block i's noise
+            block = add_noise(block, detector, rng, white=white)
             block = apply_adc(block, detector)
             yield block
 

@@ -602,7 +602,12 @@ _UNDECODABLE_PLANS = {
     ),
     "harmonic-on-a-carrier": (
         dict(frequencies=[1.0, 3.0]), cli.EXIT_VALIDATION,
-        "harmonic 3 of carrier bin 1 lands on bin 3",
+        "square carrier at bin 1 puts 0.35 of its own-bin magnitude on carrier bin 3",
+    ),
+    # At F = 20 the 5th harmonic of bin 3 (bin 15) folds back onto bin 5.
+    "folded-harmonic-on-a-carrier": (
+        dict(frequencies=[3.0, 5.0], sample_rate=20.0), cli.EXIT_VALIDATION,
+        "square carrier at bin 3 puts 0.22 of its own-bin magnitude on carrier bin 5",
     ),
 }
 

@@ -164,6 +164,22 @@ def test_validate_nyquist_applies_square_harmonic_margin():
         small_plan(channels=3, f1=4.0, sample_rate=64.0, harmonics=3)
 
 
+def test_square_harmonic_folded_past_nyquist_onto_a_carrier_is_refused():
+    # At F = 20 the 5th harmonic of bin 3 (bin 15) folds back onto bin 5.
+    grid = PixelGrid(4, 4)
+    with pytest.raises(TimingError, match="bin 3 puts 0.22 of its own-bin magnitude on carrier bin 5"):
+        small_plan(grid=grid, frequencies=(3.0, 5.0), sample_rate=20.0)
+    # Bin 3's harmonics miss the even bins, so bin 4 passes. Forced onto bin 5,
+    # validate_plan fails that one row and a noiseless decode is far off.
+    p = small_plan(grid=grid, frequencies=(3.0, 4.0), sample_rate=20.0)
+    assert planmod.validate_plan(p).passed
+    broken = planmod.replace(p, frequencies=planmod.replace(p.frequencies, frequencies=(3.0, 5.0)))
+    assert planmod.validate_plan(broken).failures() == ["odd-harmonics-clear"]
+    truth = np.random.default_rng(2).uniform(0.1, 1.0, (4, 4))
+    image = decode.decode_frame(sensor.synthesize(broken, sc.Scene(grid, truth)), broken)
+    assert np.max(np.abs(image.raw - truth) / truth) > 0.1  # 17.6 % on one pixel
+
+
 def test_validate_checks_the_hop_rows_of_a_hopping_plan():
     p = small_plan(hopping=True, key_seed=11)
     report = planmod.validate_plan(p)

@@ -88,6 +88,20 @@ def test_in_memory_run_never_holds_the_whole_stream():
     assert peak < stream_bytes
 
 
+def test_in_memory_run_holds_a_few_blocks():
+    # The same run in 2**20-sample blocks: the float64 product, the float32
+    # noise and ADC outputs, the decoder's float64 copy and the two-buffer
+    # noise ring come to 39.5 MiB; with 4 M-sample blocks it was 99 MiB.
+    config = presets.preset_config("exp1-hdr", full_scale=True)
+    tracemalloc.start()
+    try:
+        presets.run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
 def test_file_writing_run_never_holds_the_whole_stream(tmp_path):
     # The same run with out_dir writes the stream file block by block as it decodes.
     config = presets.preset_config("exp1-hdr", full_scale=True)

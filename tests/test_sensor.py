@@ -355,6 +355,40 @@ def test_one_block_noisy_capture_starts_no_thread():
         assert threading.active_count() == before
 
 
+def test_noise_ring_draws_the_next_block_while_this_one_is_noised():
+    # add_noise of block i waits until draw i+1 has started, so a capture
+    # that submits a draw only after the previous block's noise times out.
+    plan, scene, block = multi_block_frame()
+    detector = DetectorModel(noise_sigma=0.1, adc_bits=10)
+    real_white_noise, real_add_noise = sensor.white_noise, sensor.add_noise
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        count = len(list(sensor.bit_blocks(plan.code_length, plan.samples_per_bit)))
+        want = np.concatenate([b.samples for b in sensor.capture_blocks(plan, scene, detector, 3)])
+    started = [threading.Event() for _ in range(count)]
+    buffers, noised = [], []
+
+    def recording_white_noise(rng, sigma, n, out):
+        buffers.append(out.__array_interface__["data"][0])
+        started[len(buffers) - 1].set()
+        return real_white_noise(rng, sigma, n, out)
+
+    def waiting_add_noise(stream, *args, **kwargs):
+        i = len(noised)
+        noised.append(i)
+        if i + 1 < count:
+            assert started[i + 1].wait(timeout=5), f"draw {i + 1} not started at block {i}'s noise"
+        return real_add_noise(stream, *args, **kwargs)
+
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block), \
+            mock.patch.object(sensor, "white_noise", recording_white_noise), \
+            mock.patch.object(sensor, "add_noise", waiting_add_noise):
+        got = np.concatenate([b.samples for b in sensor.capture_blocks(plan, scene, detector, 3)])
+    assert count > 2 and len(buffers) == len(noised) == count
+    assert got.tobytes() == want.tobytes()
+    assert len(set(buffers)) == 2
+    assert all(a != b for a, b in zip(buffers, buffers[1:]))
+
+
 def test_concurrent_block_captures_stay_bitwise_whole_stream_captures():
     # Four captures, each with its own noise thread, on more threads than cores.
     plan, scene, block = multi_block_frame(blocks=8)
