@@ -16,9 +16,9 @@ The codec never builds the W x W matrix. H = kron(S, H2^a) with S the s x s
 seed and H2^a the Sylvester matrix, whose entry (i, j) is (-1)**popcount(i & j).
 So hadamard_transform computes H @ x as a fast Walsh-Hadamard transform
 (in-place butterflies, O(W log W) per column; Fino & Algazi 1976) followed
-by a dense s x s product with the seed, and CodeBook.code builds one code in
-O(W) from the same two factors. Encoding is a transform by H.T of the
-per-set sums, decoding a transform by H of the per-bit readings.
+by a dense s x s product with the seed. Encoding is a transform by H.T of
+the per-set sums, decoding a transform by H of the per-bit readings, and one
+code is the transform by H.T of a one-hot vector.
 """
 
 from __future__ import annotations
@@ -176,15 +176,6 @@ class CodeBook:
         """(num_codes, length) array over {0, 1}, built from the full matrix on first access."""
         rows = hadamard(self.length)[1 : self.num_codes + 1]
         return ((1 + rows) // 2).astype(np.uint8)
-
-    def code(self, index: int) -> np.ndarray:
-        """Code index as a 0/1 uint8 row of the book, in O(length) without the matrix."""
-        seed = seed_matrix(self.length)
-        span = self.length // len(seed)
-        row, cols = index + 1, np.arange(self.length)
-        odd = np.bitwise_count((row % span) & (cols % span)) & 1
-        negative = (seed[row // span, cols // span] < 0) ^ odd.astype(bool)
-        return (~negative).astype(np.uint8)
 
 
 def codebook(num_codes: int, min_length: int | None = None) -> CodeBook:

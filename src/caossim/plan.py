@@ -86,23 +86,6 @@ class PixelGrid:
             (m, n) for n in range(1, self.rows + 1) for m in range(1, self.columns + 1)
         )
 
-    def index(self, pixel) -> int:
-        """Index of pixel in positions(); ValueError when it is not an active pixel."""
-        m, n = pixel
-        if self.active_pixels is not None:
-            idx = self._active_index.get((m, n))
-        elif 1 <= m <= self.columns and 1 <= n <= self.rows:
-            idx = (n - 1) * self.columns + (m - 1)
-        else:
-            idx = None
-        if idx is None:
-            raise ValueError(f"pixel {pixel} is not in the plan grid")
-        return idx
-
-    @cached_property
-    def _active_index(self) -> dict:
-        return {pos: i for i, pos in enumerate(self.active_pixels)}
-
     @property
     def pixel_count(self) -> int:
         if self.active_pixels is not None:
@@ -231,16 +214,13 @@ class CodingPlan:
     def frame_samples(self) -> int:
         return self.code_length * self.samples_per_bit
 
-    def positions(self) -> tuple[tuple[int, int], ...]:
-        return self.grid.positions()
-
     # The carrier and pixel constants below are built on first read and kept
     # on the plan, read-only, so they live and die with it.
 
     @cached_property
     def pixel_index(self) -> np.ndarray:
-        """(Q, 2) 0-based (row, column) of each active pixel, in positions() order."""
-        return _read_only(np.asarray(self.positions(), dtype=np.int64)[:, ::-1] - 1)
+        """(Q, 2) 0-based (row, column) of each active pixel, in grid.positions() order."""
+        return _read_only(np.asarray(self.grid.positions(), dtype=np.int64)[:, ::-1] - 1)
 
     @cached_property
     def carrier_matrix(self) -> np.ndarray:
@@ -360,17 +340,14 @@ class CodingPlan:
             per_set = (2.0 / w) * codes.hadamard_transform(per_set)[1 + self.code_row]
         return per_set[self._pixel_slots]
 
-    def channel_slot(self, bit_index: int, member: int) -> int:
-        """0-based channel index used by channel slot `member` during a bit."""
-        return int(self.hop_schedule[bit_index - 1, member])
-
     def code_bits(self, set_idx: int) -> np.ndarray:
-        """The 0/1 code of a set (slot indicator for FM-TDMA)."""
+        """A set's 0/1 code (1 + H.T e_r) / 2, r = 1 + code_row[set_idx]; FM-TDMA's is e_set."""
+        one_hot = np.zeros(self.code_length, dtype=np.int64)
         if self.mode is Mode.FM_TDMA:
-            bits = np.zeros(self.code_length, dtype=np.uint8)
-            bits[set_idx] = 1
-            return bits
-        return self.codebook.code(int(self.code_row[set_idx]))
+            one_hot[set_idx] = 1
+            return one_hot.astype(np.uint8)
+        one_hot[1 + self.code_row[set_idx]] = 1
+        return ((1 + codes.hadamard_transform(one_hot, transpose=True)) // 2).astype(np.uint8)
 
 
 def coding_element(plan: CodingPlan, pixel: tuple[int, int], bit_index: int):
@@ -382,15 +359,17 @@ def coding_element(plan: CodingPlan, pixel: tuple[int, int], bit_index: int):
     """
     if not (1 <= bit_index <= plan.code_length):
         raise ValueError(f"bit_index {bit_index} outside 1..{plan.code_length}")
-    idx = plan.grid.index(pixel)
-    bit = int(plan.code_bits(int(plan.set_index[idx]))[bit_index - 1])
-    if bit == 0:
+    m, n = pixel
+    found = np.flatnonzero((plan.pixel_index == (n - 1, m - 1)).all(axis=1))
+    if not found.size:
+        raise ValueError(f"pixel {pixel} is not in the plan grid")
+    idx = found[0]
+    if plan.code_bits(plan.set_index[idx])[bit_index - 1] == 0:
         return 0, None
+    carriers = (plan.hop_schedule[bit_index - 1] + 1).tolist()  # the carrier of each slot
     if plan.mode is Mode.ACTIVE_OVERLAPPED:
-        return 1, tuple(
-            plan.channel_slot(bit_index, p) + 1 for p in range(plan.channel_count)
-        )
-    return 1, plan.channel_slot(bit_index, int(plan.member_index[idx])) + 1
+        return 1, tuple(carriers)
+    return 1, carriers[plan.member_index[idx]]
 
 
 def _rng(key_seed: int, stream: int, extra: int = 0) -> np.random.Generator:
@@ -506,10 +485,11 @@ def build_plan(
 ) -> CodingPlan:
     """Build and validate a coding plan; a deterministic function of its inputs.
 
-    Either f1 (octave ladder of `channels` carriers) or an explicit
-    `frequencies` list must be given, except in the plain CDMA and FM-TDMA
-    modes which use a single channel. Keyed shuffles default to on whenever
-    key_seed != 0.
+    The carriers are the explicit `frequencies` list or else the octave
+    ladder of `channels` carriers from f1, and their count is the channel
+    count. The plain CDMA mode takes its one static carrier instead, and the
+    FM-CDMA and FM-TDMA modes refuse any count but one. Keyed shuffles
+    default to on whenever key_seed != 0.
     """
     grid.check()
     for name, value, ok, rule in (
@@ -524,22 +504,19 @@ def build_plan(
     q = grid.pixel_count
     mode = Mode(mode)
 
-    if mode in (Mode.FM_CDMA, Mode.FM_TDMA):
-        channels = 1
     if mode is Mode.PLAIN_CDMA:
-        channels = 1
-        frequencies = (0.0,)
-        waveform = "none"
-    if frequencies is not None:
+        freq_list, waveform = (0.0,), "none"
+    elif frequencies is not None:
         freq_list = tuple(float(f) for f in frequencies)
-        if len(freq_list) != channels and mode is not Mode.PLAIN_CDMA:
-            channels = len(freq_list)
-    else:
-        if f1 is None:
-            raise ConfigError("either f1 or an explicit frequency list is required")
+    elif f1 is not None:
         freq_list = tuple(float(f1) * 2**p for p in range(channels))
+    else:
+        raise ConfigError("either f1 or an explicit frequency list is required")
+    channels = len(freq_list)
     if not freq_list:
         raise ConfigError("at least one carrier frequency is required")
+    if mode in (Mode.FM_CDMA, Mode.FM_TDMA) and channels != 1:
+        raise ConfigError(f"{mode.value} rides one carrier, got {channels}: {list(freq_list)}")
     if not all(map(math.isfinite, freq_list)):
         raise ConfigError(f"carrier frequencies must be finite, got {freq_list}")
     if waveform is None:
@@ -694,10 +671,9 @@ def validate_plan(plan: CodingPlan) -> PlanReport:
         )
 
     if plan.hopping:
-        rows_ok = plan.hop_schedule.shape == (plan.code_length, plan.channel_count) and all(
-            sorted(row.tolist()) == list(range(plan.channel_count))
-            for row in plan.hop_schedule
-        )
+        w, p = plan.code_length, plan.channel_count
+        identity = np.broadcast_to(np.arange(p), (w, p))
+        rows_ok = np.array_equal(np.sort(plan.hop_schedule, axis=1), identity)
         report.add("hop-rows-are-permutations", rows_ok)
 
     if plan.codebook is not None:
@@ -896,7 +872,7 @@ def write_assignment_csv(plan: CodingPlan, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "n", "set_index", "member_index", "channel", "code_row"])
-        for idx, (m, n) in enumerate(plan.positions()):
-            s = int(plan.set_index[idx])
-            mem = int(plan.member_index[idx])
-            writer.writerow([m, n, s, mem, mem + 1, int(plan.code_row[s])])
+        for (row, column), s, mem in zip(
+            plan.pixel_index.tolist(), plan.set_index.tolist(), plan.member_index.tolist()
+        ):
+            writer.writerow([column + 1, row + 1, s, mem, mem + 1, int(plan.code_row[s])])

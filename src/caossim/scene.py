@@ -10,6 +10,7 @@ through a detector band. Image arrays are indexed [row, column], i.e. pixel
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -377,10 +378,12 @@ def write_image_csv(image: np.ndarray, path) -> None:
 
 
 def read_image_csv(path) -> np.ndarray:
-    """A float CSV image; a cell that is not a finite number raises ConfigError naming the file."""
+    """A float CSV image, one line per row; no cells or a non-finite cell raise ConfigError."""
     try:
-        image = np.atleast_2d(np.loadtxt(path, delimiter=","))
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt's "input contained no data"
+            image = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (ValueError, UserWarning) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     bad = np.argwhere(~np.isfinite(image))
     if bad.size:

@@ -460,6 +460,7 @@ _MALFORMED_SCENES = {
     "text-cell.csv": b"1,2\n3,x\n",
     "inf-cell.csv": b"1,2\n3,inf\n",
     "ragged.csv": b"1,2\n3\n",
+    "empty.csv": b"",
 }
 
 
@@ -523,11 +524,11 @@ def test_decode_non_finite_truth_cell_exits_config_code(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: {truth_path}: non-finite value nan in row 5, column 8\n"
 
 
-def _plan_file_case(field, value, in_grid=False):
-    """argv of a decode whose desk exp1-hdr plan file has field set to value."""
+def _plan_file_case(field, value, in_grid=False, preset="exp1-hdr"):
+    """argv of a decode whose desk preset plan file has field set to value."""
 
     def argv(tmp_path):
-        assert run_cli("plan", "--preset", "exp1-hdr", "--out", str(tmp_path / "p")) == 0
+        assert run_cli("plan", "--preset", preset, "--out", str(tmp_path / "p")) == 0
         data = json.loads((tmp_path / "p" / "plan.json").read_text())
         (data["grid"] if in_grid else data)[field] = value
         path = tmp_path / "bad_plan.json"
@@ -538,11 +539,11 @@ def _plan_file_case(field, value, in_grid=False):
     return argv
 
 
-def _config_case(field, value):
-    """argv of a plan built from the desk exp1-hdr experiment config with field set to value."""
+def _config_case(field, value, preset="exp1-hdr"):
+    """argv of a plan built from the desk preset experiment config with field set to value."""
 
     def argv(tmp_path):
-        data = json.loads(presets.preset_config("exp1-hdr").to_json())
+        data = json.loads(presets.preset_config(preset).to_json())
         data[field] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
@@ -574,6 +575,8 @@ def _config_case(field, value):
         (_plan_file_case("code_length", 7), "declares code_length 7"),
         (_config_case("f1", math.nan), "carrier frequencies"),
         (_config_case("noise_seed", -1), "noise_seed"),
+        (_plan_file_case("frequencies", [16384.0, 8192.0], preset="exp1-fmcdma"), "fm-cdma"),
+        (_config_case("channels", 4, preset="exp1-fmcdma"), "fm-cdma"),
     ],
     ids=[
         "plan-zero-bit-rate", "plan-nan-bit-rate", "config-inf-bit-rate", "plan-zero-sample-rate",
@@ -582,6 +585,7 @@ def _config_case(field, value):
         "plan-zero-harmonics", "plan-zero-pixel-size", "config-zero-pixel-size",
         "plan-no-active-pixels", "plan-repeated-active-pixel", "plan-active-pixel-off-grid",
         "plan-wrong-code-length", "config-nan-f1", "config-negative-noise-seed",
+        "plan-fm-cdma-two-carriers", "config-fm-cdma-four-channels",
     ],
 )
 def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, names):

@@ -120,7 +120,7 @@ class TestOneLitPixel:
             PixelGrid(4, 2),
             channels=4, f1=2.0, bit_rate=1.0, sample_rate=128.0, key_seed=8, hopping=True,
         )
-        self.assert_single_pixel(plan, plan.positions()[5])
+        self.assert_single_pixel(plan, plan.grid.positions()[5])
 
     def test_fm_cdma_plan(self):
         plan = build_plan(

@@ -87,6 +87,19 @@ def test_build_plan_active_overlapped():
     assert [round(k) for k in p.frequencies.cycles_per_bit()] == [800, 928, 1120]
 
 
+@pytest.mark.parametrize(
+    "mode, carriers",
+    [
+        (Mode.FM_TDMA, dict(frequencies=(4.0, 8.0, 16.0))),
+        (Mode.FM_CDMA, dict(frequencies=(16384.0, 8192.0), sample_rate=65536.0)),
+        (Mode.FM_CDMA, dict(f1=4.0, channels=4)),
+    ],
+)
+def test_single_carrier_modes_refuse_other_carrier_counts(mode, carriers):
+    with pytest.raises(ConfigError, match=f"{mode.value} rides one carrier"):
+        small_plan(mode=mode, **carriers)
+
+
 def test_build_plan_timing_error():
     with pytest.raises(TimingError):
         small_plan(f1=0.5, channels=1)
@@ -111,11 +124,20 @@ def test_coding_element_static_assignment():
 
 
 def test_coding_element_hopped_channels_form_permutation():
+    # The pixels of a full set share its code, so during a bit where it is ON
+    # they ride every carrier once, each where the bit's hop row sends its slot.
     p = small_plan(hopping=True, key_seed=11)
-    channels = p.channel_count
+    positions = p.grid.positions()
+    members = np.flatnonzero(p.set_index == 0)
+    assert len(members) == p.channel_count
     for w in range(1, p.code_length + 1):
-        slots = [p.channel_slot(w, m) for m in range(channels)]
-        assert sorted(slots) == list(range(channels))
+        elements = [coding_element(p, positions[i], w) for i in members]
+        bit = p.code_bits(0)[w - 1]
+        assert [code_bit for code_bit, _ in elements] == [bit] * len(members)
+        if bit:
+            channels = [channel for _, channel in elements]
+            assert sorted(channels) == list(range(1, p.channel_count + 1))
+            assert channels == (p.hop_schedule[w - 1, p.member_index[members]] + 1).tolist()
 
 
 def test_hop_schedule_shared_across_sets():
@@ -331,6 +353,26 @@ def test_estimates_invert_the_forward_map(plan, seed):
     assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
 
 
+@settings(max_examples=30, deadline=None)
+@given(random_plans(), st.integers(0, 2**32 - 1))
+def test_coding_element_agrees_with_the_codec(plan, seed):
+    # Each pixel's value, added onto the carrier coding_element names for each
+    # bit (in the active overlapped mode, each source's value onto its slot's
+    # carrier), gives the codec's carrier sums. Integer values keep them exact.
+    shape = (plan.grid.pixel_count,)
+    if plan.mode is Mode.ACTIVE_OVERLAPPED:
+        shape += (plan.channel_count,)
+    values = np.random.default_rng(seed).integers(1, 1000, shape).astype(np.float64)
+    got = np.zeros((plan.code_length, plan.channel_count))
+    for pixel, value in zip(plan.grid.positions(), values):
+        for w in range(1, plan.code_length + 1):
+            code_bit, channel = coding_element(plan, pixel, w)
+            assert (channel is None) == (code_bit == 0)
+            if code_bit:
+                got[w - 1, np.subtract(channel, 1)] += value
+    assert np.array_equal(got, plan.hop(plan.on_sums(values)))
+
+
 def test_image_and_pixel_values_are_inverse_on_the_active_pixels():
     p = small_plan(grid=PixelGrid(4, 3, 1, ((2, 1), (4, 3), (1, 2))))
     image = p.image(np.array([5.0, 6.0, 7.0]))
@@ -404,14 +446,14 @@ def test_assignment_csv(tmp_path):
 def test_coding_element_on_a_large_grid_builds_no_code_matrix():
     p = large_grid_plan()
     assert p.code_length == 20480
-    positions = p.positions()
+    positions = p.grid.positions()
     for pixel, bit in (((1, 1), 1), ((256, 256), 20480), ((17, 200), 777), ((200, 17), 20001)):
         idx = positions.index(pixel)
         want = int(p.code_bits(int(p.set_index[idx]))[bit - 1])
         code_bit, channel = coding_element(p, pixel, bit)
         assert code_bit == want
-        slot = p.channel_slot(bit, int(p.member_index[idx])) + 1
-        assert channel == (slot if want else None)
+        carrier = int(p.hop_schedule[bit - 1, p.member_index[idx]]) + 1
+        assert channel == (carrier if want else None)
     with pytest.raises(ValueError, match="not in the plan grid"):
         coding_element(p, (257, 1), 1)
     assert "codes" not in p.codebook.__dict__
@@ -485,7 +527,7 @@ def test_plan_constants_are_built_once_and_read_only(kind, name):
 
 def test_pixel_index_lists_positions_as_zero_based_rows_and_columns():
     for plan in (small_plan(grid=PixelGrid(5, 3)), CONSTANT_PLANS["active-pixels"]()):
-        want = [(n - 1, m - 1) for m, n in plan.positions()]
+        want = [(n - 1, m - 1) for m, n in plan.grid.positions()]
         assert plan.pixel_index.dtype == np.int64
         assert plan.pixel_index.tolist() == [list(p) for p in want]
 

@@ -176,6 +176,14 @@ class TestFileFormats:
         sc.write_image_csv(img, path)
         assert np.array_equal(sc.read_image_csv(path), img)
 
+    @pytest.mark.parametrize("shape", [(12, 1), (1, 12), (1, 1)])
+    def test_csv_roundtrip_keeps_a_single_row_or_column(self, tmp_path, shape):
+        img = np.arange(np.prod(shape), dtype=np.float64).reshape(shape) / 7.0
+        path = tmp_path / "img.csv"
+        sc.write_image_csv(img, path)
+        back = sc.read_image_csv(path)
+        assert back.shape == shape and np.array_equal(back, img)
+
 
 def test_scene_rejects_negative_values():
     grid = PixelGrid(2, 2)
