@@ -48,6 +48,7 @@ from .scene import (
 from .sensor import (
     DualStreams,
     SampleStream,
+    StreamFile,
     add_noise,
     apply_adc,
     capture,

@@ -11,7 +11,8 @@ the signed codes to recover one scaled irradiance per set and slot, and
 picks each pixel's; plan.image puts the values back at the pixel
 positions. decode_frame runs these steps on a stream or its bit blocks;
 decode_capture feeds it blocks straight from the capture chain, writing
-them to stream files when asked, so no run holds the stream.
+them to stream files when asked, and a sensor.StreamFile feeds it blocks
+read from a stream file, so neither a run nor a file decode holds the stream.
 
 Bin readings are equalized by each channel's unit-carrier magnitude (for a
 sampled 0/1 square at k cycles per bit that is k / sin(pi k / F), for a
@@ -34,7 +35,7 @@ from . import scene as scene_mod
 from . import sensor as sensor_mod
 from .errors import ConfigError, PlanMismatch
 from .plan import COMPLEMENT_CODED_MODES, CodingPlan, Mode, write_json
-from .sensor import PD1, PD2, DualStreams, SampleStream, bit_blocks, capture_sides
+from .sensor import PD1, PD2, DualStreams, SampleStream, StreamFile, bit_blocks, capture_sides
 
 
 def dsp_gain_db(samples_per_bit: int) -> float:
@@ -152,14 +153,19 @@ def decode_frame(stream, plan: CodingPlan):
     across the whole image set. DualStreams are decoded independently into
     one flat tuple, PD1's images then PD2's: a (pd1, pd2) pair in the passive
     modes. Any iterable of one side's consecutive bit blocks, such as
-    sensor.capture_blocks, is read one block at a time, and closed at the end
-    if it has a close method; a block that does not start where the previous
-    one ended, or comes from the other side, raises PlanMismatch. Decoding
-    under a wrong-key plan is not an error, it simply produces garbage.
+    sensor.capture_blocks or a sensor.StreamFile from read_stream, is read
+    one block at a time, and closed at the end if it has a close method; a
+    block that does not start where the previous one ended, or comes from
+    the other side, raises PlanMismatch, as does a StreamFile whose bit
+    length or rate is not the plan's, before any block of it is read.
+    Decoding under a wrong-key plan is not an error, it simply produces
+    garbage.
     """
     if isinstance(stream, DualStreams):
         sides = [image_list(decode_frame(side, plan)) for side in (stream.pd1, stream.pd2)]
         return _result(sides, plan)
+    if isinstance(stream, StreamFile):
+        _check_stream(stream, plan)  # before a block that could span the whole file is read
     blocks = [stream] if isinstance(stream, SampleStream) else stream
     parts, pd_side, next_bit = [], None, 0
     # Closing a capture's generator ends its noise thread on any exit.

@@ -868,11 +868,17 @@ def load_plan(path) -> CodingPlan:
 
 
 def write_assignment_csv(plan: CodingPlan, path) -> None:
-    """Full per-pixel assignment matrix for auditing."""
+    """Full per-pixel assignment matrix for auditing.
+
+    One row per pixel: its 1-based column m and row n, set_index,
+    member_index (its channel slot) and code_row. Its 0-based carrier in
+    0-based bit w is hop_schedule[w, member_index], which coding_element
+    gives; no column holds it, since a hopping plan moves it every bit.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["m", "n", "set_index", "member_index", "channel", "code_row"])
+        writer.writerow(["m", "n", "set_index", "member_index", "code_row"])
         for (row, column), s, mem in zip(
             plan.pixel_index.tolist(), plan.set_index.tolist(), plan.member_index.tolist()
         ):
-            writer.writerow([column + 1, row + 1, s, mem, mem + 1, int(plan.code_row[s])])
+            writer.writerow([column + 1, row + 1, s, mem, int(plan.code_row[s])])

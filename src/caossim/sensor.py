@@ -17,6 +17,8 @@ carrier, and this module turns those sums into samples.
 capture_blocks runs the capture chain synthesize -> add_noise -> apply_adc
 one bit block at a time; capture, decode.decode_capture and caossim simulate
 all take their samples from it, and write_stream appends each block to a file.
+read_stream returns a StreamFile, which reads the file back in the same bit
+blocks, so neither writing nor decoding a stream file holds the whole stream.
 """
 
 from __future__ import annotations
@@ -63,17 +65,18 @@ class SampleStream:
 
 @dataclass(frozen=True, eq=False)
 class DualStreams:
-    pd1: SampleStream
-    pd2: SampleStream
+    """One frame's PD1 and PD2 streams: SampleStreams or StreamFiles."""
+
+    pd1: SampleStream | StreamFile
+    pd2: SampleStream | StreamFile
 
     def __post_init__(self):
         if self.pd1.pd_side == self.pd2.pd_side:
             side = self.pd1.pd_side
             raise ConfigError(f"dual streams need a {PD1} and a {PD2} stream, got two {side}")
-        if (
-            self.pd1.rate != self.pd2.rate
-            or self.pd1.samples.size != self.pd2.samples.size
-        ):
+        # Lengths from the fields, so that no stream file is read or mapped here.
+        lengths = [side.bits * side.samples_per_bit for side in (self.pd1, self.pd2)]
+        if self.pd1.rate != self.pd2.rate or lengths[0] != lengths[1]:
             raise LengthMismatch("dual streams must share rate and length")
 
 
@@ -438,13 +441,65 @@ _SIDECAR_FIELDS = {
 }
 
 
-def read_stream(base) -> SampleStream:
+@dataclass(frozen=True)
+class StreamFile:
+    """A stream file, read lazily: the raw .f32 path and its sidecar's fields.
+
+    Iterating it yields the stream as consecutive SampleStreams of the
+    bit_blocks ranges, each read from the file with its own np.fromfile, so
+    a consumer such as decode.decode_frame holds one block at a time and no
+    file handle stays open between blocks. A block the file no longer holds
+    in full raises LengthMismatch. samples maps the whole file, for callers
+    that need the array; the decode path does not use it.
+    """
+
+    path: str
+    rate: float
+    bits: int
+    samples_per_bit: int
+    pd_side: str = PD1
+    gain: float = 1.0
+    first_bit = 0  # a stream file starts at frame bit 0
+
+    @property
+    def samples(self) -> np.memmap:
+        """The whole stream as a read-only float32 memmap, mapped on each read.
+
+        Mapped pages count in the process's resident memory once read.
+        """
+        length = self.bits * self.samples_per_bit
+        return np.memmap(self.path, dtype="<f4", mode="r", shape=(length,))
+
+    def __iter__(self):
+        f_count = self.samples_per_bit
+        for start, stop in bit_blocks(self.bits, f_count):
+            count = (stop - start) * f_count
+            samples = np.fromfile(self.path, dtype="<f4", count=count, offset=4 * start * f_count)
+            if samples.size != count:
+                raise LengthMismatch(f"{self.path} ends inside bits {start}..{stop - 1}")
+            yield SampleStream(
+                self.rate, samples, stop - start, f_count, self.pd_side, self.gain, start
+            )
+
+
+def read_stream(base) -> StreamFile:
+    """The stream file at base (with or without .f32), checked; reads no sample.
+
+    The sidecar must parse and declare length == bits * samples_per_bit, and
+    the raw file must hold exactly 4 * length bytes, so a file with a cut or
+    extra sample is refused (LengthMismatch) rather than trimmed.
+    """
     raw_path, meta_path = stream_paths(base)
     with open(meta_path, encoding="utf-8") as fh:
         body = document_fields(json.load(fh), _STREAM_FORMAT, _STREAM_VERSION)
     fields = parse_fields(body, _SIDECAR_FIELDS, {}, "stream sidecar")
     length = fields.pop("length")
-    samples = np.fromfile(raw_path, dtype="<f4")
-    if samples.size != length:
-        raise LengthMismatch(f"raw file has {samples.size} samples, sidecar declares {length}")
-    return SampleStream(samples=samples, **fields)
+    with open(raw_path, "rb") as fh:  # a missing or unreadable file fails here
+        size = os.fstat(fh.fileno()).st_size
+    if size != 4 * length:
+        raise LengthMismatch(f"raw file has {size} bytes, sidecar declares {length} samples")
+    if length != fields["bits"] * fields["samples_per_bit"]:
+        raise LengthMismatch(
+            f"stream length {length} != {fields['bits']} * {fields['samples_per_bit']}"
+        )
+    return StreamFile(raw_path, **fields)

@@ -446,6 +446,75 @@ def test_decode_malformed_stream_exits_config_code(tmp_path, capsys, tamper):
         assert "bit 7 " in err
 
 
+def _decode_exp2_streams(tmp_path):
+    """caossim decode --stream2 of desk exp2-dualband's two stream files in tmp_path/exp2."""
+    out = tmp_path / "exp2"
+    return run_cli(
+        "decode",
+        "--plan", str(out / "plan.json"),
+        "--stream", str(out / "stream_pd1"),
+        "--stream2", str(out / "stream_pd2"),
+        "--out", str(tmp_path / "d"),
+    )
+
+
+@pytest.fixture
+def exp2_streams(tmp_path):
+    """Desk exp2-dualband's outputs, PD1 and PD2 stream files included, in tmp_path/exp2."""
+    out = tmp_path / "exp2"
+    assert run_cli("experiment", "--preset", "exp2-dualband", "--out", str(out)) == 0
+    return out
+
+
+def test_decode_stream_file_with_trailing_bytes_exits_validation_code(
+    exp2_streams, tmp_path, capsys
+):
+    # A partial sample at the end of the file is refused, not trimmed off.
+    raw = exp2_streams / "stream_pd1.f32"
+    size = raw.stat().st_size
+    with open(raw, "ab") as fh:
+        fh.write(b"\0\0")
+    capsys.readouterr()
+    assert _decode_exp2_streams(tmp_path) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"validation error: raw file has {size + 2} bytes, sidecar declares {size // 4} samples\n"
+    )
+    assert not (tmp_path / "d").exists()
+
+
+def test_decode_stream_file_cut_short_after_it_was_read_exits_validation_code(
+    exp2_streams, tmp_path, capsys
+):
+    real_read_stream = sensor.read_stream
+
+    def read_then_cut(base):
+        stream = real_read_stream(base)
+        os.truncate(stream.path, os.path.getsize(stream.path) // 2)
+        return stream
+
+    capsys.readouterr()
+    with mock.patch.object(sensor, "read_stream", read_then_cut):
+        assert _decode_exp2_streams(tmp_path) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "stream_pd1.f32 ends inside bits 0.." in err
+
+
+@pytest.mark.parametrize("sidecar", ["kept", "zero-bits"])
+def test_decode_two_empty_stream_files_exits_validation_code(
+    exp2_streams, tmp_path, capsys, sidecar
+):
+    for side in (sensor.PD1, sensor.PD2):
+        (exp2_streams / f"stream_{side}.f32").write_bytes(b"")
+        if sidecar == "zero-bits":
+            meta_path = exp2_streams / f"stream_{side}.json"
+            meta = json.loads(meta_path.read_text())
+            meta.update(length=0, bits=0)
+            meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert _decode_exp2_streams(tmp_path) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error: ")
+
+
 _PGM_HEADER = b"P5\n# scale 1.0\n21 21\n65535\n"
 
 #: Scene files for a 21x21 plan that are not valid images.

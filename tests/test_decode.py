@@ -14,7 +14,7 @@ from caossim import codes, decode, presets, sensor
 from caossim.errors import ConfigError, LengthMismatch, PlanMismatch, TimingError
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import DetectorModel, Scene
-from test_plan import large_grid_plan
+from test_plan import large_grid_plan, random_plans
 from test_sensor import whole_stream_capture
 
 
@@ -651,6 +651,71 @@ def test_noise_thread_error_reaches_the_caller():
     assert threading.active_count() == before
     assert raised.traceback
     assert len(draws) == 3 and threading.main_thread() not in draws
+
+
+# ---------------------------------------------------------------------------
+# Stream files: decoded block by block from the file
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def file_captures(draw):
+    """A random plan, a positive scene on its grid, one or two sides, and a
+    BLOCK_SAMPLES whose bit blocks leave a shorter last block when W allows."""
+    plan = draw(random_plans())
+    grid = plan.grid
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if plan.mode is Mode.ACTIVE_OVERLAPPED:
+        shape = (plan.channel_count, grid.rows, grid.columns)
+        scene = Scene(grid=grid, per_source=rng.uniform(0.05, 1.0, shape))
+    else:
+        scene = Scene(grid=grid, irradiance=rng.uniform(0.05, 1.0, (grid.rows, grid.columns)))
+    w, f_count = plan.code_length, plan.samples_per_bit
+    chunk = draw(st.sampled_from([bits for bits in range(2, w) if w % bits] or [w]))
+    block = chunk * f_count + draw(st.integers(0, f_count - 1))
+    return plan, scene, draw(st.integers(1, 2)), block
+
+
+@settings(max_examples=100, deadline=None)
+@given(file_captures())
+def test_stream_file_decodes_as_its_in_memory_float32_stream(case):
+    plan, scene, count, block = case
+    sides = (sensor.PD1, sensor.PD2)[:count]
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        streams, files = [], []
+        for side in sides:
+            stream = sensor.synthesize(plan, scene, pd_side=side, dtype=np.float32)
+            sensor.write_stream(stream, os.path.join(out, side))
+            streams.append(stream)
+            files.append(sensor.read_stream(os.path.join(out, side)))
+
+        def decoded(parts):
+            return decode.decode_frame(parts[0] if count == 1 else sensor.DualStreams(*parts), plan)
+
+        assert_bitwise_equal(decoded(files), decoded(streams))
+
+
+def test_non_finite_sample_in_a_stream_file_names_its_frame_bit(tmp_path):
+    plan, scene, _, block = prefetching_capture()
+    f_count = plan.samples_per_bit
+    bit = 2 * block // f_count + 1  # the second bit of the third of four blocks
+    stream = sensor.synthesize(plan, scene, dtype=np.float32)
+    stream.samples[bit * f_count + 3] = np.nan
+    sensor.write_stream(stream, tmp_path / "s")
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        with pytest.raises(ConfigError, match=f"non-finite samples in bit {bit} "):
+            decode.decode_frame(sensor.read_stream(tmp_path / "s"), plan)
+
+
+def test_stream_file_of_another_bit_length_is_refused_before_a_read(tmp_path):
+    # One "bit" of the whole frame would be one block holding the whole file.
+    plan, scene, _, _ = prefetching_capture()
+    stream = sensor.synthesize(plan, scene, dtype=np.float32)
+    one_bit = replace(stream, bits=1, samples_per_bit=stream.samples.size)
+    sensor.write_stream(one_bit, tmp_path / "s")
+    with mock.patch.object(np, "fromfile", side_effect=AssertionError("read")):
+        with pytest.raises(PlanMismatch, match=f"stream is 1 x {stream.samples.size} samples"):
+            decode.decode_frame(sensor.read_stream(tmp_path / "s"), plan)
 
 
 def test_decode_capture_rejects_three_detectors():

@@ -439,7 +439,7 @@ def test_assignment_csv(tmp_path):
     path = tmp_path / "assignment.csv"
     planmod.write_assignment_csv(p, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "m,n,set_index,member_index,channel,code_row"
+    assert lines[0] == "m,n,set_index,member_index,code_row"
     assert len(lines) == 1 + 8
 
 

@@ -114,9 +114,38 @@ def test_file_writing_run_never_holds_the_whole_stream(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < stream_bytes
-    stream = sensor.read_stream(tmp_path / "stream_pd1")
+    # Decoding the file back reads it one 2**20-sample block at a time: the
+    # float32 block, its float64 copy and the plan's basis and carriers, not
+    # the 80 MiB of float32 samples the file holds.
+    tracemalloc.start()
+    try:
+        stream = sensor.read_stream(tmp_path / "stream_pd1")
+        image = decode.decode_frame(stream, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
     assert stream.bits == plan.code_length
-    assert decode.decode_frame(stream, plan).raw.tobytes() == result.images[0].raw.tobytes()
+    assert image.raw.tobytes() == result.images[0].raw.tobytes()
+
+
+def test_dual_file_decode_holds_one_block_at_a_time(tmp_path):
+    # Full-scale exp2-dualband writes two 84 MB float32 files; `caossim
+    # decode --stream2` decodes them through DualStreams, side after side.
+    config = presets.preset_config("exp2-dualband", full_scale=True)
+    plan = config.build_plan()
+    result = presets.run_experiment(config, out_dir=tmp_path)
+    tracemalloc.start()
+    try:
+        sides = [sensor.read_stream(tmp_path / f"stream_{side}") for side in (sensor.PD1, sensor.PD2)]
+        images = decode.decode_frame(sensor.DualStreams(*sides), plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    assert [image.raw.tobytes() for image in images] == [
+        image.raw.tobytes() for image in result.images
+    ]
 
 
 def test_calibration_targets_comparator_weak_patch():

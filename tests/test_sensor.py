@@ -497,6 +497,14 @@ def test_stream_file_roundtrip(tmp_path):
     assert back.pd_side == sensor.PD2
     assert back.samples.dtype == np.float32
     assert np.array_equal(back.samples, stream.samples.astype("<f4"))
+    block = 3 * plan.samples_per_bit + 1  # blocks of 3 bits, the last one shorter
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        blocks = list(back)
+        assert [(b.first_bit, b.first_bit + b.bits) for b in blocks] == list(
+            sensor.bit_blocks(plan.code_length, plan.samples_per_bit)
+        )
+    assert all(b.pd_side == sensor.PD2 and b.samples.size <= block for b in blocks)
+    assert np.concatenate([b.samples for b in blocks]).tobytes() == back.samples.tobytes()
 
 
 def test_stream_block_must_continue_the_file(tmp_path):
