@@ -120,7 +120,6 @@ class FrequencyPlan:
     frequencies: tuple[float, ...]
     bit_duration: float
     waveform: str = "square"
-    harmonics: int = 1
 
     @property
     def channel_count(self) -> int:
@@ -412,17 +411,8 @@ def _timing_rows(freq: FrequencyPlan, sample_rate: float, mode: Mode):
     ok = len(set(bins)) == len(bins)
     yield "carrier-bins-distinct", ok, f"bins = {bins}" if ok else f"carriers share a bin: {bins}"
     top = max(freq.frequencies)
-    if freq.waveform == "square":
-        # The harmonic margin keeps odd harmonics of the top carrier below Nyquist.
-        needed = 2.0 * freq.harmonics * top
-        ok = sample_rate >= needed and (freq.harmonics != 1 or sample_rate > needed)
-        failure = (
-            f"sample_rate {sample_rate} too low for {top} Hz square carrier"
-            f" with harmonic margin {freq.harmonics}"
-        )
-    else:
-        ok = sample_rate > 2.0 * top
-        failure = f"sample_rate {sample_rate} too low for {top} Hz carrier"
+    ok = sample_rate > 2.0 * top
+    failure = f"sample_rate {sample_rate} too low for {top} Hz {freq.waveform} carrier"
     yield "nyquist", ok, f"sample_rate {sample_rate} vs highest carrier {top}" if ok else failure
     if freq.waveform == "square":
         # No harmonic of one carrier may reach another's bin, folded past
@@ -477,7 +467,6 @@ def build_plan(
     key_seed: int = 0,
     hopping: bool = False,
     waveform: str | None = None,
-    harmonics: int = 1,
     min_code_length: int | None = None,
     shuffle_pixels: bool | None = None,
     shuffle_codes: bool | None = None,
@@ -495,7 +484,6 @@ def build_plan(
     for name, value, ok, rule in (
         ("bit_rate", bit_rate, 0 < bit_rate < math.inf, "finite and > 0"),
         ("sample_rate", sample_rate, 0 < sample_rate < math.inf, "finite and > 0"),
-        ("harmonics", harmonics, harmonics >= 1, ">= 1"),
         ("key_seed", key_seed, key_seed >= 0, ">= 0"),
         ("frame_index", frame_index, frame_index >= 0, ">= 0"),
     ):
@@ -528,7 +516,6 @@ def build_plan(
         frequencies=freq_list,
         bit_duration=1.0 / float(bit_rate),
         waveform=waveform,
-        harmonics=harmonics,
     )
     for name, ok, detail in _timing_rows(freq, float(sample_rate), mode):
         if not ok:
@@ -810,7 +797,6 @@ _PLAN_PARAMS = {
     "mode": ("mode.value", Mode),
     "frequencies": ("frequencies.frequencies", lambda v: tuple(map(json_real, json_list(v)))),
     "waveform": ("frequencies.waveform", json_text),
-    "harmonics": ("frequencies.harmonics", json_int),
     "bit_rate": ("bit_rate", json_real),
     "sample_rate": ("sample_rate", json_real),
     "key_seed": ("key_seed", json_int),

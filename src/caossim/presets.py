@@ -104,8 +104,7 @@ def _from_json_fields(cls, data, what: str):
 class DetectorConfig:
     gain: float = _json_field(1.0, json_real)
     noise_sigma: float = _json_field(0.0, json_real)
-    shot_noise: bool = _json_field(False, json_flag)
-    shot_factor: float = _json_field(1.0, json_real)
+    shot_noise: float = _json_field(0.0, json_real)
     pink_noise: list | None = _json_field(None, json_optional(_pair(json_real)))
     adc_bits: int | None = _json_field(None, json_optional(json_int))
     adc_fullscale: float = _json_field(1.0, json_real)
@@ -284,8 +283,16 @@ class ExperimentConfig:
         body = document_fields(json.loads(text), _CONFIG_FORMAT, _CONFIG_VERSION)
         return _from_json_fields(cls, body, "experiment config")
 
+    def __post_init__(self):
+        self.sides()
+
     def sides(self) -> tuple:
-        """The detector config of each captured side: PD1, then PD2 when dual."""
+        """The detector config of each captured side: PD1, then PD2 when dual.
+
+        A detector2 without dual would be silently dropped, so it raises ConfigError.
+        """
+        if self.detector2 is not None and not self.dual:
+            raise ConfigError("detector2 is set but dual is false; set dual or drop detector2")
         return (self.detector, self.detector2 or self.detector)[: 1 + self.dual]
 
     def build_plan(self) -> plan_mod.CodingPlan:
@@ -526,8 +533,11 @@ def calibrate_hdr_sigma(target_snr: float = 3.0, iterations: int = 4) -> float:
     Finds the sigma at which its weakest reliably-recovered patch (48 dB)
     decodes at the target SNR, then returns it for freezing into
     HDR_NOISE_SIGMA. SNR scales as 1 / sigma, so a proportional update
-    converges in a few decodes.
+    converges in a few decodes. A target that is not finite and > 0 raises
+    ConfigError before any decode.
     """
+    if not (math.isfinite(target_snr) and target_snr > 0):
+        raise ConfigError(f"target SNR must be finite and > 0, got {target_snr}")
     config = preset_config("exp1-fmcdma")
     sigma = 0.05
     for _ in range(iterations):

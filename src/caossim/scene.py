@@ -147,16 +147,16 @@ class Scene:
 class DetectorModel:
     """Point detector chain: responsivity, gain, noise terms, optional ADC.
 
-    pink_noise is (rms_amplitude, exponent alpha) for 1/f**alpha shaped
-    noise; shot noise uses a Gaussian approximation with per-sample variance
-    shot_factor * instantaneous signal.
+    Each noise term is on exactly when its size is > 0. shot_noise is the
+    shot variance per unit signal, a Gaussian approximation with per-sample
+    variance shot_noise * instantaneous signal. pink_noise is (rms
+    amplitude, exponent alpha) for 1/f**alpha shaped noise.
     """
 
     responsivity: SpectralCurve | float = 1.0
     gain: float = 1.0
     noise_sigma: float = 0.0
-    shot_noise: bool = False
-    shot_factor: float = 1.0
+    shot_noise: float = 0.0
     pink_noise: tuple[float, float] | None = None
     adc_bits: int | None = None
     adc_fullscale: float = 1.0
@@ -166,7 +166,7 @@ class DetectorModel:
         for name, value in (
             ("gain", self.gain),
             ("noise_sigma", self.noise_sigma),
-            ("shot_factor", self.shot_factor),
+            ("shot_noise", self.shot_noise),
             ("adc_fullscale", self.adc_fullscale),
             ("pink noise amplitude", amp),
         ):
@@ -176,8 +176,8 @@ class DetectorModel:
             raise ConfigError("gain must be > 0")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
-        if self.shot_factor < 0:
-            raise ConfigError("shot_factor must be >= 0")
+        if self.shot_noise < 0:
+            raise ConfigError("shot_noise must be >= 0")
         if amp < 0 or not (0.0 < alpha <= 2.0):
             raise ConfigError("pink noise needs amplitude >= 0 and 0 < alpha <= 2")
         if self.adc_bits is not None:

@@ -216,45 +216,42 @@ def white_noise(rng: np.random.Generator, sigma: float, n: int, out=None) -> np.
 
 
 def add_noise(stream: SampleStream, detector: DetectorModel, seed, *, white=None) -> SampleStream:
-    """Seeded detector noise: white Gaussian, optional shot and 1/f terms.
+    """Seeded detector noise: white Gaussian, shot and 1/f terms, each on when its size is > 0.
 
     seed is anything np.random.default_rng accepts; a Generator is drawn from
     in place, so successive calls continue one noise sequence. white, if
     given, is the white term already drawn with white_noise from that
-    generator, and is added instead of drawing it. Returns the input stream
+    generator, and is added instead of drawing it. The terms are drawn in
+    that order and summed into one float64 noise array, which is added to
+    the stream with one rounding to its dtype. Returns the input stream
     itself when the detector has no noise term.
     """
     rng = np.random.default_rng(seed)
-    if not (detector.noise_sigma > 0 or detector.shot_noise or detector.pink_noise is not None):
-        return stream
     n = stream.samples.size
-    white_only = not (detector.shot_noise or detector.pink_noise is not None)
-    # A white-only sum is rounded once to the stream dtype, with no float64
-    # copy. The output comes before the draw, so freeing the draw leaves no
-    # hole in the heap below it.
-    samples = np.empty_like(stream.samples) if white_only else stream.samples.astype(np.float64)
-    if detector.noise_sigma > 0 and white is None:
-        white = white_noise(rng, detector.noise_sigma, n)
-    if white_only:
-        np.add(stream.samples, white, out=samples, casting="same_kind")
-        return replace(stream, samples=samples)
-    if white is not None:
-        samples += white
-    if detector.shot_noise:
+    amplitude, alpha = detector.pink_noise or (0.0, 1.0)
+    pink = amplitude > 0 and n > 2
+    if not (detector.noise_sigma > 0 or detector.shot_noise > 0 or pink):
+        return stream
+    # The output comes before the draws, so freeing them leaves no hole in the heap below it.
+    samples = np.empty_like(stream.samples)
+    noise = white
+    if noise is None and detector.noise_sigma > 0:
+        noise = white_noise(rng, detector.noise_sigma, n)
+    if detector.shot_noise > 0:
         # Gaussian approximation: variance proportional to the clean signal.
-        sigma = np.sqrt(detector.shot_factor * np.clip(stream.samples, 0.0, None))
-        samples += rng.standard_normal(n) * sigma
-    if detector.pink_noise is not None:
-        amplitude, alpha = detector.pink_noise
-        if amplitude > 0 and n > 2:
-            spectrum = np.fft.rfft(rng.standard_normal(n))
-            shaping = np.zeros(spectrum.size)
-            shaping[1:] = np.arange(1, spectrum.size, dtype=np.float64) ** (-alpha / 2.0)
-            shaped = np.fft.irfft(spectrum * shaping, n)
-            rms = float(np.sqrt(np.mean(shaped**2)))
-            if rms > 0:
-                samples += shaped * (amplitude / rms)
-    return replace(stream, samples=samples.astype(stream.samples.dtype, copy=False))
+        shot = rng.standard_normal(n)
+        shot *= np.sqrt(detector.shot_noise * np.clip(stream.samples, 0.0, None))
+        noise = shot if noise is None else np.add(noise, shot, out=shot)
+    if pink:
+        spectrum = np.fft.rfft(rng.standard_normal(n))
+        shaping = np.zeros(spectrum.size)
+        shaping[1:] = np.arange(1, spectrum.size, dtype=np.float64) ** (-alpha / 2.0)
+        shaped = np.fft.irfft(spectrum * shaping, n)
+        rms = float(np.sqrt(np.mean(shaped**2)))
+        shaped *= amplitude / rms if rms > 0 else 0.0
+        noise = shaped if noise is None else np.add(noise, shaped, out=shaped)
+    np.add(stream.samples, noise, out=samples, casting="same_kind")
+    return replace(stream, samples=samples)
 
 
 def apply_adc(stream: SampleStream, detector: DetectorModel) -> SampleStream:
@@ -333,8 +330,8 @@ def capture_blocks(
     stream as consecutive SampleStreams of the bit_blocks ranges, so the
     whole stream never exists at once. White noise is drawn block by block
     from one default_rng(seed), which concatenates exactly to a single draw.
-    Shot and 1/f terms are drawn over the whole stream, so a detector using
-    either is captured as one block.
+    Shot and 1/f terms are drawn over the whole stream, so a detector with
+    either term on (size > 0) is captured as one block.
 
     With white noise and several blocks, the draws run on one worker thread
     (numpy releases the GIL) into a ring of two buffers, which blocks use in
@@ -348,7 +345,8 @@ def capture_blocks(
     generator returns.
     """
     f_count, sigma = plan.samples_per_bit, detector.noise_sigma
-    whole = detector.shot_noise or detector.pink_noise is not None
+    amplitude, _ = detector.pink_noise or (0.0, 1.0)
+    whole = detector.shot_noise > 0 or amplitude > 0
     ranges = [(0, plan.code_length)] if whole else list(bit_blocks(plan.code_length, f_count))
     rng = np.random.default_rng(seed)
     # One block has nothing to overlap, so add_noise draws its white term itself;

@@ -347,7 +347,7 @@ def test_simulate_writes_each_side_block_by_block(tmp_path):
     "detector",
     [
         {"gain": "x"},
-        {"shot_noise": 1},
+        {"shot_noise": True},
         {"adc_bits": 12.0},
         {"adc_bits": True},
         {"pink_noise": [0.1]},
@@ -362,13 +362,14 @@ def test_simulate_writes_each_side_block_by_block(tmp_path):
         {"gain": math.nan},
         {"gain": math.inf},
         {"adc_bits": 12, "adc_fullscale": math.nan},
-        {"shot_noise": True, "shot_factor": -1.0},
+        {"shot_noise": -1.0},
+        {"shot_noise": math.inf},
         {"pink_noise": [math.nan, 1.0]},
     ],
-    ids=["text-gain", "int-flag", "float-bits", "bool-bits", "short-pink", "text-pink",
+    ids=["text-gain", "bool-shot-noise", "float-bits", "bool-bits", "short-pink", "text-pink",
          "null-sigma", "number-responsivity", "zero-bits", "2000-bits", "negative-bits",
          "nan-sigma", "inf-sigma", "nan-gain", "inf-gain", "nan-fullscale",
-         "negative-shot-factor", "nan-pink-amplitude"],
+         "negative-shot-factor", "inf-shot-factor", "nan-pink-amplitude"],
 )
 def test_simulate_mistyped_detector_exits_config_code(tmp_path, capsys, detector):
     plan_dir = tmp_path / "plan"
@@ -635,7 +636,6 @@ def _config_case(field, value, preset="exp1-hdr"):
         (lambda tmp: ["plan", "--preset", "exp1-hdr", "--seed", "-1", "--out", str(tmp / "p")],
          "key_seed"),
         (_plan_file_case("frame_index", -1), "frame_index"),
-        (_plan_file_case("harmonics", 0), "harmonics"),
         (_plan_file_case("pixel_size", 0, in_grid=True), "pixel_size"),
         (_config_case("pixel_size", 0), "pixel_size"),
         (_plan_file_case("active_pixels", [], in_grid=True), "active pixel"),
@@ -651,7 +651,7 @@ def _config_case(field, value, preset="exp1-hdr"):
         "plan-zero-bit-rate", "plan-nan-bit-rate", "config-inf-bit-rate", "plan-zero-sample-rate",
         "config-nan-sample-rate", "plan-inf-sample-rate", "plan-negative-key-seed",
         "config-negative-key-seed", "preset-seed-minus-one", "plan-negative-frame-index",
-        "plan-zero-harmonics", "plan-zero-pixel-size", "config-zero-pixel-size",
+        "plan-zero-pixel-size", "config-zero-pixel-size",
         "plan-no-active-pixels", "plan-repeated-active-pixel", "plan-active-pixel-off-grid",
         "plan-wrong-code-length", "config-nan-f1", "config-negative-noise-seed",
         "plan-fm-cdma-two-carriers", "config-fm-cdma-four-channels",
@@ -663,6 +663,78 @@ def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, n
     assert run_cli(*argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and names in err, err
+
+
+def _older_config(tmp_path):
+    """argv of a plan from the desk exp1-hdr config, its detector as an older build wrote it."""
+    data = json.loads(presets.preset_config("exp1-hdr").to_json())
+    data["detector"].update(shot_noise=False, shot_factor=1.0)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return ["plan", "--config", str(path), "--out", str(tmp_path / "p")]
+
+
+def _older_detector(tmp_path):
+    """argv of a simulate whose detector file an older build's DetectorConfig wrote."""
+    assert run_cli("plan", "--preset", "exp3-active", "--out", str(tmp_path / "p")) == 0
+    sc.write_image_csv(np.ones((15, 32)), tmp_path / "scene.csv")
+    detector = {
+        "gain": 1.0, "noise_sigma": 0.1, "shot_noise": True, "shot_factor": 0.5,
+        "pink_noise": None, "adc_bits": None, "adc_fullscale": 1.0, "responsivity": "flat",
+    }
+    (tmp_path / "det.json").write_text(json.dumps(detector))
+    return ["simulate", "--plan", str(tmp_path / "p" / "plan.json"), "--scene",
+            str(tmp_path / "scene.csv"), "--detector", str(tmp_path / "det.json"),
+            "--out", str(tmp_path / "s")]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (_older_config, "unknown detector fields: ['shot_factor']"),
+        (_older_detector, "unknown detector fields: ['shot_factor']"),
+        (_plan_file_case("harmonics", 1), "unknown plan fields: ['harmonics']"),
+    ],
+    ids=["config", "detector", "plan"],
+)
+def test_file_with_a_boolean_shot_noise_or_a_harmonic_margin_exits_config_code(
+    tmp_path, capsys, case, message
+):
+    # Files from before shot_noise became the shot factor and plans lost their
+    # harmonic margin are refused, never read with a new meaning.
+    argv = case(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("target", ["0", "inf", "-1", "nan"])
+def test_calibrate_target_snr_not_finite_and_positive_exits_config_code(capsys, target):
+    with mock.patch.object(presets, "run_experiment") as run:
+        assert run_cli("calibrate", "--target-snr", target) == cli.EXIT_CONFIG
+    run.assert_not_called()
+    err = capsys.readouterr().err
+    assert err == f"config error: target SNR must be finite and > 0, got {float(target)}\n"
+
+
+def test_config_with_a_second_detector_but_not_dual_is_refused(tmp_path, capsys):
+    # A detector2 without dual used to be dropped: one side decoded and PASS.
+    data = json.loads(presets.preset_config("exp2-dualband").to_json())
+    data["dual"] = False
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="detector2 is set but dual is false"):
+        presets.ExperimentConfig.from_json(path.read_text())
+    assert run_cli("plan", "--config", str(path), "--out", str(tmp_path / "p")) == cli.EXIT_CONFIG
+    assert "detector2 is set but dual is false" in capsys.readouterr().err
+    config = presets.preset_config("exp2-dualband")
+    config.dual = False
+    with mock.patch.object(sensor, "capture_blocks") as capture:
+        with pytest.raises(ConfigError, match="detector2 is set but dual is false"):
+            presets.run_experiment(config)
+    capture.assert_not_called()
 
 
 #: Plan-file edits after which a plan cannot decode exactly, with the exit
@@ -821,8 +893,8 @@ def valid_inputs(tmp_path_factory):
     assert run_cli("plan", "--preset", "exp2-dualband", "--out", str(root)) == 0
     sc.write_image_csv(np.random.default_rng(4).uniform(0.1, 1.0, (21, 21)), root / "scene.csv")
     detector = {
-        "gain": 2.0, "noise_sigma": 0.01, "shot_noise": False, "shot_factor": 1.0,
-        "pink_noise": [0.01, 1.0], "adc_bits": 12, "adc_fullscale": 4.0, "responsivity": "flat",
+        "gain": 2.0, "noise_sigma": 0.01, "shot_noise": 0.0, "pink_noise": [0.01, 1.0],
+        "adc_bits": 12, "adc_fullscale": 4.0, "responsivity": "flat",
     }
     (root / "det.json").write_text(json.dumps(detector))
     assert run_cli("simulate", "--plan", str(root / "plan.json"), "--scene", str(root / "scene.csv"),

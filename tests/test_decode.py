@@ -289,6 +289,49 @@ class TestRoundTrip:
         assert snr_hi > snr_lo
 
 
+#: Plans of the white-noise statistics test on an 8x8 grid at F = 64.
+_NOISE_STATISTICS_PLANS = {
+    "passive-fdma-cdma": dict(mode=Mode.PASSIVE_FDMA_CDMA, channels=4, f1=2.0),
+    "hopping-passive-fdma-cdma": dict(
+        mode=Mode.PASSIVE_FDMA_CDMA, channels=4, f1=2.0, hopping=True
+    ),
+    "fm-cdma": dict(mode=Mode.FM_CDMA, f1=8.0),
+    "active-overlapped": dict(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(5.0, 7.0, 11.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOISE_STATISTICS_PLANS))
+def test_decoded_white_noise_has_the_predicted_std_and_no_bias(case):
+    # At high per-bit SNR a pixel reads bit w's carrier bin with std
+    # sigma sqrt(F / 2) / g_w, g_w the unit-carrier gain of the carrier its
+    # slot rides in bit w; the (2 / W) signed-code correlation gives it std
+    # sigma sqrt(2 F / W) rms_w(1 / g_w).
+    sigma, f_count, trials = 1.0, 64, 120
+    grid = PixelGrid(8, 8)
+    plan = build_plan(
+        grid, bit_rate=1.0, sample_rate=float(f_count), key_seed=5,
+        **_NOISE_STATISTICS_PLANS[case],
+    )
+    inverse_gains = 1.0 / plan.carrier_bin_gains[plan.hop_schedule]  # (W, P) by slot
+    rms = np.sqrt(np.mean(inverse_gains**2, axis=0))
+    scale = sigma * np.sqrt(2.0 * f_count / plan.code_length)
+    if plan.mode is Mode.ACTIVE_OVERLAPPED:  # one image per source slot
+        scene = Scene(grid, per_source=np.ones((plan.channel_count, 8, 8)))
+        want = np.stack([np.full((8, 8), scale * r) for r in rms])
+    else:
+        scene = Scene(grid, irradiance=np.ones((8, 8)))
+        want = plan.image(scale * rms[plan.member_index])[None]
+    rng = np.random.default_rng(17)
+    detector = DetectorModel(noise_sigma=sigma)
+    decoded = (decode.decode_capture(plan, scene, (detector,), rng) for _ in range(trials))
+    # (trials, images, rows, columns)
+    raw = np.array([[image.raw for image in decode.image_list(d)] for d in decoded])
+    ratio = float(np.sqrt(np.mean((raw.std(axis=0, ddof=1) / want) ** 2)))
+    assert ratio == pytest.approx(1.0, abs=0.05)
+    standard_error = np.sqrt(np.mean(want**2) / raw.size)
+    assert abs(np.mean(raw - 1.0)) < 3.0 * standard_error
+
+
 def test_decode_report_flags_wrong_truth(tmp_path):
     grid = PixelGrid(4, 4)
     plan = build_plan(grid, channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0, key_seed=1)
@@ -531,8 +574,7 @@ def noisy_captures(draw):
             noise_sigma=draw(st.sampled_from((0.0, 0.05, 0.5))),
             adc_bits=draw(st.sampled_from((None, 6, 12))),
             adc_fullscale=draw(st.sampled_from((4.0, 100.0))),
-            shot_noise=draw(st.booleans()),
-            shot_factor=0.01,
+            shot_noise=draw(st.sampled_from((0.0, 0.01))),
         )
         for _ in range(draw(st.integers(1, 2)))
     )
@@ -588,7 +630,7 @@ def test_decode_capture_shot_and_pink_noise(count):
         grid, channels=3, f1=2.0, bit_rate=1.0, sample_rate=64.0, key_seed=4, hopping=True
     )
     detector = DetectorModel(
-        noise_sigma=0.05, shot_noise=True, shot_factor=0.02, pink_noise=(0.1, 1.0), adc_bits=12,
+        noise_sigma=0.05, shot_noise=0.02, pink_noise=(0.1, 1.0), adc_bits=12,
         adc_fullscale=30.0,
     )
     with mock.patch.object(sensor, "BLOCK_SAMPLES", 3 * plan.samples_per_bit):

@@ -175,15 +175,16 @@ def test_validate_flags_fractional_cycles():
     assert "carrier-cycles-integer" in report.failures()
 
 
-def test_validate_nyquist_applies_square_harmonic_margin():
-    # Top carrier 16 Hz at 64 Hz sampling clears plain Nyquist but not the
-    # margin for the 3rd harmonic; validate_plan must agree with build_plan.
-    p = small_plan(channels=3, f1=4.0, sample_rate=64.0)
-    with_margin = planmod.replace(p, frequencies=planmod.replace(p.frequencies, harmonics=3))
-    report = planmod.validate_plan(with_margin)
-    assert report.failures() == ["nyquist"]
-    with pytest.raises(NyquistError):
-        small_plan(channels=3, f1=4.0, sample_rate=64.0, harmonics=3)
+@pytest.mark.parametrize("waveform", ["square", "sine"])
+def test_nyquist_is_one_strict_rule_for_every_waveform(waveform):
+    # sample_rate must exceed twice the top carrier: an 8 Hz carrier is
+    # refused at 16 Hz sampling (bin 8 of F = 16) and kept at 17 Hz, and
+    # validate_plan agrees with build_plan.
+    with pytest.raises(NyquistError, match=f"too low for 8.0 Hz {waveform} carrier"):
+        small_plan(channels=1, f1=8.0, sample_rate=16.0, waveform=waveform)
+    p = small_plan(channels=1, f1=8.0, sample_rate=17.0, waveform=waveform)
+    assert planmod.validate_plan(p).passed
+    assert planmod.validate_plan(planmod.replace(p, sample_rate=16.0)).failures() == ["nyquist"]
 
 
 def test_square_harmonic_folded_past_nyquist_onto_a_carrier_is_refused():

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caossim import sensor
+from caossim import presets, sensor
 from caossim.errors import ConfigError, DimensionMismatch, LengthMismatch
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import DetectorModel, Scene
@@ -230,7 +231,7 @@ class TestNoise:
         n = 400_000
         lo = sensor.SampleStream(rate=1.0, samples=np.full(n, 1.0), bits=1, samples_per_bit=n)
         hi = sensor.SampleStream(rate=1.0, samples=np.full(n, 9.0), bits=1, samples_per_bit=n)
-        det = DetectorModel(shot_noise=True, shot_factor=1.0)
+        det = DetectorModel(shot_noise=1.0)
         var_lo = np.var(sensor.add_noise(lo, det, 3).samples)
         var_hi = np.var(sensor.add_noise(hi, det, 3).samples)
         assert var_hi / var_lo == pytest.approx(9.0, rel=0.05)
@@ -256,22 +257,27 @@ def whole_stream_capture(plan, scene, detector, seed=0, pd_side=sensor.PD1, dtyp
 
 
 def whole_stream_noise(samples, detector, seed):
-    """Reference: every noise term drawn at full stream length in one call."""
+    """Reference: every noise term drawn at full stream length in one call.
+
+    The terms are summed in draw order, and their sum is added to the
+    samples with one rounding to the samples' dtype.
+    """
     rng = np.random.default_rng(seed)
-    out = samples.astype(np.float64, copy=True)
-    n = out.size
+    n = samples.size
+    terms = []
     if detector.noise_sigma > 0:
-        out += rng.normal(0.0, detector.noise_sigma, n)
-    if detector.shot_noise:
-        out += rng.standard_normal(n) * np.sqrt(detector.shot_factor * np.clip(samples, 0.0, None))
+        terms.append(rng.normal(0.0, detector.noise_sigma, n))
+    if detector.shot_noise > 0:
+        shot = np.sqrt(detector.shot_noise * np.clip(samples, 0.0, None))
+        terms.append(rng.standard_normal(n) * shot)
     if detector.pink_noise is not None:
         amplitude, alpha = detector.pink_noise
         spectrum = np.fft.rfft(rng.standard_normal(n))
         shaping = np.zeros(spectrum.size)
         shaping[1:] = np.arange(1, spectrum.size, dtype=np.float64) ** (-alpha / 2.0)
         shaped = np.fft.irfft(spectrum * shaping, n)
-        out += shaped * (amplitude / float(np.sqrt(np.mean(shaped**2))))
-    return out.astype(samples.dtype, copy=False)
+        terms.append(shaped * (amplitude / float(np.sqrt(np.mean(shaped**2)))))
+    return (samples + sum(terms[1:], terms[0])).astype(samples.dtype, copy=False)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -279,8 +285,8 @@ def whole_stream_noise(samples, detector, seed):
     "detector",
     [
         DetectorModel(noise_sigma=0.2, adc_bits=10, adc_fullscale=3.0),
-        DetectorModel(shot_noise=True, shot_factor=0.3),
-        DetectorModel(noise_sigma=0.2, shot_noise=True, pink_noise=(0.4, 1.5), adc_bits=8),
+        DetectorModel(shot_noise=0.3),
+        DetectorModel(noise_sigma=0.2, shot_noise=1.0, pink_noise=(0.4, 1.5), adc_bits=8),
     ],
     ids=["white-adc", "shot", "white-shot-pink-adc"],
 )
@@ -297,7 +303,7 @@ def test_blocked_noise_and_adc_match_whole_stream_reference(detector, dtype):
     want = want.astype(dtype, copy=False)
     with mock.patch.object(sensor, "BLOCK_SAMPLES", 3 * plan.samples_per_bit):
         blocks = list(sensor.capture_blocks(plan, scene, detector, seed=5, dtype=dtype))
-    whole_draws = detector.shot_noise or detector.pink_noise is not None
+    whole_draws = detector.shot_noise > 0 or detector.pink_noise is not None
     assert len(blocks) == 1 if whole_draws else len(blocks) > 1
     assert np.concatenate([b.samples for b in blocks]).tobytes() == want.tobytes()
 
@@ -349,10 +355,44 @@ def test_noiseless_block_capture_starts_no_thread():
 
 def test_one_block_noisy_capture_starts_no_thread():
     plan, scene, _ = multi_block_frame()
-    detector = DetectorModel(noise_sigma=0.1, shot_noise=True)
+    detector = DetectorModel(noise_sigma=0.1, shot_noise=1.0)
     before = threading.active_count()
     for _ in sensor.capture_blocks(plan, scene, detector, seed=3):
         assert threading.active_count() == before
+
+
+def test_zero_size_noise_terms_capture_in_blocks_as_their_white_only_twin():
+    # A shot or 1/f term of size 0 is off, so the capture keeps the white-only
+    # twin's blocks and bytes instead of falling back to one whole-frame block.
+    plan, scene, block = multi_block_frame()
+    white = {"noise_sigma": 0.1, "adc_bits": 10, "adc_fullscale": 4.0}
+    twins = [{"shot_noise": 0}, {"pink_noise": [0, 1]}, {"shot_noise": 0, "pink_noise": [0, 2]}]
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        blocks = [
+            [b.samples.tobytes() for b in sensor.capture_blocks(plan, scene, detector, seed=3)]
+            for detector in (
+                presets.DetectorConfig.from_dict({**white, **twin}).build()
+                for twin in [{}, *twins]
+            )
+        ]
+    assert len(blocks[0]) > 1
+    assert all(twin == blocks[0] for twin in blocks[1:])
+    # Desk exp1-fmcdma in float32, 5.2 M samples in five blocks: 32.7 MiB
+    # traced, against 120-160 MiB as one whole-frame block.
+    config = presets.preset_config("exp1-fmcdma")
+    plan = config.build_plan()
+    scene = config.build_scene(plan.grid)
+    detector = replace(config.detector, shot_noise=0.0, pink_noise=[0.0, 1.0]).build()
+    tracemalloc.start()
+    try:
+        count = 0
+        for _ in sensor.capture_blocks(plan, scene, detector, config.noise_seed, dtype=np.float32):
+            count += 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 5
+    assert peak < 48 * 2**20
 
 
 def test_noise_ring_draws_the_next_block_while_this_one_is_noised():
