@@ -182,15 +182,14 @@ def codebook(num_codes: int, min_length: int | None = None) -> CodeBook:
     """Build a book of balanced on/off codes for num_codes pixel sets.
 
     The code length is the smallest supported Hadamard order >= num_codes + 1
-    (the all-ones row is skipped), or min_length when that is larger and
-    itself a supported order.
+    (the all-ones row is skipped), or min_length when that is larger. A
+    min_length that is not a supported order raises UnsupportedOrder, whether
+    or not it is larger.
     """
     if num_codes < 1:
         raise ValueError("num_codes must be >= 1")
+    if min_length is not None and not is_supported_order(min_length):
+        raise UnsupportedOrder(f"min_length {min_length} is not a supported order")
     length = min_supported_order(num_codes + 1)
-    if min_length is not None and min_length > length:
-        if not is_supported_order(min_length):
-            raise UnsupportedOrder(f"min_length {min_length} is not a supported order")
-        length = min_length
-    return CodeBook(length=length, num_codes=num_codes)
+    return CodeBook(length=max(length, min_length or 0), num_codes=num_codes)
 

@@ -69,14 +69,12 @@ class PixelGrid:
     Attributes:
         columns: M, pixels along the horizontal axis.
         rows: N, pixels along the vertical axis.
-        pixel_size: micromirrors per pixel side, informational only.
         active_pixels: optional explicit pixel list; default full raster,
             row-major (n outer, m inner).
     """
 
     columns: int
     rows: int
-    pixel_size: int = 1
     active_pixels: tuple[tuple[int, int], ...] | None = None
 
     def positions(self) -> tuple[tuple[int, int], ...]:
@@ -95,8 +93,6 @@ class PixelGrid:
     def check(self) -> None:
         if self.columns < 1 or self.rows < 1:
             raise ConfigError("grid must be at least 1x1")
-        if self.pixel_size < 1:
-            raise ConfigError(f"pixel_size must be >= 1, got {self.pixel_size}")
         pos = self.positions()
         if len(pos) < 1:
             raise ConfigError("grid needs at least one active pixel")
@@ -371,6 +367,14 @@ def coding_element(plan: CodingPlan, pixel: tuple[int, int], bit_index: int):
     return 1, carriers[plan.member_index[idx]]
 
 
+def _slots_per_set(mode: Mode, channels: int) -> int:
+    """Pixels per code set: one per carrier, or one where a pixel owns its set.
+
+    Pixel ranks fill the sets in order, rank r at (set, slot) = divmod(r, slots).
+    """
+    return 1 if mode in (Mode.ACTIVE_OVERLAPPED, Mode.FM_TDMA) else channels
+
+
 def _rng(key_seed: int, stream: int, extra: int = 0) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=key_seed, spawn_key=(stream, extra))
     return np.random.Generator(np.random.PCG64(seq))
@@ -459,7 +463,7 @@ def build_plan(
     grid: PixelGrid,
     *,
     mode: Mode = Mode.PASSIVE_FDMA_CDMA,
-    channels: int = 1,
+    channels: int | None = None,
     f1: float | None = None,
     frequencies: tuple[float, ...] | None = None,
     bit_rate: float,
@@ -475,10 +479,11 @@ def build_plan(
     """Build and validate a coding plan; a deterministic function of its inputs.
 
     The carriers are the explicit `frequencies` list or else the octave
-    ladder of `channels` carriers from f1, and their count is the channel
-    count. The plain CDMA mode takes its one static carrier instead, and the
-    FM-CDMA and FM-TDMA modes refuse any count but one. Keyed shuffles
-    default to on whenever key_seed != 0.
+    ladder of `channels` (default 1) carriers from f1; the plain CDMA mode
+    rides one static carrier and the FM-CDMA and FM-TDMA modes one carrier.
+    An input the plan would ignore, such as f1 next to frequencies or a
+    channels count other than the carriers', raises ConfigError. Keyed
+    shuffles default to on whenever key_seed != 0.
     """
     grid.check()
     for name, value, ok, rule in (
@@ -486,31 +491,43 @@ def build_plan(
         ("sample_rate", sample_rate, 0 < sample_rate < math.inf, "finite and > 0"),
         ("key_seed", key_seed, key_seed >= 0, ">= 0"),
         ("frame_index", frame_index, frame_index >= 0, ">= 0"),
+        ("channels", channels, channels is None or channels >= 1, ">= 1"),
     ):
         if not ok:
             raise ConfigError(f"{name} must be {rule}, got {value}")
     q = grid.pixel_count
     mode = Mode(mode)
-
-    if mode is Mode.PLAIN_CDMA:
-        freq_list, waveform = (0.0,), "none"
-    elif frequencies is not None:
+    plain = mode is Mode.PLAIN_CDMA
+    if plain and frequencies is None:
+        frequencies = (0.0,)  # its one static carrier
+    if f1 is not None and frequencies is not None:
+        raise ConfigError(f"f1 = {f1} would be ignored next to frequencies {list(frequencies)}")
+    if frequencies is not None:
         freq_list = tuple(float(f) for f in frequencies)
     elif f1 is not None:
-        freq_list = tuple(float(f1) * 2**p for p in range(channels))
+        freq_list = tuple(float(f1) * 2**p for p in range(1 if channels is None else channels))
     else:
         raise ConfigError("either f1 or an explicit frequency list is required")
-    channels = len(freq_list)
     if not freq_list:
         raise ConfigError("at least one carrier frequency is required")
+    if channels not in (None, len(freq_list)):
+        raise ConfigError(f"channels = {channels} but the carriers are {list(freq_list)}")
+    channels = len(freq_list)
     if mode in (Mode.FM_CDMA, Mode.FM_TDMA) and channels != 1:
         raise ConfigError(f"{mode.value} rides one carrier, got {channels}: {list(freq_list)}")
+    if plain and freq_list != (0.0,):
+        raise ConfigError(f"plain-cdma rides one static carrier, got frequencies {list(freq_list)}")
     if not all(map(math.isfinite, freq_list)):
         raise ConfigError(f"carrier frequencies must be finite, got {freq_list}")
+    allowed = ("none",) if plain else ("square", "sine")
     if waveform is None:
-        waveform = "sine" if mode is Mode.ACTIVE_OVERLAPPED else "square"
-    if mode is not Mode.PLAIN_CDMA and waveform not in ("square", "sine"):
-        raise ConfigError(f"waveform must be 'square' or 'sine' in {mode.value}, got {waveform!r}")
+        waveform = "sine" if mode is Mode.ACTIVE_OVERLAPPED else allowed[0]
+    if waveform not in allowed:
+        raise ConfigError(
+            f"waveform must be {' or '.join(map(repr, allowed))} in {mode.value}, got {waveform!r}"
+        )
+    if mode is Mode.FM_TDMA and min_code_length is not None:
+        raise ConfigError(f"fm-tdma has no codes, got min_code_length {min_code_length}")
 
     freq = FrequencyPlan(
         frequencies=freq_list,
@@ -527,18 +544,8 @@ def build_plan(
     if shuffle_codes is None:
         shuffle_codes = key_seed != 0
 
-    # Pixel -> (set, member) layout.
-    if mode in (Mode.ACTIVE_OVERLAPPED, Mode.FM_TDMA):
-        set_count = q
-        base_set = np.arange(q)
-        base_member = np.zeros(q, dtype=np.int64)
-    else:
-        layout = pixel_sets(q, channels)
-        set_count = layout.set_count
-        ranks = np.arange(q)
-        base_set = ranks // channels
-        base_member = ranks % channels
-
+    base_set, base_member = np.divmod(np.arange(q), _slots_per_set(mode, channels))
+    set_count = int(base_set[-1]) + 1
     if shuffle_pixels:
         order = _rng(key_seed, _STREAM_PIXELS).permutation(q)
     else:
@@ -637,25 +644,18 @@ def validate_plan(plan: CodingPlan) -> PlanReport:
     for row in _timing_rows(freq, plan.sample_rate, plan.mode):
         report.add(*row)
 
-    q = plan.grid.pixel_count
-    if plan.mode is Mode.ACTIVE_OVERLAPPED:
-        report.add("active-one-code-per-pixel", plan.set_count == q)
-    elif plan.mode is not Mode.FM_TDMA:
-        layout = pixel_sets(q, plan.channel_count)
-        report.add("set-count", plan.set_count == layout.set_count)
-        pairs = set(zip(plan.set_index.tolist(), plan.member_index.tolist()))
-        report.add("unique-code-channel-pairs", len(pairs) == q)
-        sizes = np.bincount(plan.set_index, minlength=plan.set_count)
-        report.add(
-            "set-sizes",
-            tuple(int(s) for s in sizes) == layout.set_sizes,
-            f"sizes = {tuple(int(s) for s in sizes)}",
-        )
-        last = plan.member_index[plan.set_index == plan.set_count - 1]
-        report.add(
-            "partial-set-uses-lowest-channels",
-            sorted(last.tolist()) == list(range(layout.last_set_size)),
-        )
+    # The (set, slot) pairs, sorted, are the rank-order layout exactly: every
+    # slot of a set used once, the last set's lowest slots when it is partial.
+    slots = _slots_per_set(plan.mode, plan.channel_count)
+    want_set, want_slot = np.divmod(np.arange(plan.grid.pixel_count), slots)
+    rank = np.lexsort((plan.member_index, plan.set_index))
+    report.add(
+        "slot-layout",
+        bool(plan.set_count == want_set[-1] + 1)
+        and np.array_equal(plan.set_index[rank], want_set)
+        and np.array_equal(plan.member_index[rank], want_slot),
+        f"sets = {plan.set_count}, slots per set = {slots}",
+    )
 
     if plan.hopping:
         w, p = plan.code_length, plan.channel_count
@@ -781,12 +781,11 @@ def _grid(value) -> PixelGrid:
     parsers = {
         "columns": json_int,
         "rows": json_int,
-        "pixel_size": json_int,
         "active_pixels": json_optional(
             lambda v: tuple((json_int(m), json_int(n)) for m, n in json_list(v))
         ),
     }
-    defaults = {"pixel_size": 1, "active_pixels": None}
+    defaults = {"active_pixels": None}
     return PixelGrid(**parse_fields(value, parsers, defaults, "grid"))
 
 
@@ -813,11 +812,7 @@ def _plan_params(plan: CodingPlan) -> dict:
 
 
 def plan_to_dict(plan: CodingPlan) -> dict:
-    grid = {
-        "columns": plan.grid.columns,
-        "rows": plan.grid.rows,
-        "pixel_size": plan.grid.pixel_size,
-    }
+    grid = {"columns": plan.grid.columns, "rows": plan.grid.rows}
     if plan.grid.active_pixels is not None:
         grid["active_pixels"] = [list(p) for p in plan.grid.active_pixels]
     return {

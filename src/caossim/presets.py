@@ -105,7 +105,7 @@ class DetectorConfig:
     gain: float = _json_field(1.0, json_real)
     noise_sigma: float = _json_field(0.0, json_real)
     shot_noise: float = _json_field(0.0, json_real)
-    pink_noise: list | None = _json_field(None, json_optional(_pair(json_real)))
+    pink_noise: list = _json_field(MISSING, _pair(json_real), lambda: [0.0, 1.0])
     adc_bits: int | None = _json_field(None, json_optional(json_int))
     adc_fullscale: float = _json_field(1.0, json_real)
     responsivity: str = _json_field("flat", json_text)
@@ -125,8 +125,7 @@ class DetectorConfig:
             raise ConfigError(f"unknown responsivity preset {self.responsivity!r}")
         # Every other field carries over to DetectorModel under its own name.
         params = {**asdict(self), "responsivity": resp() if callable(resp) else resp}
-        params["pink_noise"] = tuple(self.pink_noise) if self.pink_noise else None
-        return DetectorModel(**params)
+        return DetectorModel(**{**params, "pink_noise": tuple(self.pink_noise)})
 
 
 def _convention(value) -> int:
@@ -258,8 +257,7 @@ class ExperimentConfig:
     mode: str = _json_field(MISSING, _mode)
     grid_columns: int = _json_field(MISSING, json_int)
     grid_rows: int = _json_field(MISSING, json_int)
-    pixel_size: int = _json_field(1, json_int)
-    channels: int = _json_field(1, json_int)
+    channels: int | None = _json_field(None, json_optional(json_int))
     f1: float | None = _json_field(None, json_optional(json_real))
     frequencies: list | None = _json_field(None, json_optional(_real_list))
     bit_rate: float = _json_field(1.0, json_real)
@@ -271,7 +269,6 @@ class ExperimentConfig:
     detector: DetectorConfig = _json_field(MISSING, DetectorConfig.from_dict, DetectorConfig)
     detector2: DetectorConfig | None = _json_field(None, json_optional(DetectorConfig.from_dict))
     scene: dict = _json_field(MISSING, _scene_params, dict)
-    dual: bool = _json_field(False, json_flag)
     convention: int = _json_field(20, _convention)
 
     def to_json(self) -> str:
@@ -283,25 +280,22 @@ class ExperimentConfig:
         body = document_fields(json.loads(text), _CONFIG_FORMAT, _CONFIG_VERSION)
         return _from_json_fields(cls, body, "experiment config")
 
-    def __post_init__(self):
-        self.sides()
+    @property
+    def dual(self) -> bool:
+        """Whether both detector sides are captured: a second detector is set."""
+        return self.detector2 is not None
 
     def sides(self) -> tuple:
-        """The detector config of each captured side: PD1, then PD2 when dual.
-
-        A detector2 without dual would be silently dropped, so it raises ConfigError.
-        """
-        if self.detector2 is not None and not self.dual:
-            raise ConfigError("detector2 is set but dual is false; set dual or drop detector2")
-        return (self.detector, self.detector2 or self.detector)[: 1 + self.dual]
+        """The detector config of each captured side: PD1, then PD2 when dual."""
+        return (self.detector, self.detector2)[: 1 + self.dual]
 
     def build_plan(self) -> plan_mod.CodingPlan:
         return plan_mod.build_plan(
-            PixelGrid(self.grid_columns, self.grid_rows, self.pixel_size),
+            PixelGrid(self.grid_columns, self.grid_rows),
             mode=Mode(self.mode),
             channels=self.channels,
             f1=self.f1,
-            frequencies=tuple(self.frequencies) if self.frequencies else None,
+            frequencies=None if self.frequencies is None else tuple(self.frequencies),
             bit_rate=self.bit_rate,
             sample_rate=self.sample_rate,
             key_seed=self.key_seed,
@@ -328,7 +322,7 @@ def _hdr_config(name, full_scale, variant, *, mode, channels, f1, noise_seed):
     return ExperimentConfig(
         name=name,
         mode=mode.value,
-        grid_columns=44, grid_rows=29, pixel_size=8,
+        grid_columns=44, grid_rows=29,
         channels=channels, f1=f1 * scale,
         bit_rate=1.0 * scale, sample_rate=65536.0,
         key_seed=101, noise_seed=noise_seed,
@@ -349,7 +343,6 @@ def _dualband_config(name, full_scale, variant):
         detector=DetectorConfig(responsivity="si-band"),
         detector2=DetectorConfig(responsivity="ge-band"),
         scene={"preset": "fiber-spot"},
-        dual=True,
     )
 
 
@@ -358,7 +351,7 @@ def _active_config(name, full_scale, variant):
     return ExperimentConfig(
         name=name,
         mode=Mode.ACTIVE_OVERLAPPED.value,
-        grid_columns=32, grid_rows=15, pixel_size=20,
+        grid_columns=32, grid_rows=15,
         channels=3, frequencies=[25000.0, 29000.0, 35000.0],
         bit_rate=bit_rate, sample_rate=fs,
         key_seed=303,

@@ -149,20 +149,22 @@ class DetectorModel:
 
     Each noise term is on exactly when its size is > 0. shot_noise is the
     shot variance per unit signal, a Gaussian approximation with per-sample
-    variance shot_noise * instantaneous signal. pink_noise is (rms
-    amplitude, exponent alpha) for 1/f**alpha shaped noise.
+    variance shot_noise * instantaneous signal. pink_noise is the pair (rms
+    amplitude, exponent alpha) of 1/f**alpha shaped noise, off at amplitude 0.
     """
 
     responsivity: SpectralCurve | float = 1.0
     gain: float = 1.0
     noise_sigma: float = 0.0
     shot_noise: float = 0.0
-    pink_noise: tuple[float, float] | None = None
+    pink_noise: tuple[float, float] = (0.0, 1.0)
     adc_bits: int | None = None
     adc_fullscale: float = 1.0
 
     def __post_init__(self):
-        amp, alpha = self.pink_noise or (0.0, 1.0)
+        if not (isinstance(self.pink_noise, tuple) and len(self.pink_noise) == 2):
+            raise ConfigError(f"pink_noise must be (amplitude, alpha), got {self.pink_noise!r}")
+        amp, alpha = self.pink_noise
         for name, value in (
             ("gain", self.gain),
             ("noise_sigma", self.noise_sigma),

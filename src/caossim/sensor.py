@@ -228,7 +228,7 @@ def add_noise(stream: SampleStream, detector: DetectorModel, seed, *, white=None
     """
     rng = np.random.default_rng(seed)
     n = stream.samples.size
-    amplitude, alpha = detector.pink_noise or (0.0, 1.0)
+    amplitude, alpha = detector.pink_noise
     pink = amplitude > 0 and n > 2
     if not (detector.noise_sigma > 0 or detector.shot_noise > 0 or pink):
         return stream
@@ -292,14 +292,15 @@ def capture_sides(detectors, seed) -> list:
     """(detector, seed, pd_side) per captured side.
 
     One detector reads PD1 with seed itself; a pair reads PD1 and PD2 with
-    independent seeds spawned from seed.
+    the two independent generators default_rng(seed) spawns, so a pair takes
+    every seed one detector takes, a Generator included.
     """
     detectors = tuple(detectors)
     if len(detectors) == 1:
         return [(detectors[0], seed, PD1)]
     if len(detectors) != 2:
         raise ConfigError(f"a capture has one or two detectors, got {len(detectors)}")
-    return list(zip(detectors, np.random.SeedSequence(seed).spawn(2), (PD1, PD2)))
+    return list(zip(detectors, np.random.default_rng(seed).spawn(2), (PD1, PD2)))
 
 
 def capture_dual(
@@ -345,8 +346,7 @@ def capture_blocks(
     generator returns.
     """
     f_count, sigma = plan.samples_per_bit, detector.noise_sigma
-    amplitude, _ = detector.pink_noise or (0.0, 1.0)
-    whole = detector.shot_noise > 0 or amplitude > 0
+    whole = detector.shot_noise > 0 or detector.pink_noise[0] > 0
     ranges = [(0, plan.code_length)] if whole else list(bit_blocks(plan.code_length, f_count))
     rng = np.random.default_rng(seed)
     # One block has nothing to overlap, so add_noise draws its white term itself;

@@ -636,8 +636,6 @@ def _config_case(field, value, preset="exp1-hdr"):
         (lambda tmp: ["plan", "--preset", "exp1-hdr", "--seed", "-1", "--out", str(tmp / "p")],
          "key_seed"),
         (_plan_file_case("frame_index", -1), "frame_index"),
-        (_plan_file_case("pixel_size", 0, in_grid=True), "pixel_size"),
-        (_config_case("pixel_size", 0), "pixel_size"),
         (_plan_file_case("active_pixels", [], in_grid=True), "active pixel"),
         (_plan_file_case("active_pixels", [[1, 1], [1, 1]], in_grid=True), "unique"),
         (_plan_file_case("active_pixels", [[1, 1], [99, 1]], in_grid=True), "(99, 1) outside"),
@@ -646,15 +644,22 @@ def _config_case(field, value, preset="exp1-hdr"):
         (_config_case("noise_seed", -1), "noise_seed"),
         (_plan_file_case("frequencies", [16384.0, 8192.0], preset="exp1-fmcdma"), "fm-cdma"),
         (_config_case("channels", 4, preset="exp1-fmcdma"), "fm-cdma"),
+        (_config_case("channels", 0), "channels"),
+        (_config_case("frequencies", [2048.0, 4096.0]),
+         "f1 = 2048.0 would be ignored next to frequencies [2048.0, 4096.0]"),
+        (_config_case("channels", 4, preset="exp3-active"), "channels = 4"),
+        (_config_case("mode", "plain-cdma"),
+         "f1 = 2048.0 would be ignored next to frequencies [0.0]"),
     ],
     ids=[
         "plan-zero-bit-rate", "plan-nan-bit-rate", "config-inf-bit-rate", "plan-zero-sample-rate",
         "config-nan-sample-rate", "plan-inf-sample-rate", "plan-negative-key-seed",
         "config-negative-key-seed", "preset-seed-minus-one", "plan-negative-frame-index",
-        "plan-zero-pixel-size", "config-zero-pixel-size",
         "plan-no-active-pixels", "plan-repeated-active-pixel", "plan-active-pixel-off-grid",
         "plan-wrong-code-length", "config-nan-f1", "config-negative-noise-seed",
-        "plan-fm-cdma-two-carriers", "config-fm-cdma-four-channels",
+        "plan-fm-cdma-two-carriers", "config-fm-cdma-four-channels", "config-zero-channels",
+        "config-f1-and-frequencies", "config-channels-not-the-carrier-count",
+        "config-plain-cdma-with-f1",
     ],
 )
 def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, names):
@@ -674,18 +679,25 @@ def _older_config(tmp_path):
     return ["plan", "--config", str(path), "--out", str(tmp_path / "p")]
 
 
-def _older_detector(tmp_path):
-    """argv of a simulate whose detector file an older build's DetectorConfig wrote."""
-    assert run_cli("plan", "--preset", "exp3-active", "--out", str(tmp_path / "p")) == 0
-    sc.write_image_csv(np.ones((15, 32)), tmp_path / "scene.csv")
-    detector = {
-        "gain": 1.0, "noise_sigma": 0.1, "shot_noise": True, "shot_factor": 0.5,
-        "pink_noise": None, "adc_bits": None, "adc_fullscale": 1.0, "responsivity": "flat",
-    }
-    (tmp_path / "det.json").write_text(json.dumps(detector))
-    return ["simulate", "--plan", str(tmp_path / "p" / "plan.json"), "--scene",
-            str(tmp_path / "scene.csv"), "--detector", str(tmp_path / "det.json"),
-            "--out", str(tmp_path / "s")]
+def _detector_file_case(detector):
+    """argv of a simulate of the desk exp3-active plan with this detector file."""
+
+    def argv(tmp_path):
+        assert run_cli("plan", "--preset", "exp3-active", "--out", str(tmp_path / "p")) == 0
+        sc.write_image_csv(np.ones((15, 32)), tmp_path / "scene.csv")
+        (tmp_path / "det.json").write_text(json.dumps(detector))
+        return ["simulate", "--plan", str(tmp_path / "p" / "plan.json"), "--scene",
+                str(tmp_path / "scene.csv"), "--detector", str(tmp_path / "det.json"),
+                "--out", str(tmp_path / "s")]
+
+    return argv
+
+
+#: A detector file as an older build's DetectorConfig wrote it.
+_older_detector = _detector_file_case({
+    "gain": 1.0, "noise_sigma": 0.1, "shot_noise": True, "shot_factor": 0.5,
+    "pink_noise": None, "adc_bits": None, "adc_fullscale": 1.0, "responsivity": "flat",
+})
 
 
 @pytest.mark.parametrize(
@@ -719,22 +731,55 @@ def test_calibrate_target_snr_not_finite_and_positive_exits_config_code(capsys, 
     assert err == f"config error: target SNR must be finite and > 0, got {float(target)}\n"
 
 
-def test_config_with_a_second_detector_but_not_dual_is_refused(tmp_path, capsys):
-    # A detector2 without dual used to be dropped: one side decoded and PASS.
+def _dual_config(tmp_path, dual=True):
+    """argv of a plan from the desk exp2-dualband config as a build with a dual field wrote it."""
     data = json.loads(presets.preset_config("exp2-dualband").to_json())
-    data["dual"] = False
+    data.update(dual=dual, pixel_size=1)
+    for side in ("detector", "detector2"):
+        data[side]["pink_noise"] = None
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ConfigError, match="detector2 is set but dual is false"):
-        presets.ExperimentConfig.from_json(path.read_text())
-    assert run_cli("plan", "--config", str(path), "--out", str(tmp_path / "p")) == cli.EXIT_CONFIG
-    assert "detector2 is set but dual is false" in capsys.readouterr().err
-    config = presets.preset_config("exp2-dualband")
-    config.dual = False
-    with mock.patch.object(sensor, "capture_blocks") as capture:
-        with pytest.raises(ConfigError, match="detector2 is set but dual is false"):
-            presets.run_experiment(config)
-    capture.assert_not_called()
+    return ["plan", "--config", str(path), "--out", str(tmp_path / "p")]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (_dual_config, "unknown experiment config fields: ['dual', 'pixel_size']"),
+        # A second detector next to "dual": false used to be refused as a contradiction.
+        (lambda tmp: _dual_config(tmp, dual=False), "unknown experiment config fields: ['dual',"),
+        (_config_case("pixel_size", 8), "unknown experiment config fields: ['pixel_size']"),
+        (_plan_file_case("pixel_size", 1, in_grid=True), "unknown grid fields: ['pixel_size']"),
+        (_config_case("detector", {"pink_noise": None}),
+         "detector field 'pink_noise': expected tuple, got None"),
+        (_detector_file_case({"noise_sigma": 0.1, "pink_noise": None}),
+         "detector field 'pink_noise': expected tuple, got None"),
+    ],
+    ids=["config", "config-dual-false", "config-pixel-size", "plan-pixel-size",
+         "config-null-pink-noise", "detector"],
+)
+def test_file_with_dual_pixel_size_or_null_pink_noise_exits_config_code(
+    tmp_path, capsys, case, message
+):
+    # A capture is dual exactly when it has a second detector, pixel_size did
+    # nothing, and 1/f noise is off at amplitude 0, so files that still spell
+    # those are refused by the field's name.
+    argv = case(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not (tmp_path / "s").exists() and not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("length", [7, 1, 0, -4, 200])
+def test_unsupported_code_length_exits_validation_code(tmp_path, capsys, length):
+    # Every order that is not s * 2**a is refused, however it compares with the one needed.
+    argv = _config_case("code_length", length)(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_VALIDATION
+    assert f"min_length {length} is not a supported order" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 #: Plan-file edits after which a plan cannot decode exactly, with the exit

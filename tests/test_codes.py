@@ -72,8 +72,10 @@ def test_codebook_min_length_override():
     assert codes.codebook(3, min_length=12).length == 12
     # Smaller than required: ignored.
     assert codes.codebook(255, min_length=16).length == 256
-    with pytest.raises(UnsupportedOrder):
-        codes.codebook(3, min_length=52)
+    # An order that is not s * 2**a is refused, larger than required or not.
+    for length in (52, 7, 1, 0, -4):
+        with pytest.raises(UnsupportedOrder, match=f"min_length {length} is not"):
+            codes.codebook(3, min_length=length)
 
 
 @settings(deadline=None, max_examples=25)

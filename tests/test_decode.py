@@ -289,47 +289,70 @@ class TestRoundTrip:
         assert snr_hi > snr_lo
 
 
-#: Plans of the white-noise statistics test on an 8x8 grid at F = 64.
+#: Plans of the white-noise statistics test on an 8x8 grid at F = 64, and the side decoded.
 _NOISE_STATISTICS_PLANS = {
-    "passive-fdma-cdma": dict(mode=Mode.PASSIVE_FDMA_CDMA, channels=4, f1=2.0),
-    "hopping-passive-fdma-cdma": dict(
-        mode=Mode.PASSIVE_FDMA_CDMA, channels=4, f1=2.0, hopping=True
+    "passive-fdma-cdma": (dict(mode=Mode.PASSIVE_FDMA_CDMA, channels=4, f1=2.0), sensor.PD1),
+    "hopping-passive-fdma-cdma": (
+        dict(mode=Mode.PASSIVE_FDMA_CDMA, channels=4, f1=2.0, hopping=True), sensor.PD1
     ),
-    "fm-cdma": dict(mode=Mode.FM_CDMA, f1=8.0),
-    "active-overlapped": dict(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(5.0, 7.0, 11.0)),
+    "hopping-passive-fdma-cdma-pd2": (
+        dict(mode=Mode.PASSIVE_FDMA_CDMA, channels=4, f1=2.0, hopping=True), sensor.PD2
+    ),
+    "fm-cdma": (dict(mode=Mode.FM_CDMA, f1=8.0), sensor.PD1),
+    "active-overlapped": (
+        dict(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(5.0, 7.0, 11.0)), sensor.PD1
+    ),
+    "active-overlapped-pd2": (
+        dict(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(5.0, 7.0, 11.0)), sensor.PD2
+    ),
+    "plain-cdma": (dict(mode=Mode.PLAIN_CDMA), sensor.PD1),
+    "plain-cdma-pd2": (dict(mode=Mode.PLAIN_CDMA), sensor.PD2),
 }
 
 
 @pytest.mark.parametrize("case", list(_NOISE_STATISTICS_PLANS))
 def test_decoded_white_noise_has_the_predicted_std_and_no_bias(case):
     # At high per-bit SNR a pixel reads bit w's carrier bin with std
-    # sigma sqrt(F / 2) / g_w, g_w the unit-carrier gain of the carrier its
-    # slot rides in bit w; the (2 / W) signed-code correlation gives it std
-    # sigma sqrt(2 F / W) rms_w(1 / g_w).
+    # sigma sqrt(F / 2) c / g_w, g_w the unit-carrier gain of the carrier its
+    # slot rides in bit w and c = sqrt(2) at a real bin (0 or F / 2), where
+    # all of the noise is in one part; the (2 / W) signed-code correlation
+    # gives it std sigma sqrt(2 F / W) rms_w(c / g_w).
     sigma, f_count, trials = 1.0, 64, 120
+    kwargs, side = _NOISE_STATISTICS_PLANS[case]
     grid = PixelGrid(8, 8)
-    plan = build_plan(
-        grid, bit_rate=1.0, sample_rate=float(f_count), key_seed=5,
-        **_NOISE_STATISTICS_PLANS[case],
-    )
-    inverse_gains = 1.0 / plan.carrier_bin_gains[plan.hop_schedule]  # (W, P) by slot
-    rms = np.sqrt(np.mean(inverse_gains**2, axis=0))
+    plan = build_plan(grid, bit_rate=1.0, sample_rate=float(f_count), key_seed=5, **kwargs)
+    real_bin = (plan.carrier_bins == 0) | (2 * plan.carrier_bins == f_count)
+    spread = np.where(real_bin, np.sqrt(2.0), 1.0) / plan.carrier_bin_gains
+    rms = np.sqrt(np.mean(spread[plan.hop_schedule] ** 2, axis=0))  # by slot
+    # Bit 0 is ON in every code, so a complement-coded PD2 reads only noise
+    # there, of mean magnitude E|n| = sigma sqrt(pi F / 4), or sigma
+    # sqrt(2 F / pi) at a real bin, and every pixel reads low by (2 / W) E|n| / g_0.
+    offset = np.zeros(plan.channel_count)
+    if side == sensor.PD2 and plan.mode in (Mode.PLAIN_CDMA, Mode.ACTIVE_OVERLAPPED):
+        mean_abs = sigma * np.where(
+            real_bin, np.sqrt(2.0 * f_count / np.pi), np.sqrt(np.pi * f_count / 4.0)
+        )
+        offset = (-2.0 / plan.code_length) * (mean_abs / plan.carrier_bin_gains)[plan.hop_schedule[0]]
     scale = sigma * np.sqrt(2.0 * f_count / plan.code_length)
     if plan.mode is Mode.ACTIVE_OVERLAPPED:  # one image per source slot
         scene = Scene(grid, per_source=np.ones((plan.channel_count, 8, 8)))
         want = np.stack([np.full((8, 8), scale * r) for r in rms])
+        mean = np.stack([np.full((8, 8), 1.0 + o) for o in offset])
     else:
         scene = Scene(grid, irradiance=np.ones((8, 8)))
         want = plan.image(scale * rms[plan.member_index])[None]
+        mean = plan.image(1.0 + offset[plan.member_index])[None]
     rng = np.random.default_rng(17)
-    detector = DetectorModel(noise_sigma=sigma)
-    decoded = (decode.decode_capture(plan, scene, (detector,), rng) for _ in range(trials))
-    # (trials, images, rows, columns)
-    raw = np.array([[image.raw for image in decode.image_list(d)] for d in decoded])
+    detectors = (DetectorModel(noise_sigma=sigma),) * (1 + (side == sensor.PD2))
+    decoded = (decode.decode_capture(plan, scene, detectors, rng) for _ in range(trials))
+    # (trials, images, rows, columns), the images of the tested side
+    raw = np.array(
+        [[image.raw for image in decode.image_list(d) if image.pd_side == side] for d in decoded]
+    )
     ratio = float(np.sqrt(np.mean((raw.std(axis=0, ddof=1) / want) ** 2)))
     assert ratio == pytest.approx(1.0, abs=0.05)
     standard_error = np.sqrt(np.mean(want**2) / raw.size)
-    assert abs(np.mean(raw - 1.0)) < 3.0 * standard_error
+    assert abs(np.mean(raw - mean)) < 3.0 * standard_error
 
 
 def test_decode_report_flags_wrong_truth(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import os
+import re
 import tempfile
 import weakref
 
@@ -15,14 +16,9 @@ from caossim.plan import Mode, PixelGrid, build_plan, coding_element, pixel_sets
 
 
 def small_plan(**kwargs):
-    defaults = dict(
-        mode=Mode.PASSIVE_FDMA_CDMA,
-        channels=4,
-        f1=4.0,
-        bit_rate=1.0,
-        sample_rate=128.0,
-        key_seed=0,
-    )
+    defaults = dict(mode=Mode.PASSIVE_FDMA_CDMA, bit_rate=1.0, sample_rate=128.0, key_seed=0)
+    if "frequencies" not in kwargs and kwargs.get("mode") is not Mode.PLAIN_CDMA:
+        defaults.update(channels=4, f1=4.0)  # the default carriers
     defaults.update(kwargs)
     grid = defaults.pop("grid", PixelGrid(4, 4))
     return build_plan(grid, **defaults)
@@ -54,7 +50,7 @@ def test_pixel_sets(q, p, expected_sets, expected_last):
 
 
 def test_build_plan_experiment_one_parameters():
-    grid = PixelGrid(44, 29, pixel_size=8)
+    grid = PixelGrid(44, 29)
     p = build_plan(grid, channels=4, f1=128.0, bit_rate=1.0, sample_rate=65536.0)
     assert p.frequencies.frequencies == (128.0, 256.0, 512.0, 1024.0)
     assert p.set_count == 319
@@ -64,7 +60,7 @@ def test_build_plan_experiment_one_parameters():
 
 
 def test_build_plan_single_channel_comparator():
-    grid = PixelGrid(44, 29, pixel_size=8)
+    grid = PixelGrid(44, 29)
     p = build_plan(grid, mode=Mode.FM_CDMA, f1=1024.0, bit_rate=1.0, sample_rate=65536.0)
     assert p.set_count == 1276
     assert p.code_length == 1280
@@ -226,10 +222,80 @@ def test_unhopped_schedule_is_a_read_only_identity_without_memory():
 
 def test_carrier_refusals_spare_plans_that_decode_exactly():
     # test_cli.py refuses plan files that break the carrier rules. Sines have
-    # no harmonics, and plain-cdma sets its static waveform itself.
+    # no harmonics, and plain-cdma keeps its one static carrier.
     sines = small_plan(frequencies=(1.0, 3.0), sample_rate=16.0, waveform="sine")
     assert planmod.validate_plan(sines).passed
-    assert small_plan(mode=Mode.PLAIN_CDMA, waveform="square").frequencies.waveform == "none"
+    static = small_plan(mode=Mode.PLAIN_CDMA, waveform="none")
+    assert static.frequencies.waveform == "none" and planmod.validate_plan(static).passed
+
+
+@pytest.mark.parametrize(
+    "inputs, message",
+    [
+        (dict(channels=4, frequencies=(2.0, 4.0, 8.0)), "channels = 4 but the carriers are"),
+        (dict(f1=5.0, frequencies=(2.0, 4.0)), "f1 = 5.0 would be ignored next to frequencies"),
+        (dict(mode=Mode.ACTIVE_OVERLAPPED, channels=2, frequencies=(3.0, 5.0, 7.0)),
+         "channels = 2 but the carriers are"),
+        (dict(mode=Mode.PLAIN_CDMA, channels=4, f1=2.0), "f1 = 2.0 would be ignored next to"),
+        (dict(mode=Mode.PLAIN_CDMA, channels=4), "channels = 4 but the carriers are [0.0]"),
+        (dict(mode=Mode.PLAIN_CDMA, waveform="sine"), "waveform must be 'none' in plain-cdma"),
+        (dict(mode=Mode.PLAIN_CDMA, waveform="square"), "waveform must be 'none' in plain-cdma"),
+        (dict(mode=Mode.PLAIN_CDMA, frequencies=(2.0,)),
+         "plain-cdma rides one static carrier, got frequencies [2.0]"),
+        (dict(mode=Mode.FM_TDMA, channels=1, min_code_length=64),
+         "fm-tdma has no codes, got min_code_length 64"),
+        (dict(channels=0), "channels must be >= 1, got 0"),
+    ],
+    ids=["channels-and-frequencies", "f1-and-frequencies", "active-channels", "plain-ladder",
+         "plain-channels", "plain-sine", "plain-square", "plain-frequencies", "fm-tdma-code-length",
+         "zero-channels"],
+)
+def test_build_plan_refuses_inputs_it_would_ignore(inputs, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        small_plan(**inputs)
+
+
+def _share_a_slot(p):
+    """The second pixel moved onto the first pixel's (set, slot)."""
+    sets, slots = p.set_index.copy(), p.member_index.copy()
+    sets[1], slots[1] = sets[0], slots[0]
+    return dataclasses.replace(p, set_index=sets, member_index=slots)
+
+
+def _slot_past_the_set(p):
+    """The first pixel moved to slot P of its set, past the last carrier."""
+    slots = p.member_index.copy()
+    slots[0] = p.channel_count
+    return dataclasses.replace(p, member_index=slots)
+
+
+def _one_set_more(p):
+    return dataclasses.replace(p, set_count=p.set_count + 1)
+
+
+@pytest.mark.parametrize(
+    "breaks", [_share_a_slot, _slot_past_the_set, _one_set_more],
+    ids=["shared-slot", "slot-past-the-set", "one-set-more"],
+)
+@pytest.mark.parametrize(
+    "carriers",
+    [
+        dict(channels=4, f1=4.0, key_seed=3),
+        dict(grid=PixelGrid(5, 1), channels=2, f1=2.0, sample_rate=16.0),  # a partial last set
+        dict(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(3.0, 5.0), key_seed=3),
+        dict(mode=Mode.FM_TDMA, channels=1, f1=4.0),
+        dict(mode=Mode.PLAIN_CDMA, key_seed=3),
+    ],
+    ids=["passive", "partial-set", "active", "fm-tdma", "plain"],
+)
+def test_slot_layout_row_checks_every_mode(carriers, breaks):
+    # One validate_plan row: the sorted (set, slot) pairs are the rank-order layout.
+    p = small_plan(**carriers)
+    report = planmod.validate_plan(p)
+    assert report.passed, report.failures()
+    rows = [name for name, _, _ in report.entries]
+    assert rows.count("slot-layout") == 1 and "set-sizes" not in rows
+    assert planmod.validate_plan(breaks(p)).failures() == ["slot-layout"]
 
 
 def test_frame_time_law_on_power_of_two_grid():
@@ -290,7 +356,7 @@ def random_plans(draw):
     columns, rows = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     cells = st.tuples(st.integers(1, columns), st.integers(1, rows))
     active = draw(st.none() | st.lists(cells, min_size=1, unique=True).map(tuple))
-    grid = PixelGrid(columns, rows, draw(st.integers(1, 20)), active)
+    grid = PixelGrid(columns, rows, active)
     channels = draw(st.integers(1, 4))
     timing = {
         Mode.PASSIVE_FDMA_CDMA: dict(channels=channels, f1=2.0, sample_rate=128.0),
@@ -305,7 +371,9 @@ def random_plans(draw):
         bit_rate=1.0,
         key_seed=draw(st.integers(0, 2**63 - 1)),
         hopping=draw(st.booleans()),
-        min_code_length=draw(st.sampled_from((None, 8, 12, 20, 32, 40, 64, 96))),
+        min_code_length=None if mode is Mode.FM_TDMA else draw(
+            st.sampled_from((None, 8, 12, 20, 32, 40, 64, 96))
+        ),
         shuffle_pixels=draw(st.none() | st.booleans()),
         shuffle_codes=draw(st.none() | st.booleans()),
         **timing,
@@ -375,7 +443,7 @@ def test_coding_element_agrees_with_the_codec(plan, seed):
 
 
 def test_image_and_pixel_values_are_inverse_on_the_active_pixels():
-    p = small_plan(grid=PixelGrid(4, 3, 1, ((2, 1), (4, 3), (1, 2))))
+    p = small_plan(grid=PixelGrid(4, 3, ((2, 1), (4, 3), (1, 2))))
     image = p.image(np.array([5.0, 6.0, 7.0]))
     assert image[0, 1] == 5.0 and image[2, 3] == 6.0 and image[1, 0] == 7.0
     assert np.count_nonzero(image) == 3
@@ -503,7 +571,7 @@ CONSTANT_PLANS = {
     "square": lambda: small_plan(key_seed=3, hopping=True),
     "sine": lambda: small_plan(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(3.0, 5.0), key_seed=3),
     "none": lambda: small_plan(mode=Mode.PLAIN_CDMA),
-    "active-pixels": lambda: small_plan(grid=PixelGrid(4, 3, 1, ((2, 1), (4, 3), (1, 2)))),
+    "active-pixels": lambda: small_plan(grid=PixelGrid(4, 3, ((2, 1), (4, 3), (1, 2)))),
 }
 
 

@@ -198,7 +198,7 @@ def test_config_without_a_preset_record_runs_unchecked():
 
 def test_dual_active_capture_decodes_every_source_on_both_sides():
     config = presets.preset_config("exp3-active")
-    config.dual = True
+    config.detector2 = config.detector  # one detector model on both sides
     result = presets.run_experiment(config)
     assert result.ok
     maps = result.scene.per_source

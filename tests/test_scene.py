@@ -196,4 +196,6 @@ def test_detector_model_validation():
         sc.DetectorModel(gain=0.0)
     with pytest.raises(ConfigError):
         sc.DetectorModel(pink_noise=(1.0, 3.0))
+    with pytest.raises(ConfigError, match=r"pink_noise must be \(amplitude, alpha\), got None"):
+        sc.DetectorModel(pink_noise=None)  # amplitude 0 is the one spelling of off
     sc.DetectorModel(pink_noise=(1.0, 1.0), adc_bits=16, adc_fullscale=10.0)

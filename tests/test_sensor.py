@@ -17,7 +17,9 @@ from caossim.scene import DetectorModel, Scene
 
 
 def make_plan(grid=None, **kwargs):
-    defaults = dict(channels=2, f1=2.0, bit_rate=1.0, sample_rate=32.0)
+    defaults = dict(bit_rate=1.0, sample_rate=32.0)
+    if "frequencies" not in kwargs:
+        defaults.update(channels=2, f1=2.0)  # the default carriers
     defaults.update(kwargs)
     return build_plan(grid or PixelGrid(2, 2), **defaults)
 
@@ -270,8 +272,8 @@ def whole_stream_noise(samples, detector, seed):
     if detector.shot_noise > 0:
         shot = np.sqrt(detector.shot_noise * np.clip(samples, 0.0, None))
         terms.append(rng.standard_normal(n) * shot)
-    if detector.pink_noise is not None:
-        amplitude, alpha = detector.pink_noise
+    amplitude, alpha = detector.pink_noise
+    if amplitude > 0:
         spectrum = np.fft.rfft(rng.standard_normal(n))
         shaping = np.zeros(spectrum.size)
         shaping[1:] = np.arange(1, spectrum.size, dtype=np.float64) ** (-alpha / 2.0)
@@ -303,7 +305,7 @@ def test_blocked_noise_and_adc_match_whole_stream_reference(detector, dtype):
     want = want.astype(dtype, copy=False)
     with mock.patch.object(sensor, "BLOCK_SAMPLES", 3 * plan.samples_per_bit):
         blocks = list(sensor.capture_blocks(plan, scene, detector, seed=5, dtype=dtype))
-    whole_draws = detector.shot_noise > 0 or detector.pink_noise is not None
+    whole_draws = detector.shot_noise > 0 or detector.pink_noise[0] > 0
     assert len(blocks) == 1 if whole_draws else len(blocks) > 1
     assert np.concatenate([b.samples for b in blocks]).tobytes() == want.tobytes()
 
@@ -477,6 +479,22 @@ def test_dual_capture_draws_each_side_from_a_spawned_seed():
     for stream, seed, side in zip((dual.pd1, dual.pd2), seeds, (sensor.PD1, sensor.PD2)):
         want = whole_stream_capture(plan, scene, det, seed, side)
         assert stream.samples.tobytes() == want.samples.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2102, 12345])
+def test_dual_capture_takes_every_seed_one_detector_takes(seed):
+    # An int, a SeedSequence or a Generator seeds both sides; each side draws
+    # what SeedSequence(seed).spawn(2) gives it, as every int seed always has.
+    plan = make_plan()
+    scene = uniform_scene(plan.grid)
+    det = DetectorModel(noise_sigma=0.1)
+    want = [
+        whole_stream_capture(plan, scene, det, side_seed, side).samples.tobytes()
+        for side_seed, side in zip(np.random.SeedSequence(seed).spawn(2), (sensor.PD1, sensor.PD2))
+    ]
+    for given in (seed, np.random.SeedSequence(seed), np.random.default_rng(seed)):
+        dual = sensor.capture_dual(plan, scene, det, seed=given)
+        assert [dual.pd1.samples.tobytes(), dual.pd2.samples.tobytes()] == want
 
 
 @pytest.mark.parametrize("side", [sensor.PD1, sensor.PD2])
