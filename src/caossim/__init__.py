@@ -31,7 +31,6 @@ from .plan import (
     PixelGrid,
     build_plan,
     coding_element,
-    pixel_sets,
     reallocate,
     validate_plan,
 )

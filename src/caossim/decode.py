@@ -91,7 +91,6 @@ class RecoveredImage:
     values: np.ndarray
     raw: np.ndarray
     normalization_reference: float
-    mode: Mode
     pd_side: str = "pd1"
     source_index: int | None = None
 
@@ -128,7 +127,6 @@ def _finish(raw_map, plan, pd_side, source_index):
         values=clamped,
         raw=raw_map,
         normalization_reference=float(clamped.max()),
-        mode=plan.mode,
         pd_side=pd_side,
         source_index=source_index,
     )

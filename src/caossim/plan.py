@@ -126,30 +126,6 @@ class FrequencyPlan:
         return tuple(f * self.bit_duration for f in self.frequencies)
 
 
-@dataclass(frozen=True)
-class PixelSetLayout:
-    set_count: int
-    set_sizes: tuple[int, ...]
-
-    @property
-    def last_set_size(self) -> int:
-        return self.set_sizes[-1]
-
-
-def pixel_sets(num_pixels: int, num_channels: int) -> PixelSetLayout:
-    """Partition Q pixels into J = ceil(Q / P) channel-sharing sets.
-
-    All sets are full except possibly the last, which keeps the lowest
-    channel indices.
-    """
-    if num_pixels < 1 or num_channels < 1:
-        raise ValueError("num_pixels and num_channels must be >= 1")
-    set_count = -(-num_pixels // num_channels)
-    sizes = [num_channels] * (set_count - 1)
-    sizes.append(num_pixels - (set_count - 1) * num_channels)
-    return PixelSetLayout(set_count=set_count, set_sizes=tuple(sizes))
-
-
 @dataclass(frozen=True, eq=False)
 class CodingPlan:
     """Immutable result of build_plan; safe to share between encoder and decoder.
@@ -482,8 +458,11 @@ def build_plan(
     ladder of `channels` (default 1) carriers from f1; the plain CDMA mode
     rides one static carrier and the FM-CDMA and FM-TDMA modes one carrier.
     An input the plan would ignore, such as f1 next to frequencies or a
-    channels count other than the carriers', raises ConfigError. Keyed
-    shuffles default to on whenever key_seed != 0.
+    channels count other than the carriers', raises ConfigError. So does a
+    keyed layer with nothing to permute: hopping on one carrier, the code
+    shuffle in fm-tdma, or a frame_index with the code shuffle off. Keyed
+    shuffles default to on whenever key_seed != 0, the code shuffle outside
+    fm-tdma only.
     """
     grid.check()
     for name, value, ok, rule in (
@@ -528,6 +507,16 @@ def build_plan(
         )
     if mode is Mode.FM_TDMA and min_code_length is not None:
         raise ConfigError(f"fm-tdma has no codes, got min_code_length {min_code_length}")
+    if hopping and channels < 2:
+        raise ConfigError(f"hopping = True needs two or more carriers, {mode.value} has {channels}")
+    if shuffle_codes is None:
+        shuffle_codes = key_seed != 0 and mode is not Mode.FM_TDMA
+    if shuffle_codes and mode is Mode.FM_TDMA:
+        raise ConfigError("shuffle_codes = True in fm-tdma, which has no codes to shuffle")
+    if frame_index and not shuffle_codes:
+        raise ConfigError(
+            f"frame_index = {frame_index} keys only the code shuffle, and shuffle_codes is off"
+        )
 
     freq = FrequencyPlan(
         frequencies=freq_list,
@@ -541,8 +530,6 @@ def build_plan(
 
     if shuffle_pixels is None:
         shuffle_pixels = key_seed != 0
-    if shuffle_codes is None:
-        shuffle_codes = key_seed != 0
 
     base_set, base_member = np.divmod(np.arange(q), _slots_per_set(mode, channels))
     set_count = int(base_set[-1]) + 1
@@ -556,17 +543,12 @@ def build_plan(
     member_index[order] = base_member
 
     # Codebook and per-set code rows; an FM-TDMA set owns the slot of its index.
-    if mode is Mode.FM_TDMA:
-        book = None
-        code_row = np.arange(set_count)
-    else:
-        book = codes.codebook(set_count, min_length=min_code_length)
-        if shuffle_codes:
-            code_row = _rng(key_seed, _STREAM_CODES, frame_index).permutation(set_count)
-        else:
-            code_row = np.arange(set_count)
-
-    code_length = q if mode is Mode.FM_TDMA else book.length
+    book = None if mode is Mode.FM_TDMA else codes.codebook(set_count, min_length=min_code_length)
+    code_length = q if book is None else book.length
+    code_row = (
+        _rng(key_seed, _STREAM_CODES, frame_index).permutation(set_count)
+        if shuffle_codes else np.arange(set_count)
+    )
 
     if hopping:
         rng = _rng(key_seed, _STREAM_HOPS)
@@ -607,7 +589,10 @@ def rebuild(plan: CodingPlan, **overrides) -> CodingPlan:
 
 
 def reallocate(plan: CodingPlan, frame_index: int) -> CodingPlan:
-    """Next-frame plan: the set -> code allocation is re-keyed per frame."""
+    """Next-frame plan: the set -> code allocation is re-keyed per frame.
+
+    An fm-tdma plan has no codes to re-key, so build_plan refuses it.
+    """
     return rebuild(plan, frame_index=frame_index, shuffle_codes=True)
 
 

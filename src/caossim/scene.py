@@ -110,6 +110,10 @@ class Scene:
     per_source: np.ndarray | None = None
 
     def __post_init__(self):
+        if (self.irradiance is None) == (self.per_source is None):
+            raise ConfigError("a scene needs exactly one of irradiance and per_source")
+        if self.spectrum is not None and self.irradiance is None:
+            raise ConfigError("a scene spectrum applies to irradiance only, not to per_source")
         shape = (self.grid.rows, self.grid.columns)
         if self.irradiance is not None:
             arr = np.asarray(self.irradiance, dtype=np.float64)

@@ -594,11 +594,24 @@ def test_decode_non_finite_truth_cell_exits_config_code(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: {truth_path}: non-finite value nan in row 5, column 8\n"
 
 
-def _plan_file_case(field, value, in_grid=False, preset="exp1-hdr"):
-    """argv of a decode whose desk preset plan file has field set to value."""
+def _config_file(tmp_path, preset, fields):
+    """Path of the desk preset's experiment config with fields set."""
+    data = json.loads(presets.preset_config(preset).to_json())
+    data.update(fields)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _plan_file_case(field, value, in_grid=False, preset="exp1-hdr", **config):
+    """argv of a decode of a plan file with field set to value.
+
+    The plan is built from the desk preset's experiment config with the fields in config set.
+    """
 
     def argv(tmp_path):
-        assert run_cli("plan", "--preset", preset, "--out", str(tmp_path / "p")) == 0
+        path = _config_file(tmp_path, preset, config)
+        assert run_cli("plan", "--config", str(path), "--out", str(tmp_path / "p")) == 0
         data = json.loads((tmp_path / "p" / "plan.json").read_text())
         (data["grid"] if in_grid else data)[field] = value
         path = tmp_path / "bad_plan.json"
@@ -609,17 +622,27 @@ def _plan_file_case(field, value, in_grid=False, preset="exp1-hdr"):
     return argv
 
 
-def _config_case(field, value, preset="exp1-hdr"):
-    """argv of a plan built from the desk preset experiment config with field set to value."""
+def _config_case(field, value, preset="exp1-hdr", **fields):
+    """argv of a plan built from the desk preset experiment config with field set to value.
+
+    Each keyword field is set too.
+    """
 
     def argv(tmp_path):
-        data = json.loads(presets.preset_config(preset).to_json())
-        data[field] = value
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(data))
+        path = _config_file(tmp_path, preset, {**fields, field: value})
         return ["plan", "--config", str(path), "--out", str(tmp_path / "p")]
 
     return argv
+
+
+#: Config edits that leave each mode on one carrier.
+_ONE_CARRIER = {
+    "fm-cdma": ("exp1-fmcdma", {}),
+    "fm-tdma": ("exp1-fmcdma", dict(mode="fm-tdma")),
+    "plain-cdma": ("exp1-fmcdma", dict(mode="plain-cdma", f1=None)),
+    "passive": ("exp1-hdr", dict(channels=1)),
+    "active": ("exp3-active", dict(channels=1, frequencies=[25000.0])),
+}
 
 
 @pytest.mark.parametrize(
@@ -650,6 +673,16 @@ def _config_case(field, value, preset="exp1-hdr"):
         (_config_case("channels", 4, preset="exp3-active"), "channels = 4"),
         (_config_case("mode", "plain-cdma"),
          "f1 = 2048.0 would be ignored next to frequencies [0.0]"),
+        # A keyed layer with nothing to permute, from a config or from a plan
+        # file an older build wrote with it.
+        *[(_config_case("hopping", True, preset, **edits), "hopping = True needs two or more")
+          for preset, edits in _ONE_CARRIER.values()],
+        *[(_plan_file_case("hopping", True, preset=preset, **edits),
+           "hopping = True needs two or more") for preset, edits in _ONE_CARRIER.values()],
+        (_plan_file_case("shuffle_codes", True, preset="exp1-fmcdma", mode="fm-tdma"),
+         "shuffle_codes = True in fm-tdma"),
+        (_plan_file_case("frame_index", 2, key_seed=0),
+         "frame_index = 2 keys only the code shuffle"),
     ],
     ids=[
         "plan-zero-bit-rate", "plan-nan-bit-rate", "config-inf-bit-rate", "plan-zero-sample-rate",
@@ -659,7 +692,9 @@ def _config_case(field, value, preset="exp1-hdr"):
         "plan-wrong-code-length", "config-nan-f1", "config-negative-noise-seed",
         "plan-fm-cdma-two-carriers", "config-fm-cdma-four-channels", "config-zero-channels",
         "config-f1-and-frequencies", "config-channels-not-the-carrier-count",
-        "config-plain-cdma-with-f1",
+        "config-plain-cdma-with-f1", *(f"config-{mode}-hopping" for mode in _ONE_CARRIER),
+        *(f"plan-{mode}-hopping" for mode in _ONE_CARRIER), "plan-fm-tdma-shuffle-codes",
+        "plan-frame-index-unkeyed",
     ],
 )
 def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, names):
@@ -668,6 +703,13 @@ def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, n
     assert run_cli(*argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and names in err, err
+
+
+def test_keyed_fm_tdma_config_plans_without_a_code_shuffle(tmp_path):
+    # An fm-tdma plan has no codes, so its code shuffle is off under any key.
+    assert run_cli(*_config_case("mode", "fm-tdma", preset="exp1-fmcdma")(tmp_path)) == 0
+    data = json.loads((tmp_path / "p" / "plan.json").read_text())
+    assert data["key_seed"] == 101 and data["shuffle_pixels"] and not data["shuffle_codes"]
 
 
 def _older_config(tmp_path):

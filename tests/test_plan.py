@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from caossim import codes, decode, plan as planmod, scene as sc, sensor
 from caossim.errors import ConfigError, NyquistError, TimingError
-from caossim.plan import Mode, PixelGrid, build_plan, coding_element, pixel_sets
+from caossim.plan import Mode, PixelGrid, build_plan, coding_element
 
 
 def small_plan(**kwargs):
@@ -42,11 +42,13 @@ def large_grid_plan():
     [(2035, 8, 255, 3), (1276, 4, 319, 4), (5, 1, 5, 1), (3, 8, 1, 3)],
 )
 def test_pixel_sets(q, p, expected_sets, expected_last):
-    layout = pixel_sets(q, p)
-    assert layout.set_count == expected_sets
-    assert layout.last_set_size == expected_last
-    assert sum(layout.set_sizes) == q
-    assert all(size == p for size in layout.set_sizes[:-1])
+    # build_plan's own layout: every set full but the last, which keeps the lowest slots.
+    plan = build_plan(PixelGrid(q, 1), channels=p, f1=1.0, bit_rate=1.0, sample_rate=2.0 ** (p + 1))
+    sizes = np.bincount(plan.set_index)
+    assert plan.set_count == len(sizes) == expected_sets
+    assert sizes[-1] == expected_last
+    assert sizes.sum() == q
+    assert np.all(sizes[:-1] == p)
 
 
 def test_build_plan_experiment_one_parameters():
@@ -245,14 +247,44 @@ def test_carrier_refusals_spare_plans_that_decode_exactly():
         (dict(mode=Mode.FM_TDMA, channels=1, min_code_length=64),
          "fm-tdma has no codes, got min_code_length 64"),
         (dict(channels=0), "channels must be >= 1, got 0"),
+        # A keyed layer with nothing to permute.
+        (dict(mode=Mode.FM_CDMA, channels=1, hopping=True),
+         "hopping = True needs two or more carriers, fm-cdma has 1"),
+        (dict(mode=Mode.FM_TDMA, channels=1, hopping=True),
+         "hopping = True needs two or more carriers, fm-tdma has 1"),
+        (dict(mode=Mode.PLAIN_CDMA, hopping=True),
+         "hopping = True needs two or more carriers, plain-cdma has 1"),
+        (dict(channels=1, hopping=True, key_seed=7),
+         "hopping = True needs two or more carriers, passive-fdma-cdma has 1"),
+        (dict(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(3.0,), hopping=True),
+         "hopping = True needs two or more carriers, active-overlapped has 1"),
+        (dict(mode=Mode.FM_TDMA, channels=1, shuffle_codes=True),
+         "shuffle_codes = True in fm-tdma, which has no codes to shuffle"),
+        (dict(mode=Mode.FM_TDMA, channels=1, key_seed=7, shuffle_codes=True, frame_index=1),
+         "shuffle_codes = True in fm-tdma"),
+        (dict(key_seed=7, shuffle_codes=False, frame_index=2),
+         "frame_index = 2 keys only the code shuffle, and shuffle_codes is off"),
+        (dict(frame_index=1), "frame_index = 1 keys only the code shuffle"),
+        (dict(mode=Mode.FM_TDMA, channels=1, key_seed=7, frame_index=3),
+         "frame_index = 3 keys only the code shuffle"),
     ],
     ids=["channels-and-frequencies", "f1-and-frequencies", "active-channels", "plain-ladder",
          "plain-channels", "plain-sine", "plain-square", "plain-frequencies", "fm-tdma-code-length",
-         "zero-channels"],
+         "zero-channels", "fm-cdma-hopping", "fm-tdma-hopping", "plain-cdma-hopping",
+         "passive-one-carrier-hopping", "active-one-carrier-hopping", "fm-tdma-shuffle-codes",
+         "fm-tdma-reallocated", "frame-index-shuffle-off", "frame-index-unkeyed",
+         "fm-tdma-frame-index"],
 )
 def test_build_plan_refuses_inputs_it_would_ignore(inputs, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         small_plan(**inputs)
+
+
+def test_fm_tdma_has_no_code_shuffle_to_reallocate():
+    p = small_plan(mode=Mode.FM_TDMA, channels=1, key_seed=7)
+    assert p.shuffle_pixels and not p.shuffle_codes
+    with pytest.raises(ConfigError, match="shuffle_codes = True in fm-tdma"):
+        planmod.reallocate(p, 3)
 
 
 def _share_a_slot(p):
@@ -365,20 +397,24 @@ def random_plans(draw):
         Mode.PLAIN_CDMA: dict(sample_rate=64.0),
         Mode.ACTIVE_OVERLAPPED: dict(frequencies=(3.0, 5.0, 7.0, 9.0)[:channels], sample_rate=64.0),
     }[mode]
+    # Only keyed layers with something to permute: hopping over two or more
+    # carriers, and no code shuffle (so no reallocate) in fm-tdma.
+    tdma = mode is Mode.FM_TDMA
+    carriers = channels if mode in (Mode.PASSIVE_FDMA_CDMA, Mode.ACTIVE_OVERLAPPED) else 1
     plan = build_plan(
         grid,
         mode=mode,
         bit_rate=1.0,
         key_seed=draw(st.integers(0, 2**63 - 1)),
-        hopping=draw(st.booleans()),
-        min_code_length=None if mode is Mode.FM_TDMA else draw(
+        hopping=carriers > 1 and draw(st.booleans()),
+        min_code_length=None if tdma else draw(
             st.sampled_from((None, 8, 12, 20, 32, 40, 64, 96))
         ),
         shuffle_pixels=draw(st.none() | st.booleans()),
-        shuffle_codes=draw(st.none() | st.booleans()),
+        shuffle_codes=draw(st.sampled_from((None, False) if tdma else (None, False, True))),
         **timing,
     )
-    frame_index = draw(st.integers(0, 5))
+    frame_index = 0 if tdma else draw(st.integers(0, 5))
     return planmod.reallocate(plan, frame_index) if frame_index else plan
 
 

@@ -191,6 +191,24 @@ def test_scene_rejects_negative_values():
         sc.Scene(grid=grid, irradiance=np.array([[1.0, -0.1], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ({}, "exactly one of irradiance and per_source"),
+        (dict(irradiance=np.ones((2, 3)), per_source=np.ones((2, 2, 3))),
+         "exactly one of irradiance and per_source"),
+        (dict(per_source=np.ones((2, 2, 3)), spectrum=sc.gaussian_spectrum(1000.0, 10.0)),
+         "spectrum applies to irradiance only"),
+    ],
+    ids=["empty", "irradiance-and-per-source", "per-source-spectrum"],
+)
+def test_scene_refuses_content_it_would_ignore(content, message):
+    # An empty scene failed only at capture; with both maps each mode dropped
+    # one, and a per-source scene dropped its spectrum.
+    with pytest.raises(ConfigError, match=message):
+        sc.Scene(grid=PixelGrid(3, 2), **content)
+
+
 def test_detector_model_validation():
     with pytest.raises(ConfigError):
         sc.DetectorModel(gain=0.0)
