@@ -1,18 +1,18 @@
 """Decoding: per-bit spectra, carrier-bin peaks, correlation, image assembly.
 
 The inverse of the encoder runs in four steps. Each bit's samples get an
-F-point DFT read at the carrier bins (exact integers by plan construction,
-so no window is needed): one product with the plan's real (F, 2P)
-[cos | -sin] basis gives each bin's real and imaginary part, and their
-hypot its magnitude. The product runs in float64, so a float32 block is
-read through one float64 copy. The plan's estimates method then inverts
-its keyed map: it un-hops the (W, P) bin readings, correlates them against
-the signed codes to recover one scaled irradiance per set and slot, and
-picks each pixel's; plan.image puts the values back at the pixel
-positions. decode_frame runs these steps on a stream or its bit blocks;
-decode_capture feeds it blocks straight from the capture chain, writing
-them to stream files when asked, and a sensor.StreamFile feeds it blocks
-read from a stream file, so neither a run nor a file decode holds the stream.
+F-point DFT read at the carrier bins (exact integers by plan construction, so
+no window is needed): each bit's g = gcd(F, bins) carrier periods are summed
+onto L = F / g samples in float64, without copying a float32 block, and one
+product with the plan's real (L, 2P) basis [cos | -sin] gives each bin's real
+and imaginary part, and their hypot its magnitude. The plan's estimates
+method then inverts its keyed map: it un-hops the (W, P) bin readings,
+correlates them against the signed codes to recover one scaled irradiance per
+set and slot, and picks each pixel's; plan.image puts the values back at the
+pixel positions. decode_frame runs these steps on a stream or its bit blocks;
+decode_capture feeds it blocks straight from the capture chain, writing them
+to stream files when asked, and a sensor.StreamFile feeds it blocks read from
+a stream file, so neither a run nor a file decode holds the stream.
 
 Bin readings are equalized by each channel's unit-carrier magnitude (for a
 sampled 0/1 square at k cycles per bit that is k / sin(pi k / F), for a
@@ -64,12 +64,12 @@ def per_bit_spectra(stream: SampleStream, plan: CodingPlan) -> np.ndarray:
     sample cannot silently spread into every decoded pixel.
     """
     _check_stream(stream, plan)
-    basis, p = plan.carrier_basis, plan.channel_count
-    per_bit = stream.per_bit()
+    basis, p, period = plan.period_basis, plan.channel_count, plan.carrier_period
+    per_bit = stream.samples.reshape(-1, plan.samples_per_bit // period, period)  # (bits, g, L)
     out = np.empty((stream.bits, p))
     with np.errstate(invalid="ignore"):  # an infinite sample is reported below
         for start, stop in bit_blocks(stream.bits, plan.samples_per_bit):
-            parts = per_bit[start:stop] @ basis  # (bits, 2P): real, then imaginary parts
+            parts = per_bit[start:stop].sum(axis=1, dtype=np.float64) @ basis  # (bits, 2P)
             np.hypot(parts[:, :p], parts[:, p:], out=out[start:stop])
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():

@@ -231,19 +231,20 @@ class CodingPlan:
         return _read_only(bins)
 
     @cached_property
-    def carrier_basis(self) -> np.ndarray:
-        """(F, 2 channels) real DFT basis [cos | -sin] at the carrier bins.
+    def carrier_period(self) -> int:
+        """L = F / g, g = gcd(F, carrier bins): every carrier repeats every L samples."""
+        return len(self.period_basis)
 
-        A bit's samples times the basis give the real and imaginary parts of
-        its DFT at each bin, as a Goertzel filter (1958) reads one bin.
-        """
-        return _read_only(_bin_basis(self.carrier_bins, self.samples_per_bit))
+    @cached_property
+    def period_basis(self) -> np.ndarray:
+        """(L, 2 channels) DFT basis [cos | -sin] at each bin of a bit folded onto L samples."""
+        return _read_only(_period_basis(self.carrier_bins, self.samples_per_bit)[1])
 
     @cached_property
     def carrier_bin_gains(self) -> np.ndarray:
-        """Unit-carrier DFT magnitude at each channel's own bin."""
-        parts = self.carrier_matrix @ self.carrier_basis  # (channels, 2 channels)
-        p = self.channel_count
+        """Unit-carrier DFT magnitude at each channel's own bin, read as per_bit_spectra reads."""
+        p, period = self.channel_count, self.carrier_period
+        parts = self.carrier_matrix.reshape(p, -1, period).sum(axis=1) @ self.period_basis
         return _read_only(np.hypot(np.diagonal(parts[:, :p]), np.diagonal(parts[:, p:])))
 
     # The keyed pixel -> (code, slot, carrier) map. Forward, each pixel's
@@ -396,13 +397,12 @@ def _timing_rows(freq: FrequencyPlan, sample_rate: float, mode: Mode):
     yield "nyquist", ok, f"sample_rate {sample_rate} vs highest carrier {top}" if ok else failure
     if freq.waveform == "square":
         # No harmonic of one carrier may reach another's bin, folded past
-        # Nyquist or not, so the sampled carriers are read at every bin. They
-        # repeat every F / g samples, g = gcd(F, bins): one period gives each
-        # magnitude over g.
-        g = math.gcd(round(samples), *bins) or 1
-        f_count, p = round(samples) // g, len(bins)
+        # Nyquist or not, so the sampled carriers are read at every bin. One
+        # period of them gives each magnitude over g.
+        g, basis = _period_basis(bins, round(samples))
+        f_count, p = len(basis), len(bins)
         waves = np.stack([_square_wave(k / g, f_count) for k in cycles])
-        parts = waves @ _bin_basis(np.array(bins) // g, f_count)
+        parts = waves @ basis
         magnitude = np.hypot(parts[:, :p], parts[:, p:])  # (carrier, bin)
         own = np.diagonal(magnitude)
         leak = np.where(np.eye(p, dtype=bool), 0.0, magnitude)
@@ -425,14 +425,17 @@ def _square_wave(cycles: float, f_count: int) -> np.ndarray:
     return (phase < 0.5).astype(np.float64)
 
 
-def _bin_basis(bins: np.ndarray, f_count: int) -> np.ndarray:
-    """(F, 2 bins) real DFT basis [cos | -sin] at integer bins of an F-point bit.
+def _period_basis(bins, f_count: int) -> tuple[int, np.ndarray]:
+    """g = gcd(F, bins) and the (L, 2 bins) real DFT basis [cos | -sin] at bins / g, L = F / g.
 
-    The angle 2 pi n k / F is reduced exactly, as (n k) mod F, before scaling.
+    An F-point bit's DFT at bin k is the L-point DFT at bin k / g of its g periods summed
+    (decimation in time; Cooley and Tukey, 1965). Angles 2 pi n k / L are reduced as (n k) mod L.
     """
-    ticks = np.outer(np.arange(f_count, dtype=np.int64), bins) % f_count
-    angle = (2.0 * math.pi / f_count) * ticks
-    return np.concatenate([np.cos(angle), -np.sin(angle)], axis=1)
+    g = math.gcd(f_count, *bins) or 1
+    period = f_count // g
+    ticks = np.outer(np.arange(period, dtype=np.int64), np.asarray(bins) // g) % period
+    angle = (2.0 * math.pi / period) * ticks
+    return g, np.concatenate([np.cos(angle), -np.sin(angle)], axis=1)
 
 
 def build_plan(

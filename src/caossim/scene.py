@@ -141,7 +141,7 @@ class Scene:
         responsivity only matters for spectral scenes.
         """
         if self.irradiance is None:
-            raise ConfigError("scene has no scalar or spectral content")
+            raise ConfigError("a per-source scene has no single irradiance map")
         if self.spectrum is None:
             return self.irradiance
         return self.irradiance * _detected(self.spectrum, responsivity)

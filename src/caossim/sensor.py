@@ -128,6 +128,8 @@ def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str)
             sums = per_pixel.sum(axis=0)[None, :] - sums
         return plan.hop(sums), carriers, None
 
+    if scene.per_source is not None:
+        raise ConfigError(f"a per-source scene needs active-overlapped mode, not {plan.mode.value}")
     values = plan.pixel_values(scene.effective_irradiance(responsivity))
     sums = plan.on_sums(values)  # (W, channels) ON sums per channel slot
     if pd_side == PD1:

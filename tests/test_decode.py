@@ -436,9 +436,8 @@ def test_non_finite_sample_names_its_bit(bad):
         decode.decode_frame(stream, plan)
 
 
-@st.composite
-def spectra_cases(draw):
-    """A random valid plan on square, sine or static carriers and a noisy stream of one dtype."""
+def draw_spectra_plan(draw):
+    """A random valid plan on square, sine or static carriers, over F from 20 to 300."""
     mode = draw(st.sampled_from(list(Mode)))
     f_count = draw(st.integers(20, 300))
     top = (f_count - 1) // 2  # highest bin below Nyquist
@@ -468,6 +467,14 @@ def spectra_cases(draw):
         if "own-bin magnitude" not in str(refused):
             raise
         reject()
+    return plan
+
+
+@st.composite
+def spectra_cases(draw):
+    """A random valid plan on square, sine or static carriers and a noisy stream of one dtype."""
+    plan = draw_spectra_plan(draw)
+    mode, channels = plan.mode, plan.channel_count
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     if mode is Mode.ACTIVE_OVERLAPPED:
         maps = rng.uniform(0.05, 1.0, (channels, plan.grid.rows, plan.grid.columns))
@@ -496,6 +503,64 @@ def test_per_bit_spectra_are_rfft_magnitudes_at_the_carrier_bins(case):
         samples = stream.samples[start * f_count : stop * f_count].copy()
         block = replace(stream, samples=samples, bits=stop - start, first_bit=start)
         assert decode.per_bit_spectra(block, plan).tobytes() == got[start:stop].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_carrier_repeats_every_carrier_period(data):
+    # The identity the fold rests on: g = F / L divides every carrier bin, and
+    # each unit carrier's g periods agree, so the gains read the folded
+    # carriers as the rfft reads the whole bit.
+    plan = draw_spectra_plan(data.draw)
+    f_count, period, p = plan.samples_per_bit, plan.carrier_period, plan.channel_count
+    assert period == len(plan.period_basis) and f_count % period == 0
+    assert np.all(plan.carrier_bins % (f_count // period) == 0)
+    periods = plan.carrier_matrix.reshape(p, -1, period)
+    assert np.max(np.abs(periods - periods[:, :1])) <= 1e-12
+    rfft = np.abs(np.fft.rfft(plan.carrier_matrix, axis=1))[np.arange(p), plan.carrier_bins]
+    assert np.max(np.abs(plan.carrier_bin_gains - rfft)) <= 1e-12 * rfft.max()
+
+
+#: Plans at the fold's extremes, with the carrier period L each must have.
+FOLD_PLANS = {
+    # g = 1: bins 3 and 5 are coprime with F = 64, so each bit is one period.
+    "coprime-bins": (
+        lambda: build_plan(
+            PixelGrid(3, 2), mode=Mode.ACTIVE_OVERLAPPED, frequencies=(3.0, 5.0),
+            bit_rate=1.0, sample_rate=64.0, key_seed=3,
+        ),
+        64,
+    ),
+    # L = 1: plain CDMA reads bin 0, each bit's sum.
+    "plain-cdma": (
+        lambda: build_plan(PixelGrid(3, 2), mode=Mode.PLAIN_CDMA, bit_rate=1.0, sample_rate=64.0),
+        1,
+    ),
+    # g = 512: square carriers at bins 512 and 1024 of F = 4096 repeat every 8 samples.
+    "large-g": (
+        lambda: build_plan(PixelGrid(4, 4), channels=2, f1=512.0, bit_rate=1.0, sample_rate=4096.0),
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", FOLD_PLANS)
+def test_folded_spectra_are_rfft_magnitudes_at_the_period_extremes(case, dtype):
+    make, period = FOLD_PLANS[case]
+    plan = make()
+    assert plan.carrier_period == period
+    if plan.mode is Mode.ACTIVE_OVERLAPPED:
+        maps = np.random.default_rng(1).uniform(0.05, 1.0, (2, 2, 3))
+        scene = Scene(grid=plan.grid, per_source=maps)
+    else:
+        scene = positive_scene(plan.grid, seed=1)
+    stream = sensor.synthesize(plan, scene, dtype=dtype)
+    stream = sensor.add_noise(stream, DetectorModel(noise_sigma=0.1), seed=2)
+    assert stream.samples.dtype == dtype
+    want = np.abs(np.fft.rfft(stream.per_bit().astype(np.float64), axis=1))[:, plan.carrier_bins]
+    got = decode.per_bit_spectra(stream, plan)  # the whole frame is one block
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 def bit_block_generator(plan, scene, bits, order, closed):
@@ -546,6 +611,16 @@ def test_decode_frame_rejects_an_empty_block_generator():
     plan = build_plan(PixelGrid(2, 2), channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0)
     with pytest.raises(PlanMismatch, match="stream has 0 bits"):
         decode.decode_frame((block for block in ()), plan)
+
+
+def test_zero_bit_stream_reads_no_spectra_and_is_refused_by_length():
+    plan = build_plan(PixelGrid(2, 2), channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0)
+    stream = sensor.SampleStream(
+        rate=plan.sample_rate, samples=np.zeros(0), bits=0, samples_per_bit=plan.samples_per_bit
+    )
+    assert decode.per_bit_spectra(stream, plan).shape == (0, plan.channel_count)
+    with pytest.raises(PlanMismatch, match="stream has 0 bits"):
+        decode.decode_frame(stream, plan)
 
 
 def test_decode_frame_reads_a_list_an_iterator_and_a_generator_alike():

@@ -600,7 +600,7 @@ def test_code_identity_is_checked_above_512_sets(monkeypatch):
 
 #: The carrier and pixel constants a plan builds once, on first read.
 PLAN_CONSTANTS = (
-    "pixel_index", "carrier_matrix", "carrier_bins", "carrier_basis", "carrier_bin_gains"
+    "pixel_index", "carrier_matrix", "carrier_bins", "period_basis", "carrier_bin_gains"
 )
 
 CONSTANT_PLANS = {

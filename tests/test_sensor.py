@@ -165,6 +165,22 @@ class TestSynthesize:
         with pytest.raises(DimensionMismatch, match=message):
             sensor.synthesize(plan, scene)
 
+    @pytest.mark.parametrize(
+        "mode",
+        [Mode.PASSIVE_FDMA_CDMA, Mode.FM_CDMA, Mode.FM_TDMA, Mode.PLAIN_CDMA],
+        ids=lambda mode: mode.value,
+    )
+    @pytest.mark.parametrize("side", [sensor.PD1, sensor.PD2])
+    def test_per_source_scene_outside_the_active_mode_names_both(self, mode, side):
+        grid = PixelGrid(2, 1)
+        timing = {Mode.PASSIVE_FDMA_CDMA: dict(channels=2, f1=2.0), Mode.PLAIN_CDMA: {}}
+        timing = timing.get(mode, dict(f1=2.0))
+        plan = build_plan(grid, mode=mode, bit_rate=1.0, sample_rate=32.0, **timing)
+        scene = Scene(grid=grid, per_source=np.ones((4, 1, 2)))
+        message = f"per-source scene needs active-overlapped mode, not {mode.value}"
+        with pytest.raises(ConfigError, match=message):
+            sensor.synthesize(plan, scene, pd_side=side)
+
 
 @pytest.mark.parametrize("mode", [Mode.PASSIVE_FDMA_CDMA, Mode.ACTIVE_OVERLAPPED])
 @pytest.mark.parametrize("side", [sensor.PD1, sensor.PD2])
