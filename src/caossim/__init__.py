@@ -32,7 +32,6 @@ from .plan import (
     build_plan,
     coding_element,
     reallocate,
-    validate_plan,
 )
 from .scene import (
     DetectorModel,

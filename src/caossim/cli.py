@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands build and validate coding plans, synthesize captures, decode
+Subcommands build coding plans, synthesize captures, decode
 streams back into images, run the bundled experiment presets end to end,
 and re-run the noise calibration sweep. Every command is deterministic
 given its config and seeds.
@@ -16,6 +16,7 @@ import json
 import os
 import sys
 
+from . import codes
 from . import decode as decode_mod
 from . import plan as plan_mod
 from . import presets as presets_mod
@@ -47,17 +48,29 @@ def _experiment_config(args) -> ExperimentConfig:
     return config
 
 
+def _plan_facts(cplan) -> str:
+    """The timing and size facts of a plan, one per line."""
+    single_channel_w = codes.min_supported_order(cplan.grid.pixel_count + 1)
+    speedup = 1.0 if cplan.mode is plan_mod.Mode.FM_TDMA else single_channel_w / cplan.code_length
+    cycles = cplan.frequencies.cycles_per_bit()
+    return "\n".join([
+        f"F (samples per bit): {cplan.samples_per_bit}",
+        f"cycles per bit: {', '.join(f'{k:g}' for k in cycles)}",
+        f"carrier bins: {', '.join(map(str, cplan.carrier_bins.tolist()))}",
+        f"g (F / carrier period): {cplan.samples_per_bit // cplan.carrier_period}",
+        f"speedup vs single-channel plan: {speedup:g}",
+    ])
+
+
 def cmd_plan(args) -> int:
     cplan = _experiment_config(args).build_plan()
-    report = plan_mod.validate_plan(cplan)
+    facts = _plan_facts(cplan)
     os.makedirs(args.out, exist_ok=True)
     plan_mod.save_plan(cplan, os.path.join(args.out, "plan.json"))
     plan_mod.write_assignment_csv(cplan, os.path.join(args.out, "assignment.csv"))
     with open(os.path.join(args.out, "validation.txt"), "w", encoding="utf-8") as fh:
-        fh.write(str(report) + "\n")
-    print(str(report))
-    if not report.passed:
-        return EXIT_VALIDATION
+        fh.write(facts + "\n")
+    print(facts)
     return EXIT_OK
 
 
@@ -125,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", help="build and validate a coding plan")
+    p = sub.add_parser("plan", help="build a coding plan and print its timing facts")
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--preset", choices=presets_mod.PRESET_NAMES)
     p.add_argument("--variant", choices=("a", "b"), default="a")

@@ -107,8 +107,14 @@ def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str) -> list
     Returns a list of one RecoveredImage, or for the active overlapped mode
     one per source, normalized by the brightest pixel across the set.
     """
-    estimates = plan.estimates(spectra / plan.carrier_bin_gains[None, :])
-    if pd_side == PD2 and plan.mode in COMPLEMENT_CODED_MODES:
+    readings = spectra / plan.carrier_bin_gains[None, :]
+    complement = pd_side == PD2 and plan.mode in COMPLEMENT_CODED_MODES
+    if complement:
+        # Bit 0 is ON in every code (Hadamard column 0 is all +1), so PD2 is
+        # dark there and its reading is noise magnitude alone: read it as 0.
+        readings[0] = 0.0
+    estimates = plan.estimates(readings)
+    if complement:
         estimates = -estimates
 
     if plan.mode is Mode.ACTIVE_OVERLAPPED:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -357,44 +357,27 @@ def _rng(key_seed: int, stream: int, extra: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-#: The error build_plan raises for each failing timing row.
-_TIMING_ERRORS = {
-    "samples-per-bit-integer": TimingError,
-    "carrier-cycles-integer": TimingError,
-    "carrier-bins-distinct": TimingError,
-    "nyquist": NyquistError,
-    "odd-harmonics-clear": TimingError,
-}
-
-
-def _timing_rows(freq: FrequencyPlan, sample_rate: float, mode: Mode):
-    """Integer-bin and Nyquist timing checks as (name, ok, detail) rows.
-
-    A failing row's detail is the message build_plan raises with.
-    """
+def _check_timing(freq: FrequencyPlan, sample_rate: float, mode: Mode) -> None:
+    """Raise TimingError or NyquistError at the first broken integer-bin or Nyquist rule."""
     samples = sample_rate * freq.bit_duration
-    ok = abs(samples - round(samples)) <= 1e-9 and round(samples) >= 1
-    yield (
-        "samples-per-bit-integer",
-        ok,
-        f"F = {samples}" if ok else f"sample_rate * T = {samples} is not a positive integer",
-    )
+    if not (abs(samples - round(samples)) <= 1e-9 and round(samples) >= 1):
+        raise TimingError(f"sample_rate * T = {samples} is not a positive integer")
     if mode is Mode.PLAIN_CDMA:
         return
     cycles = freq.cycles_per_bit()
-    bad = [
-        f"carrier {f_p} Hz gives {k} cycles per bit; needs a positive integer"
-        for f_p, k in zip(freq.frequencies, cycles)
-        if abs(k - round(k)) > 1e-9 or round(k) < 1
-    ]
-    yield "carrier-cycles-integer", not bad, bad[0] if bad else f"cycles per bit = {cycles}"
+    for f_p, k in zip(freq.frequencies, cycles):
+        if abs(k - round(k)) > 1e-9 or round(k) < 1:
+            raise TimingError(
+                f"carrier {f_p} Hz gives {k} cycles per bit; needs a positive integer"
+            )
     bins = [round(k) for k in cycles]
-    ok = len(set(bins)) == len(bins)
-    yield "carrier-bins-distinct", ok, f"bins = {bins}" if ok else f"carriers share a bin: {bins}"
+    if len(set(bins)) != len(bins):
+        raise TimingError(f"carriers share a bin: {bins}")
     top = max(freq.frequencies)
-    ok = sample_rate > 2.0 * top
-    failure = f"sample_rate {sample_rate} too low for {top} Hz {freq.waveform} carrier"
-    yield "nyquist", ok, f"sample_rate {sample_rate} vs highest carrier {top}" if ok else failure
+    if not sample_rate > 2.0 * top:
+        raise NyquistError(
+            f"sample_rate {sample_rate} too low for {top} Hz {freq.waveform} carrier"
+        )
     if freq.waveform == "square":
         # No harmonic of one carrier may reach another's bin, folded past
         # Nyquist or not, so the sampled carriers are read at every bin. One
@@ -407,11 +390,11 @@ def _timing_rows(freq: FrequencyPlan, sample_rate: float, mode: Mode):
         own = np.diagonal(magnitude)
         leak = np.where(np.eye(p, dtype=bool), 0.0, magnitude)
         i, j = np.unravel_index(np.argmax(leak), leak.shape)
-        ok = bool(leak[i, j] <= 1e-9 * own.min())
-        yield "odd-harmonics-clear", ok, "" if ok else (
-            f"square carrier at bin {bins[i]} puts {leak[i, j] / own[i]:.2g} of its own-bin"
-            f" magnitude on carrier bin {bins[j]}"
-        )
+        if not leak[i, j] <= 1e-9 * own.min():
+            raise TimingError(
+                f"square carrier at bin {bins[i]} puts {leak[i, j] / own[i]:.2g} of its own-bin"
+                f" magnitude on carrier bin {bins[j]}"
+            )
 
 
 def _square_wave(cycles: float, f_count: int) -> np.ndarray:
@@ -526,9 +509,7 @@ def build_plan(
         bit_duration=1.0 / float(bit_rate),
         waveform=waveform,
     )
-    for name, ok, detail in _timing_rows(freq, float(sample_rate), mode):
-        if not ok:
-            raise _TIMING_ERRORS[name](detail)
+    _check_timing(freq, float(sample_rate), mode)
     samples_per_bit = int(round(float(sample_rate) * freq.bit_duration))
 
     if shuffle_pixels is None:
@@ -597,95 +578,6 @@ def reallocate(plan: CodingPlan, frame_index: int) -> CodingPlan:
     An fm-tdma plan has no codes to re-key, so build_plan refuses it.
     """
     return rebuild(plan, frame_index=frame_index, shuffle_codes=True)
-
-
-@dataclass
-class PlanReport:
-    """validate_plan output: one (name, passed, detail) row per invariant."""
-
-    entries: list[tuple[str, bool, str]] = field(default_factory=list)
-    speedup_vs_single_channel: float = 1.0
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.entries.append((name, passed, detail))
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
-
-    def failures(self) -> list[str]:
-        return [name for name, ok, _ in self.entries if not ok]
-
-    def __str__(self) -> str:
-        lines = []
-        for name, ok, detail in self.entries:
-            status = "pass" if ok else "FAIL"
-            lines.append(f"[{status}] {name}" + (f": {detail}" if detail else ""))
-        lines.append(f"speedup vs single-channel plan: {self.speedup_vs_single_channel:g}")
-        return "\n".join(lines)
-
-
-def validate_plan(plan: CodingPlan) -> PlanReport:
-    """Check every plan invariant and report pass/fail without raising."""
-    report = PlanReport()
-    freq = plan.frequencies
-    for row in _timing_rows(freq, plan.sample_rate, plan.mode):
-        report.add(*row)
-
-    # The (set, slot) pairs, sorted, are the rank-order layout exactly: every
-    # slot of a set used once, the last set's lowest slots when it is partial.
-    slots = _slots_per_set(plan.mode, plan.channel_count)
-    want_set, want_slot = np.divmod(np.arange(plan.grid.pixel_count), slots)
-    rank = np.lexsort((plan.member_index, plan.set_index))
-    report.add(
-        "slot-layout",
-        bool(plan.set_count == want_set[-1] + 1)
-        and np.array_equal(plan.set_index[rank], want_set)
-        and np.array_equal(plan.member_index[rank], want_slot),
-        f"sets = {plan.set_count}, slots per set = {slots}",
-    )
-
-    if plan.hopping:
-        w, p = plan.code_length, plan.channel_count
-        identity = np.broadcast_to(np.arange(p), (w, p))
-        rows_ok = np.array_equal(np.sort(plan.hop_schedule, axis=1), identity)
-        report.add("hop-rows-are-permutations", rows_ok)
-
-    if plan.codebook is not None:
-        report.add("code-correlation-identity", *_code_identity(plan.codebook))
-
-    report.speedup_vs_single_channel = _speedup_vs_single_channel(plan)
-    return report
-
-
-def _code_identity(book: CodeBook, probes: int = 4) -> tuple[bool, str]:
-    """The Hadamard identities behind exact on/off correlation, at any code length.
-
-    Checks, in exact int64 arithmetic through the transform the codec uses:
-    the seed S exactly (S @ S.T == s I); balance, H @ 1 == W e0 (every code
-    row sums to zero); and H @ (H.T @ r) == W r for `probes` fixed-seed
-    random integer vectors r (Freivalds 1977). Together they give every code
-    W / 2 ones and correlation (W / 2) I against the signed codes.
-    """
-    w, seed = book.length, codes.seed_matrix(book.length)
-    ones = codes.hadamard_transform(np.ones(w, dtype=np.int64))
-    r = np.random.default_rng(0).integers(-(2**15), 2**15, size=(w, probes))
-    back = codes.hadamard_transform(codes.hadamard_transform(r, transpose=True))
-    checks = {
-        "seed": np.array_equal(seed @ seed.T, len(seed) * np.eye(len(seed), dtype=np.int64)),
-        "balance": book.num_codes < w and ones[0] == w and not ones[1:].any(),
-        f"{probes} Freivalds probes": np.array_equal(back, w * r),
-    }
-    detail = ", ".join(f"{name} {'ok' if ok else 'FAIL'}" for name, ok in checks.items())
-    return bool(all(checks.values())), f"W = {w}: {detail}"
-
-
-def _speedup_vs_single_channel(plan: CodingPlan) -> float:
-    if plan.mode in (Mode.FM_TDMA,):
-        return 1.0
-    q = plan.grid.pixel_count
-    single_w = codes.min_supported_order(q + 1)
-    return single_w / plan.code_length
 
 
 # ---------------------------------------------------------------------------

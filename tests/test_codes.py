@@ -47,6 +47,53 @@ def test_hadamard_row_balance(order):
         assert np.all(h[1:].sum(axis=1) == 0)
 
 
+def failed_identities(order, probes=4):
+    """The Hadamard identities behind exact on/off correlation that fail at this order.
+
+    Each is checked in exact int64 arithmetic through the transform the codec
+    uses, never the dense matrix: "seed", S @ S.T == s I for the s x s seed;
+    "balance", H @ 1 == W e0, so every code row sums to zero; "column 0",
+    H @ e0 == 1, so every code is ON in bit 0; and "freivalds",
+    H @ (H.T @ r) == W r for `probes` fixed-seed random integer vectors r
+    (Freivalds 1977), which with the seed check gives H H.T == W I. Together
+    they give every code W / 2 ones and correlation (W / 2) I against the
+    signed codes.
+    """
+    seed, h = codes.seed_matrix(order), codes.hadamard_transform
+    s = len(seed)
+    e0 = np.zeros(order, dtype=np.int64)
+    e0[0] = 1
+    r = np.random.default_rng(0).integers(-(2**15), 2**15, size=(order, probes))
+    holds = {
+        "seed": np.array_equal(seed @ seed.T, s * np.identity(s, dtype=np.int64)),
+        "balance": np.array_equal(h(np.ones(order, dtype=np.int64)), order * e0),
+        "column 0": np.all(h(e0) == 1),
+        "freivalds": np.array_equal(h(h(r, transpose=True)), order * r),
+    }
+    return [name for name, ok in holds.items() if not ok]
+
+
+@pytest.mark.parametrize("order", supported_orders_up_to(2**16))
+def test_hadamard_identities_at_every_supported_order(order):
+    assert failed_identities(order) == []
+
+
+def test_code_identity_is_checked_above_512_sets(monkeypatch):
+    # 600 sets need W = 640, the first order above 512 on the order-20 seed.
+    assert codes.codebook(600).length == 640 and len(codes.seed_matrix(640)) == 20
+    assert failed_identities(640) == []
+    paley_seed = codes._paley_seed
+
+    def one_sign_flipped(q):
+        seed = paley_seed(q)
+        seed[3, 5] *= -1
+        return seed
+
+    monkeypatch.setattr(codes, "_paley_seed", one_sign_flipped)
+    failed = failed_identities(640)
+    assert "seed" in failed and "freivalds" in failed
+
+
 @pytest.mark.parametrize("order", [0, 1, 3, 6, 36, 52, 100])
 def test_hadamard_unsupported_orders(order):
     with pytest.raises(UnsupportedOrder):

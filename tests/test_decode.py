@@ -323,25 +323,19 @@ def test_decoded_white_noise_has_the_predicted_std_and_no_bias(case):
     plan = build_plan(grid, bit_rate=1.0, sample_rate=float(f_count), key_seed=5, **kwargs)
     real_bin = (plan.carrier_bins == 0) | (2 * plan.carrier_bins == f_count)
     spread = np.where(real_bin, np.sqrt(2.0), 1.0) / plan.carrier_bin_gains
-    rms = np.sqrt(np.mean(spread[plan.hop_schedule] ** 2, axis=0))  # by slot
-    # Bit 0 is ON in every code, so a complement-coded PD2 reads only noise
-    # there, of mean magnitude E|n| = sigma sqrt(pi F / 4), or sigma
-    # sqrt(2 F / pi) at a real bin, and every pixel reads low by (2 / W) E|n| / g_0.
-    offset = np.zeros(plan.channel_count)
-    if side == sensor.PD2 and plan.mode in (Mode.PLAIN_CDMA, Mode.ACTIVE_OVERLAPPED):
-        mean_abs = sigma * np.where(
-            real_bin, np.sqrt(2.0 * f_count / np.pi), np.sqrt(np.pi * f_count / 4.0)
-        )
-        offset = (-2.0 / plan.code_length) * (mean_abs / plan.carrier_bin_gains)[plan.hop_schedule[0]]
+    # Bit 0 is ON in every code, so a complement-coded PD2 is dark there and
+    # the decoder reads that bit as 0: its pixels are unbiased, and their
+    # noise sums over bits 1 to W - 1 only.
+    dark_pd2 = side == sensor.PD2 and plan.mode in (Mode.PLAIN_CDMA, Mode.ACTIVE_OVERLAPPED)
+    hops = plan.hop_schedule[1:] if dark_pd2 else plan.hop_schedule
+    rms = np.sqrt(np.sum(spread[hops] ** 2, axis=0) / plan.code_length)  # by slot
     scale = sigma * np.sqrt(2.0 * f_count / plan.code_length)
     if plan.mode is Mode.ACTIVE_OVERLAPPED:  # one image per source slot
         scene = Scene(grid, per_source=np.ones((plan.channel_count, 8, 8)))
         want = np.stack([np.full((8, 8), scale * r) for r in rms])
-        mean = np.stack([np.full((8, 8), 1.0 + o) for o in offset])
     else:
         scene = Scene(grid, irradiance=np.ones((8, 8)))
         want = plan.image(scale * rms[plan.member_index])[None]
-        mean = plan.image(1.0 + offset[plan.member_index])[None]
     rng = np.random.default_rng(17)
     detectors = (DetectorModel(noise_sigma=sigma),) * (1 + (side == sensor.PD2))
     decoded = (decode.decode_capture(plan, scene, detectors, rng) for _ in range(trials))
@@ -352,7 +346,7 @@ def test_decoded_white_noise_has_the_predicted_std_and_no_bias(case):
     ratio = float(np.sqrt(np.mean((raw.std(axis=0, ddof=1) / want) ** 2)))
     assert ratio == pytest.approx(1.0, abs=0.05)
     standard_error = np.sqrt(np.mean(want**2) / raw.size)
-    assert abs(np.mean(raw - mean)) < 3.0 * standard_error
+    assert abs(np.mean(raw - 1.0)) < 3.0 * standard_error
 
 
 def test_decode_report_flags_wrong_truth(tmp_path):

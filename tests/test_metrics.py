@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from caossim import decode, metrics, plan as planmod, scene as sc, sensor
+from caossim import decode, metrics, scene as sc, sensor
 from caossim.errors import EmptyRegion
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import Scene
@@ -90,8 +92,8 @@ class TestCrosstalk:
 
     def test_mistuned_carrier_reports_finite_leakage(self):
         p = build_plan(PixelGrid(2, 2), channels=2, f1=2.0, bit_rate=1.0, sample_rate=128.0)
-        broken_freq = planmod.replace(p.frequencies, frequencies=(2.3, 4.0))
-        broken = planmod.replace(p, frequencies=broken_freq)
+        broken_freq = dataclasses.replace(p.frequencies, frequencies=(2.3, 4.0))
+        broken = dataclasses.replace(p, frequencies=broken_freq)
         leak = metrics.crosstalk(broken, 1)
         assert np.all(np.isfinite(leak))
 

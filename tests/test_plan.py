@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caossim import codes, decode, plan as planmod, scene as sc, sensor
+from caossim import cli, decode, plan as planmod, presets, scene as sc, sensor
 from caossim.errors import ConfigError, NyquistError, TimingError
 from caossim.plan import Mode, PixelGrid, build_plan, coding_element
 
@@ -149,40 +149,59 @@ def test_hop_schedule_shared_across_sets():
             assert inverse[row[member]] == member
 
 
-def test_validate_passes_and_reports_speedup():
-    grid = PixelGrid(44, 29)
-    p = build_plan(grid, channels=4, f1=128.0, bit_rate=1.0, sample_rate=65536.0)
-    report = planmod.validate_plan(p)
-    assert report.passed, report.failures()
-    assert report.speedup_vs_single_channel == pytest.approx(4.0)
+def plan_command_facts(tmp_path, **fields):
+    """The validation.txt lines of `caossim plan --config`, the exp1-hdr config with fields set."""
+    config = dataclasses.replace(presets.preset_config("exp1-hdr"), **fields)
+    path, out = tmp_path / "config.json", tmp_path / "plan"
+    path.write_text(config.to_json())
+    assert cli.main(["plan", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    return (out / "validation.txt").read_text().splitlines()
 
 
-def test_validate_worked_example_speedup_eight():
-    grid = PixelGrid(254, 8)  # 2032 pixels
-    p = build_plan(grid, channels=8, f1=16.0, bit_rate=1.0, sample_rate=8192.0)
-    assert p.code_length == 256
-    report = planmod.validate_plan(p)
-    assert report.speedup_vs_single_channel == pytest.approx(8.0)
+def test_validate_passes_and_reports_speedup(tmp_path, capsys):
+    # 1276 pixels need W = 1280 on one carrier and 320 on four.
+    facts = plan_command_facts(
+        tmp_path, grid_columns=44, grid_rows=29, channels=4, f1=128.0, bit_rate=1.0,
+        sample_rate=65536.0,
+    )
+    assert facts == [
+        "F (samples per bit): 65536",
+        "cycles per bit: 128, 256, 512, 1024",
+        "carrier bins: 128, 256, 512, 1024",
+        "g (F / carrier period): 128",
+        "speedup vs single-channel plan: 4",
+    ]
+    assert capsys.readouterr().out.splitlines() == facts
+
+
+def test_validate_worked_example_speedup_eight(tmp_path):
+    # 2032 pixels: W = 2048 on one carrier, 256 on eight.
+    facts = plan_command_facts(
+        tmp_path, grid_columns=254, grid_rows=8, channels=8, f1=16.0, bit_rate=1.0,
+        sample_rate=8192.0,
+    )
+    assert facts[2:] == [
+        "carrier bins: 16, 32, 64, 128, 256, 512, 1024, 2048",
+        "g (F / carrier period): 16",
+        "speedup vs single-channel plan: 8",
+    ]
 
 
 def test_validate_flags_fractional_cycles():
-    p = small_plan()
-    broken = planmod.replace(p, frequencies=planmod.replace(p.frequencies, frequencies=(0.5, 1.0)))
-    report = planmod.validate_plan(broken)
-    assert not report.passed
-    assert "carrier-cycles-integer" in report.failures()
+    with pytest.raises(TimingError, match=re.escape(
+        "carrier 0.5 Hz gives 0.5 cycles per bit; needs a positive integer"
+    )):
+        small_plan(frequencies=(0.5, 1.0))
 
 
 @pytest.mark.parametrize("waveform", ["square", "sine"])
 def test_nyquist_is_one_strict_rule_for_every_waveform(waveform):
     # sample_rate must exceed twice the top carrier: an 8 Hz carrier is
-    # refused at 16 Hz sampling (bin 8 of F = 16) and kept at 17 Hz, and
-    # validate_plan agrees with build_plan.
+    # refused at 16 Hz sampling (bin 8 of F = 16) and kept at 17 Hz.
     with pytest.raises(NyquistError, match=f"too low for 8.0 Hz {waveform} carrier"):
         small_plan(channels=1, f1=8.0, sample_rate=16.0, waveform=waveform)
     p = small_plan(channels=1, f1=8.0, sample_rate=17.0, waveform=waveform)
-    assert planmod.validate_plan(p).passed
-    assert planmod.validate_plan(planmod.replace(p, sample_rate=16.0)).failures() == ["nyquist"]
+    assert p.samples_per_bit == 17 and p.carrier_bins.tolist() == [8]
 
 
 def test_square_harmonic_folded_past_nyquist_onto_a_carrier_is_refused():
@@ -190,28 +209,28 @@ def test_square_harmonic_folded_past_nyquist_onto_a_carrier_is_refused():
     grid = PixelGrid(4, 4)
     with pytest.raises(TimingError, match="bin 3 puts 0.22 of its own-bin magnitude on carrier bin 5"):
         small_plan(grid=grid, frequencies=(3.0, 5.0), sample_rate=20.0)
-    # Bin 3's harmonics miss the even bins, so bin 4 passes. Forced onto bin 5,
-    # validate_plan fails that one row and a noiseless decode is far off.
+    # Bin 3's harmonics miss the even bins, so bin 4 passes. Forced onto bin 5
+    # past build_plan, a noiseless decode is far off.
     p = small_plan(grid=grid, frequencies=(3.0, 4.0), sample_rate=20.0)
-    assert planmod.validate_plan(p).passed
-    broken = planmod.replace(p, frequencies=planmod.replace(p.frequencies, frequencies=(3.0, 5.0)))
-    assert planmod.validate_plan(broken).failures() == ["odd-harmonics-clear"]
+    freq = dataclasses.replace(p.frequencies, frequencies=(3.0, 5.0))
+    broken = dataclasses.replace(p, frequencies=freq)
     truth = np.random.default_rng(2).uniform(0.1, 1.0, (4, 4))
     image = decode.decode_frame(sensor.synthesize(broken, sc.Scene(grid, truth)), broken)
     assert np.max(np.abs(image.raw - truth) / truth) > 0.1  # 17.6 % on one pixel
 
 
+def hop_rows_are_permutations(plan):
+    """Whether every bit's hop row sends the P slots to the P carriers, one each."""
+    carriers = list(range(plan.channel_count))
+    return all(sorted(row) == carriers for row in plan.hop_schedule.tolist())
+
+
 def test_validate_checks_the_hop_rows_of_a_hopping_plan():
     p = small_plan(hopping=True, key_seed=11)
-    report = planmod.validate_plan(p)
-    assert report.passed, report.failures()
-    assert "hop-rows-are-permutations" in [name for name, _, _ in report.entries]
+    assert hop_rows_are_permutations(p)
     hops = p.hop_schedule.copy()
     hops[5] = hops[5, 0]  # bit 6 sends every slot to one carrier
-    report = planmod.validate_plan(dataclasses.replace(p, hop_schedule=hops))
-    assert report.failures() == ["hop-rows-are-permutations"]
-    unhopped = planmod.validate_plan(small_plan())
-    assert "hop-rows-are-permutations" not in [name for name, _, _ in unhopped.entries]
+    assert not hop_rows_are_permutations(dataclasses.replace(p, hop_schedule=hops))
 
 
 def test_unhopped_schedule_is_a_read_only_identity_without_memory():
@@ -226,9 +245,12 @@ def test_carrier_refusals_spare_plans_that_decode_exactly():
     # test_cli.py refuses plan files that break the carrier rules. Sines have
     # no harmonics, and plain-cdma keeps its one static carrier.
     sines = small_plan(frequencies=(1.0, 3.0), sample_rate=16.0, waveform="sine")
-    assert planmod.validate_plan(sines).passed
     static = small_plan(mode=Mode.PLAIN_CDMA, waveform="none")
-    assert static.frequencies.waveform == "none" and planmod.validate_plan(static).passed
+    assert static.frequencies.waveform == "none"
+    truth = np.random.default_rng(3).uniform(0.1, 1.0, (4, 4))
+    for p in (sines, static):
+        image = decode.decode_frame(sensor.synthesize(p, sc.Scene(p.grid, truth)), p)
+        assert np.max(np.abs(image.raw - truth) / truth) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -287,6 +309,19 @@ def test_fm_tdma_has_no_code_shuffle_to_reallocate():
         planmod.reallocate(p, 3)
 
 
+def has_rank_order_layout(plan):
+    """Whether the sorted (set, slot) pairs are rank r at divmod(r, slots) for every pixel rank.
+
+    A set has one slot per carrier, or one where a pixel owns its set
+    (active-overlapped, fm-tdma): every slot of a set is used once, and a
+    partial last set keeps its lowest slots.
+    """
+    slots = 1 if plan.mode in (Mode.ACTIVE_OVERLAPPED, Mode.FM_TDMA) else plan.channel_count
+    want = [divmod(rank, slots) for rank in range(plan.grid.pixel_count)]
+    pairs = sorted(zip(plan.set_index.tolist(), plan.member_index.tolist()))
+    return pairs == want and plan.set_count == want[-1][0] + 1
+
+
 def _share_a_slot(p):
     """The second pixel moved onto the first pixel's (set, slot)."""
     sets, slots = p.set_index.copy(), p.member_index.copy()
@@ -321,13 +356,10 @@ def _one_set_more(p):
     ids=["passive", "partial-set", "active", "fm-tdma", "plain"],
 )
 def test_slot_layout_row_checks_every_mode(carriers, breaks):
-    # One validate_plan row: the sorted (set, slot) pairs are the rank-order layout.
+    # The layout check that random plans are held to rejects each broken layout.
     p = small_plan(**carriers)
-    report = planmod.validate_plan(p)
-    assert report.passed, report.failures()
-    rows = [name for name, _, _ in report.entries]
-    assert rows.count("slot-layout") == 1 and "set-sizes" not in rows
-    assert planmod.validate_plan(breaks(p)).failures() == ["slot-layout"]
+    assert has_rank_order_layout(p)
+    assert not has_rank_order_layout(breaks(p))
 
 
 def test_frame_time_law_on_power_of_two_grid():
@@ -458,6 +490,22 @@ def test_estimates_invert_the_forward_map(plan, seed):
     assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_plans())
+def test_every_plan_has_the_rank_order_layout_and_permuted_hop_rows(plan):
+    assert has_rank_order_layout(plan)
+    assert hop_rows_are_permutations(plan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_plans())
+def test_every_code_is_on_in_bit_0(plan):
+    # Column 0 of H is all +1, so a complement-coded PD2 is dark in bit 0,
+    # which the decoder reads as 0.
+    if plan.mode is not Mode.FM_TDMA:
+        assert all(plan.code_bits(j)[0] == 1 for j in range(plan.set_count))
+
+
 @settings(max_examples=30, deadline=None)
 @given(random_plans(), st.integers(0, 2**32 - 1))
 def test_coding_element_agrees_with_the_codec(plan, seed):
@@ -527,8 +575,6 @@ def test_coding_element_active_mode_lists_all_channels():
     bit, channels = coding_element(p, (1, 1), w_on)
     assert bit == 1
     assert channels == (1, 2, 3)
-    report = planmod.validate_plan(p)
-    assert report.passed, report.failures()
 
 
 def test_coding_element_slot_mode():
@@ -575,27 +621,6 @@ def test_coding_element_on_an_active_pixel_list():
             assert (channel is None) == (want == 0)
     with pytest.raises(ValueError, match="not in the plan grid"):
         coding_element(p, (1, 1), 1)
-
-
-def test_code_identity_is_checked_above_512_sets(monkeypatch):
-    p = build_plan(PixelGrid(30, 20), channels=1, f1=2.0, bit_rate=1.0, sample_rate=64.0)
-    assert p.set_count == 600 and p.code_length == 640  # seed 20
-    report = planmod.validate_plan(p)
-    assert report.passed, report.failures()
-    assert "code-correlation-identity" in [name for name, _, _ in report.entries]
-
-    paley_seed = codes._paley_seed
-
-    def one_sign_flipped(q):
-        seed = paley_seed(q)
-        seed[3, 5] *= -1
-        return seed
-
-    monkeypatch.setattr(codes, "_paley_seed", one_sign_flipped)
-    report = planmod.validate_plan(p)
-    assert report.failures() == ["code-correlation-identity"]
-    detail = dict((name, detail) for name, _, detail in report.entries)["code-correlation-identity"]
-    assert "seed FAIL" in detail and "Freivalds probes FAIL" in detail
 
 
 #: The carrier and pixel constants a plan builds once, on first read.
