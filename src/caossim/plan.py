@@ -210,9 +210,10 @@ class CodingPlan:
             elif waveform == "square":
                 rows.append(_square_wave(cycles, f_count))
             else:
-                t = np.arange(f_count) / f_count
+                # Angles from integer ticks (k n) mod F: each row repeats bitwise every L samples.
+                ticks = (self.carrier_bins[p] * np.arange(f_count, dtype=np.int64)) % f_count
                 phase = self.carrier_phases[p]
-                rows.append(0.5 * (1.0 + np.sin(2.0 * math.pi * cycles * t + phase)))
+                rows.append(0.5 * (1.0 + np.sin((2.0 * math.pi / f_count) * ticks + phase)))
         return _read_only(np.stack(rows))
 
     @cached_property

@@ -12,7 +12,9 @@ full modulated signal to PD2.
 
 The keyed pixel -> (code, slot, carrier) map belongs to the plan: its
 pixel_values, on_sums and hop methods give each bit's summed light per
-carrier, and this module turns those sums into samples.
+carrier, and this module turns those sums into samples. Every carrier
+repeats bitwise every plan.carrier_period samples, so synthesize multiplies
+out one period per bit and copies it over the bit.
 
 capture_blocks runs the capture chain synthesize -> add_noise -> apply_adc
 one bit block at a time; capture, decode.decode_capture and caossim simulate
@@ -164,6 +166,10 @@ def synthesize(
 ) -> SampleStream:
     """Noiseless, unquantized encoded stream for one detector side.
 
+    Each bit block's samples are one (bits, L) float64 product over the first
+    carrier period L = plan.carrier_period, plus the constant, times the
+    gain, cast once to dtype and copied into each of the bit's F / L periods:
+    bitwise the whole-bit (bits, F) product, at 1/g of its multiplies.
     bit_range=(start, stop) synthesizes only bits start..stop-1 of the frame,
     as a stream of stop - start bits with first_bit start.
     """
@@ -174,7 +180,7 @@ def synthesize(
     if not 0 <= first < last <= plan.code_length:
         raise ConfigError(f"bit range {bit_range} is outside the {plan.code_length}-bit frame")
     amplitudes, waves, constant = _side_amplitudes(plan, scene, detector.responsivity, pd_side)
-    f_count = plan.samples_per_bit
+    f_count, period = plan.samples_per_bit, plan.carrier_period
     gain = detector.gain
 
     out = np.empty((last - first) * f_count, dtype=dtype)
@@ -182,12 +188,13 @@ def synthesize(
         if stop <= first or start >= last:
             continue
         # Whole frame blocks: a product's rounding can depend on its shape.
-        block = amplitudes[start:stop] @ waves
+        block = amplitudes[start:stop] @ waves[:, :period]
         if constant is not None:
             block += constant[start:stop, None]
+        block *= gain
         lo, hi = max(start, first), min(stop, last)
-        target = out[(lo - first) * f_count : (hi - first) * f_count].reshape(hi - lo, f_count)
-        np.multiply(block[lo - start : hi - start], gain, out=target)
+        target = out[(lo - first) * f_count : (hi - first) * f_count].reshape(hi - lo, -1, period)
+        target[...] = block[lo - start : hi - start, None].astype(dtype, copy=False)
     return SampleStream(
         rate=plan.sample_rate,
         samples=out,

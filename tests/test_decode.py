@@ -499,18 +499,39 @@ def test_per_bit_spectra_are_rfft_magnitudes_at_the_carrier_bins(case):
         assert decode.per_bit_spectra(block, plan).tobytes() == got[start:stop].tobytes()
 
 
+def longdouble_carriers(plan):
+    """Reference unit carriers in np.longdouble, the angle reduced as (k n) mod F first."""
+    f_count, bins = plan.samples_per_bit, plan.carrier_bins[:, None]
+    ticks = (bins * np.arange(f_count, dtype=np.int64)) % f_count
+    waveform = plan.frequencies.waveform
+    if waveform == "none":
+        return np.ones(ticks.shape, dtype=np.longdouble)
+    if waveform == "square":
+        return (2 * ticks < f_count).astype(np.longdouble)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    phases = np.array(plan.carrier_phases, dtype=np.longdouble)[:, None]
+    return (1 + np.sin(two_pi * ticks.astype(np.longdouble) / f_count + phases)) / 2
+
+
+def assert_exact_carriers(plan):
+    """Each carrier row's periods agree bit for bit, and every row is near its long-double value."""
+    periods = plan.carrier_matrix.reshape(plan.channel_count, -1, plan.carrier_period)
+    assert (periods == periods[:, :1]).all()
+    assert np.max(np.abs(plan.carrier_matrix - longdouble_carriers(plan))) <= 5e-14
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_every_carrier_repeats_every_carrier_period(data):
     # The identity the fold rests on: g = F / L divides every carrier bin, and
-    # each unit carrier's g periods agree, so the gains read the folded
-    # carriers as the rfft reads the whole bit.
+    # each unit carrier's g periods agree bit for bit, so synthesize tiles one
+    # period and the gains read the folded carriers as the rfft reads the
+    # whole bit.
     plan = draw_spectra_plan(data.draw)
     f_count, period, p = plan.samples_per_bit, plan.carrier_period, plan.channel_count
     assert period == len(plan.period_basis) and f_count % period == 0
     assert np.all(plan.carrier_bins % (f_count // period) == 0)
-    periods = plan.carrier_matrix.reshape(p, -1, period)
-    assert np.max(np.abs(periods - periods[:, :1])) <= 1e-12
+    assert_exact_carriers(plan)
     rfft = np.abs(np.fft.rfft(plan.carrier_matrix, axis=1))[np.arange(p), plan.carrier_bins]
     assert np.max(np.abs(plan.carrier_bin_gains - rfft)) <= 1e-12 * rfft.max()
 
@@ -536,6 +557,18 @@ FOLD_PLANS = {
         8,
     ),
 }
+
+
+CARRIER_PLANS = {
+    **{case: make for case, (make, _) in FOLD_PLANS.items()},
+    **{name: presets.preset_config(name).build_plan for name in presets.PRESET_NAMES},
+    "exp3-active-full-scale": presets.preset_config("exp3-active", full_scale=True).build_plan,
+}
+
+
+@pytest.mark.parametrize("case", CARRIER_PLANS)
+def test_carriers_are_exactly_periodic_and_near_a_longdouble_reference(case):
+    assert_exact_carriers(CARRIER_PLANS[case]())
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

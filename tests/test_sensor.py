@@ -14,6 +14,7 @@ from caossim import presets, sensor
 from caossim.errors import ConfigError, DimensionMismatch, LengthMismatch
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import DetectorModel, Scene
+from test_plan import random_plans
 
 
 def make_plan(grid=None, **kwargs):
@@ -210,6 +211,85 @@ def test_synthesize_rejects_bit_range_outside_frame(bit_range):
     plan = make_plan()
     with pytest.raises(ConfigError, match="bit range"):
         sensor.synthesize(plan, uniform_scene(plan.grid), bit_range=bit_range)
+
+
+def dense_synthesis(plan, scene, detector, pd_side, dtype):
+    """Reference: every sample of the frame from whole-bit (bits, F) float64 products, cast once.
+
+    One product per bit block, as synthesize forms its own, since a product's
+    rounding can depend on its number of rows.
+    """
+    amplitudes, waves, constant = sensor._side_amplitudes(
+        plan, scene, detector.responsivity, pd_side
+    )
+    blocks = sensor.bit_blocks(plan.code_length, plan.samples_per_bit)
+    dense = np.concatenate([amplitudes[start:stop] @ waves for start, stop in blocks])
+    if constant is not None:
+        dense += constant[:, None]
+    return (dense * detector.gain).astype(dtype).ravel()
+
+
+def random_scene(plan, seed):
+    rng = np.random.default_rng(seed)
+    shape = (plan.grid.rows, plan.grid.columns)
+    if plan.mode is Mode.ACTIVE_OVERLAPPED:
+        maps = rng.uniform(0.05, 1.0, (plan.channel_count, *shape))
+        return Scene(grid=plan.grid, per_source=maps)
+    return Scene(grid=plan.grid, irradiance=rng.uniform(0.05, 1.0, shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_plans(), st.data())
+def test_synthesize_tiles_one_carrier_period_as_the_dense_product_bitwise(plan, data):
+    # synthesize multiplies out one carrier period per bit and copies it g
+    # times; every sample equals the whole-bit product's, in any block size.
+    scene = random_scene(plan, data.draw(st.integers(0, 2**32 - 1)))
+    detector = DetectorModel(gain=data.draw(st.sampled_from((1.0, 0.37, 1e3))))
+    side = data.draw(st.sampled_from((sensor.PD1, sensor.PD2)))
+    dtype = data.draw(st.sampled_from((np.float64, np.float32)))
+    w, f_count = plan.code_length, plan.samples_per_bit
+    start = data.draw(st.integers(0, w - 1))
+    stop = data.draw(st.integers(start + 1, w))
+    block_bits = data.draw(st.integers(1, w))
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block_bits * f_count):
+        want = dense_synthesis(plan, scene, detector, side, dtype)
+        frame = sensor.synthesize(plan, scene, detector, side, dtype)
+        part = sensor.synthesize(plan, scene, detector, side, dtype, bit_range=(start, stop))
+    assert frame.samples.dtype == dtype
+    assert frame.samples.tobytes() == want.tobytes()
+    assert part.samples.tobytes() == want[start * f_count : stop * f_count].tobytes()
+
+
+@pytest.mark.parametrize("name", presets.PRESET_NAMES)
+def test_desk_preset_streams_are_the_dense_product_bitwise(name):
+    config = presets.preset_config(name)
+    plan = config.build_plan()
+    scene = config.build_scene(plan.grid)
+    for side, detector in zip((sensor.PD1, sensor.PD2), config.sides()):
+        detector = detector.build()
+        got = sensor.synthesize(plan, scene, detector, side).samples
+        assert got.tobytes() == dense_synthesis(plan, scene, detector, side, np.float64).tobytes()
+
+
+def test_synthesize_holds_no_whole_bit_float64_block():
+    # One 2**20-sample block of desk exp1-fmcdma: the float64 product covers
+    # one carrier period per bit, so the block's (bits, F) float64 product
+    # (8 MiB) is never made and the peak stays near the float32 output.
+    config = presets.preset_config("exp1-fmcdma")
+    plan = config.build_plan()
+    scene = config.build_scene(plan.grid)
+    detector = config.detector.build()
+    start, stop = next(sensor.bit_blocks(plan.code_length, plan.samples_per_bit))
+    assert (stop - start) * plan.samples_per_bit == sensor.BLOCK_SAMPLES
+    plan.carrier_matrix  # built on first read and kept by the plan, so left out of the trace
+    assert plan.carrier_period < plan.samples_per_bit
+    tracemalloc.start()
+    try:
+        stream = sensor.synthesize(plan, scene, detector, dtype=np.float32, bit_range=(start, stop))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stream.samples.nbytes + 2**20
 
 
 class TestNoise:
