@@ -52,10 +52,8 @@ def _plan_facts(cplan) -> str:
     """The timing and size facts of a plan, one per line."""
     single_channel_w = codes.min_supported_order(cplan.grid.pixel_count + 1)
     speedup = 1.0 if cplan.mode is plan_mod.Mode.FM_TDMA else single_channel_w / cplan.code_length
-    cycles = cplan.frequencies.cycles_per_bit()
     return "\n".join([
         f"F (samples per bit): {cplan.samples_per_bit}",
-        f"cycles per bit: {', '.join(f'{k:g}' for k in cycles)}",
         f"carrier bins: {', '.join(map(str, cplan.carrier_bins.tolist()))}",
         f"g (F / carrier period): {cplan.samples_per_bit // cplan.carrier_period}",
         f"speedup vs single-channel plan: {speedup:g}",

@@ -10,7 +10,7 @@ class UnsupportedOrder(CaosError):
 
 
 class TimingError(CaosError):
-    """Carrier cycles or samples per bit do not come out as integers."""
+    """Carrier cycles or samples per bit F are not integers, or F is outside 2 <= F < 2**32."""
 
 
 class NyquistError(CaosError):

@@ -125,8 +125,7 @@ def crosstalk(plan: CodingPlan, probe_channel: int) -> np.ndarray:
 
     Synthesizes a noiseless one-pixel scene on the probe channel, decodes
     the per-bit spectra, and reports per-channel energy relative to the
-    probe channel. Off-bin (mis-tuned) carriers yield finite leakage rather
-    than an error. Exact-zero leakage is floored at -400 dB.
+    probe channel. Exact-zero leakage is floored at -400 dB.
     """
     member = probe_channel - 1
     candidates = np.flatnonzero(plan.member_index == member)
@@ -136,11 +135,8 @@ def crosstalk(plan: CodingPlan, probe_channel: int) -> np.ndarray:
     stream = sensor_mod.synthesize(plan, Scene(grid=plan.grid, irradiance=probe))
     spectra = decode_mod.per_bit_spectra(stream, plan)
     energy = (spectra**2).sum(axis=0)
-    probe_energy = energy[member]
-    if probe_energy <= 0:
-        raise ValueError("probe pixel produced no energy at its own bin")
     with np.errstate(divide="ignore"):
-        leak_db = 10.0 * np.log10(energy / probe_energy)
+        leak_db = 10.0 * np.log10(energy / energy[member])
     return np.maximum(leak_db, -400.0)
 
 

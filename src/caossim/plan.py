@@ -34,7 +34,7 @@ import numpy as np
 
 from . import codes
 from .codes import CodeBook
-from .errors import ConfigError, NyquistError, PlanMismatch, TimingError
+from .errors import ConfigError, NyquistError, TimingError
 
 # Sub-stream labels for key_seed derived generators.
 _STREAM_PIXELS = 0
@@ -122,7 +122,7 @@ class FrequencyPlan:
         return len(self.frequencies)
 
     def cycles_per_bit(self) -> tuple[float, ...]:
-        """f_p * T per channel; integers on a valid plan."""
+        """f_p * T per channel; within 1e-9 of the integer carrier bins on a built plan."""
         return tuple(f * self.bit_duration for f in self.frequencies)
 
 
@@ -202,34 +202,15 @@ class CodingPlan:
         Plain (waveform "none"): constant 1, the mirror statically on.
         """
         f_count = self.samples_per_bit
-        waveform = self.frequencies.waveform
-        rows = []
-        for p, cycles in enumerate(self.frequencies.cycles_per_bit()):
-            if waveform == "none":
-                rows.append(np.ones(f_count))
-            elif waveform == "square":
-                rows.append(_square_wave(cycles, f_count))
-            else:
-                # Angles from integer ticks (k n) mod F: each row repeats bitwise every L samples.
-                ticks = (self.carrier_bins[p] * np.arange(f_count, dtype=np.int64)) % f_count
-                phase = self.carrier_phases[p]
-                rows.append(0.5 * (1.0 + np.sin((2.0 * math.pi / f_count) * ticks + phase)))
-        return _read_only(np.stack(rows))
+        return _read_only(_carrier_rows(
+            self.carrier_bins, f_count, self.frequencies.waveform, self.carrier_phases, f_count
+        ))
 
     @cached_property
     def carrier_bins(self) -> np.ndarray:
-        """DFT bin index per channel within one bit.
-
-        Raises PlanMismatch for a bin outside 0..F/2, which build_plan's timing
-        checks rule out.
-        """
-        f_count = self.samples_per_bit
-        bins = np.array([round(k) for k in self.frequencies.cycles_per_bit()], dtype=np.int64)
-        if bins.min() < 0 or bins.max() > f_count // 2:
-            raise PlanMismatch(
-                f"carrier bins {bins.tolist()} outside 0..{f_count // 2} of an {f_count}-point bit"
-            )
-        return _read_only(bins)
+        """DFT bin index per channel within one bit: the integer cycles build_plan proved."""
+        bins = [round(k) for k in self.frequencies.cycles_per_bit()]
+        return _read_only(np.array(bins, dtype=np.int64))
 
     @cached_property
     def carrier_period(self) -> int:
@@ -239,7 +220,7 @@ class CodingPlan:
     @cached_property
     def period_basis(self) -> np.ndarray:
         """(L, 2 channels) DFT basis [cos | -sin] at each bin of a bit folded onto L samples."""
-        return _read_only(_period_basis(self.carrier_bins, self.samples_per_bit)[1])
+        return _read_only(_period_basis(self.carrier_bins, self.samples_per_bit))
 
     @cached_property
     def carrier_bin_gains(self) -> np.ndarray:
@@ -358,16 +339,22 @@ def _rng(key_seed: int, stream: int, extra: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _check_timing(freq: FrequencyPlan, sample_rate: float, mode: Mode) -> None:
-    """Raise TimingError or NyquistError at the first broken integer-bin or Nyquist rule."""
+def _check_timing(freq: FrequencyPlan, sample_rate: float, mode: Mode) -> int:
+    """Samples per bit F, or TimingError or NyquistError at the first broken timing rule.
+
+    F = sample_rate * T must be an integer in 2 <= F < 2**32: decode_report
+    states the DSP gain 10 log10(F / 2), and the integer ticks (k n) mod F of
+    _carrier_rows stay exact in int64. Each carrier's cycles k must be whole.
+    """
     samples = sample_rate * freq.bit_duration
-    if not (abs(samples - round(samples)) <= 1e-9 and round(samples) >= 1):
-        raise TimingError(f"sample_rate * T = {samples} is not a positive integer")
+    if not (2 <= samples < 2**32 and abs(samples - round(samples)) <= 1e-9):
+        raise TimingError(f"sample_rate * T = {samples} is not an integer from 2 to 2**32 - 1")
+    f_count = round(samples)
     if mode is Mode.PLAIN_CDMA:
-        return
+        return f_count
     cycles = freq.cycles_per_bit()
     for f_p, k in zip(freq.frequencies, cycles):
-        if abs(k - round(k)) > 1e-9 or round(k) < 1:
+        if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9 and round(k) >= 1):
             raise TimingError(
                 f"carrier {f_p} Hz gives {k} cycles per bit; needs a positive integer"
             )
@@ -383,10 +370,9 @@ def _check_timing(freq: FrequencyPlan, sample_rate: float, mode: Mode) -> None:
         # No harmonic of one carrier may reach another's bin, folded past
         # Nyquist or not, so the sampled carriers are read at every bin. One
         # period of them gives each magnitude over g.
-        g, basis = _period_basis(bins, round(samples))
-        f_count, p = len(basis), len(bins)
-        waves = np.stack([_square_wave(k / g, f_count) for k in cycles])
-        parts = waves @ basis
+        p = len(bins)
+        basis = _period_basis(bins, f_count)
+        parts = _carrier_rows(bins, f_count, "square", (), len(basis)) @ basis
         magnitude = np.hypot(parts[:, :p], parts[:, p:])  # (carrier, bin)
         own = np.diagonal(magnitude)
         leak = np.where(np.eye(p, dtype=bool), 0.0, magnitude)
@@ -396,30 +382,35 @@ def _check_timing(freq: FrequencyPlan, sample_rate: float, mode: Mode) -> None:
                 f"square carrier at bin {bins[i]} puts {leak[i, j] / own[i]:.2g} of its own-bin"
                 f" magnitude on carrier bin {bins[j]}"
             )
+    return f_count
 
 
-def _square_wave(cycles: float, f_count: int) -> np.ndarray:
-    """One F-sample bit of a 0/1 square wave of `cycles` cycles, ON for the first half of each."""
-    k = round(cycles)
-    if abs(cycles - k) < 1e-9:
-        # Integer cycles: exact integer edge test.
-        ticks = (k * np.arange(f_count, dtype=np.int64)) % f_count
+def _carrier_rows(bins, f_count: int, waveform: str, phases, length: int) -> np.ndarray:
+    """(bins, length) unit carriers at integer bins of an F-sample bit, from ticks (k n) mod F.
+
+    Square: 0/1, ON for the first half of each cycle. Sine: (1 + sin(2 pi ticks / F +
+    phase)) / 2. None: 1. Integer ticks make each row repeat bitwise every F / gcd(F, bins).
+    """
+    ticks = np.multiply.outer(np.asarray(bins, dtype=np.int64), np.arange(length, dtype=np.int64))
+    ticks %= f_count
+    if waveform == "square":
         return (2 * ticks < f_count).astype(np.float64)
-    phase = (cycles * np.arange(f_count) / f_count) % 1.0
-    return (phase < 0.5).astype(np.float64)
+    if waveform == "none":
+        return np.ones(ticks.shape)
+    return 0.5 * (1.0 + np.sin((2.0 * math.pi / f_count) * ticks + np.asarray(phases)[:, None]))
 
 
-def _period_basis(bins, f_count: int) -> tuple[int, np.ndarray]:
-    """g = gcd(F, bins) and the (L, 2 bins) real DFT basis [cos | -sin] at bins / g, L = F / g.
+def _period_basis(bins, f_count: int) -> np.ndarray:
+    """(L, 2 bins) real DFT basis [cos | -sin] at bins / g, g = gcd(F, bins), L = F / g.
 
     An F-point bit's DFT at bin k is the L-point DFT at bin k / g of its g periods summed
     (decimation in time; Cooley and Tukey, 1965). Angles 2 pi n k / L are reduced as (n k) mod L.
     """
-    g = math.gcd(f_count, *bins) or 1
+    g = math.gcd(f_count, *bins)
     period = f_count // g
     ticks = np.outer(np.arange(period, dtype=np.int64), np.asarray(bins) // g) % period
     angle = (2.0 * math.pi / period) * ticks
-    return g, np.concatenate([np.cos(angle), -np.sin(angle)], axis=1)
+    return np.concatenate([np.cos(angle), -np.sin(angle)], axis=1)
 
 
 def build_plan(
@@ -510,8 +501,7 @@ def build_plan(
         bit_duration=1.0 / float(bit_rate),
         waveform=waveform,
     )
-    _check_timing(freq, float(sample_rate), mode)
-    samples_per_bit = int(round(float(sample_rate) * freq.bit_duration))
+    samples_per_bit = _check_timing(freq, float(sample_rate), mode)
 
     if shuffle_pixels is None:
         shuffle_pixels = key_seed != 0

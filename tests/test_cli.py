@@ -824,8 +824,8 @@ def test_unsupported_code_length_exits_validation_code(tmp_path, capsys, length)
     assert not (tmp_path / "p").exists()
 
 
-#: Plan-file edits after which a plan cannot decode exactly, with the exit
-#: code and error text that refuse the file.
+#: Plan-file edits after which a plan cannot decode exactly or breaks a
+#: timing rule, with the exit code and error text that refuse the file.
 _UNDECODABLE_PLANS = {
     "static-waveform": (dict(waveform="none"), cli.EXIT_CONFIG, "must be 'square' or 'sine'"),
     "unknown-waveform": (dict(waveform="triangle"), cli.EXIT_CONFIG, "got 'triangle'"),
@@ -840,6 +840,21 @@ _UNDECODABLE_PLANS = {
     "folded-harmonic-on-a-carrier": (
         dict(frequencies=[3.0, 5.0], sample_rate=20.0), cli.EXIT_VALIDATION,
         "square carrier at bin 3 puts 0.22 of its own-bin magnitude on carrier bin 5",
+    ),
+    # One sample per bit has no DSP gain 10 log10(F / 2) to report.
+    "one-sample-bit": (
+        dict(mode="plain-cdma", frequencies=[0.0], waveform="none", bit_rate=4.0,
+             sample_rate=4.0),
+        cli.EXIT_VALIDATION, "sample_rate * T = 1.0 is not an integer from 2 to 2**32 - 1",
+    ),
+    "samples-per-bit-overflow": (
+        dict(bit_rate=1e-308), cli.EXIT_VALIDATION,
+        "sample_rate * T = inf is not an integer from 2 to 2**32 - 1",
+    ),
+    # F = 1e-9 * 1e10 = 10 samples per bit, but 1e308 Hz * 1e10 s overflows.
+    "cycles-per-bit-overflow": (
+        dict(frequencies=[1e308], bit_rate=1e-10, sample_rate=1e-9), cli.EXIT_VALIDATION,
+        "carrier 1e+308 Hz gives inf cycles per bit; needs a positive integer",
     ),
 }
 

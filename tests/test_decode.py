@@ -154,19 +154,6 @@ class TestCorrelate:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-class TestCarrierBins:
-    def test_bins_outside_half_the_bit_raise(self):
-        plan = build_plan(PixelGrid(2, 2), channels=2, f1=2.0, bit_rate=1.0, sample_rate=64.0)
-        assert plan.carrier_bins.tolist() == [2, 4]
-        stream = sensor.synthesize(plan, positive_scene(plan.grid))
-        for frequencies in ((2.0, 40.0), (-2.0, 4.0)):
-            swapped = replace(plan, frequencies=replace(plan.frequencies, frequencies=frequencies))
-            with pytest.raises(PlanMismatch, match="outside 0..32"):
-                swapped.carrier_bins  # raises on its first read
-            with pytest.raises(PlanMismatch):
-                decode.decode_frame(stream, swapped)
-
-
 def test_noiseless_large_hopping_grid_decodes_exactly():
     # 65536 pixels in 16384 sets, W = 20480: the dense code matrix alone
     # would take 3.4 GB, the transform needs none.

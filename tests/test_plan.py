@@ -7,12 +7,13 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from caossim import cli, decode, plan as planmod, presets, scene as sc, sensor
-from caossim.errors import ConfigError, NyquistError, TimingError
+from caossim.errors import CaosError, ConfigError, NyquistError, TimingError
 from caossim.plan import Mode, PixelGrid, build_plan, coding_element
+from caossim.scene import DetectorModel, Scene
 
 
 def small_plan(**kwargs):
@@ -103,6 +104,75 @@ def test_build_plan_timing_error():
         small_plan(f1=0.5, channels=1)
     with pytest.raises(TimingError):
         small_plan(sample_rate=128.5)
+    # F = 1 has no DSP gain 10 log10(F / 2), and F = 2**32 would overflow int64 ticks.
+    for kwargs in (dict(mode=Mode.PLAIN_CDMA, sample_rate=1.0), dict(sample_rate=2.0**32)):
+        with pytest.raises(TimingError, match=re.escape("is not an integer from 2 to 2**32 - 1")):
+            small_plan(**kwargs)
+
+
+def magnitudes():
+    """Positive reals from 1e-310 to 1e308: small whole numbers, powers of two and any float."""
+    return st.one_of(
+        st.integers(1, 64).map(float),
+        st.integers(-1029, 1023).map(lambda e: 2.0**e),
+        st.floats(1e-310, 1e308, allow_subnormal=True),
+    )
+
+
+@st.composite
+def raw_timings(draw):
+    """Raw (mode, sample_rate, bit_rate, frequencies, waveform), mostly ones build_plan refuses.
+
+    Carrier counts and waveforms fit the mode, so that the timing decides.
+    """
+    mode = draw(st.sampled_from(list(Mode)))
+    bit_rate = draw(magnitudes())
+    whole_bit = st.integers(0, 256).map(lambda f: f * bit_rate)  # F = f samples per bit
+    sample_rate = draw(magnitudes() if draw(st.booleans()) else whole_bit)
+    if mode is Mode.PLAIN_CDMA:
+        return mode, sample_rate, bit_rate, None, None
+    count = 1 if mode in (Mode.FM_CDMA, Mode.FM_TDMA) else draw(st.integers(1, 4))
+    cycles = st.lists(st.integers(0, 64), min_size=count, max_size=count)
+    frequencies = [k * bit_rate for k in draw(cycles)]
+    if draw(st.booleans()):
+        frequencies[draw(st.integers(0, count - 1))] = draw(magnitudes())
+    return mode, sample_rate, bit_rate, frequencies, draw(st.sampled_from((None, "square", "sine")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_timings(), st.integers(0, 2**32 - 1))
+@example((Mode.PLAIN_CDMA, 4.0, 4.0, None, None), 0)  # F = 1
+@example((Mode.PASSIVE_FDMA_CDMA, 64.0, 1e-300, [1.0], None), 0)  # F = 6.4e301
+@example((Mode.PASSIVE_FDMA_CDMA, 1e308, 1e-10, [1e-10], None), 0)  # F overflows
+@example((Mode.PASSIVE_FDMA_CDMA, 64.0, 1e-307, [1e-307], None), 0)  # F overflows
+@example((Mode.PASSIVE_FDMA_CDMA, 0.1, 1e-10, [1e308], None), 0)  # cycles overflow
+@example((Mode.PASSIVE_FDMA_CDMA, 2.0**32, 1.0, [1.0], None), 0)  # F = 2**32
+def test_timing_predicate_is_total(timing, seed):
+    # Raw timing is refused with a CaosError, or it builds a plan whose
+    # carriers repeat every carrier period and which decodes a scene exactly.
+    # Bits of 2**16 to 2**32 samples are skipped: an accepted one would take
+    # (F, 2 carriers) floats in the harmonic check.
+    mode, sample_rate, bit_rate, frequencies, waveform = timing
+    assume(not 2**16 < sample_rate * (1.0 / bit_rate) < 2**32)
+    try:
+        plan = build_plan(PixelGrid(2, 2), mode=mode, sample_rate=sample_rate,
+                          bit_rate=bit_rate, frequencies=frequencies, waveform=waveform)
+    except CaosError:
+        return
+    periods = plan.carrier_matrix.reshape(plan.channel_count, -1, plan.carrier_period)
+    assert (periods == periods[:, :1]).all()
+    rng = np.random.default_rng(seed)
+    if mode is Mode.ACTIVE_OVERLAPPED:
+        truth = rng.uniform(0.05, 1.0, (plan.channel_count, 2, 2))
+        scene = Scene(grid=plan.grid, per_source=truth)
+    else:
+        truth = rng.uniform(0.05, 1.0, (1, 2, 2))
+        scene = Scene(grid=plan.grid, irradiance=truth[0])
+    images = decode.image_list(decode.decode_capture(plan, scene, (DetectorModel(),)))
+    assert len(images) == len(truth)
+    for image, want in zip(images, truth):
+        assert np.max(np.abs(image.raw - want)) <= 1e-9 * want.max()
+    assert decode.decode_report(images, plan)["samples_per_bit"] == plan.samples_per_bit
 
 
 def test_build_plan_nyquist_error():
@@ -166,7 +236,6 @@ def test_validate_passes_and_reports_speedup(tmp_path, capsys):
     )
     assert facts == [
         "F (samples per bit): 65536",
-        "cycles per bit: 128, 256, 512, 1024",
         "carrier bins: 128, 256, 512, 1024",
         "g (F / carrier period): 128",
         "speedup vs single-channel plan: 4",
@@ -180,7 +249,7 @@ def test_validate_worked_example_speedup_eight(tmp_path):
         tmp_path, grid_columns=254, grid_rows=8, channels=8, f1=16.0, bit_rate=1.0,
         sample_rate=8192.0,
     )
-    assert facts[2:] == [
+    assert facts[1:] == [
         "carrier bins: 16, 32, 64, 128, 256, 512, 1024, 2048",
         "g (F / carrier period): 16",
         "speedup vs single-channel plan: 8",
