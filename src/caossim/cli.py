@@ -66,8 +66,7 @@ def cmd_plan(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     plan_mod.save_plan(cplan, os.path.join(args.out, "plan.json"))
     plan_mod.write_assignment_csv(cplan, os.path.join(args.out, "assignment.csv"))
-    with open(os.path.join(args.out, "validation.txt"), "w", encoding="utf-8") as fh:
-        fh.write(facts + "\n")
+    plan_mod.write_at(os.path.join(args.out, "validation.txt"), f"{facts}\n".encode("utf-8"))
     print(facts)
     return EXIT_OK
 

@@ -182,6 +182,7 @@ def decode_frame(stream, plan: CodingPlan):
                 raise PlanMismatch(f"{block.pd_side} block in a {pd_side} stream")
             pd_side, next_bit = block.pd_side, next_bit + block.bits
             parts.append(per_bit_spectra(block, plan))
+            del block  # before the next block is made or read
     spectra = np.concatenate(parts) if parts else np.empty((0, plan.channel_count))
     if spectra.shape[0] != plan.code_length:
         raise PlanMismatch(f"stream has {spectra.shape[0]} bits, plan expects {plan.code_length}")
@@ -212,6 +213,7 @@ def _written(blocks, base):
         for block in blocks:
             sensor_mod.write_stream(block, base)
             yield block
+            del block
 
 
 def image_list(decoded) -> list:

@@ -22,9 +22,9 @@ bit-reproducible across platforms.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -631,9 +631,21 @@ def json_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def write_at(path, data, offset: int = 0) -> None:
+    """Write bytes or a contiguous array at offset into path, then cut the file there.
+
+    The file is made if missing and never truncated to zero first, which on
+    ext4 starts a writeback on close that the next truncation waits for.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(path, flags, 0o666), "wb") as fh:
+        fh.seek(offset)
+        fh.write(data)
+        fh.truncate()
+
+
 def write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_document(doc))
+    write_at(path, json_document(doc).encode("utf-8"))
 
 
 def document_fields(data, kind: str, version: int) -> dict:
@@ -727,10 +739,9 @@ def write_assignment_csv(plan: CodingPlan, path) -> None:
     0-based bit w is hop_schedule[w, member_index], which coding_element
     gives; no column holds it, since a hopping plan moves it every bit.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "n", "set_index", "member_index", "code_row"])
-        for (row, column), s, mem in zip(
-            plan.pixel_index.tolist(), plan.set_index.tolist(), plan.member_index.tolist()
-        ):
-            writer.writerow([column + 1, row + 1, s, mem, int(plan.code_row[s])])
+    lines = ["m,n,set_index,member_index,code_row"]
+    for (row, column), s, mem in zip(
+        plan.pixel_index.tolist(), plan.set_index.tolist(), plan.member_index.tolist()
+    ):
+        lines.append(f"{column + 1},{row + 1},{s},{mem},{int(plan.code_row[s])}")
+    write_at(path, "".join(f"{line}\r\n" for line in lines).encode("ascii"))

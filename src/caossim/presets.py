@@ -502,17 +502,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
 
 def _write_outputs(out_dir, result: ExperimentResult):
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        fh.write(result.config.to_json())
+    def write(name, text):
+        plan_mod.write_at(os.path.join(out_dir, name), text.encode("utf-8"))
+
+    write("config.json", result.config.to_json())
     plan_mod.save_plan(result.plan, os.path.join(out_dir, "plan.json"))
     decode_mod.write_decode_outputs(out_dir, result.images, result.plan)
     if result.patch_report is not None:
-        with open(os.path.join(out_dir, "patch_report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(result.patch_report.to_text())
-        with open(os.path.join(out_dir, "patch_report.csv"), "w", encoding="utf-8") as fh:
-            fh.write(result.patch_report.to_csv())
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(result.summary_text())
+        write("patch_report.txt", result.patch_report.to_text())
+        write("patch_report.csv", result.patch_report.to_csv())
+    write("summary.txt", result.summary_text())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ through a detector band. Image arrays are indexed [row, column], i.e. pixel
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LayoutError
-from .plan import PixelGrid
+from .plan import PixelGrid, write_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,10 +343,8 @@ def write_image_pgm(image: np.ndarray, path) -> None:
     arr = np.asarray(image, dtype=np.float64)
     scale = float(arr.max()) if arr.size and arr.max() > 0 else 1.0
     q = np.clip(np.round(arr / scale * 65535.0), 0, 65535).astype(">u2")
-    with open(path, "wb") as fh:
-        header = f"P5\n# scale {scale!r}\n{arr.shape[1]} {arr.shape[0]}\n65535\n"
-        fh.write(header.encode("ascii"))
-        fh.write(q.tobytes())
+    header = f"P5\n# scale {scale!r}\n{arr.shape[1]} {arr.shape[0]}\n65535\n"
+    write_at(path, header.encode("ascii") + q.tobytes())
 
 
 def read_image_pgm(path) -> np.ndarray:
@@ -380,7 +379,9 @@ def read_image_pgm(path) -> np.ndarray:
 
 
 def write_image_csv(image: np.ndarray, path) -> None:
-    np.savetxt(path, np.asarray(image, dtype=np.float64), delimiter=",", fmt="%.17g")
+    buf = io.BytesIO()
+    np.savetxt(buf, np.asarray(image, dtype=np.float64), delimiter=",", fmt="%.17g")
+    write_at(path, buf.getvalue())
 
 
 def read_image_csv(path) -> np.ndarray:

@@ -18,9 +18,10 @@ out one period per bit and copies it over the bit.
 
 capture_blocks runs the capture chain synthesize -> add_noise -> apply_adc
 one bit block at a time; capture, decode.decode_capture and caossim simulate
-all take their samples from it, and write_stream appends each block to a file.
+all take their samples from it, and write_stream writes each block in place.
 read_stream returns a StreamFile, which reads the file back in the same bit
-blocks, so neither writing nor decoding a stream file holds the whole stream.
+blocks. Each stage drops a block before the next is made or read, so a
+streamed capture or a file decode holds one block at a time.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, LengthMismatch
-from .plan import CodingPlan, Mode, document_fields, json_int, json_real, parse_fields, write_json
+from .errors import ConfigError, DimensionMismatch, LengthMismatch, PlanMismatch
+from .plan import CodingPlan, Mode, document_fields, json_int, json_real, parse_fields
+from .plan import write_at, write_json
 from .scene import DetectorModel, Scene
 
 PD1 = "pd1"
@@ -142,9 +144,9 @@ def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str)
 
 #: Samples per processing block. synthesize, per_bit_spectra and capture_blocks
 #: walk the frame in the same bit blocks, so the per-block matrix products see
-#: the same inputs on every path. 2**20 samples keep each block's temporaries
-#: at 8 MiB in float64; smaller blocks pay per-block fixed costs (each
-#: synthesize call's channel sums, each write_stream's sidecar) more often.
+#: the same inputs on every path. 2**20 samples keep the one live block at
+#: 8 MiB in float64; smaller blocks pay each synthesize call's channel sums,
+#: a per-block fixed cost, more often.
 BLOCK_SAMPLES = 1 << 20
 
 
@@ -385,6 +387,7 @@ def capture_blocks(
             block = add_noise(block, detector, rng, white=white)
             block = apply_adc(block, detector)
             yield block
+            del block  # before the next block is made
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +408,23 @@ def stream_paths(base):
 def write_stream(stream: SampleStream, base) -> tuple[str, str]:
     """Write a stream as raw little-endian float32 plus a JSON sidecar, block by block.
 
-    A block goes at bit first_bit of the .f32 file, which must hold exactly
-    that many bits (bit 0 starts the file). The sidecar is rewritten to cover
-    every bit written so far, so the pair is always a valid stream.
+    A block goes at bit first_bit of the .f32 file. A later block must
+    continue the stream there, checked before either file is touched: the
+    sidecar must declare first_bit bits (else LengthMismatch) and the
+    block's rate, samples_per_bit, pd_side and gain (else PlanMismatch).
+    The sidecar is then rewritten to cover every bit so far, so the pair is
+    always a valid stream. Both files are written in place by write_at.
     """
     raw_path, meta_path = stream_paths(base)
     f_count = stream.samples_per_bit
-    held = os.path.getsize(raw_path) if stream.first_bit and os.path.exists(raw_path) else 0
-    if held != 4 * stream.first_bit * f_count:
-        raise LengthMismatch(f"{raw_path} does not end at bit {stream.first_bit}")
-    with open(raw_path, "ab" if stream.first_bit else "wb") as fh:
-        np.asarray(stream.samples, dtype="<f4").tofile(fh)
+    if stream.first_bit:
+        held = _stream_file(raw_path, meta_path) if os.path.exists(meta_path) else None
+        if held is None or held.bits != stream.first_bit:
+            raise LengthMismatch(f"{raw_path} does not end at bit {stream.first_bit}")
+        for name in ("rate", "samples_per_bit", "pd_side", "gain"):
+            if getattr(stream, name) != getattr(held, name):
+                raise PlanMismatch(f"block {name} {getattr(stream, name)!r} != {held}")
+    write_at(raw_path, np.ascontiguousarray(stream.samples, "<f4"), 4 * stream.first_bit * f_count)
     bits = stream.first_bit + stream.bits
     meta = {
         "format": _STREAM_FORMAT,
@@ -487,6 +496,7 @@ class StreamFile:
             yield SampleStream(
                 self.rate, samples, stop - start, f_count, self.pd_side, self.gain, start
             )
+            del samples  # before the next block is read
 
 
 def read_stream(base) -> StreamFile:
@@ -496,7 +506,10 @@ def read_stream(base) -> StreamFile:
     the raw file must hold exactly 4 * length bytes, so a file with a cut or
     extra sample is refused (LengthMismatch) rather than trimmed.
     """
-    raw_path, meta_path = stream_paths(base)
+    return _stream_file(*stream_paths(base))
+
+
+def _stream_file(raw_path, meta_path) -> StreamFile:
     with open(meta_path, encoding="utf-8") as fh:
         body = document_fields(json.load(fh), _STREAM_FORMAT, _STREAM_VERSION)
     fields = parse_fields(body, _SIDECAR_FIELDS, {}, "stream sidecar")

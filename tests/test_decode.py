@@ -1,6 +1,7 @@
 import os
 import tempfile
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -11,11 +12,13 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from caossim import codes, decode, presets, sensor
+from caossim import plan as plan_mod
+from caossim import scene as scene_mod
 from caossim.errors import ConfigError, LengthMismatch, PlanMismatch, TimingError
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import DetectorModel, Scene
 from test_plan import large_grid_plan, random_plans
-from test_sensor import whole_stream_capture
+from test_sensor import file_bytes, whole_stream_capture
 
 
 def positive_scene(grid, seed=0):
@@ -708,10 +711,6 @@ def test_decode_capture_matches_materialized_decode(case):
         assert_streaming_matches(plan, scene, detectors, seed, dtype)
 
 
-def file_bytes(base):
-    return [Path(path).read_bytes() for path in sensor.stream_paths(base)]
-
-
 @settings(max_examples=100, deadline=None)
 @given(noisy_captures())
 def test_block_written_stream_files_equal_a_whole_stream_write(case):
@@ -874,6 +873,107 @@ def test_stream_file_of_another_bit_length_is_refused_before_a_read(tmp_path):
     with mock.patch.object(np, "fromfile", side_effect=AssertionError("read")):
         with pytest.raises(PlanMismatch, match=f"stream is 1 x {stream.samples.size} samples"):
             decode.decode_frame(sensor.read_stream(tmp_path / "s"), plan)
+
+
+def write_in_blocks(stream, base):
+    """write_stream of each two-bit block of stream, in order."""
+    f_count = stream.samples_per_bit
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", 2 * f_count):
+        for start, stop in sensor.bit_blocks(stream.bits, f_count):
+            samples = stream.samples[start * f_count : stop * f_count]
+            block = replace(stream, samples=samples, bits=stop - start, first_bit=start)
+            sensor.write_stream(block, base)
+
+
+def report_of(grid):
+    plan = build_plan(grid, channels=2, f1=2.0, bit_rate=1.0, sample_rate=32.0)
+    scene = positive_scene(grid)
+    return decode.decode_report(decode.decode_frame(sensor.synthesize(plan, scene), plan), plan)
+
+
+#: name -> (write, read, longer, shorter): each written over the other must
+#: read back as a fresh write of it, with no stale tail.
+IN_PLACE_FILES = {
+    "stream": (
+        write_in_blocks,
+        file_bytes,
+        sensor.SampleStream(123456.789, np.arange(80.0), 10, 8, sensor.PD2, 0.12345678),
+        sensor.SampleStream(8.0, np.ones(12), 3, 4),
+    ),
+    "plan.json": (
+        plan_mod.save_plan,
+        Path.read_bytes,
+        build_plan(PixelGrid(3, 2, ((1, 1), (2, 2))), frequencies=(5.0, 10.0), sample_rate=40.0,
+                   bit_rate=1.0, key_seed=987654321),
+        build_plan(PixelGrid(1, 1), sample_rate=8.0, bit_rate=1.0, f1=1.0),
+    ),
+    "decode_report.json": (
+        decode.write_decode_report,
+        Path.read_bytes,
+        report_of(PixelGrid(4, 3)),
+        report_of(PixelGrid(2, 2)),
+    ),
+    "pgm": (
+        scene_mod.write_image_pgm,
+        Path.read_bytes,
+        np.random.default_rng(1).uniform(0.1, 1.0, (5, 7)),
+        np.full((2, 3), 0.5),
+    ),
+    "csv": (
+        scene_mod.write_image_csv,
+        Path.read_bytes,
+        np.random.default_rng(2).uniform(0.1, 1.0, (5, 7)),
+        np.full((2, 3), 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", IN_PLACE_FILES)
+def test_files_are_overwritten_in_place_as_a_fresh_write(tmp_path, name):
+    write, read, longer, shorter = IN_PLACE_FILES[name]
+    fresh = []
+    for i, content in enumerate((longer, shorter)):
+        write(content, tmp_path / f"fresh{i}")
+        fresh.append(read(tmp_path / f"fresh{i}"))
+    files = [f if name == "stream" else [f] for f in fresh]  # a stream is two files
+    assert all(len(a) > len(b) for a, b in zip(*files))
+    for first, second in ((0, 1), (1, 0)):
+        path = tmp_path / f"over{first}"
+        write((longer, shorter)[first], path)
+        write((longer, shorter)[second], path)
+        assert read(path) == fresh[second]
+
+
+def test_block_pipeline_holds_one_block_at_a_time(tmp_path):
+    # F = 4096 folds onto a 64-sample carrier period, so every per-block
+    # temporary but the block itself is small; 16 blocks of 16 bits, 256 KiB
+    # of float32 each. A block dropped only once the next one exists shows as
+    # a peak of two blocks.
+    plan = build_plan(
+        PixelGrid(4, 4), channels=2, f1=64.0, bit_rate=1.0, sample_rate=4096.0,
+        min_code_length=256,
+    )
+    assert plan.carrier_period == 64
+    scene = Scene(grid=plan.grid, irradiance=np.ones((4, 4)))
+    block = 16 * plan.samples_per_bit
+    block_bytes = block * np.dtype(np.float32).itemsize
+    plan.carrier_matrix, plan.period_basis, plan.carrier_bin_gains  # kept by the plan
+
+    def traced_peak(run, *args):
+        tracemalloc.start()
+        try:
+            run(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        detectors = (DetectorModel(),)
+        capture = traced_peak(decode.decode_capture, plan, scene, detectors, 0, np.float32, tmp_path)
+        stream = sensor.read_stream(tmp_path / "stream_pd1")
+        assert stream.bits == plan.code_length == 16 * 16
+        assert traced_peak(decode.decode_frame, stream, plan) < 1.5 * block_bytes
+    assert capture < 1.5 * block_bytes
 
 
 def test_decode_capture_rejects_three_detectors():

@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caossim import presets, sensor
-from caossim.errors import ConfigError, DimensionMismatch, LengthMismatch
+from caossim.errors import ConfigError, DimensionMismatch, LengthMismatch, PlanMismatch
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import DetectorModel, Scene
 from test_plan import random_plans
@@ -678,3 +679,44 @@ def test_stream_block_must_continue_the_file(tmp_path):
         sensor.write_stream(rest, base)
     back = sensor.read_stream(base)
     assert back.samples.tobytes() == stream.samples.astype("<f4").tobytes()
+
+
+def file_bytes(base):
+    """The bytes of the stream file at base: its raw file, then its sidecar."""
+    return [Path(path).read_bytes() for path in sensor.stream_paths(base)]
+
+
+def two_bit_stream(base):
+    """Write a two-bit pd1 stream of F = 8 at rate 8 to base; returns its files' bytes."""
+    sensor.write_stream(sensor.SampleStream(8.0, np.arange(16.0), 2, 8), base)
+    return file_bytes(base)
+
+
+def test_stream_block_of_the_right_byte_offset_must_still_continue_the_stream(tmp_path):
+    # 4 bits of F = 4 from bit 4 start at byte 64, where the 2 x 8 samples
+    # end, yet the file holds 2 bits: the block must not give it a new meaning.
+    base = tmp_path / "capture"
+    before = two_bit_stream(base)
+    block = sensor.SampleStream(4.0, np.ones(16), 4, 4, sensor.PD2, first_bit=4)
+    with pytest.raises(LengthMismatch):
+        sensor.write_stream(block, base)
+    assert file_bytes(base) == before
+
+
+@pytest.mark.parametrize(
+    "field, value", [("rate", 4.0), ("samples_per_bit", 4), ("pd_side", sensor.PD2), ("gain", 2.0)]
+)
+def test_stream_block_must_match_the_stream_it_continues(tmp_path, field, value):
+    base = tmp_path / "capture"
+    before = two_bit_stream(base)
+    fields = dict(rate=8.0, bits=1, samples_per_bit=8, pd_side=sensor.PD1, gain=1.0, first_bit=2)
+
+    def block(**changed):
+        f = {**fields, **changed}
+        return sensor.SampleStream(samples=np.ones(f["bits"] * f["samples_per_bit"]), **f)
+
+    with pytest.raises(PlanMismatch, match=field):
+        sensor.write_stream(block(**{field: value}), base)
+    assert file_bytes(base) == before
+    sensor.write_stream(block(), base)
+    assert sensor.read_stream(base).bits == 3
