@@ -119,15 +119,15 @@ def _decode_spectra(spectra: np.ndarray, plan: CodingPlan, pd_side: str) -> list
 
     if plan.mode is Mode.ACTIVE_OVERLAPPED:
         images = [
-            _finish(plan.image(estimates[:, p]), plan, pd_side, p)
+            _finish(plan.image(estimates[:, p]), pd_side, p)
             for p in range(plan.channel_count)
         ]
         reference = max(img.normalization_reference for img in images)
         return [replace(img, normalization_reference=reference) for img in images]
-    return [_finish(plan.image(estimates), plan, pd_side, None)]
+    return [_finish(plan.image(estimates), pd_side, None)]
 
 
-def _finish(raw_map, plan, pd_side, source_index):
+def _finish(raw_map, pd_side, source_index):
     clamped = np.clip(raw_map, 0.0, None)
     return RecoveredImage(
         values=clamped,

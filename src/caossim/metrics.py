@@ -80,13 +80,13 @@ class PatchReport:
 def patch_dr(
     image,
     regions,
-    background: Rect | np.ndarray | None = None,
+    background: np.ndarray | None = None,
     convention: int = 20,
 ) -> PatchReport:
     """Per-patch mean, dynamic range and SNR of a decoded image.
 
-    The brightest patch is the 0 dB reference. background may be a rect or a
-    boolean mask; without it the SNR column is NaN.
+    The brightest patch is the 0 dB reference. background is a boolean mask
+    of the dark pixels; without it the SNR column is NaN.
     """
     if convention not in (10, 20):
         raise ValueError("convention must be 10 or 20")
@@ -101,12 +101,10 @@ def patch_dr(
         raise EmptyRegion("reference patch mean must be > 0")
     if background is None:
         bg_std = float("nan")
-    elif isinstance(background, np.ndarray):
-        if not background.any():
-            raise EmptyRegion("background mask is empty")
-        bg_std = float(arr[background].std())
+    elif not background.any():
+        raise EmptyRegion("background mask is empty")
     else:
-        bg_std = float(_region(arr, background).std())
+        bg_std = float(arr[background].std())
     patches = []
     for rect, mean, std in zip(regions, means, stds):
         dr = convention * math.log10(reference / mean) if mean > 0 else float("inf")

@@ -108,14 +108,20 @@ class FrequencyPlan:
     """Carrier ladder and bit timing for one plan.
 
     frequencies holds the final per-channel rates in Hz (octave ladder from
-    f1 unless an explicit list was given). waveform is "square" for DMD
-    mirror toggling, "sine" for modulated active sources, or "none" for the
-    plain CDMA mode where pixels sit statically on or off during a bit.
+    f1 unless an explicit list was given). bit_rate is kept as given, so a
+    plan file records it unchanged. waveform is "square" for DMD mirror
+    toggling, "sine" for modulated active sources, or "none" for the plain
+    CDMA mode where pixels sit statically on or off during a bit.
     """
 
     frequencies: tuple[float, ...]
-    bit_duration: float
+    bit_rate: float
     waveform: str = "square"
+
+    @property
+    def bit_duration(self) -> float:
+        """T = 1 / bit_rate."""
+        return 1.0 / self.bit_rate
 
     @property
     def channel_count(self) -> int:
@@ -175,7 +181,7 @@ class CodingPlan:
 
     @property
     def bit_rate(self) -> float:
-        return 1.0 / self.frequencies.bit_duration
+        return self.frequencies.bit_rate
 
     @property
     def frame_time(self) -> float:
@@ -438,9 +444,9 @@ def build_plan(
     An input the plan would ignore, such as f1 next to frequencies or a
     channels count other than the carriers', raises ConfigError. So does a
     keyed layer with nothing to permute: hopping on one carrier, the code
-    shuffle in fm-tdma, or a frame_index with the code shuffle off. Keyed
-    shuffles default to on whenever key_seed != 0, the code shuffle outside
-    fm-tdma only.
+    shuffle in fm-tdma or on one code set, the pixel shuffle on one pixel,
+    or a frame_index with the code shuffle off. A keyed shuffle defaults to
+    on whenever key_seed != 0 and it has something to permute.
     """
     grid.check()
     for name, value, ok, rule in (
@@ -487,27 +493,27 @@ def build_plan(
         raise ConfigError(f"fm-tdma has no codes, got min_code_length {min_code_length}")
     if hopping and channels < 2:
         raise ConfigError(f"hopping = True needs two or more carriers, {mode.value} has {channels}")
+    slots = _slots_per_set(mode, channels)
+    set_count = -(-q // slots)
     if shuffle_codes is None:
-        shuffle_codes = key_seed != 0 and mode is not Mode.FM_TDMA
+        shuffle_codes = key_seed != 0 and mode is not Mode.FM_TDMA and set_count > 1
     if shuffle_codes and mode is Mode.FM_TDMA:
         raise ConfigError("shuffle_codes = True in fm-tdma, which has no codes to shuffle")
+    if shuffle_codes and set_count == 1:
+        raise ConfigError("shuffle_codes = True on one code set, which has no other code to take")
+    if shuffle_pixels is None:
+        shuffle_pixels = key_seed != 0 and q > 1
+    if shuffle_pixels and q == 1:
+        raise ConfigError("shuffle_pixels = True on one pixel, which has no other slot to take")
     if frame_index and not shuffle_codes:
         raise ConfigError(
             f"frame_index = {frame_index} keys only the code shuffle, and shuffle_codes is off"
         )
 
-    freq = FrequencyPlan(
-        frequencies=freq_list,
-        bit_duration=1.0 / float(bit_rate),
-        waveform=waveform,
-    )
+    freq = FrequencyPlan(frequencies=freq_list, bit_rate=float(bit_rate), waveform=waveform)
     samples_per_bit = _check_timing(freq, float(sample_rate), mode)
 
-    if shuffle_pixels is None:
-        shuffle_pixels = key_seed != 0
-
-    base_set, base_member = np.divmod(np.arange(q), _slots_per_set(mode, channels))
-    set_count = int(base_set[-1]) + 1
+    base_set, base_member = np.divmod(np.arange(q), slots)
     if shuffle_pixels:
         order = _rng(key_seed, _STREAM_PIXELS).permutation(q)
     else:
@@ -566,7 +572,8 @@ def rebuild(plan: CodingPlan, **overrides) -> CodingPlan:
 def reallocate(plan: CodingPlan, frame_index: int) -> CodingPlan:
     """Next-frame plan: the set -> code allocation is re-keyed per frame.
 
-    An fm-tdma plan has no codes to re-key, so build_plan refuses it.
+    An fm-tdma plan, or one of a single code set, has no code allocation to
+    re-key, so build_plan refuses it.
     """
     return rebuild(plan, frame_index=frame_index, shuffle_codes=True)
 
@@ -605,7 +612,9 @@ def json_optional(parse):
 def parse_fields(doc, parsers: dict, defaults: dict, what: str) -> dict:
     """Parse a JSON object; unknown, missing or mistyped fields raise ConfigError.
 
-    A missing field with an entry in defaults takes that value as it is.
+    A missing field with an entry in defaults takes that value as it is. A
+    field's parser refuses a value by raising TypeError, ValueError or, for
+    a nested object, ConfigError, which is reported under the field's name.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -617,7 +626,7 @@ def parse_fields(doc, parsers: dict, defaults: dict, what: str) -> dict:
         if name in doc:
             try:
                 out[name] = parse(doc[name])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ConfigError) as exc:
                 raise ConfigError(f"{what} field {name!r}: {exc}") from None
         elif name in defaults:
             out[name] = defaults[name]

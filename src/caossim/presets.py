@@ -39,7 +39,6 @@ from .plan import (
     json_flag,
     json_int,
     json_list,
-    json_object,
     json_optional,
     json_real,
     json_text,
@@ -155,12 +154,7 @@ def _real_list(value) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _hdr_scene(grid: PixelGrid, convention: int, levels_db=HDR_LEVELS_DB, layout=(2, 3)):
-    """HDR patch target; its levels are in dB of the convention its patches are measured in."""
-    return scene_mod.hdr_patch_target(grid, levels_db, layout=tuple(layout), convention=convention)
-
-
-def _fiber_spot_scene(grid: PixelGrid, convention: int, center=None, radius=None):
+def _fiber_spot_scene(grid: PixelGrid, convention: int, center, radius):
     if center is None:
         center = (grid.columns // 2 + 1, grid.rows // 2 + 1)
     return scene_mod.dual_band_source(grid, tuple(center), radius=radius)
@@ -170,7 +164,7 @@ def _fiber_spot_scene(grid: PixelGrid, convention: int, center=None, radius=None
 _TWO_HOLE_FILTERS = {"a": ("red", "green"), "b": ("green", "blue")}
 
 
-def _two_hole_scene(grid: PixelGrid, convention: int, variant="a", radius=None):
+def _two_hole_scene(grid: PixelGrid, convention: int, variant, radius):
     bands = _TWO_HOLE_FILTERS.get(variant)
     if bands is None:
         raise ConfigError(f"unknown two-hole variant {variant!r}")
@@ -185,7 +179,7 @@ def _two_hole_scene(grid: PixelGrid, convention: int, variant="a", radius=None):
     )
 
 
-def _uniform_scene(grid: PixelGrid, convention: int, value=1.0):
+def _uniform_scene(grid: PixelGrid, convention: int, value):
     return Scene(grid=grid, irradiance=np.full((grid.rows, grid.columns), value))
 
 
@@ -195,54 +189,56 @@ def _image_scene(read):
 
 
 #: Scene kinds of config files, keyed by their "preset" value: (the parser of
-#: each parameter, the parameters without a default, the constructor, called
-#: as build(grid, convention, **params)).
+#: each parameter, the default of each optional one, the constructor, called
+#: as build(grid, convention=convention, **settings) with every parameter
+#: set). An HDR target's levels are in dB of that convention. A None default
+#: stands for a size or position the constructor takes from the grid.
 SCENE_KINDS = {
-    "hdr-patches": ({"levels_db": _real_list, "layout": _pair(json_int)}, (), _hdr_scene),
-    "fiber-spot": (
-        {"center": _pair(json_int), "radius": json_optional(json_real)}, (), _fiber_spot_scene
+    "hdr-patches": (
+        {"levels_db": _real_list, "layout": _pair(json_int)},
+        {"levels_db": HDR_LEVELS_DB, "layout": (2, 3)}, scene_mod.hdr_patch_target,
     ),
-    "two-hole": ({"variant": json_text, "radius": json_optional(json_real)}, (), _two_hole_scene),
-    "uniform": ({"value": json_real}, (), _uniform_scene),
-    "pgm": ({"path": json_text}, ("path",), _image_scene(scene_mod.read_image_pgm)),
-    "csv": ({"path": json_text}, ("path",), _image_scene(scene_mod.read_image_csv)),
+    "fiber-spot": (
+        {"center": _pair(json_int), "radius": json_optional(json_real)},
+        {"center": None, "radius": None}, _fiber_spot_scene,
+    ),
+    "two-hole": (
+        {"variant": json_text, "radius": json_optional(json_real)},
+        {"variant": "a", "radius": None}, _two_hole_scene,
+    ),
+    "uniform": ({"value": json_real}, {"value": 1.0}, _uniform_scene),
+    "pgm": ({"path": json_text}, {}, _image_scene(scene_mod.read_image_pgm)),
+    "csv": ({"path": json_text}, {}, _image_scene(scene_mod.read_image_csv)),
 }
 
 
+def _scene_settings(params) -> dict:
+    """A config scene's kind ("preset") and parameters: the given ones, parsed, over the defaults."""
+    if not isinstance(params, dict):
+        raise ConfigError("scene must be a JSON object")
+    kind = params.get("preset")
+    if not (isinstance(kind, str) and kind in SCENE_KINDS):
+        raise ConfigError(f"unknown scene preset {kind!r}")
+    parsers, defaults, _ = SCENE_KINDS[kind]
+    return parse_fields(params, {"preset": json_text, **parsers}, defaults, f"{kind} scene")
+
+
 def _scene_params(value) -> dict:
-    """A config scene: a known kind with only that kind's parameters, typed."""
-    params = json_object(value)  # a copy
-    kind = params.pop("preset", None)
-    if kind not in SCENE_KINDS:
-        raise ValueError(f"unknown scene preset {kind!r}")
-    parsers, required, _ = SCENE_KINDS[kind]
-    unknown = set(params) - set(parsers)
-    if unknown:
-        raise ValueError(f"unknown {kind} scene parameters: {sorted(unknown)}")
-    for param in required:
-        if param not in params:
-            raise ValueError(f"a {kind} scene needs a {param}")
-    typed = {"preset": kind}
-    for name, v in params.items():
-        try:
-            typed[name] = parsers[name](v)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{kind} scene parameter {name!r}: {exc}") from None
-    return typed
+    """A config scene as given: its kind and the parameters it sets, parsed."""
+    settings = _scene_settings(value)
+    return {name: settings[name] for name in value}
 
 
 def build_scene(grid: PixelGrid, params: dict, convention: int = 20) -> Scene:
     """Scene constructor lookup for config files.
 
-    An HDR target's levels are in dB of the given convention. An unknown
-    kind or a parameter the kind does not take raises ConfigError.
+    A parameter left out takes its kind's default. An HDR target's levels
+    are in dB of the given convention. An unknown kind or a parameter the
+    kind does not take raises ConfigError.
     """
-    try:
-        params = _scene_params(params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    *_, build = SCENE_KINDS[params.pop("preset")]
-    return build(grid, convention, **params)
+    settings = _scene_settings(params)
+    *_, build = SCENE_KINDS[settings.pop("preset")]
+    return build(grid, convention=convention, **settings)
 
 
 _CONFIG_FORMAT = "caossim-experiment"
@@ -364,8 +360,9 @@ def _evaluate_hdr(config, cplan, scn, detectors, images, *, tolerance_db, recove
 
     When every patch is to be recovered, the dimmest must also reach SNR 1.
     """
-    levels = config.scene["levels_db"]
-    layout = scene_mod.hdr_patch_layout(cplan.grid, config.scene["layout"])
+    settings = _scene_settings(config.scene)
+    levels = settings["levels_db"]
+    layout = scene_mod.hdr_patch_layout(cplan.grid, settings["layout"])
     report = metrics_mod.patch_dr(
         images[0], layout.patches, background=layout.background, convention=config.convention
     )
@@ -473,13 +470,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
         raise ConfigError(f"noise_seed must be >= 0, got {config.noise_seed}")
     cplan = config.build_plan()
     scn = config.build_scene(cplan.grid)
+    preset = PRESETS.get(config.name)
+    if preset and config.scene["preset"] != preset_config(config.name).scene["preset"]:
+        raise ConfigError(f"preset {config.name} does not check a {config.scene['preset']} scene")
     detectors = tuple(side.build() for side in config.sides())
     dtype = np.float32 if cplan.frame_samples > 2**24 else np.float64
 
     decoded = decode_mod.decode_capture(cplan, scn, detectors, config.noise_seed, dtype, out_dir)
     images = decode_mod.image_list(decoded)
 
-    preset = PRESETS.get(config.name)
     if preset is None:
         lines, ok, patch_report = [f"no acceptance checks defined for {config.name}"], True, None
     else:

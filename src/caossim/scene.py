@@ -208,9 +208,11 @@ class PatchLayout:
     background: np.ndarray  # boolean mask of pixels outside every patch
 
 
-def hdr_patch_layout(grid: PixelGrid, layout: tuple[int, int] = (2, 3)) -> PatchLayout:
+def hdr_patch_layout(grid: PixelGrid, layout: tuple[int, int]) -> PatchLayout:
     """Split the grid into layout = (rows, cols) cells with an inset patch each."""
     rows, cols = layout
+    if rows < 1 or cols < 1:
+        raise LayoutError(f"a {rows}x{cols} layout needs at least one row and one column")
     if grid.columns < cols or grid.rows < rows:
         raise LayoutError(f"grid {grid.columns}x{grid.rows} too small for {rows}x{cols} layout")
     cell_w = grid.columns // cols
@@ -233,26 +235,31 @@ def hdr_patch_layout(grid: PixelGrid, layout: tuple[int, int] = (2, 3)) -> Patch
 
 def hdr_patch_target(
     grid: PixelGrid,
-    patch_levels_db,
-    layout: tuple[int, int] = (2, 3),
+    levels_db,
+    layout: tuple[int, int],
     convention: int = 20,
 ) -> Scene:
     """Calibrated multi-patch test target on a dark background.
 
     The brightest patch (level 0 dB) has relative irradiance 1; a patch D dB
     down carries 10**(-D / convention). convention 20 treats the dB numbers
-    as amplitude-style irradiance ratios, 10 as power-style.
+    as amplitude-style irradiance ratios, 10 as power-style. A level whose
+    irradiance is not a positive finite float raises LayoutError.
     """
-    levels = [float(x) for x in patch_levels_db]
+    levels = [float(x) for x in levels_db]
     rows, cols = layout
     if len(levels) != rows * cols:
         raise LayoutError(f"{len(levels)} levels do not fill a {rows}x{cols} layout")
-    if not all(math.isfinite(x) for x in levels):
-        raise LayoutError("patch levels must be finite")
     pl = hdr_patch_layout(grid, layout)
     img = np.zeros((grid.rows, grid.columns))
     for level, (x0, y0, w, h) in zip(levels, pl.patches):
-        img[y0 : y0 + h, x0 : x0 + w] = 10.0 ** (-level / convention)
+        try:
+            value = 10.0 ** (-level / convention)
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise LayoutError(f"patch level {level} dB gives irradiance {value}, not in (0, inf)")
+        img[y0 : y0 + h, x0 : x0 + w] = value
     return Scene(grid=grid, irradiance=img)
 
 
@@ -262,6 +269,15 @@ def disc_mask(grid: PixelGrid, center: tuple[int, int], radius: float) -> np.nda
         np.arange(1, grid.columns + 1), np.arange(1, grid.rows + 1)
     )
     return (mm - center[0]) ** 2 + (nn - center[1]) ** 2 <= radius**2
+
+
+def _check_disc(grid: PixelGrid, center, radius: float, what: str) -> None:
+    """LayoutError unless center is a grid pixel and radius is finite and >= 0."""
+    m, n = center
+    if not (1 <= m <= grid.columns and 1 <= n <= grid.rows):
+        raise LayoutError(f"{what} ({m}, {n}) outside the grid")
+    if not 0.0 <= radius < math.inf:
+        raise LayoutError(f"{what} radius must be finite and >= 0, got {radius}")
 
 
 def dual_band_source(
@@ -277,6 +293,7 @@ def dual_band_source(
     """
     if radius is None:
         radius = max(1.0, min(grid.columns, grid.rows) / 6.0)
+    _check_disc(grid, spot, radius, "spot")
     wl = np.arange(350.0, 1800.0 + 1e-9, 2.0)
     # Planck's law up to constants, peak-normalized.
     x = 1.4388e7 / (wl * 2850.0)  # hc / (lambda k T) with lambda in nm
@@ -313,9 +330,8 @@ def two_hole_target(
         hole_radius = max(1.0, min(grid.columns, grid.rows) / 6.0)
     if len(hole_filters) != len(hole_positions):
         raise ConfigError("one filter per hole required")
-    for m, n in hole_positions:
-        if not (1 <= m <= grid.columns and 1 <= n <= grid.rows):
-            raise LayoutError(f"hole ({m}, {n}) outside the grid")
+    for pos in hole_positions:
+        _check_disc(grid, pos, hole_radius, "hole")
 
     ordered = sorted(sources, key=lambda sc: sc[1])
     maps = np.zeros((len(ordered), grid.rows, grid.columns))

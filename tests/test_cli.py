@@ -298,19 +298,21 @@ def test_experiment_config_fills_defaults_and_accepts_ints_for_numbers():
 @pytest.mark.parametrize(
     "params, message",
     [
-        ({"preset": "uniform", "valu": 3}, r"unknown uniform scene parameters: \['valu'\]"),
+        ({"preset": "uniform", "valu": 3}, r"unknown uniform scene fields: \['valu'\]"),
         ({"preset": "two-hole", "variant": "b", "levels_db": [0]}, r"\['levels_db'\]"),
-        ({"preset": "csv"}, "needs a path"),
+        ({"preset": "csv"}, "csv scene field 'path' is missing"),
         ({}, "unknown scene preset None"),
-        ({"preset": "hdr-patches", "layout": "x"}, "hdr-patches scene parameter 'layout'"),
-        ({"preset": "hdr-patches", "levels_db": [0, "a"]}, "parameter 'levels_db'"),
-        ({"preset": "fiber-spot", "center": [1, 2, 3]}, "parameter 'center': expected 2"),
-        ({"preset": "uniform", "value": "abc"}, "uniform scene parameter 'value'"),
-        ({"preset": "two-hole", "radius": "big"}, "parameter 'radius'"),
+        ({"preset": ["uniform"]}, r"unknown scene preset \['uniform'\]"),
+        ([1], "scene must be a JSON object"),
+        ({"preset": "hdr-patches", "layout": "x"}, "hdr-patches scene field 'layout'"),
+        ({"preset": "hdr-patches", "levels_db": [0, "a"]}, "field 'levels_db'"),
+        ({"preset": "fiber-spot", "center": [1, 2, 3]}, "field 'center': expected 2"),
+        ({"preset": "uniform", "value": "abc"}, "uniform scene field 'value'"),
+        ({"preset": "two-hole", "radius": "big"}, "field 'radius'"),
     ],
     ids=[
-        "unknown-key", "other-preset-key", "missing-path", "no-preset", "text-layout",
-        "text-in-levels", "long-center", "text-value", "text-radius",
+        "unknown-key", "other-preset-key", "missing-path", "no-preset", "list-preset",
+        "list-scene", "text-layout", "text-in-levels", "long-center", "text-value", "text-radius",
     ],
 )
 def test_build_scene_rejects_unknown_or_mistyped_parameters(params, message):
@@ -683,6 +685,12 @@ _ONE_CARRIER = {
          "shuffle_codes = True in fm-tdma"),
         (_plan_file_case("frame_index", 2, key_seed=0),
          "frame_index = 2 keys only the code shuffle"),
+        (_plan_file_case("shuffle_codes", True, grid_columns=2, grid_rows=1),
+         "shuffle_codes = True on one code set"),
+        (_plan_file_case("frame_index", 3, grid_columns=2, grid_rows=1),
+         "frame_index = 3 keys only the code shuffle"),
+        (_plan_file_case("shuffle_pixels", True, preset="exp1-fmcdma", grid_columns=1, grid_rows=1),
+         "shuffle_pixels = True on one pixel"),
     ],
     ids=[
         "plan-zero-bit-rate", "plan-nan-bit-rate", "config-inf-bit-rate", "plan-zero-sample-rate",
@@ -694,7 +702,8 @@ _ONE_CARRIER = {
         "config-f1-and-frequencies", "config-channels-not-the-carrier-count",
         "config-plain-cdma-with-f1", *(f"config-{mode}-hopping" for mode in _ONE_CARRIER),
         *(f"plan-{mode}-hopping" for mode in _ONE_CARRIER), "plan-fm-tdma-shuffle-codes",
-        "plan-frame-index-unkeyed",
+        "plan-frame-index-unkeyed", "plan-one-set-shuffle-codes", "plan-one-set-frame-index",
+        "plan-one-pixel-shuffle-pixels",
     ],
 )
 def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, names):
@@ -710,6 +719,20 @@ def test_keyed_fm_tdma_config_plans_without_a_code_shuffle(tmp_path):
     assert run_cli(*_config_case("mode", "fm-tdma", preset="exp1-fmcdma")(tmp_path)) == 0
     data = json.loads((tmp_path / "p" / "plan.json").read_text())
     assert data["key_seed"] == 101 and data["shuffle_pixels"] and not data["shuffle_codes"]
+
+
+@pytest.mark.parametrize(
+    "preset, columns, shuffles",
+    [("exp1-hdr", 2, (True, False)), ("exp1-fmcdma", 1, (False, False))],
+    ids=["one-code-set", "one-pixel"],
+)
+def test_keyed_config_plans_without_shuffles_that_permute_nothing(
+    tmp_path, preset, columns, shuffles
+):
+    argv = _config_case("grid_columns", columns, preset=preset, grid_rows=1)(tmp_path)
+    assert run_cli(*argv) == 0
+    data = json.loads((tmp_path / "p" / "plan.json").read_text())
+    assert data["key_seed"] == 101 and (data["shuffle_pixels"], data["shuffle_codes"]) == shuffles
 
 
 def _older_config(tmp_path):

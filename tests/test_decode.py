@@ -368,16 +368,18 @@ def noiseless_captures(draw):
         Mode.ACTIVE_OVERLAPPED: dict(frequencies=(3.0, 5.0, 7.0, 9.0)[:channels], sample_rate=64.0),
     }[mode]
     # Hopping only over two or more carriers, and a frame index only where
-    # the code shuffle is on: a key, and codes to shuffle.
+    # the code shuffle is on: a key, and two or more code sets to shuffle.
     carriers = channels if mode in (Mode.PASSIVE_FDMA_CDMA, Mode.ACTIVE_OVERLAPPED) else 1
+    sets = -(-grid.pixel_count // carriers) if mode is Mode.PASSIVE_FDMA_CDMA else grid.pixel_count
     key_seed = draw(st.integers(0, 2**32))
+    code_shuffle = key_seed and mode is not Mode.FM_TDMA and sets > 1
     plan = build_plan(
         grid,
         mode=mode,
         bit_rate=1.0,
         key_seed=key_seed,
         hopping=carriers > 1 and draw(st.booleans()),
-        frame_index=draw(st.integers(0, 5)) if key_seed and mode is not Mode.FM_TDMA else 0,
+        frame_index=draw(st.integers(0, 5)) if code_shuffle else 0,
         **timing,
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))

@@ -11,7 +11,7 @@ LEVELS = [0, 20, 30, 48, 58, 64]
 
 def hdr_fixture(grid=None):
     grid = grid or PixelGrid(24, 16)
-    target = sc.hdr_patch_target(grid, LEVELS)
+    target = sc.hdr_patch_target(grid, LEVELS, (2, 3))
     layout = sc.hdr_patch_layout(grid, (2, 3))
     return grid, target, layout
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import os
 import re
 import tempfile
@@ -358,17 +359,33 @@ def test_carrier_refusals_spare_plans_that_decode_exactly():
         (dict(frame_index=1), "frame_index = 1 keys only the code shuffle"),
         (dict(mode=Mode.FM_TDMA, channels=1, key_seed=7, frame_index=3),
          "frame_index = 3 keys only the code shuffle"),
+        (dict(grid=PixelGrid(2, 1), key_seed=7, shuffle_codes=True),
+         "shuffle_codes = True on one code set"),
+        (dict(grid=PixelGrid(2, 1), key_seed=7, frame_index=3),
+         "frame_index = 3 keys only the code shuffle, and shuffle_codes is off"),
+        (dict(mode=Mode.FM_CDMA, channels=1, grid=PixelGrid(1, 1), key_seed=7, shuffle_pixels=True),
+         "shuffle_pixels = True on one pixel"),
     ],
     ids=["channels-and-frequencies", "f1-and-frequencies", "active-channels", "plain-ladder",
          "plain-channels", "plain-sine", "plain-square", "plain-frequencies", "fm-tdma-code-length",
          "zero-channels", "fm-cdma-hopping", "fm-tdma-hopping", "plain-cdma-hopping",
          "passive-one-carrier-hopping", "active-one-carrier-hopping", "fm-tdma-shuffle-codes",
          "fm-tdma-reallocated", "frame-index-shuffle-off", "frame-index-unkeyed",
-         "fm-tdma-frame-index"],
+         "fm-tdma-frame-index", "one-set-shuffle-codes", "one-set-frame-index",
+         "one-pixel-shuffle-pixels"],
 )
 def test_build_plan_refuses_inputs_it_would_ignore(inputs, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         small_plan(**inputs)
+
+
+def test_keyed_shuffles_default_off_where_they_permute_nothing():
+    one_set = small_plan(grid=PixelGrid(2, 1), key_seed=7)
+    assert one_set.set_count == 1 and one_set.shuffle_pixels and not one_set.shuffle_codes
+    with pytest.raises(ConfigError, match="shuffle_codes = True on one code set"):
+        planmod.reallocate(one_set, 3)
+    one_pixel = small_plan(mode=Mode.FM_CDMA, channels=1, grid=PixelGrid(1, 1), key_seed=7)
+    assert not (one_pixel.shuffle_pixels or one_pixel.shuffle_codes)
 
 
 def test_fm_tdma_has_no_code_shuffle_to_reallocate():
@@ -499,9 +516,13 @@ def random_plans(draw):
         Mode.ACTIVE_OVERLAPPED: dict(frequencies=(3.0, 5.0, 7.0, 9.0)[:channels], sample_rate=64.0),
     }[mode]
     # Only keyed layers with something to permute: hopping over two or more
-    # carriers, and no code shuffle (so no reallocate) in fm-tdma.
+    # carriers, the pixel shuffle over two or more pixels, and the code
+    # shuffle (so reallocate) over two or more code sets outside fm-tdma.
     tdma = mode is Mode.FM_TDMA
     carriers = channels if mode in (Mode.PASSIVE_FDMA_CDMA, Mode.ACTIVE_OVERLAPPED) else 1
+    q = grid.pixel_count
+    sets = -(-q // carriers) if mode is Mode.PASSIVE_FDMA_CDMA else q
+    code_shuffle = not tdma and sets > 1
     plan = build_plan(
         grid,
         mode=mode,
@@ -511,11 +532,11 @@ def random_plans(draw):
         min_code_length=None if tdma else draw(
             st.sampled_from((None, 8, 12, 20, 32, 40, 64, 96))
         ),
-        shuffle_pixels=draw(st.none() | st.booleans()),
-        shuffle_codes=draw(st.sampled_from((None, False) if tdma else (None, False, True))),
+        shuffle_pixels=draw(st.sampled_from((None, False, True) if q > 1 else (None, False))),
+        shuffle_codes=draw(st.sampled_from((None, False, True) if code_shuffle else (None, False))),
         **timing,
     )
-    frame_index = 0 if tdma else draw(st.integers(0, 5))
+    frame_index = draw(st.integers(0, 5)) if code_shuffle else 0
     return planmod.reallocate(plan, frame_index) if frame_index else plan
 
 
@@ -544,6 +565,22 @@ def test_plan_file_roundtrip_is_exact(plan):
         planmod.save_plan(loaded, second)
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("bit_rate", [49.0, 93.0, 1999.0, 31.25])
+def test_plan_keeps_the_bit_rate_it_was_given(tmp_path, bit_rate):
+    # 1 / (1 / r) is not r for the three integer rates here.
+    plan = build_plan(
+        PixelGrid(3, 2), channels=2, f1=2 * bit_rate, bit_rate=bit_rate,
+        sample_rate=64 * bit_rate, key_seed=7,
+    )
+    path = tmp_path / "plan.json"
+    planmod.save_plan(plan, path)
+    assert json.loads(path.read_text())["bit_rate"] == bit_rate
+    loaded = planmod.load_plan(path)
+    for got in (plan, loaded, planmod.rebuild(loaded), planmod.reallocate(loaded, 2)):
+        assert got.bit_rate == bit_rate
+        assert got.frequencies.bit_duration == 1.0 / bit_rate
 
 
 @settings(max_examples=200, deadline=None)
@@ -701,7 +738,9 @@ CONSTANT_PLANS = {
     "square": lambda: small_plan(key_seed=3, hopping=True),
     "sine": lambda: small_plan(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(3.0, 5.0), key_seed=3),
     "none": lambda: small_plan(mode=Mode.PLAIN_CDMA),
-    "active-pixels": lambda: small_plan(grid=PixelGrid(4, 3, ((2, 1), (4, 3), (1, 2)))),
+    "active-pixels": lambda: small_plan(
+        grid=PixelGrid(4, 3, ((2, 1), (4, 3), (1, 2))), channels=2
+    ),
 }
 
 

@@ -1,10 +1,12 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from caossim import decode, presets, sensor
-from caossim.errors import ConfigError
+from caossim.errors import ConfigError, LayoutError
+from caossim.plan import PixelGrid
 
 
 class TestPresetParameters:
@@ -178,6 +180,47 @@ def test_hdr_evaluator_reads_the_levels_of_its_config():
     assert [line.split(" dB")[0] for line in result.summary_lines[:6]] == [
         f"PASS patch {level}" for level in (0, 6, 12, 18, 24, 30)
     ]
+
+
+def test_hdr_config_scene_is_built_and_judged_at_the_kind_defaults():
+    data = json.loads(presets.preset_config("exp1-hdr").to_json())
+    data["scene"] = {"preset": "hdr-patches"}  # levels_db and layout left to their defaults
+    config = presets.ExperimentConfig.from_json(json.dumps(data))
+    assert json.loads(config.to_json())["scene"] == {"preset": "hdr-patches"}
+    config.detector = presets.DetectorConfig(gain=config.detector.gain)  # no noise, no ADC
+    result = presets.run_experiment(config)
+    assert result.ok
+    assert [line.split(" dB")[0] for line in result.summary_lines[:6]] == [
+        f"PASS patch {level:g}" for level in presets.HDR_LEVELS_DB
+    ]
+
+
+@pytest.mark.parametrize("name", ["exp1-hdr", "exp2-dualband", "exp3-active"])
+def test_preset_name_with_a_scene_of_another_kind_is_refused_before_any_capture(
+    monkeypatch, name
+):
+    config = presets.preset_config(name)
+    config.scene = {"preset": "uniform"}
+    monkeypatch.setattr(sensor, "capture_blocks", None)  # a capture would raise TypeError
+    with pytest.raises(ConfigError, match=f"preset {name} does not check a uniform scene"):
+        presets.run_experiment(config)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"preset": "hdr-patches", "layout": [-2, -3]},
+        {"preset": "hdr-patches", "levels_db": [0, 20, 30, 48, 58, -7000]},
+        {"preset": "fiber-spot", "radius": -1},
+        {"preset": "fiber-spot", "center": [30, 4]},
+        {"preset": "two-hole", "radius": -1},
+    ],
+    ids=["negative-layout", "overflowing-level", "fiber-negative-radius", "fiber-center-outside",
+         "two-hole-negative-radius"],
+)
+def test_config_scene_values_out_of_range_raise_layout_error(params):
+    with pytest.raises(LayoutError):
+        presets.build_scene(PixelGrid(24, 16), params)
 
 
 def test_dualband_evaluator_labels_each_side_by_its_responsivity():

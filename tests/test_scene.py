@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,7 +85,7 @@ class TestGaussianSpectrum:
 class TestHdrTarget:
     def test_six_patch_levels(self):
         grid = PixelGrid(24, 16)
-        target = sc.hdr_patch_target(grid, [0, 20, 30, 48, 58, 64])
+        target = sc.hdr_patch_target(grid, [0, 20, 30, 48, 58, 64], (2, 3))
         values = set(np.unique(target.irradiance))
         expected = {0.0} | {10.0 ** (-d / 20.0) for d in (0, 20, 30, 48, 58, 64)}
         assert values == expected
@@ -99,9 +101,26 @@ class TestHdrTarget:
 
     def test_layout_errors(self):
         with pytest.raises(LayoutError):
-            sc.hdr_patch_target(PixelGrid(2, 2), [0, 20, 30, 48, 58, 64])
+            sc.hdr_patch_target(PixelGrid(2, 2), [0, 20, 30, 48, 58, 64], (2, 3))
         with pytest.raises(LayoutError):
-            sc.hdr_patch_target(PixelGrid(24, 16), [0, 20])
+            sc.hdr_patch_target(PixelGrid(24, 16), [0, 20], (2, 3))
+
+    @pytest.mark.parametrize(
+        "levels, layout, message",
+        [
+            ([0, 20, 30, 48, 58, 64], (-2, -3), "a -2x-3 layout needs at least one row"),
+            ([], (1, 0), "a 1x0 layout needs at least one row"),
+            ([0, -7000.0], (1, 2), "patch level -7000.0 dB gives irradiance inf"),
+            ([0, 7000.0], (1, 2), "patch level 7000.0 dB gives irradiance 0.0"),
+            ([0, float("nan")], (1, 2), "patch level nan dB gives irradiance nan"),
+            ([0, float("-inf")], (1, 2), "patch level -inf dB gives irradiance inf"),
+        ],
+        ids=["negative-layout", "zero-columns", "overflow", "underflow", "nan", "minus-inf"],
+    )
+    def test_refuses_a_layout_or_level_it_would_reinterpret(self, levels, layout, message):
+        # Each level's irradiance 10**(-L / 20) must be a positive finite float.
+        with pytest.raises(LayoutError, match=re.escape(message)):
+            sc.hdr_patch_target(PixelGrid(24, 16), levels, layout=layout)
 
 
 class TestDualBandSource:
@@ -121,6 +140,21 @@ class TestDualBandSource:
         band = sc.ge_band_responsivity()
         expected = sc.disc_mask(grid, (4, 4), 2.0) * sc.band_integrate(target.spectrum, band)
         assert np.array_equal(target.effective_irradiance(band), expected)
+
+    @pytest.mark.parametrize(
+        "spot, radius, message",
+        [
+            ((9, 4), 2.0, "spot (9, 4) outside the grid"),
+            ((4, 0), 2.0, "spot (4, 0) outside the grid"),
+            ((4, 4), -1.0, "spot radius must be finite and >= 0, got -1.0"),
+            ((4, 4), float("nan"), "spot radius must be finite and >= 0, got nan"),
+            ((4, 4), float("inf"), "spot radius must be finite and >= 0, got inf"),
+        ],
+        ids=["column-outside", "row-outside", "negative-radius", "nan-radius", "inf-radius"],
+    )
+    def test_refuses_a_spot_outside_the_grid_or_a_bad_radius(self, spot, radius, message):
+        with pytest.raises(LayoutError, match=re.escape(message)):
+            sc.dual_band_source(PixelGrid(8, 8), spot=spot, radius=radius)
 
 
 class TestTwoHoleTarget:
@@ -158,6 +192,17 @@ class TestTwoHoleTarget:
             hole_radius=2.0,
         )
         assert np.all(target.per_source == 0)
+
+    @pytest.mark.parametrize("radius", [-1.0, float("nan"), float("inf")])
+    def test_refuses_a_negative_or_non_finite_radius(self, radius):
+        with pytest.raises(LayoutError, match="hole radius must be finite and >= 0"):
+            sc.two_hole_target(
+                self.grid,
+                hole_positions=[(4, 4)],
+                hole_filters=[self.red_filter],
+                sources=self.sources,
+                hole_radius=radius,
+            )
 
 
 class TestFileFormats:
