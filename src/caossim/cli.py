@@ -35,12 +35,13 @@ EXIT_ACCEPTANCE = 4
 def _experiment_config(args) -> ExperimentConfig:
     """The config of --preset or --config, with the --seed and --convention overrides."""
     if args.preset:
-        config = presets_mod.preset_config(args.preset, args.full_scale, args.variant)
-    elif args.config:
+        config = presets_mod.preset_config(args.preset, args.full_scale, args.variant or "a")
+    else:
+        for flag, given in (("--full-scale", args.full_scale), ("--variant", args.variant)):
+            if given:
+                raise ConfigError(f"{flag} applies to --preset only, not to --config")
         with open(args.config, encoding="utf-8") as fh:
             config = ExperimentConfig.from_json(fh.read())
-    else:
-        raise ConfigError("plan needs --config or --preset")
     if args.seed is not None:
         config.key_seed = args.seed
     if args.convention is not None:
@@ -61,7 +62,7 @@ def _plan_facts(cplan) -> str:
 
 
 def cmd_plan(args) -> int:
-    cplan = _experiment_config(args).build_plan()
+    cplan, *_ = _experiment_config(args).build()
     facts = _plan_facts(cplan)
     os.makedirs(args.out, exist_ok=True)
     plan_mod.save_plan(cplan, os.path.join(args.out, "plan.json"))
@@ -135,10 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", help="build a coding plan and print its timing facts")
-    p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--preset", choices=presets_mod.PRESET_NAMES)
-    p.add_argument("--variant", choices=("a", "b"), default="a")
+    p = sub.add_parser("plan", help="check an experiment config, write its plan, print its facts")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="experiment config JSON")
+    source.add_argument("--preset", choices=presets_mod.PRESET_NAMES)
+    p.add_argument("--variant", choices=("a", "b"), help="two-hole variant of --preset (default a)")
     p.add_argument("--full-scale", action="store_true")
     p.add_argument("--seed", type=int, default=None, help="key seed override")
     p.add_argument("--out", required=True)

@@ -134,13 +134,6 @@ def _convention(value) -> int:
     return value
 
 
-def _seed(value) -> int:
-    value = json_int(value)
-    if value < 0:
-        raise ValueError(f"expected a seed >= 0, got {value}")
-    return value
-
-
 def _mode(value) -> str:
     return Mode(json_text(value)).value
 
@@ -199,7 +192,7 @@ SCENE_KINDS = {
         {"levels_db": HDR_LEVELS_DB, "layout": (2, 3)}, scene_mod.hdr_patch_target,
     ),
     "fiber-spot": (
-        {"center": _pair(json_int), "radius": json_optional(json_real)},
+        {"center": json_optional(_pair(json_int)), "radius": json_optional(json_real)},
         {"center": None, "radius": None}, _fiber_spot_scene,
     ),
     "two-hole": (
@@ -253,6 +246,7 @@ class ExperimentConfig:
     mode: str = _json_field(MISSING, _mode)
     grid_columns: int = _json_field(MISSING, json_int)
     grid_rows: int = _json_field(MISSING, json_int)
+    scene: dict = _json_field(MISSING, _scene_params)
     channels: int | None = _json_field(None, json_optional(json_int))
     f1: float | None = _json_field(None, json_optional(json_real))
     frequencies: list | None = _json_field(None, json_optional(_real_list))
@@ -261,10 +255,9 @@ class ExperimentConfig:
     code_length: int | None = _json_field(None, json_optional(json_int))
     key_seed: int = _json_field(0, json_int)
     hopping: bool = _json_field(False, json_flag)
-    noise_seed: int = _json_field(0, _seed)
+    noise_seed: int = _json_field(0, json_int)
     detector: DetectorConfig = _json_field(MISSING, DetectorConfig.from_dict, DetectorConfig)
     detector2: DetectorConfig | None = _json_field(None, json_optional(DetectorConfig.from_dict))
-    scene: dict = _json_field(MISSING, _scene_params, dict)
     convention: int = _json_field(20, _convention)
 
     def to_json(self) -> str:
@@ -301,6 +294,17 @@ class ExperimentConfig:
 
     def build_scene(self, grid: PixelGrid) -> Scene:
         return build_scene(grid, self.scene, self.convention)
+
+    def build(self) -> tuple:
+        """(plan, scene, detector models): the one place a config is checked before capture."""
+        if self.noise_seed < 0:
+            raise ConfigError(f"noise_seed must be >= 0, got {self.noise_seed}")
+        cplan = self.build_plan()
+        scn = self.build_scene(cplan.grid)
+        kind = self.scene["preset"]
+        if self.name in PRESETS and kind != preset_config(self.name).scene["preset"]:
+            raise ConfigError(f"preset {self.name} does not check a {kind} scene")
+        return cplan, scn, tuple(side.build() for side in self.sides())
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +470,8 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Build plan and scene, capture, decode, evaluate and optionally write files."""
-    if config.noise_seed < 0:
-        raise ConfigError(f"noise_seed must be >= 0, got {config.noise_seed}")
-    cplan = config.build_plan()
-    scn = config.build_scene(cplan.grid)
+    cplan, scn, detectors = config.build()
     preset = PRESETS.get(config.name)
-    if preset and config.scene["preset"] != preset_config(config.name).scene["preset"]:
-        raise ConfigError(f"preset {config.name} does not check a {config.scene['preset']} scene")
-    detectors = tuple(side.build() for side in config.sides())
     dtype = np.float32 if cplan.frame_samples > 2**24 else np.float64
 
     decoded = decode_mod.decode_capture(cplan, scn, detectors, config.noise_seed, dtype, out_dir)

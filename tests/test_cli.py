@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caossim import cli, plan as planmod, presets, scene as sc, sensor
-from caossim.errors import ConfigError
+from caossim.errors import CaosError, ConfigError
 from caossim.plan import PixelGrid, build_plan
 from test_sensor import whole_stream_capture
 
@@ -274,6 +274,82 @@ def test_plan_mistyped_experiment_config_exits_config_code(tmp_path, capsys, edi
     path.write_text(json.dumps(data))
     assert run_cli("plan", "--config", str(path), "--out", str(tmp_path / "p")) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: experiment config field ")
+
+
+def _detector_edit(**fields):
+    """Set the fields of an experiment config's first detector."""
+    return lambda data: data["detector"].update(fields)
+
+
+def _scene_edit(scene, name="exp2-dualband"):
+    """Give an experiment config this scene and name."""
+    return lambda data: data.update(scene=scene, name=name)
+
+
+#: Edits of the desk exp2-dualband config that leave its plan buildable but
+#: the experiment unrunnable. A scene file path is read from the working
+#: directory.
+_UNRUNNABLE_CONFIGS = {
+    "no-scene": _config_edit("scene", _DROP),
+    "negative-gain": _detector_edit(gain=-1),
+    "unknown-responsivity": _detector_edit(responsivity="bogus"),
+    "adc-bits-99": _detector_edit(adc_bits=99),
+    "pink-alpha-5": _detector_edit(pink_noise=[0.1, 5]),
+    "spot-off-grid": _scene_edit({"preset": "fiber-spot", "center": [99, 1]}),
+    "preset-name-uniform-scene": _scene_edit({"preset": "uniform"}),
+    "missing-csv-file": _scene_edit({"preset": "csv", "path": "missing.csv"}, name="my-scene"),
+    "two-hole-variant-c": _scene_edit({"preset": "two-hole", "variant": "c"}, name="my-holes"),
+    "hdr-layout-no-rows": _scene_edit({"preset": "hdr-patches", "layout": [0, 3]}, name="my-hdr"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNRUNNABLE_CONFIGS))
+def test_plan_refuses_a_config_as_run_experiment_does(tmp_path, capsys, monkeypatch, case):
+    data = json.loads(presets.preset_config("exp2-dualband").to_json())
+    _UNRUNNABLE_CONFIGS[case](data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sensor, "capture_blocks", None)  # a capture would raise TypeError
+    with pytest.raises((CaosError, OSError)) as refused:
+        presets.run_experiment(presets.ExperimentConfig.from_json(path.read_text()))
+    if isinstance(refused.value, (ConfigError, OSError)):
+        code, kind = cli.EXIT_CONFIG, "config"
+    else:
+        code, kind = cli.EXIT_VALIDATION, "validation"
+    capsys.readouterr()
+    assert run_cli("plan", "--config", str(path), "--out", str(tmp_path / "p")) == code
+    assert capsys.readouterr().err == f"{kind} error: {refused.value}\n"
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "one of the arguments --config --preset is required"),
+        (["--preset", "exp1-hdr", "--config", "no-such-config.json"],
+         "argument --config: not allowed with argument --preset"),
+    ],
+    ids=["neither", "both"],
+)
+def test_plan_takes_exactly_one_of_preset_and_config(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        run_cli("plan", *argv, "--out", "p")
+    assert exited.value.code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("flags", [["--full-scale"], ["--variant", "a"]], ids=["full-scale", "variant"])
+def test_plan_refuses_a_preset_flag_next_to_config(tmp_path, capsys, flags):
+    path = _config_file(tmp_path, "exp3-active", {})
+    capsys.readouterr()
+    argv = ["plan", "--config", str(path), *flags, "--out", str(tmp_path / "p")]
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {flags[0]} applies to --preset only, not to --config\n"
+    assert not (tmp_path / "p").exists()
 
 
 def test_experiment_config_fills_defaults_and_accepts_ints_for_numbers():
@@ -553,6 +629,22 @@ def test_simulate_malformed_scene_file_exits_config_code(tmp_path, name):
     assert proc.stderr.startswith("config error: ") and str(scene_path) in proc.stderr
 
 
+@pytest.mark.parametrize("name", list(_MALFORMED_SCENES))
+def test_plan_config_with_malformed_scene_file_exits_config_code(
+    tmp_path, capsys, monkeypatch, name
+):
+    # plan --config reads a config's scene file, relative to the working directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(_MALFORMED_SCENES[name])
+    scene = {"preset": name.rsplit(".", 1)[1], "path": name}
+    path = _config_file(tmp_path, "exp2-dualband", {"name": "my-scene", "scene": scene})
+    capsys.readouterr()
+    assert run_cli("plan", "--config", str(path), "--out", "p") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err, err
+    assert not (tmp_path / "p").exists()
+
+
 def test_decode_wrong_shape_truth_exits_config_code(tmp_path, capsys):
     plan_dir = tmp_path / "plan"
     assert run_cli("plan", "--preset", "exp2-dualband", "--out", str(plan_dir)) == 0
@@ -637,6 +729,11 @@ def _config_case(field, value, preset="exp1-hdr", **fields):
     return argv
 
 
+#: Config edits that make a preset's config one that runs unchecked on any
+#: grid: a name with no preset record and a uniform scene.
+_UNCHECKED = dict(name="uniform-target", scene={"preset": "uniform"})
+
+
 #: Config edits that leave each mode on one carrier.
 _ONE_CARRIER = {
     "fm-cdma": ("exp1-fmcdma", {}),
@@ -685,11 +782,12 @@ _ONE_CARRIER = {
          "shuffle_codes = True in fm-tdma"),
         (_plan_file_case("frame_index", 2, key_seed=0),
          "frame_index = 2 keys only the code shuffle"),
-        (_plan_file_case("shuffle_codes", True, grid_columns=2, grid_rows=1),
+        (_plan_file_case("shuffle_codes", True, grid_columns=2, grid_rows=1, **_UNCHECKED),
          "shuffle_codes = True on one code set"),
-        (_plan_file_case("frame_index", 3, grid_columns=2, grid_rows=1),
+        (_plan_file_case("frame_index", 3, grid_columns=2, grid_rows=1, **_UNCHECKED),
          "frame_index = 3 keys only the code shuffle"),
-        (_plan_file_case("shuffle_pixels", True, preset="exp1-fmcdma", grid_columns=1, grid_rows=1),
+        (_plan_file_case("shuffle_pixels", True, preset="exp1-fmcdma", grid_columns=1, grid_rows=1,
+                         **_UNCHECKED),
          "shuffle_pixels = True on one pixel"),
     ],
     ids=[
@@ -729,7 +827,7 @@ def test_keyed_fm_tdma_config_plans_without_a_code_shuffle(tmp_path):
 def test_keyed_config_plans_without_shuffles_that_permute_nothing(
     tmp_path, preset, columns, shuffles
 ):
-    argv = _config_case("grid_columns", columns, preset=preset, grid_rows=1)(tmp_path)
+    argv = _config_case("grid_columns", columns, preset=preset, grid_rows=1, **_UNCHECKED)(tmp_path)
     assert run_cli(*argv) == 0
     data = json.loads((tmp_path / "p" / "plan.json").read_text())
     assert data["key_seed"] == 101 and (data["shuffle_pixels"], data["shuffle_codes"]) == shuffles

@@ -223,6 +223,20 @@ def test_config_scene_values_out_of_range_raise_layout_error(params):
         presets.build_scene(PixelGrid(24, 16), params)
 
 
+def test_fiber_spot_center_null_builds_the_default_spot_and_is_kept_as_given(tmp_path):
+    data = json.loads(presets.preset_config("exp2-dualband").to_json())
+    data["scene"] = {"preset": "fiber-spot", "center": None}
+    result = presets.run_experiment(
+        presets.ExperimentConfig.from_json(json.dumps(data)), out_dir=tmp_path
+    )
+    assert result.ok
+    written = json.loads((tmp_path / "config.json").read_text())
+    assert written["scene"] == {"preset": "fiber-spot", "center": None}
+    left_out = presets.build_scene(result.plan.grid, {"preset": "fiber-spot"})
+    np.testing.assert_array_equal(result.scene.irradiance, left_out.irradiance)
+    np.testing.assert_array_equal(result.scene.spectrum.values, left_out.spectrum.values)
+
+
 def test_dualband_evaluator_labels_each_side_by_its_responsivity():
     config = presets.preset_config("exp2-dualband")
     config.detector, config.detector2 = config.detector2, config.detector
