@@ -35,7 +35,7 @@ EXIT_ACCEPTANCE = 4
 def _experiment_config(args) -> ExperimentConfig:
     """The config of --preset or --config, with the --seed and --convention overrides."""
     if args.preset:
-        config = presets_mod.preset_config(args.preset, args.full_scale, args.variant or "a")
+        config = presets_mod.preset_config(args.preset, args.full_scale, args.variant)
     else:
         for flag, given in (("--full-scale", args.full_scale), ("--variant", args.variant)):
             if given:
@@ -80,15 +80,13 @@ def _load_detector(path) -> DetectorModel:
 
 
 def cmd_simulate(args) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"noise seed must be >= 0, got {args.seed}")
+    presets_mod.check_noise_seed(args.seed, "noise seed")
     cplan = plan_mod.load_plan(args.plan)
     kind = "pgm" if args.scene.endswith(".pgm") else "csv"
     scn = presets_mod.build_scene(cplan.grid, {"preset": kind, "path": args.scene})
     detector = _load_detector(args.detector)
     os.makedirs(args.out, exist_ok=True)
-    seed = 0 if args.seed is None else args.seed
-    for det, side_seed, side in sensor_mod.capture_sides((detector,) * (1 + args.dual), seed):
+    for det, side_seed, side in sensor_mod.capture_sides((detector,) * (1 + args.dual), args.seed):
         for block in sensor_mod.capture_blocks(cplan, scn, det, side_seed, side):
             paths = sensor_mod.write_stream(block, os.path.join(args.out, f"stream_{side}"))
         print(f"wrote {paths[0]} and {paths[1]}")
@@ -150,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--scene", required=True, help="scalar scene file (.pgm or .csv)")
     p.add_argument("--detector", help="detector config JSON")
-    p.add_argument("--seed", type=int, default=None, help="noise seed")
+    p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.add_argument("--dual", action="store_true", help="capture both detector sides")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -165,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a bundled preset end to end")
     p.add_argument("--preset", required=True, choices=presets_mod.PRESET_NAMES)
-    p.add_argument("--variant", choices=("a", "b"), default="a")
+    p.add_argument("--variant", choices=("a", "b"), help="two-hole variant of --preset (default a)")
     p.add_argument("--full-scale", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--convention", choices=("20log", "10log"), default="20log")

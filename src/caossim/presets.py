@@ -234,6 +234,12 @@ def build_scene(grid: PixelGrid, params: dict, convention: int = 20) -> Scene:
     return build(grid, convention=convention, **settings)
 
 
+def check_noise_seed(seed: int, name: str = "noise_seed") -> None:
+    """The noise seed rule, checked before any capture: np.random.default_rng takes only >= 0."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+
+
 _CONFIG_FORMAT = "caossim-experiment"
 _CONFIG_VERSION = 1
 
@@ -297,8 +303,7 @@ class ExperimentConfig:
 
     def build(self) -> tuple:
         """(plan, scene, detector models): the one place a config is checked before capture."""
-        if self.noise_seed < 0:
-            raise ConfigError(f"noise_seed must be >= 0, got {self.noise_seed}")
+        check_noise_seed(self.noise_seed)
         cplan = self.build_plan()
         scn = self.build_scene(cplan.grid)
         kind = self.scene["preset"]
@@ -312,7 +317,7 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _hdr_config(name, full_scale, variant, *, mode, channels, f1, noise_seed):
+def _hdr_config(name, full_scale, *, mode, channels, f1, noise_seed):
     """An experiment-1 capture of the HDR patch target at the calibrated noise floor."""
     scale = 1 if full_scale else 16
     # The calibration freezes the decoded noise floor at the desk-scale
@@ -331,7 +336,7 @@ def _hdr_config(name, full_scale, variant, *, mode, channels, f1, noise_seed):
     )
 
 
-def _dualband_config(name, full_scale, variant):
+def _dualband_config(name, full_scale):
     cols, rows, bit_rate, f1 = (65, 63, 4.0, 128.0) if full_scale else (21, 21, 16.0, 2048.0)
     return ExperimentConfig(
         name=name,
@@ -346,7 +351,7 @@ def _dualband_config(name, full_scale, variant):
     )
 
 
-def _active_config(name, full_scale, variant):
+def _active_config(name, full_scale):
     bit_rate, fs = (31.25, 2_000_000.0) if full_scale else (500.0, 256_000.0)
     return ExperimentConfig(
         name=name,
@@ -355,7 +360,7 @@ def _active_config(name, full_scale, variant):
         channels=3, frequencies=[25000.0, 29000.0, 35000.0],
         bit_rate=bit_rate, sample_rate=fs,
         key_seed=303,
-        scene={"preset": "two-hole", "variant": variant},
+        scene={"preset": "two-hole", "variant": "a"},
     )
 
 
@@ -419,7 +424,7 @@ def _evaluate_active(config, cplan, scn, detectors, images):
 
 
 #: The presets as (config builder, evaluator) records. A builder is called as
-#: build(name, full_scale, variant); an evaluator as evaluate(config, plan,
+#: build(name, full_scale); an evaluator as evaluate(config, plan,
 #: scene, detectors, images) and returns (rows, patch report or None), one
 #: (passed, text) row per summary line. An experiment-1 evaluator's row is
 #: (dB tolerance, patches recovered, brightest first).
@@ -440,12 +445,15 @@ PRESETS = {
 PRESET_NAMES = tuple(PRESETS)
 
 
-def preset_config(name: str, full_scale: bool = False, variant: str = "a") -> ExperimentConfig:
-    """Parameter set for a named preset at desk or hardware scale."""
+def preset_config(name: str, full_scale: bool = False, variant=None) -> ExperimentConfig:
+    """Parameter set for a named preset at desk or hardware scale; variant picks the filters."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    build, _ = PRESETS[name]
-    return build(name, full_scale, variant)
+    config = PRESETS[name][0](name, full_scale)
+    if variant is not None and "variant" not in config.scene:
+        raise ConfigError(f"--variant applies to a two-hole preset only, not to {name}")
+    config.scene.update({} if variant is None else {"variant": variant})
+    return config
 
 
 # ---------------------------------------------------------------------------

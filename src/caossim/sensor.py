@@ -30,6 +30,7 @@ import json
 import os
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -144,16 +145,16 @@ def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str)
 
 #: Samples per processing block. synthesize, per_bit_spectra and capture_blocks
 #: walk the frame in the same bit blocks, so the per-block matrix products see
-#: the same inputs on every path. 2**20 samples keep the one live block at
-#: 8 MiB in float64; smaller blocks pay each synthesize call's channel sums,
-#: a per-block fixed cost, more often.
-BLOCK_SAMPLES = 1 << 20
+#: the same inputs on every path. capture_blocks computes each side's channel
+#: sums once, so the size sets only the memory a capture holds: 2**19 samples
+#: keep one float64 block, and each noise ring buffer, at 4 MiB.
+BLOCK_SAMPLES = 1 << 19
 
 
-def bit_blocks(bits: int, samples_per_bit: int):
-    """(start, stop) bit ranges of at most about BLOCK_SAMPLES samples each."""
+def bit_blocks(bits: int, samples_per_bit: int, first: int = 0, last: int | None = None):
+    """(start, stop) ranges of the bit blocks holding bits first..last-1, of BLOCK_SAMPLES or so."""
     chunk = max(1, BLOCK_SAMPLES // max(samples_per_bit, 1))
-    for start in range(0, bits, chunk):
+    for start in range(first - first % chunk, bits if last is None else last, chunk):
         yield start, min(bits, start + chunk)
 
 
@@ -165,6 +166,7 @@ def synthesize(
     dtype=np.float64,
     *,
     bit_range: tuple[int, int] | None = None,
+    sums=None,
 ) -> SampleStream:
     """Noiseless, unquantized encoded stream for one detector side.
 
@@ -173,7 +175,8 @@ def synthesize(
     gain, cast once to dtype and copied into each of the bit's F / L periods:
     bitwise the whole-bit (bits, F) product, at 1/g of its multiplies.
     bit_range=(start, stop) synthesizes only bits start..stop-1 of the frame,
-    as a stream of stop - start bits with first_bit start.
+    as a stream of stop - start bits with first_bit start. sums, if given, is
+    a callable returning this side's _side_amplitudes, as capture_blocks passes.
     """
     detector = detector or DetectorModel()
     if pd_side not in (PD1, PD2):
@@ -181,14 +184,12 @@ def synthesize(
     first, last = bit_range or (0, plan.code_length)
     if not 0 <= first < last <= plan.code_length:
         raise ConfigError(f"bit range {bit_range} is outside the {plan.code_length}-bit frame")
-    amplitudes, waves, constant = _side_amplitudes(plan, scene, detector.responsivity, pd_side)
-    f_count, period = plan.samples_per_bit, plan.carrier_period
-    gain = detector.gain
+    sums = sums or partial(_side_amplitudes, plan, scene, detector.responsivity, pd_side)
+    amplitudes, waves, constant = sums()
+    f_count, period, gain = plan.samples_per_bit, plan.carrier_period, detector.gain
 
     out = np.empty((last - first) * f_count, dtype=dtype)
-    for start, stop in bit_blocks(plan.code_length, f_count):
-        if stop <= first or start >= last:
-            continue
+    for start, stop in bit_blocks(plan.code_length, f_count, first, last):
         # Whole frame blocks: a product's rounding can depend on its shape.
         block = amplitudes[start:stop] @ waves[:, :period]
         if constant is not None:
@@ -338,12 +339,14 @@ def capture_blocks(
 ):
     """The capture chain of one detector side: synthesize -> add_noise -> apply_adc.
 
-    This generator is the one place where the chain runs. It yields the
-    stream as consecutive SampleStreams of the bit_blocks ranges, so the
-    whole stream never exists at once. White noise is drawn block by block
-    from one default_rng(seed), which concatenates exactly to a single draw.
-    Shot and 1/f terms are drawn over the whole stream, so a detector with
-    either term on (size > 0) is captured as one block.
+    This generator is the one place where the chain runs. It yields the stream
+    as consecutive SampleStreams of the bit_blocks ranges, so the whole stream
+    never exists at once. Each synthesize call takes the side's channel sums
+    from one cached callable, filled inside the first call's trace span (the
+    tuple can replace it once the stages open their own spans). White noise is
+    drawn block by block from one default_rng(seed), which concatenates exactly
+    to a single draw. Shot and 1/f terms are drawn over the whole stream, so a
+    detector with either term on (size > 0) is captured as one block.
 
     With white noise and several blocks, the draws run on one worker thread
     (numpy releases the GIL) into a ring of two buffers, which blocks use in
@@ -359,6 +362,7 @@ def capture_blocks(
     f_count, sigma = plan.samples_per_bit, detector.noise_sigma
     whole = detector.shot_noise > 0 or detector.pink_noise[0] > 0
     ranges = [(0, plan.code_length)] if whole else list(bit_blocks(plan.code_length, f_count))
+    sums = cache(partial(_side_amplitudes, plan, scene, detector.responsivity, pd_side))
     rng = np.random.default_rng(seed)
     # One block has nothing to overlap, so add_noise draws its white term itself;
     # several share two buffers the size of the first, largest, block.
@@ -380,7 +384,7 @@ def capture_blocks(
         pending = draw(0)
         for i, bits in enumerate(ranges):
             # Each stage rebinds block, so no earlier stage is held across the yield.
-            block = synthesize(plan, scene, detector, pd_side, dtype, bit_range=bits)
+            block = synthesize(plan, scene, detector, pd_side, dtype, bit_range=bits, sums=sums)
             white = pending()
             if i + 1 < len(ranges):
                 pending = draw(i + 1)  # into the other buffer, before block i's noise

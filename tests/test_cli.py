@@ -352,6 +352,20 @@ def test_plan_refuses_a_preset_flag_next_to_config(tmp_path, capsys, flags):
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize("command", ["plan", "experiment"])
+@pytest.mark.parametrize("preset", ["exp1-hdr", "exp1-fmcdma", "exp2-dualband"])
+def test_variant_is_refused_for_a_preset_without_variants(
+    tmp_path, capsys, monkeypatch, command, preset
+):
+    # Only the two-hole preset has variants; elsewhere --variant was dropped silently.
+    monkeypatch.setattr(sensor, "capture_blocks", None)  # a capture would raise TypeError
+    argv = [command, "--preset", preset, "--variant", "b", "--out", str(tmp_path / "p")]
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: --variant applies to a two-hole preset only, not to {preset}\n"
+    assert not (tmp_path / "p").exists()
+
+
 def test_experiment_config_fills_defaults_and_accepts_ints_for_numbers():
     data = {
         "format": "caossim-experiment",

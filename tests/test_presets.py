@@ -91,9 +91,9 @@ def test_in_memory_run_never_holds_the_whole_stream():
 
 
 def test_in_memory_run_holds_a_few_blocks():
-    # The same run in 2**20-sample blocks: the float64 product, the float32
-    # noise and ADC outputs, the decoder's float64 copy and the two-buffer
-    # noise ring come to 39.5 MiB; with 4 M-sample blocks it was 99 MiB.
+    # The same run in 2**19-sample blocks: the float64 product, the float32
+    # noise and ADC outputs and the two-buffer noise ring come to 15.6 MiB
+    # (27.6 MiB in 2**20-sample blocks); with 4 M-sample blocks it was 99 MiB.
     config = presets.preset_config("exp1-hdr", full_scale=True)
     tracemalloc.start()
     try:
@@ -116,7 +116,7 @@ def test_file_writing_run_never_holds_the_whole_stream(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < stream_bytes
-    # Decoding the file back reads it one 2**20-sample block at a time: the
+    # Decoding the file back reads it one 2**19-sample block at a time: the
     # float32 block, its float64 copy and the plan's basis and carriers, not
     # the 80 MiB of float32 samples the file holds.
     tracemalloc.start()

@@ -273,9 +273,9 @@ def test_desk_preset_streams_are_the_dense_product_bitwise(name):
 
 
 def test_synthesize_holds_no_whole_bit_float64_block():
-    # One 2**20-sample block of desk exp1-fmcdma: the float64 product covers
+    # One 2**19-sample block of desk exp1-fmcdma: the float64 product covers
     # one carrier period per bit, so the block's (bits, F) float64 product
-    # (8 MiB) is never made and the peak stays near the float32 output.
+    # (4 MiB) is never made and the peak stays near the float32 output.
     config = presets.preset_config("exp1-fmcdma")
     plan = config.build_plan()
     scene = config.build_scene(plan.grid)
@@ -476,8 +476,9 @@ def test_zero_size_noise_terms_capture_in_blocks_as_their_white_only_twin():
         ]
     assert len(blocks[0]) > 1
     assert all(twin == blocks[0] for twin in blocks[1:])
-    # Desk exp1-fmcdma in float32, 5.2 M samples in five blocks: 32.7 MiB
-    # traced, against 120-160 MiB as one whole-frame block.
+    # Desk exp1-fmcdma in float32, 5.2 M samples in ten 2**19-sample blocks:
+    # 14.2 MiB traced (28.2 MiB in five 2**20-sample blocks), against
+    # 120-160 MiB as one whole-frame block.
     config = presets.preset_config("exp1-fmcdma")
     plan = config.build_plan()
     scene = config.build_scene(plan.grid)
@@ -490,8 +491,29 @@ def test_zero_size_noise_terms_capture_in_blocks_as_their_white_only_twin():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert count == 5
-    assert peak < 48 * 2**20
+    assert count == -(-plan.frame_samples // sensor.BLOCK_SAMPLES) > 1
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("side", [sensor.PD1, sensor.PD2])
+@pytest.mark.parametrize("mode", [Mode.PASSIVE_FDMA_CDMA, Mode.ACTIVE_OVERLAPPED])
+def test_multi_block_capture_computes_the_channel_sums_once_per_side(mode, side):
+    # Every block's synthesize call takes the frame's channel sums from one
+    # cached callable, so a four-block capture computes them once.
+    grid = PixelGrid(4, 3)
+    if mode is Mode.ACTIVE_OVERLAPPED:
+        plan = build_plan(grid, mode=mode, frequencies=(3.0, 5.0), bit_rate=1.0, sample_rate=64.0)
+        scene = Scene(grid=grid, per_source=np.random.default_rng(1).uniform(0.1, 1.0, (2, 3, 4)))
+    else:
+        plan = make_plan(grid=grid, channels=3, f1=2.0, sample_rate=64.0, key_seed=2)
+        scene = uniform_scene(grid)
+    detector = DetectorModel(noise_sigma=0.1, adc_bits=10)
+    block = (plan.code_length // 4) * plan.samples_per_bit
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block), \
+            mock.patch.object(sensor, "_side_amplitudes", wraps=sensor._side_amplitudes) as sums:
+        count = sum(1 for _ in sensor.capture_blocks(plan, scene, detector, 3, side))
+    assert count == 4
+    sums.assert_called_once_with(plan, scene, detector.responsivity, side)
 
 
 def test_noise_ring_draws_the_next_block_while_this_one_is_noised():
