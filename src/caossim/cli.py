@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True, choices=presets_mod.PRESET_NAMES)
     p.add_argument("--variant", choices=("a", "b"), help="two-hole variant of --preset (default a)")
     p.add_argument("--full-scale", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="key seed override")
     p.add_argument("--convention", choices=("20log", "10log"), default="20log")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment, config=None)

@@ -153,9 +153,9 @@ class DetectorModel:
     """Point detector chain: responsivity, gain, noise terms, optional ADC.
 
     Each noise term is on exactly when its size is > 0. shot_noise is the
-    shot variance per unit signal, a Gaussian approximation with per-sample
-    variance shot_noise * instantaneous signal. pink_noise is the pair (rms
-    amplitude, exponent alpha) of 1/f**alpha shaped noise, off at amplitude 0.
+    shot variance per unit signal (Gaussian, per-sample variance shot_noise *
+    signal). pink_noise is (expected rms amplitude, alpha) of stationary
+    1/f**alpha noise, flat below sample rate / sensor.PINK_TAPS (sensor.Noise).
     """
 
     responsivity: SpectralCurve | float = 1.0

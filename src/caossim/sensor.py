@@ -17,11 +17,11 @@ repeats bitwise every plan.carrier_period samples, so synthesize multiplies
 out one period per bit and copies it over the bit.
 
 capture_blocks runs the capture chain synthesize -> add_noise -> apply_adc
-one bit block at a time; capture, decode.decode_capture and caossim simulate
-all take their samples from it, and write_stream writes each block in place.
-read_stream returns a StreamFile, which reads the file back in the same bit
-blocks. Each stage drops a block before the next is made or read, so a
-streamed capture or a file decode holds one block at a time.
+one bit block at a time, every block continuing the side's one Noise;
+capture, decode.decode_capture and caossim simulate take their samples from
+it, and write_stream writes each block in place. read_stream returns a
+StreamFile, read back in the same bit blocks. Each stage drops a block
+before the next is made or read: a capture or file decode holds one block.
 """
 
 from __future__ import annotations
@@ -227,41 +227,78 @@ def white_noise(rng: np.random.Generator, sigma: float, n: int, out=None) -> np.
     return out
 
 
+#: Taps of the 1/f filter and samples per segment; the spectrum is flat below rate / PINK_TAPS.
+PINK_TAPS = 1 << 16
+
+
+def _pink_segments(rng: np.random.Generator, amplitude: float, alpha: float):
+    """Endless PINK_TAPS-sample segments of stationary 1/f**alpha noise of expected RMS amplitude.
+
+    Kasdin's fractional integration (Proc. IEEE 83(5), 1995): normals from
+    rng, history included, through the taps h_0 = 1, h_k = h_(k-1) * (alpha/2
+    + k - 1) / k scaled to sum(h**2) = amplitude**2, by overlap-save FFTs.
+    """
+    size = PINK_TAPS
+    taps = np.cumprod(np.r_[1.0, (alpha / 2 + np.arange(size - 1)) / np.arange(1, size)])
+    response = np.fft.rfft(taps * (amplitude / np.linalg.norm(taps)), 2 * size)
+    inputs = rng.standard_normal(2 * size)
+    while True:
+        yield np.fft.irfft(np.fft.rfft(inputs) * response, 2 * size)[size:].copy()
+        inputs = np.concatenate((inputs[size:], rng.standard_normal(size)))
+
+
+class Noise:
+    """One capture side's noise state, which successive add_noise calls continue.
+
+    White draws from rng = default_rng(seed), shot and 1/f from rng.spawn(2) when either
+    is on, each in order, so no realization depends on how the stream is cut into blocks.
+    """
+
+    def __init__(self, seed, detector: DetectorModel):
+        self.rng = np.random.default_rng(seed)
+        if detector.shot_noise > 0 or detector.pink_noise[0] > 0:
+            self.shot, pink = self.rng.spawn(2)
+            self.pink, self.held = _pink_segments(pink, *detector.pink_noise), np.empty(0)
+
+    def pink_term(self, n: int) -> np.ndarray:
+        """The next n samples of the 1/f term; the rest of the last segment is held."""
+        parts = [self.held]
+        while sum(map(len, parts)) < n:
+            parts.append(next(self.pink))
+        term = np.concatenate(parts)
+        self.held = term[n:].copy()
+        return term[:n]
+
+
 def add_noise(stream: SampleStream, detector: DetectorModel, seed, *, white=None) -> SampleStream:
     """Seeded detector noise: white Gaussian, shot and 1/f terms, each on when its size is > 0.
 
-    seed is anything np.random.default_rng accepts; a Generator is drawn from
-    in place, so successive calls continue one noise sequence. white, if
-    given, is the white term already drawn with white_noise from that
-    generator, and is added instead of drawing it. The terms are drawn in
-    that order and summed into one float64 noise array, which is added to
+    seed is a Noise, which the call continues, or anything np.random.default_rng
+    accepts, for a Noise of its own: an int repeats every term, a Generator draws
+    each anew, and a SeedSequence repeats white but spawns new shot and 1/f terms.
+    white, if given, is the white term already drawn with white_noise from
+    the Noise's rng, and is added instead of drawing it. The terms are drawn
+    in that order and summed into one float64 noise array, which is added to
     the stream with one rounding to its dtype. Returns the input stream
     itself when the detector has no noise term.
     """
-    rng = np.random.default_rng(seed)
+    state = seed if isinstance(seed, Noise) else Noise(seed, detector)
     n = stream.samples.size
-    amplitude, alpha = detector.pink_noise
-    pink = amplitude > 0 and n > 2
-    if not (detector.noise_sigma > 0 or detector.shot_noise > 0 or pink):
+    if not (detector.noise_sigma > 0 or detector.shot_noise > 0 or detector.pink_noise[0] > 0):
         return stream
     # The output comes before the draws, so freeing them leaves no hole in the heap below it.
     samples = np.empty_like(stream.samples)
     noise = white
     if noise is None and detector.noise_sigma > 0:
-        noise = white_noise(rng, detector.noise_sigma, n)
+        noise = white_noise(state.rng, detector.noise_sigma, n)
     if detector.shot_noise > 0:
         # Gaussian approximation: variance proportional to the clean signal.
-        shot = rng.standard_normal(n)
+        shot = state.shot.standard_normal(n)
         shot *= np.sqrt(detector.shot_noise * np.clip(stream.samples, 0.0, None))
         noise = shot if noise is None else np.add(noise, shot, out=shot)
-    if pink:
-        spectrum = np.fft.rfft(rng.standard_normal(n))
-        shaping = np.zeros(spectrum.size)
-        shaping[1:] = np.arange(1, spectrum.size, dtype=np.float64) ** (-alpha / 2.0)
-        shaped = np.fft.irfft(spectrum * shaping, n)
-        rms = float(np.sqrt(np.mean(shaped**2)))
-        shaped *= amplitude / rms if rms > 0 else 0.0
-        noise = shaped if noise is None else np.add(noise, shaped, out=shaped)
+    if detector.pink_noise[0] > 0:
+        pink = state.pink_term(n)
+        noise = pink if noise is None else np.add(noise, pink, out=pink)
     np.add(stream.samples, noise, out=samples, casting="same_kind")
     return replace(stream, samples=samples)
 
@@ -286,7 +323,7 @@ def capture(
     pd_side: str = PD1,
     dtype=np.float64,
 ) -> SampleStream:
-    """The capture_blocks chain of one side as one stream; a one-block frame is returned as is."""
+    """One side's capture_blocks as one stream, seed as in add_noise; one block is returned as is."""
     samples = None
     blocks = capture_blocks(plan, scene, detector or DetectorModel(), seed, pd_side, dtype)
     with closing(blocks):
@@ -343,10 +380,9 @@ def capture_blocks(
     as consecutive SampleStreams of the bit_blocks ranges, so the whole stream
     never exists at once. Each synthesize call takes the side's channel sums
     from one cached callable, filled inside the first call's trace span (the
-    tuple can replace it once the stages open their own spans). White noise is
-    drawn block by block from one default_rng(seed), which concatenates exactly
-    to a single draw. Shot and 1/f terms are drawn over the whole stream, so a
-    detector with either term on (size > 0) is captured as one block.
+    tuple can replace it once the stages open their own spans). Every block
+    continues one Noise(seed, detector), so the blocks concatenate exactly to
+    add_noise's whole-stream realization, whatever noise terms are on.
 
     With white noise and several blocks, the draws run on one worker thread
     (numpy releases the GIL) into a ring of two buffers, which blocks use in
@@ -360,10 +396,9 @@ def capture_blocks(
     generator returns.
     """
     f_count, sigma = plan.samples_per_bit, detector.noise_sigma
-    whole = detector.shot_noise > 0 or detector.pink_noise[0] > 0
-    ranges = [(0, plan.code_length)] if whole else list(bit_blocks(plan.code_length, f_count))
+    ranges = list(bit_blocks(plan.code_length, f_count))
     sums = cache(partial(_side_amplitudes, plan, scene, detector.responsivity, pd_side))
-    rng = np.random.default_rng(seed)
+    noise = Noise(seed, detector)
     # One block has nothing to overlap, so add_noise draws its white term itself;
     # several share two buffers the size of the first, largest, block.
     prefetch = sigma > 0 and len(ranges) > 1
@@ -379,7 +414,7 @@ def capture_blocks(
             if not prefetch:
                 return lambda: None
             size = (ranges[i][1] - ranges[i][0]) * f_count
-            return pool.submit(white_noise, rng, sigma, size, ring[i % 2][:size]).result
+            return pool.submit(white_noise, noise.rng, sigma, size, ring[i % 2][:size]).result
 
         pending = draw(0)
         for i, bits in enumerate(ranges):
@@ -388,7 +423,7 @@ def capture_blocks(
             white = pending()
             if i + 1 < len(ranges):
                 pending = draw(i + 1)  # into the other buffer, before block i's noise
-            block = add_noise(block, detector, rng, white=white)
+            block = add_noise(block, detector, noise, white=white)
             block = apply_adc(block, detector)
             yield block
             del block  # before the next block is made

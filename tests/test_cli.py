@@ -1174,3 +1174,16 @@ def test_hostile_field_ends_in_an_exit_code_not_an_exception(valid_inputs, data)
         }[name]
         shutil.copy(root / "stream_pd1.f32", tmp)
         assert cli.main([*argv, "--out", out]) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_VALIDATION)
+
+
+@pytest.mark.parametrize(
+    "command, help_text",
+    [("plan", "key seed override"), ("experiment", "key seed override"), ("simulate", "noise seed")],
+)
+def test_seed_help_names_the_seed_it_sets(command, help_text, capsys):
+    # plan and experiment --seed override the key seed; simulate --seed is the noise seed.
+    with pytest.raises(SystemExit) as exited:
+        run_cli(command, "--help")
+    assert exited.value.code == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["--seed", "SEED", *help_text.split()] in lines

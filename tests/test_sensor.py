@@ -293,6 +293,16 @@ def test_synthesize_holds_no_whole_bit_float64_block():
     assert peak < stream.samples.nbytes + 2**20
 
 
+def band_slope(samples, segment):
+    """Fitted log-log slope of the Hann-windowed Welch PSD, in 24 log-spaced bands of bins 8..segment/4."""
+    windowed = samples.reshape(-1, segment) * np.hanning(segment)
+    psd = np.mean(np.abs(np.fft.rfft(windowed, axis=1)) ** 2, axis=0)
+    edges = np.unique(np.geomspace(8, segment // 4, 25).astype(int))
+    bands = list(zip(edges, edges[1:]))
+    freqs = [np.exp(np.mean(np.log(np.arange(lo, hi)))) for lo, hi in bands]
+    return np.polyfit(np.log(freqs), np.log([psd[lo:hi].mean() for lo, hi in bands]), 1)[0]
+
+
 class TestNoise:
     def test_no_noise_is_identity(self):
         plan = make_plan()
@@ -336,17 +346,31 @@ class TestNoise:
         assert var_hi / var_lo == pytest.approx(9.0, rel=0.05)
 
     def test_pink_noise_spectrum_slope(self):
-        n = 2**16
+        # 16 Welch segments of PINK_TAPS samples resolve the corner at fs / PINK_TAPS;
+        # the slope is fitted from 8 fs / PINK_TAPS up to fs / 4. Fixed seed.
+        n = 16 * sensor.PINK_TAPS
         stream = sensor.SampleStream(rate=1.0, samples=np.zeros(n), bits=1, samples_per_bit=n)
-        det = DetectorModel(pink_noise=(1.0, 1.0))
-        acc = np.zeros(n // 2 + 1)
-        for seed in range(40):
-            noisy = sensor.add_noise(stream, det, seed)
-            acc += np.abs(np.fft.rfft(noisy.samples)) ** 2
-        lo_band = acc[8:16].mean()
-        hi_band = acc[512:1024].mean()
-        # PSD ~ 1/f: a 64x frequency step should drop power by ~64.
-        assert lo_band / hi_band == pytest.approx(64.0, rel=0.5)
+        for alpha in (0.5, 1.0, 1.5, 2.0):
+            noisy = sensor.add_noise(stream, DetectorModel(pink_noise=(1.0, alpha)), seed=1)
+            assert band_slope(noisy.samples, sensor.PINK_TAPS) == pytest.approx(-alpha, abs=0.1)
+
+    def test_seed_kinds_repeat_or_renew_the_terms_as_numpy_spawn_does(self):
+        # Shot and 1/f generators are spawned from the seed's SeedSequence,
+        # which counts its children: an int seed repeats every term, a
+        # SeedSequence repeats white only, and a Generator draws each anew.
+        stream = sensor.SampleStream(rate=1.0, samples=np.ones(64), bits=1, samples_per_bit=64)
+        white = DetectorModel(noise_sigma=0.1)
+        every = DetectorModel(noise_sigma=0.1, shot_noise=0.5, pink_noise=(0.1, 1.0))
+        for det in (white, every):
+            first = sensor.add_noise(stream, det, 5).samples
+            assert np.array_equal(sensor.add_noise(stream, det, 5).samples, first)
+            ss, rng = np.random.SeedSequence(5), np.random.default_rng(5)
+            assert np.array_equal(sensor.add_noise(stream, det, ss).samples, first)
+            assert np.array_equal(sensor.add_noise(stream, det, rng).samples, first)
+            again = sensor.add_noise(stream, det, ss).samples
+            assert np.array_equal(again, first) == (det is white)
+            assert not np.array_equal(sensor.add_noise(stream, det, rng).samples, first)
+        assert ss.n_children_spawned == 4
 
 
 def whole_stream_capture(plan, scene, detector, seed=0, pd_side=sensor.PD1, dtype=np.float64):
@@ -355,27 +379,40 @@ def whole_stream_capture(plan, scene, detector, seed=0, pd_side=sensor.PD1, dtyp
     return sensor.apply_adc(sensor.add_noise(stream, detector, seed), detector)
 
 
+def kasdin_taps(alpha, count):
+    """The 1/f filter's taps, one recurrence step at a time, scaled to unit energy."""
+    taps = [1.0]
+    for k in range(1, count):
+        taps.append(taps[-1] * (alpha / 2 + k - 1) / k)
+    return np.array(taps) / np.sqrt(np.sum(np.square(taps)))
+
+
+def reference_pink(rng, amplitude, alpha, n):
+    """n samples of the 1/f term: rng's history and stream normals, directly convolved with the taps."""
+    count = sensor.PINK_TAPS
+    normals = rng.standard_normal(count + n)  # a history of count samples, then the stream's
+    return amplitude * np.convolve(normals[1:], kasdin_taps(alpha, count), "valid")
+
+
 def whole_stream_noise(samples, detector, seed):
     """Reference: every noise term drawn at full stream length in one call.
 
+    White is default_rng(seed).normal; shot and 1/f draw from the two
+    generators that generator's spawn(2) gives, 1/f through reference_pink.
     The terms are summed in draw order, and their sum is added to the
     samples with one rounding to the samples' dtype.
     """
     rng = np.random.default_rng(seed)
+    shot_rng, pink_rng = rng.spawn(2)
     n = samples.size
     terms = []
     if detector.noise_sigma > 0:
         terms.append(rng.normal(0.0, detector.noise_sigma, n))
     if detector.shot_noise > 0:
         shot = np.sqrt(detector.shot_noise * np.clip(samples, 0.0, None))
-        terms.append(rng.standard_normal(n) * shot)
-    amplitude, alpha = detector.pink_noise
-    if amplitude > 0:
-        spectrum = np.fft.rfft(rng.standard_normal(n))
-        shaping = np.zeros(spectrum.size)
-        shaping[1:] = np.arange(1, spectrum.size, dtype=np.float64) ** (-alpha / 2.0)
-        shaped = np.fft.irfft(spectrum * shaping, n)
-        terms.append(shaped * (amplitude / float(np.sqrt(np.mean(shaped**2)))))
+        terms.append(shot_rng.standard_normal(n) * shot)
+    if detector.pink_noise[0] > 0:
+        terms.append(reference_pink(pink_rng, *detector.pink_noise, n))
     return (samples + sum(terms[1:], terms[0])).astype(samples.dtype, copy=False)
 
 
@@ -386,25 +423,124 @@ def whole_stream_noise(samples, detector, seed):
         DetectorModel(noise_sigma=0.2, adc_bits=10, adc_fullscale=3.0),
         DetectorModel(shot_noise=0.3),
         DetectorModel(noise_sigma=0.2, shot_noise=1.0, pink_noise=(0.4, 1.5), adc_bits=8),
+        DetectorModel(pink_noise=(0.3, 0.5)),
     ],
-    ids=["white-adc", "shot", "white-shot-pink-adc"],
+    ids=["white-adc", "shot", "white-shot-pink-adc", "pink"],
 )
 def test_blocked_noise_and_adc_match_whole_stream_reference(detector, dtype):
-    # Block-wise draws must give the realization of one whole-stream draw.
+    # add_noise on the whole stream draws the reference's terms: white and
+    # shot byte for byte, 1/f to 1e-9 of its amplitude (FFTs against a direct
+    # convolution). The ADC's rounding of add_noise's bytes, written out here,
+    # is then the reference for whole-stream capture and for blocks of 1, 2
+    # and 3 bits, byte for byte, with 1/f segments of the full PINK_TAPS
+    # (longer than the frame) and of 40 samples: the 256-sample frame spans
+    # seven, and every block edge falls inside one.
     plan = make_plan(grid=PixelGrid(3, 3), channels=3, f1=2.0, sample_rate=64.0)
     scene = uniform_scene(plan.grid)
-    stream = sensor.synthesize(plan, scene, dtype=dtype)
-    want = whole_stream_noise(stream.samples, detector, seed=5)
-    assert sensor.add_noise(stream, detector, seed=5).samples.tobytes() == want.tobytes()
-    if detector.adc_bits is not None:
-        step = detector.adc_fullscale / (2**detector.adc_bits - 1)
-        want = np.round(np.clip(want, 0.0, detector.adc_fullscale) / step) * step
-    want = want.astype(dtype, copy=False)
-    with mock.patch.object(sensor, "BLOCK_SAMPLES", 3 * plan.samples_per_bit):
-        blocks = list(sensor.capture_blocks(plan, scene, detector, seed=5, dtype=dtype))
-    whole_draws = detector.shot_noise > 0 or detector.pink_noise[0] > 0
-    assert len(blocks) == 1 if whole_draws else len(blocks) > 1
-    assert np.concatenate([b.samples for b in blocks]).tobytes() == want.tobytes()
+    f_count = plan.samples_per_bit
+    for pink_taps in (sensor.PINK_TAPS, 40):
+        with mock.patch.object(sensor, "PINK_TAPS", pink_taps):
+            stream = sensor.synthesize(plan, scene, dtype=dtype)
+            got = sensor.add_noise(stream, detector, seed=5).samples
+            want = whole_stream_noise(stream.samples, detector, seed=5)
+            if detector.pink_noise[0] > 0:
+                atol = 1e-9 * detector.pink_noise[0]
+                np.testing.assert_allclose(got, want, rtol=np.finfo(dtype).eps, atol=atol)
+            else:
+                assert got.tobytes() == want.tobytes()
+            want = got
+            if detector.adc_bits is not None:
+                step = detector.adc_fullscale / (2**detector.adc_bits - 1)
+                want = np.round(np.clip(want, 0.0, detector.adc_fullscale) / step) * step
+            want = want.astype(dtype, copy=False)
+            whole = whole_stream_capture(plan, scene, detector, seed=5, dtype=dtype)
+            assert whole.samples.tobytes() == want.tobytes()
+            for bits in (1, 2, 3):
+                with mock.patch.object(sensor, "BLOCK_SAMPLES", bits * f_count):
+                    blocks = list(sensor.capture_blocks(plan, scene, detector, seed=5, dtype=dtype))
+                assert len(blocks) > 1
+                assert np.concatenate([b.samples for b in blocks]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pink_noise_reaches_streams_of_any_length(n):
+    stream = sensor.SampleStream(rate=1.0, samples=np.zeros(n), bits=1, samples_per_bit=n)
+    noisy = sensor.add_noise(stream, DetectorModel(pink_noise=(0.5, 1.0)), seed=4)
+    want = reference_pink(np.random.default_rng(4).spawn(2)[1], 0.5, 1.0, n)
+    np.testing.assert_allclose(noisy.samples, want, rtol=0, atol=1e-9)
+    assert np.all(noisy.samples != 0.0)
+
+
+def pink_correlation_energy(alpha, lags):
+    """sum of rho(tau)**2 over |tau| < lags, weighted (lags - |tau|) / lags, for the 1/f term.
+
+    rho is the term's autocorrelation, the taps' own. For n samples of a
+    unit-variance Gaussian process this gives the variance of the mean
+    square (2 / n times it, lags = n) and of the sample correlation with an
+    independent twin (1 / n times it).
+    """
+    taps = kasdin_taps(alpha, sensor.PINK_TAPS)
+    rho = np.fft.irfft(np.abs(np.fft.rfft(taps, 2 * taps.size)) ** 2)[: min(lags, taps.size)]
+    weights = (lags - np.arange(rho.size)) / lags
+    return float(2 * np.sum(weights * rho**2) - rho[0] ** 2)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_pink_noise_mean_square_is_the_amplitude_squared(alpha):
+    # Pooled over 256 records of 4096 samples, one seed each, with 256-tap
+    # segments so each record spans 16 of them: one record's mean square
+    # varies widely at alpha >= 1, the pooled one within 4.5 standard errors
+    # (computed from the taps) of amplitude**2, a two-sided 7e-6 chance.
+    amplitude, records, n = 0.3, 256, 4096
+    stream = sensor.SampleStream(rate=1.0, samples=np.zeros(n), bits=1, samples_per_bit=n)
+    detector = DetectorModel(pink_noise=(amplitude, alpha))
+    with mock.patch.object(sensor, "PINK_TAPS", 256):
+        pooled = np.mean(
+            [np.mean(sensor.add_noise(stream, detector, seed).samples ** 2) for seed in range(records)]
+        )
+        error = np.sqrt(2 / n * pink_correlation_energy(alpha, n) / records)
+    assert abs(pooled / amplitude**2 - 1) < 4.5 * error < 0.1
+
+
+def test_pink_noise_of_the_two_detector_sides_is_uncorrelated():
+    n = 1 << 19
+    stream = sensor.SampleStream(rate=1.0, samples=np.zeros(n), bits=1, samples_per_bit=n)
+    detector = DetectorModel(pink_noise=(1.0, 1.0))
+    with mock.patch.object(sensor, "PINK_TAPS", 256):
+        pd1, pd2 = (
+            sensor.add_noise(stream, det, side_seed).samples
+            for det, side_seed, _ in sensor.capture_sides((detector, detector), 6)
+        )
+        error = np.sqrt(pink_correlation_energy(1.0, n) / n)
+    # Under independence the sample correlation has standard error `error`.
+    assert abs(np.corrcoef(pd1, pd2)[0, 1]) < 4.5 * error < 0.05
+
+
+def test_shot_noise_variance_follows_the_signal_across_block_edges():
+    # PD2 of an 80-bit frame in one-bit blocks: the residual over the
+    # noiseless stream, divided by sqrt(shot * signal), has unit variance on
+    # the dim half of the lit samples and on the bright half, and the two
+    # samples at each block edge are uncorrelated. Bounds: 4.5 standard errors.
+    grid = PixelGrid(16, 16)
+    plan = make_plan(grid=grid, channels=4, f1=2.0, sample_rate=256.0, key_seed=3)
+    scene = Scene(grid=grid, irradiance=np.random.default_rng(2).uniform(0.1, 4.0, (16, 16)))
+    detector = DetectorModel(shot_noise=0.5)
+    clean = sensor.synthesize(plan, scene, pd_side=sensor.PD2).samples
+    block = plan.samples_per_bit
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
+        blocks = sensor.capture_blocks(plan, scene, detector, 8, sensor.PD2)
+        noisy = np.concatenate([b.samples for b in blocks])
+    lit = clean > 0
+    z = (noisy - clean)[lit] / np.sqrt(detector.shot_noise * clean[lit])
+    assert np.array_equal(noisy[~lit], clean[~lit])
+    dim = clean[lit] < np.median(clean[lit])
+    for half in (z[dim], z[~dim]):
+        assert np.var(half) == pytest.approx(1.0, abs=4.5 * np.sqrt(2 / half.size))
+    edges = np.arange(block, clean.size, block)
+    edges = edges[lit[edges] & lit[edges - 1]]
+    scale = np.sqrt(detector.shot_noise * clean)
+    products = (noisy - clean)[edges] / scale[edges] * (noisy - clean)[edges - 1] / scale[edges - 1]
+    assert edges.size > 50 and abs(np.mean(products)) < 4.5 / np.sqrt(edges.size)
 
 
 @settings(max_examples=100, deadline=None)
@@ -453,6 +589,8 @@ def test_noiseless_block_capture_starts_no_thread():
 
 
 def test_one_block_noisy_capture_starts_no_thread():
+    # The frame fits one block at the real BLOCK_SAMPLES, so add_noise draws
+    # every term itself, shot included, with nothing to prefetch.
     plan, scene, _ = multi_block_frame()
     detector = DetectorModel(noise_sigma=0.1, shot_noise=1.0)
     before = threading.active_count()
@@ -461,8 +599,8 @@ def test_one_block_noisy_capture_starts_no_thread():
 
 
 def test_zero_size_noise_terms_capture_in_blocks_as_their_white_only_twin():
-    # A shot or 1/f term of size 0 is off, so the capture keeps the white-only
-    # twin's blocks and bytes instead of falling back to one whole-frame block.
+    # A shot or 1/f term of size 0 is off: the capture draws no term for it
+    # and spawns no generator, so it keeps the white-only twin's blocks and bytes.
     plan, scene, block = multi_block_frame()
     white = {"noise_sigma": 0.1, "adc_bits": 10, "adc_fullscale": 4.0}
     twins = [{"shot_noise": 0}, {"pink_noise": [0, 1]}, {"shot_noise": 0, "pink_noise": [0, 2]}]
@@ -479,10 +617,18 @@ def test_zero_size_noise_terms_capture_in_blocks_as_their_white_only_twin():
     # Desk exp1-fmcdma in float32, 5.2 M samples in ten 2**19-sample blocks:
     # 14.2 MiB traced (28.2 MiB in five 2**20-sample blocks), against
     # 120-160 MiB as one whole-frame block.
+    assert traced_desk_fmcdma_capture(shot_noise=0.0, pink_noise=[0.0, 1.0]) < 24 * 2**20
+
+
+def traced_desk_fmcdma_capture(**terms):
+    """tracemalloc peak of desk exp1-fmcdma captured in float32 with these detector settings.
+
+    Asserts that the capture took one block per BLOCK_SAMPLES, more than one.
+    """
     config = presets.preset_config("exp1-fmcdma")
     plan = config.build_plan()
     scene = config.build_scene(plan.grid)
-    detector = replace(config.detector, shot_noise=0.0, pink_noise=[0.0, 1.0]).build()
+    detector = replace(config.detector, **terms).build()
     tracemalloc.start()
     try:
         count = 0
@@ -492,7 +638,13 @@ def test_zero_size_noise_terms_capture_in_blocks_as_their_white_only_twin():
     finally:
         tracemalloc.stop()
     assert count == -(-plan.frame_samples // sensor.BLOCK_SAMPLES) > 1
-    assert peak < 24 * 2**20
+    return peak
+
+
+def test_capture_with_every_noise_term_holds_blocks_not_the_frame():
+    # With shot 0.001 and 1/f (0.01, 1.0) on as well: 29.3 MiB traced in the
+    # ten blocks, against 220 MiB when these terms forced one whole-frame block.
+    assert traced_desk_fmcdma_capture(shot_noise=0.001, pink_noise=[0.01, 1.0]) < 40 * 2**20
 
 
 @pytest.mark.parametrize("side", [sensor.PD1, sensor.PD2])
