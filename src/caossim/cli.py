@@ -23,8 +23,6 @@ from . import presets as presets_mod
 from . import scene as scene_mod
 from . import sensor as sensor_mod
 from .errors import CaosError, ConfigError
-from .presets import ExperimentConfig
-from .scene import DetectorModel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,7 +30,7 @@ EXIT_VALIDATION = 3
 EXIT_ACCEPTANCE = 4
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _experiment_config(args) -> presets_mod.ExperimentConfig:
     """The config of --preset or --config, with the --seed and --convention overrides."""
     if args.preset:
         config = presets_mod.preset_config(args.preset, args.full_scale, args.variant)
@@ -41,7 +39,7 @@ def _experiment_config(args) -> ExperimentConfig:
             if given:
                 raise ConfigError(f"{flag} applies to --preset only, not to --config")
         with open(args.config, encoding="utf-8") as fh:
-            config = ExperimentConfig.from_json(fh.read())
+            config = presets_mod.ExperimentConfig.from_json(fh.read())
     if args.seed is not None:
         config.key_seed = args.seed
     if args.convention is not None:
@@ -72,9 +70,9 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _load_detector(path) -> DetectorModel:
+def _load_detector(path) -> scene_mod.DetectorModel:
     if path is None:
-        return DetectorModel()
+        return scene_mod.DetectorModel()
     with open(path, encoding="utf-8") as fh:
         return presets_mod.DetectorConfig.from_dict(json.load(fh)).build()
 

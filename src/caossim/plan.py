@@ -468,7 +468,11 @@ def build_plan(
     if frequencies is not None:
         freq_list = tuple(float(f) for f in frequencies)
     elif f1 is not None:
-        freq_list = tuple(float(f1) * 2**p for p in range(1 if channels is None else channels))
+        count = 1 if channels is None else channels
+        # The top carrier f1 * 2**(count - 1) is below 2**(e + count - 1), e = frexp(f1)[1].
+        if math.frexp(f1)[1] + count - 1 > 1024:  # every float is below 2**1024
+            raise ConfigError(f"the octave ladder of channels = {count} from f1 = {f1} overflows")
+        freq_list = tuple(math.ldexp(f1, p) for p in range(count))
     else:
         raise ConfigError("either f1 or an explicit frequency list is required")
     if not freq_list:
@@ -601,12 +605,24 @@ def _typed(kind, *accepted):
 #: JSON value parsers shared by plan files, stream sidecars and experiment
 #: and detector configs: each raises TypeError on a value of the wrong JSON type.
 json_int, json_real, json_flag = _typed(int), _typed(float, int, float), _typed(bool)
-json_text, json_list, json_object = _typed(str), _typed(tuple, list, tuple), _typed(dict)
+json_text, json_list = _typed(str), _typed(tuple, list, tuple)
 
 
 def json_optional(parse):
     """Parser accepting null (as None) or what parse accepts."""
     return lambda value: None if value is None else parse(value)
+
+
+def json_choice(parse, *allowed):
+    """Parser of a closed set: a value parse accepts that is one of allowed, else ValueError."""
+
+    def choose(value):
+        value = parse(value)
+        if value not in allowed:
+            raise ValueError(f"expected {' or '.join(map(repr, allowed))}, got {value!r}")
+        return value
+
+    return choose
 
 
 def parse_fields(doc, parsers: dict, defaults: dict, what: str) -> dict:
@@ -685,7 +701,7 @@ def _grid(value) -> PixelGrid:
 #: attribute, plan-file parser). Plan files, plan_from_dict and rebuild all
 #: read this one table.
 _PLAN_PARAMS = {
-    "mode": ("mode.value", Mode),
+    "mode": ("mode.value", json_choice(json_text, *(mode.value for mode in Mode))),
     "frequencies": ("frequencies.frequencies", lambda v: tuple(map(json_real, json_list(v)))),
     "waveform": ("frequencies.waveform", json_text),
     "bit_rate": ("bit_rate", json_real),

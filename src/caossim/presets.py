@@ -35,6 +35,7 @@ from .plan import (
     Mode,
     PixelGrid,
     document_fields,
+    json_choice,
     json_document,
     json_flag,
     json_int,
@@ -127,17 +128,6 @@ class DetectorConfig:
         return DetectorModel(**{**params, "pink_noise": tuple(self.pink_noise)})
 
 
-def _convention(value) -> int:
-    value = json_int(value)
-    if value not in (10, 20):
-        raise ValueError(f"expected 10 or 20, got {value}")
-    return value
-
-
-def _mode(value) -> str:
-    return Mode(json_text(value)).value
-
-
 def _real_list(value) -> list:
     return [json_real(v) for v in json_list(value)]
 
@@ -150,7 +140,9 @@ def _real_list(value) -> list:
 def _fiber_spot_scene(grid: PixelGrid, convention: int, center, radius):
     if center is None:
         center = (grid.columns // 2 + 1, grid.rows // 2 + 1)
-    return scene_mod.dual_band_source(grid, tuple(center), radius=radius)
+    if radius is None:
+        radius = max(1.0, min(grid.columns, grid.rows) / 6.0)
+    return scene_mod.dual_band_source(grid, tuple(center), radius)
 
 
 #: Two-hole variants: the filter bands on the (left, right) holes.
@@ -158,9 +150,7 @@ _TWO_HOLE_FILTERS = {"a": ("red", "green"), "b": ("green", "blue")}
 
 
 def _two_hole_scene(grid: PixelGrid, convention: int, variant, radius):
-    bands = _TWO_HOLE_FILTERS.get(variant)
-    if bands is None:
-        raise ConfigError(f"unknown two-hole variant {variant!r}")
+    bands = _TWO_HOLE_FILTERS[variant]
     left = (grid.columns // 4 + 1, grid.rows // 2 + 1)
     right = (3 * grid.columns // 4 + 1, grid.rows // 2 + 1)
     return scene_mod.two_hole_target(
@@ -196,7 +186,7 @@ SCENE_KINDS = {
         {"center": None, "radius": None}, _fiber_spot_scene,
     ),
     "two-hole": (
-        {"variant": json_text, "radius": json_optional(json_real)},
+        {"variant": json_choice(json_text, *_TWO_HOLE_FILTERS), "radius": json_optional(json_real)},
         {"variant": "a", "radius": None}, _two_hole_scene,
     ),
     "uniform": ({"value": json_real}, {"value": 1.0}, _uniform_scene),
@@ -249,7 +239,7 @@ class ExperimentConfig:
     """Lossless, strictly-validated description of one experiment run."""
 
     name: str = _json_field(MISSING, json_text)
-    mode: str = _json_field(MISSING, _mode)
+    mode: str = _json_field(MISSING, json_choice(json_text, *(mode.value for mode in Mode)))
     grid_columns: int = _json_field(MISSING, json_int)
     grid_rows: int = _json_field(MISSING, json_int)
     scene: dict = _json_field(MISSING, _scene_params)
@@ -264,7 +254,7 @@ class ExperimentConfig:
     noise_seed: int = _json_field(0, json_int)
     detector: DetectorConfig = _json_field(MISSING, DetectorConfig.from_dict, DetectorConfig)
     detector2: DetectorConfig | None = _json_field(None, json_optional(DetectorConfig.from_dict))
-    convention: int = _json_field(20, _convention)
+    convention: int = _json_field(20, json_choice(json_int, 10, 20))
 
     def to_json(self) -> str:
         return json_document({**asdict(self), "format": _CONFIG_FORMAT, "version": _CONFIG_VERSION})

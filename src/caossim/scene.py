@@ -283,7 +283,7 @@ def _check_disc(grid: PixelGrid, center, radius: float, what: str) -> None:
 def dual_band_source(
     grid: PixelGrid,
     spot: tuple[int, int],
-    radius: float | None = None,
+    radius: float,
 ) -> Scene:
     """Broadband fiber-spot target spanning 350-1800 nm.
 
@@ -291,8 +291,6 @@ def dual_band_source(
     color temperature, 2850 K, so both a silicon-band and a germanium-band
     detector see it.
     """
-    if radius is None:
-        radius = max(1.0, min(grid.columns, grid.rows) / 6.0)
     _check_disc(grid, spot, radius, "spot")
     wl = np.arange(350.0, 1800.0 + 1e-9, 2.0)
     # Planck's law up to constants, peak-normalized.
@@ -318,7 +316,7 @@ def two_hole_target(
     hole_positions,
     hole_filters,
     sources,
-    hole_radius: float | None = None,
+    hole_radius: float,
 ) -> Scene:
     """Active-illumination target: filtered holes under P modulated sources.
 
@@ -326,8 +324,6 @@ def two_hole_target(
     per-source irradiance of a hole pixel is the source x filter band
     integral, zero elsewhere.
     """
-    if hole_radius is None:
-        hole_radius = max(1.0, min(grid.columns, grid.rows) / 6.0)
     if len(hole_filters) != len(hole_positions):
         raise ConfigError("one filter per hole required")
     for pos in hole_positions:

@@ -35,8 +35,8 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, LengthMismatch, PlanMismatch
-from .plan import CodingPlan, Mode, document_fields, json_int, json_real, parse_fields
-from .plan import write_at, write_json
+from .plan import CodingPlan, Mode, document_fields, json_choice, json_int, json_real, json_text
+from .plan import parse_fields, write_at, write_json
 from .scene import DetectorModel, Scene
 
 PD1 = "pd1"
@@ -231,6 +231,15 @@ def white_noise(rng: np.random.Generator, sigma: float, n: int, out=None) -> np.
 PINK_TAPS = 1 << 16
 
 
+@cache
+def _pink_response(size: int, amplitude: float, alpha: float) -> np.ndarray:
+    """The read-only 2 * size-point response of _pink_segments' size taps, built once."""
+    taps = np.cumprod(np.r_[1.0, (alpha / 2 + np.arange(size - 1)) / np.arange(1, size)])
+    response = np.fft.rfft(taps * (amplitude / np.linalg.norm(taps)), 2 * size)
+    response.flags.writeable = False
+    return response
+
+
 def _pink_segments(rng: np.random.Generator, amplitude: float, alpha: float):
     """Endless PINK_TAPS-sample segments of stationary 1/f**alpha noise of expected RMS amplitude.
 
@@ -239,8 +248,7 @@ def _pink_segments(rng: np.random.Generator, amplitude: float, alpha: float):
     + k - 1) / k scaled to sum(h**2) = amplitude**2, by overlap-save FFTs.
     """
     size = PINK_TAPS
-    taps = np.cumprod(np.r_[1.0, (alpha / 2 + np.arange(size - 1)) / np.arange(1, size)])
-    response = np.fft.rfft(taps * (amplitude / np.linalg.norm(taps)), 2 * size)
+    response = _pink_response(size, amplitude, alpha)
     inputs = rng.standard_normal(2 * size)
     while True:
         yield np.fft.irfft(np.fft.rfft(inputs) * response, 2 * size)[size:].copy()
@@ -479,19 +487,13 @@ def write_stream(stream: SampleStream, base) -> tuple[str, str]:
     return raw_path, meta_path
 
 
-def _pd_side(value) -> str:
-    if value not in (PD1, PD2):
-        raise ValueError(f"expected {PD1!r} or {PD2!r}, got {value!r}")
-    return value
-
-
 #: Stream sidecar fields after format and version, with their JSON parsers.
 _SIDECAR_FIELDS = {
     "rate": json_real,
     "length": json_int,
     "bits": json_int,
     "samples_per_bit": json_int,
-    "pd_side": _pd_side,
+    "pd_side": json_choice(json_text, PD1, PD2),
     "gain": json_real,
 }
 

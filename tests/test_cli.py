@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -1114,8 +1115,9 @@ def test_unreadable_path_exits_config_code(valid_inputs, tmp_path, capsys, case)
 
 
 #: Values put in place of one field of a valid input file. Huge magnitudes are
-#: left out: a 10**6 x 10**6 grid is a memory problem, not a parse error.
-_HOSTILE = (0, -1, 0.5, math.nan, math.inf, -math.inf, "x", None, [], {}, True)
+#: left out: a 10**6 x 10**6 grid is a memory problem, not a parse error. 2**11
+#: carriers from any f1 >= 1 overflow a float.
+_HOSTILE = (0, -1, 0.5, 2**11, math.nan, math.inf, -math.inf, "x", None, [], {}, True)
 
 
 #: The valid JSON input files the property edits, each under its name in valid_inputs.
@@ -1187,3 +1189,28 @@ def test_seed_help_names_the_seed_it_sets(command, help_text, capsys):
     assert exited.value.code == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert ["--seed", "SEED", *help_text.split()] in lines
+
+
+#: The modules `import caossim` loads. presets and cli load when imported.
+_PACKAGE_MODULES = ["codes", "decode", "errors", "metrics", "plan", "scene", "sensor"]
+
+
+def test_caossim_exports_nothing_but_its_modules():
+    # Every public object has one spelling, caossim.<module>.<name>.
+    import caossim
+
+    public = {name: value for name, value in vars(caossim).items() if not name.startswith("_")}
+    assert {name for name, value in public.items() if not inspect.ismodule(value)} == set()
+    assert all(value.__name__ == f"caossim.{name}" for name, value in public.items())
+    assert set(_PACKAGE_MODULES) <= set(public) and caossim.__version__
+
+
+def test_import_caossim_loads_its_modules_and_not_presets_or_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import json, sys, caossim; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = [name for name in json.loads(proc.stdout) if name.split(".")[0] == "caossim"]
+    assert loaded == ["caossim", *(f"caossim.{name}" for name in _PACKAGE_MODULES)]

@@ -379,6 +379,15 @@ def test_build_plan_refuses_inputs_it_would_ignore(inputs, message):
         small_plan(**inputs)
 
 
+@pytest.mark.parametrize("f1, channels", [(2.0, 1024), (4.0, 1100), (1e-300, 2048)])
+def test_octave_ladder_past_the_largest_float_is_a_config_error(f1, channels):
+    with pytest.raises(ConfigError, match=f"octave ladder of channels = {channels} from f1 = {f1}"):
+        small_plan(f1=f1, channels=channels)
+    # 1.0 * 2**1023 is a float: that ladder is built, and refused for its timing.
+    with pytest.raises(NyquistError, match="8.98846567431158e[+]307 Hz"):
+        small_plan(f1=1.0, channels=1024)
+
+
 def test_keyed_shuffles_default_off_where_they_permute_nothing():
     one_set = small_plan(grid=PixelGrid(2, 1), key_seed=7)
     assert one_set.set_count == 1 and one_set.shuffle_pixels and not one_set.shuffle_codes
