@@ -455,6 +455,7 @@ def build_plan(
         ("key_seed", key_seed, key_seed >= 0, ">= 0"),
         ("frame_index", frame_index, frame_index >= 0, ">= 0"),
         ("channels", channels, channels is None or channels >= 1, ">= 1"),
+        ("f1", f1, f1 is None or 0 < f1 < math.inf, "finite and > 0"),
     ):
         if not ok:
             raise ConfigError(f"{name} must be {rule}, got {value}")

@@ -146,9 +146,13 @@ def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str)
 #: Samples per processing block. synthesize, per_bit_spectra and capture_blocks
 #: walk the frame in the same bit blocks, so the per-block matrix products see
 #: the same inputs on every path. capture_blocks computes each side's channel
-#: sums once, so the size sets only the memory a capture holds: 2**19 samples
-#: keep one float64 block, and each noise ring buffer, at 4 MiB.
+#: sums once and noises and quantizes each block in place, so the size sets
+#: only the memory a capture holds: 2**19 samples keep one float64 block at 4 MiB.
 BLOCK_SAMPLES = 1 << 19
+
+#: Samples per white-noise chunk and chunk buffers in capture_blocks' ring: sample k
+#: of a side's frame is drawn into chunk k // NOISE_CHUNK, whatever the block size.
+NOISE_CHUNK, NOISE_RING = 1 << 17, 2
 
 
 def bit_blocks(bits: int, samples_per_bit: int, first: int = 0, last: int | None = None):
@@ -258,8 +262,8 @@ def _pink_segments(rng: np.random.Generator, amplitude: float, alpha: float):
 class Noise:
     """One capture side's noise state, which successive add_noise calls continue.
 
-    White draws from rng = default_rng(seed), shot and 1/f from rng.spawn(2) when either
-    is on, each in order, so no realization depends on how the stream is cut into blocks.
+    White draws from rng = default_rng(seed), shot and 1/f from rng.spawn(2) when either is
+    on, each in order, so no realization depends on how the stream is cut into blocks or chunks.
     """
 
     def __init__(self, seed, detector: DetectorModel):
@@ -278,45 +282,59 @@ class Noise:
         return term[:n]
 
 
-def add_noise(stream: SampleStream, detector: DetectorModel, seed, *, white=None) -> SampleStream:
+def add_noise(
+    stream: SampleStream, detector: DetectorModel, seed, *, white=None, out=None
+) -> SampleStream:
     """Seeded detector noise: white Gaussian, shot and 1/f terms, each on when its size is > 0.
 
     seed is a Noise, which the call continues, or anything np.random.default_rng
     accepts, for a Noise of its own: an int repeats every term, a Generator draws
     each anew, and a SeedSequence repeats white but spawns new shot and 1/f terms.
     white, if given, is the white term already drawn with white_noise from
-    the Noise's rng, and is added instead of drawing it. The terms are drawn
-    in that order and summed into one float64 noise array, which is added to
-    the stream with one rounding to its dtype. Returns the input stream
-    itself when the detector has no noise term.
+    the Noise's rng, as one array or as consecutive pieces, and is added
+    instead of drawing it. The terms are drawn in that order. Each white
+    piece is summed with its slices of the shot and 1/f terms, (white +
+    shot) + 1/f in float64, and added to the stream with one rounding to its
+    dtype, into out (np.empty_like if None, else an array of the stream's
+    shape, such as stream.samples). Returns the input stream itself when the
+    detector has no noise term.
     """
     state = seed if isinstance(seed, Noise) else Noise(seed, detector)
     n = stream.samples.size
     if not (detector.noise_sigma > 0 or detector.shot_noise > 0 or detector.pink_noise[0] > 0):
         return stream
     # The output comes before the draws, so freeing them leaves no hole in the heap below it.
-    samples = np.empty_like(stream.samples)
-    noise = white
-    if noise is None and detector.noise_sigma > 0:
-        noise = white_noise(state.rng, detector.noise_sigma, n)
+    samples = np.empty_like(stream.samples) if out is None else out
+    if white is None and detector.noise_sigma > 0:
+        white = white_noise(state.rng, detector.noise_sigma, n)
+    shot = pink = None
     if detector.shot_noise > 0:
         # Gaussian approximation: variance proportional to the clean signal.
         shot = state.shot.standard_normal(n)
         shot *= np.sqrt(detector.shot_noise * np.clip(stream.samples, 0.0, None))
-        noise = shot if noise is None else np.add(noise, shot, out=shot)
     if detector.pink_noise[0] > 0:
         pink = state.pink_term(n)
-        noise = pink if noise is None else np.add(noise, pink, out=pink)
-    np.add(stream.samples, noise, out=samples, casting="same_kind")
+    start = 0
+    for piece in [white] if white is None or isinstance(white, np.ndarray) else white:
+        stop = n if piece is None else start + piece.size
+        noise = piece
+        for term in (shot, pink):
+            if term is not None:
+                part = term[start:stop]
+                noise = part if noise is None else np.add(noise, part, out=part)
+        np.add(stream.samples[start:stop], noise, out=samples[start:stop], casting="same_kind")
+        start = stop
+    if start != n:
+        raise LengthMismatch(f"white noise of {start} samples for a stream of {n}")
     return replace(stream, samples=samples)
 
 
-def apply_adc(stream: SampleStream, detector: DetectorModel) -> SampleStream:
-    """Clamp to [0, fullscale] and quantize to adc_bits levels; identity if unset."""
+def apply_adc(stream: SampleStream, detector: DetectorModel, *, out=None) -> SampleStream:
+    """Clamp to [0, fullscale], quantize to adc_bits levels, into out if given; identity if unset."""
     if detector.adc_bits is None:
         return stream
     step = detector.adc_fullscale / (2**detector.adc_bits - 1)
-    quantized = np.clip(stream.samples, 0.0, detector.adc_fullscale)
+    quantized = np.clip(stream.samples, 0.0, detector.adc_fullscale, out=out)
     quantized /= step
     np.round(quantized, out=quantized)
     quantized *= step
@@ -392,47 +410,59 @@ def capture_blocks(
     continues one Noise(seed, detector), so the blocks concatenate exactly to
     add_noise's whole-stream realization, whatever noise terms are on.
 
-    With white noise and several blocks, the draws run on one worker thread
-    (numpy releases the GIL) into a ring of two buffers, which blocks use in
-    turn. Block i+1's draw is submitted as soon as block i's white term is
-    returned, so the worker draws while block i's noise and ADC run, while
-    the caller consumes it and while block i+1 is synthesized. Only one draw
-    is ever in flight, so the generator is drawn in order. Block i+1's draw
-    goes into block i-1's buffer, whose noise was added before block i-1 was
-    yielded. The worker calls numpy only, through white_noise. Closing the
+    Each block is noised and quantized in place, in the samples synthesize
+    made for it. With white noise and several blocks, one worker thread
+    (numpy releases the GIL) draws the white term chunk after chunk of
+    NOISE_CHUNK samples into a ring of NOISE_RING buffers, which chunks use in
+    turn. add_noise takes each block's white term as the pieces of the chunks
+    holding it, a block edge inside a chunk leaving the rest of the chunk to
+    the next block. Once a chunk's last piece is added, the draw of the chunk
+    NOISE_RING further on is submitted into its buffer, so the worker draws
+    ahead while the blocks are noised, consumed and synthesized. One worker
+    runs its draws in the order they are submitted, so the generator is drawn
+    in order. The worker calls numpy only, through white_noise. Closing the
     generator, or an error in either thread, ends the worker before the
-    generator returns.
+    generator returns, after at most NOISE_RING draws already submitted.
     """
-    f_count, sigma = plan.samples_per_bit, detector.noise_sigma
+    f_count, sigma, n = plan.samples_per_bit, detector.noise_sigma, plan.frame_samples
     ranges = list(bit_blocks(plan.code_length, f_count))
     sums = cache(partial(_side_amplitudes, plan, scene, detector.responsivity, pd_side))
     noise = Noise(seed, detector)
-    # One block has nothing to overlap, so add_noise draws its white term itself;
-    # several share two buffers the size of the first, largest, block.
+    # One block has nothing to overlap, so add_noise draws its white term itself.
     prefetch = sigma > 0 and len(ranges) > 1
-    largest = (ranges[0][1] - ranges[0][0]) * f_count if prefetch else 0
-    ring = (np.empty(largest), np.empty(largest))
+    ring = [np.empty(min(NOISE_CHUNK, n)) for _ in range(NOISE_RING if prefetch else 0)]
     if prefetch:  # imported here, so that `import caossim` loads neither it nor logging
         from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1, "caossim-noise") if prefetch else nullcontext() as pool:
+        drawn = {}  # chunk -> the future of its draw
 
-        def draw(i):
-            """Start block i's white draw; returns a callable giving the term, or None."""
-            if not prefetch:
-                return lambda: None
-            size = (ranges[i][1] - ranges[i][0]) * f_count
-            return pool.submit(white_noise, noise.rng, sigma, size, ring[i % 2][:size]).result
+        def draw(chunk):
+            """Submit the white draw of chunk, if the frame has it, into its ring buffer."""
+            if chunk * NOISE_CHUNK < n:
+                out = ring[chunk % len(ring)][: n - chunk * NOISE_CHUNK]
+                drawn[chunk] = pool.submit(white_noise, noise.rng, sigma, out.size, out)
 
-        pending = draw(0)
-        for i, bits in enumerate(ranges):
+        def pieces(start, stop):
+            """The white term of frame samples start..stop-1, as pieces of their chunks."""
+            while start < stop:
+                chunk, offset = divmod(start, NOISE_CHUNK)
+                values = drawn[chunk].result()
+                yield values[offset : offset + stop - start]
+                start += values.size - offset
+                if start > stop:
+                    return  # the next block takes the rest of the chunk
+                del drawn[chunk]  # added, so its buffer is free
+                draw(chunk + len(ring))
+
+        for chunk in range(len(ring)):
+            draw(chunk)
+        for bits in ranges:
             # Each stage rebinds block, so no earlier stage is held across the yield.
             block = synthesize(plan, scene, detector, pd_side, dtype, bit_range=bits, sums=sums)
-            white = pending()
-            if i + 1 < len(ranges):
-                pending = draw(i + 1)  # into the other buffer, before block i's noise
-            block = add_noise(block, detector, noise, white=white)
-            block = apply_adc(block, detector)
+            white = pieces(bits[0] * f_count, bits[1] * f_count) if prefetch else None
+            block = add_noise(block, detector, noise, white=white, out=block.samples)
+            block = apply_adc(block, detector, out=block.samples)
             yield block
             del block  # before the next block is made
 

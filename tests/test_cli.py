@@ -744,6 +744,9 @@ def _config_case(field, value, preset="exp1-hdr", **fields):
     return argv
 
 
+#: Values of f1 off the positive finite floats, with their test ids.
+_OFF_F1 = {0.0: "zero", -1.0: "negative", math.nan: "nan", math.inf: "inf"}
+
 #: Config edits that make a preset's config one that runs unchecked on any
 #: grid: a name with no preset record and a uniform scene.
 _UNCHECKED = dict(name="uniform-target", scene={"preset": "uniform"})
@@ -777,7 +780,10 @@ _ONE_CARRIER = {
         (_plan_file_case("active_pixels", [[1, 1], [1, 1]], in_grid=True), "unique"),
         (_plan_file_case("active_pixels", [[1, 1], [99, 1]], in_grid=True), "(99, 1) outside"),
         (_plan_file_case("code_length", 7), "declares code_length 7"),
-        (_config_case("f1", math.nan), "carrier frequencies"),
+        (_config_case("f1", math.nan), "f1 must be finite and > 0, got nan"),
+        # Refused by name before the octave ladder is built.
+        *[(_config_case("f1", f1, channels=channels), f"f1 must be finite and > 0, got {f1}")
+          for f1 in _OFF_F1 for channels in (2, 1026)],
         (_config_case("noise_seed", -1), "noise_seed"),
         (_plan_file_case("frequencies", [16384.0, 8192.0], preset="exp1-fmcdma"), "fm-cdma"),
         (_config_case("channels", 4, preset="exp1-fmcdma"), "fm-cdma"),
@@ -810,7 +816,10 @@ _ONE_CARRIER = {
         "config-nan-sample-rate", "plan-inf-sample-rate", "plan-negative-key-seed",
         "config-negative-key-seed", "preset-seed-minus-one", "plan-negative-frame-index",
         "plan-no-active-pixels", "plan-repeated-active-pixel", "plan-active-pixel-off-grid",
-        "plan-wrong-code-length", "config-nan-f1", "config-negative-noise-seed",
+        "plan-wrong-code-length", "config-nan-f1",
+        *(f"config-{name}-f1-{channels}-channels" for name in _OFF_F1.values()
+          for channels in (2, 1026)),
+        "config-negative-noise-seed",
         "plan-fm-cdma-two-carriers", "config-fm-cdma-four-channels", "config-zero-channels",
         "config-f1-and-frequencies", "config-channels-not-the-carrier-count",
         "config-plain-cdma-with-f1", *(f"config-{mode}-hopping" for mode in _ONE_CARRIER),

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 import os
 import re
 import tempfile
@@ -386,6 +387,16 @@ def test_octave_ladder_past_the_largest_float_is_a_config_error(f1, channels):
     # 1.0 * 2**1023 is a float: that ladder is built, and refused for its timing.
     with pytest.raises(NyquistError, match="8.98846567431158e[+]307 Hz"):
         small_plan(f1=1.0, channels=1024)
+
+
+@pytest.mark.parametrize("channels", [2, 1026])
+@pytest.mark.parametrize("f1", [0.0, -1.0, math.nan, math.inf])
+def test_f1_off_the_positive_finite_floats_is_a_config_error(f1, channels):
+    # Refused by name before the ladder is built. Unchecked, f1 = 0 with 1026
+    # channels read as an overflowing ladder, and f1 <= 0 with 2 channels
+    # built a ladder that only the timing check refused.
+    with pytest.raises(ConfigError, match=re.escape(f"f1 must be finite and > 0, got {f1}")):
+        small_plan(f1=f1, channels=channels)
 
 
 def test_keyed_shuffles_default_off_where_they_permute_nothing():

@@ -614,10 +614,12 @@ def test_zero_size_noise_terms_capture_in_blocks_as_their_white_only_twin():
         ]
     assert len(blocks[0]) > 1
     assert all(twin == blocks[0] for twin in blocks[1:])
-    # Desk exp1-fmcdma in float32, 5.2 M samples in ten 2**19-sample blocks:
-    # 14.2 MiB traced (28.2 MiB in five 2**20-sample blocks), against
-    # 120-160 MiB as one whole-frame block.
-    assert traced_desk_fmcdma_capture(shot_noise=0.0, pink_noise=[0.0, 1.0]) < 24 * 2**20
+    # Desk exp1-fmcdma in float32, 5.2 M samples in ten 2**19-sample blocks,
+    # each noised and quantized in place: 6.2 MiB traced, bound at that plus
+    # 4 MiB, one float64 block. It was 14.2 MiB with a noise and an ADC output
+    # per block and a ring of two whole-block buffers (28.2 MiB in five
+    # 2**20-sample blocks), and 120-160 MiB as one whole-frame block.
+    assert traced_desk_fmcdma_capture(shot_noise=0.0, pink_noise=[0.0, 1.0]) < 10 * 2**20
 
 
 def traced_desk_fmcdma_capture(**terms):
@@ -642,9 +644,11 @@ def traced_desk_fmcdma_capture(**terms):
 
 
 def test_capture_with_every_noise_term_holds_blocks_not_the_frame():
-    # With shot 0.001 and 1/f (0.01, 1.0) on as well: 29.3 MiB traced in the
-    # ten blocks, against 220 MiB when these terms forced one whole-frame block.
-    assert traced_desk_fmcdma_capture(shot_noise=0.001, pink_noise=[0.01, 1.0]) < 40 * 2**20
+    # With shot 0.001 and 1/f (0.01, 1.0) on as well: 20.2 MiB traced in the
+    # ten blocks, bound at that plus 4 MiB, one float64 block. It was 28.2 MiB
+    # before blocks were noised in place, and 220 MiB when these terms forced
+    # one whole-frame block.
+    assert traced_desk_fmcdma_capture(shot_noise=0.001, pink_noise=[0.01, 1.0]) < 24 * 2**20
 
 
 @pytest.mark.parametrize("side", [sensor.PD1, sensor.PD2])
@@ -668,38 +672,146 @@ def test_multi_block_capture_computes_the_channel_sums_once_per_side(mode, side)
     sums.assert_called_once_with(plan, scene, detector.responsivity, side)
 
 
-def test_noise_ring_draws_the_next_block_while_this_one_is_noised():
-    # add_noise of block i waits until draw i+1 has started, so a capture
-    # that submits a draw only after the previous block's noise times out.
+def test_noise_ring_draws_the_next_chunk_while_this_block_is_noised():
+    # Chunks of 5/8 of a block, so block edges fall inside chunks. When
+    # add_noise takes a piece of chunk k, the draw of chunk k + 1 has started,
+    # so a capture that submitted a draw only after a block's noise would time
+    # out here. One draw per chunk, the chunks take the ring's two buffers in
+    # turn, and the bytes are the capture's at the real chunk size.
     plan, scene, block = multi_block_frame()
     detector = DetectorModel(noise_sigma=0.1, adc_bits=10)
+    chunk = block * 5 // 8
     real_white_noise, real_add_noise = sensor.white_noise, sensor.add_noise
     with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
-        count = len(list(sensor.bit_blocks(plan.code_length, plan.samples_per_bit)))
         want = np.concatenate([b.samples for b in sensor.capture_blocks(plan, scene, detector, 3)])
+    count = -(-want.size // chunk)
     started = [threading.Event() for _ in range(count)]
-    buffers, noised = [], []
+    buffers, taken = [], []
 
     def recording_white_noise(rng, sigma, n, out):
         buffers.append(out.__array_interface__["data"][0])
         started[len(buffers) - 1].set()
         return real_white_noise(rng, sigma, n, out)
 
-    def waiting_add_noise(stream, *args, **kwargs):
-        i = len(noised)
-        noised.append(i)
-        if i + 1 < count:
-            assert started[i + 1].wait(timeout=5), f"draw {i + 1} not started at block {i}'s noise"
-        return real_add_noise(stream, *args, **kwargs)
+    def waiting_add_noise(stream, *args, white, **kwargs):
+        def checked(start):
+            for piece in white:
+                k = start // chunk
+                taken.append(k)
+                if k + 1 < count:
+                    assert started[k + 1].wait(timeout=5), f"chunk {k + 1} not started at {k}"
+                start += piece.size
+                yield piece
+
+        start = stream.first_bit * stream.samples_per_bit
+        return real_add_noise(stream, *args, white=checked(start), **kwargs)
 
     with mock.patch.object(sensor, "BLOCK_SAMPLES", block), \
+            mock.patch.object(sensor, "NOISE_CHUNK", chunk), \
             mock.patch.object(sensor, "white_noise", recording_white_noise), \
             mock.patch.object(sensor, "add_noise", waiting_add_noise):
         got = np.concatenate([b.samples for b in sensor.capture_blocks(plan, scene, detector, 3)])
-    assert count > 2 and len(buffers) == len(noised) == count
+    assert count > 4 and len(buffers) == count and len(taken) > count
+    assert sorted(set(taken)) == list(range(count))
     assert got.tobytes() == want.tobytes()
-    assert len(set(buffers)) == 2
-    assert all(a != b for a, b in zip(buffers, buffers[1:]))
+    assert len(set(buffers)) == sensor.NOISE_RING == 2
+    assert buffers == [buffers[k % 2] for k in range(count)]
+
+
+HANDOFF_DETECTORS = [
+    DetectorModel(noise_sigma=0.1, adc_bits=10),
+    DetectorModel(noise_sigma=0.2, shot_noise=1.0, pink_noise=(0.4, 1.5), adc_bits=8),
+]
+
+
+@st.composite
+def handoff_sizes(draw):
+    """A 16-bit frame of F = 48, and BLOCK_SAMPLES, NOISE_CHUNK and NOISE_RING for it:
+    a block of 2..15 bits and a chunk that neither divides F nor the block, nor is
+    divided by them."""
+    plan = make_plan(grid=PixelGrid(6, 5), channels=2, f1=2.0, sample_rate=48.0)
+    f_count = plan.samples_per_bit
+    block = draw(st.integers(2, plan.code_length - 1)) * f_count
+    chunk = draw(
+        st.integers(5, plan.frame_samples).filter(
+            lambda c: all(a % b for a, b in ((f_count, c), (c, f_count), (block, c), (c, block)))
+        )
+    )
+    extra = draw(st.integers(0, f_count - 1))  # BLOCK_SAMPLES need not be whole bits
+    return plan, block + extra, chunk, draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    handoff_sizes(),
+    st.sampled_from(HANDOFF_DETECTORS),
+    st.sampled_from([np.float64, np.float32]),
+)
+def test_chunked_noise_handoff_is_the_whole_stream_capture(sizes, detector, dtype):
+    # Block edges fall inside chunks, and chunk edges inside bits; the
+    # capture's bytes are whole_stream_capture's, white alone or with shot
+    # and 1/f, whatever the chunk size, the ring size and the block size.
+    plan, block, chunk, ring = sizes
+    scene = uniform_scene(plan.grid)
+    with mock.patch.object(sensor, "BLOCK_SAMPLES", block), \
+            mock.patch.object(sensor, "NOISE_CHUNK", chunk), \
+            mock.patch.object(sensor, "NOISE_RING", ring):
+        blocks = [b.samples for b in sensor.capture_blocks(plan, scene, detector, 7, dtype=dtype)]
+    want = whole_stream_capture(plan, scene, detector, 7, dtype=dtype)
+    assert len(blocks) > 1
+    assert np.concatenate(blocks).tobytes() == want.samples.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(HANDOFF_DETECTORS),
+    st.sampled_from([np.float64, np.float32]),
+    st.lists(st.integers(0, 768), max_size=6).map(sorted),
+)
+def test_add_noise_in_place_and_in_white_pieces_is_the_whole_array_call(detector, dtype, cuts):
+    # out=stream.samples, and white as one array, a list of pieces or an
+    # iterator of them, empty pieces included: each call's bytes are the
+    # whole-array call's, and no call writes to a stream it was not given out for.
+    plan = make_plan(grid=PixelGrid(6, 5), channels=2, f1=2.0, sample_rate=48.0)
+    stream = sensor.synthesize(plan, uniform_scene(plan.grid), dtype=dtype)
+    want = sensor.add_noise(stream, detector, 5).samples
+    n = stream.samples.size
+    white = sensor.white_noise(np.random.default_rng(5), detector.noise_sigma, n)
+    clean = stream.samples.tobytes()
+    whole, split, pieces = (lambda: white), (lambda: np.split(white, cuts)), (lambda: iter(split()))
+    for given in (whole, split, pieces):
+        for out in (None, stream.samples.copy()):
+            target = stream if out is None else replace(stream, samples=out)
+            got = sensor.add_noise(target, detector, 5, white=given(), out=out)
+            assert got.samples is out if out is not None else got.samples is not stream.samples
+            assert got.samples.tobytes() == want.tobytes()
+    assert stream.samples.tobytes() == clean
+
+
+def test_noise_ring_holds_two_chunk_buffers_whatever_the_block_size():
+    # The chunks, and so the ring's buffers, are NOISE_CHUNK samples at any
+    # BLOCK_SAMPLES: two buffers, taken in turn, the last chunk a prefix of its buffer.
+    plan, scene, block = multi_block_frame()
+    detector = DetectorModel(noise_sigma=0.1)
+    chunk = 40  # neither divides nor is divided by F = 64 and the blocks
+    real_white_noise = sensor.white_noise
+    layouts = []
+    for blocks in (block, 3 * block):
+        draws = []
+
+        def recording_white_noise(rng, sigma, n, out):
+            draws.append((out.__array_interface__["data"][0], out.base.shape, n))
+            return real_white_noise(rng, sigma, n, out)
+
+        with mock.patch.object(sensor, "BLOCK_SAMPLES", blocks), \
+                mock.patch.object(sensor, "NOISE_CHUNK", chunk), \
+                mock.patch.object(sensor, "white_noise", recording_white_noise):
+            assert sum(1 for _ in sensor.capture_blocks(plan, scene, detector, 3)) > 1
+        addresses = list(dict.fromkeys(address for address, _, _ in draws))  # in first use
+        assert len(addresses) == sensor.NOISE_RING == 2
+        layouts.append([(addresses.index(address), shape, n) for address, shape, n in draws])
+    sizes = [chunk] * (plan.frame_samples // chunk) + [plan.frame_samples % chunk]
+    assert layouts[0] == layouts[1] == [(k % 2, (chunk,), n) for k, n in enumerate(sizes)]
 
 
 def test_concurrent_block_captures_stay_bitwise_whole_stream_captures():
