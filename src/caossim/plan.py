@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -571,7 +571,7 @@ def build_plan(
 
 def rebuild(plan: CodingPlan, **overrides) -> CodingPlan:
     """Re-run build_plan with this plan's parameters, some overridden."""
-    return build_plan(plan.grid, **{**_plan_params(plan), **overrides})
+    return build_plan(**{**_plan_params(plan), **overrides})
 
 
 def reallocate(plan: CodingPlan, frame_index: int) -> CodingPlan:
@@ -698,38 +698,45 @@ def _grid(value) -> PixelGrid:
     return PixelGrid(**parse_fields(value, parsers, defaults, "grid"))
 
 
-#: The build_plan parameters a plan records: keyword -> (CodingPlan
-#: attribute, plan-file parser). Plan files, plan_from_dict and rebuild all
-#: read this one table.
-_PLAN_PARAMS = {
-    "mode": ("mode.value", json_choice(json_text, *(mode.value for mode in Mode))),
-    "frequencies": ("frequencies.frequencies", lambda v: tuple(map(json_real, json_list(v)))),
-    "waveform": ("frequencies.waveform", json_text),
-    "bit_rate": ("bit_rate", json_real),
-    "sample_rate": ("sample_rate", json_real),
-    "key_seed": ("key_seed", json_int),
-    "frame_index": ("frame_index", json_int),
-    "hopping": ("hopping", json_flag),
-    "shuffle_pixels": ("shuffle_pixels", json_flag),
-    "shuffle_codes": ("shuffle_codes", json_flag),
-    "min_code_length": ("code_length_override", json_optional(json_int)),
+#: Every build_plan argument: keyword -> (parser of its JSON value, the
+#: CodingPlan attribute that records it or None). Plan files hold the recorded
+#: ones, which plan_from_dict and rebuild read back; an experiment config's plan
+#: object sets any but key_seed, and takes build_plan's default for one it leaves out.
+PLAN_KEYWORDS = {
+    "grid": (_grid, "grid"),
+    "mode": (json_choice(json_text, *(mode.value for mode in Mode)), "mode.value"),
+    "channels": (json_int, None),
+    "f1": (json_real, None),
+    "frequencies": (lambda v: tuple(map(json_real, json_list(v))), "frequencies.frequencies"),
+    "bit_rate": (json_real, "bit_rate"),
+    "sample_rate": (json_real, "sample_rate"),
+    "key_seed": (json_int, "key_seed"),
+    "hopping": (json_flag, "hopping"),
+    "waveform": (json_text, "frequencies.waveform"),
+    "min_code_length": (json_optional(json_int), "code_length_override"),
+    "shuffle_pixels": (json_flag, "shuffle_pixels"),
+    "shuffle_codes": (json_flag, "shuffle_codes"),
+    "frame_index": (json_int, "frame_index"),
 }
+_RECORDED = {name: attr for name, (_, attr) in PLAN_KEYWORDS.items() if attr}
 
 
 def _plan_params(plan: CodingPlan) -> dict:
-    return {name: attrgetter(attr)(plan) for name, (attr, _) in _PLAN_PARAMS.items()}
+    return {name: attrgetter(attr)(plan) for name, attr in _RECORDED.items()}
+
+
+def keywords_doc(keywords: dict) -> dict:
+    """The JSON object of build_plan arguments that PLAN_KEYWORDS parses back."""
+    grid = {name: value for name, value in asdict(keywords["grid"]).items() if value is not None}
+    return {**keywords, "grid": grid}
 
 
 def plan_to_dict(plan: CodingPlan) -> dict:
-    grid = {"columns": plan.grid.columns, "rows": plan.grid.rows}
-    if plan.grid.active_pixels is not None:
-        grid["active_pixels"] = [list(p) for p in plan.grid.active_pixels]
     return {
         "format": _PLAN_FORMAT,
         "version": _PLAN_VERSION,
-        "grid": grid,
         "code_length": plan.code_length,
-        **_plan_params(plan),
+        **keywords_doc(_plan_params(plan)),
     }
 
 
@@ -739,11 +746,10 @@ def save_plan(plan: CodingPlan, path) -> None:
 
 def plan_from_dict(data: dict) -> CodingPlan:
     body = document_fields(data, _PLAN_FORMAT, _PLAN_VERSION)
-    parsers = {"grid": _grid, "code_length": json_int}
-    parsers.update((name, parse) for name, (_, parse) in _PLAN_PARAMS.items())
+    parsers = {"code_length": json_int, **{name: PLAN_KEYWORDS[name][0] for name in _RECORDED}}
     fields = parse_fields(body, parsers, {"frame_index": 0, "min_code_length": None}, "plan")
     code_length = fields.pop("code_length")
-    plan = build_plan(fields.pop("grid"), **fields)
+    plan = build_plan(**fields)
     if plan.code_length != code_length:
         raise ConfigError(
             f"plan file declares code_length {code_length}"

@@ -37,7 +37,6 @@ from .plan import (
     document_fields,
     json_choice,
     json_document,
-    json_flag,
     json_int,
     json_list,
     json_optional,
@@ -206,10 +205,9 @@ def _scene_settings(params) -> dict:
     return parse_fields(params, {"preset": json_text, **parsers}, defaults, f"{kind} scene")
 
 
-def _scene_params(value) -> dict:
-    """A config scene as given: its kind and the parameters it sets, parsed."""
-    settings = _scene_settings(value)
-    return {name: settings[name] for name in value}
+def _as_given(settings):
+    """Parser of a JSON object as given: the keys it sets, parsed by settings."""
+    return lambda doc: {name: value for name, value in settings(doc).items() if name in doc}
 
 
 def build_scene(grid: PixelGrid, params: dict, convention: int = 20) -> Scene:
@@ -230,8 +228,19 @@ def check_noise_seed(seed: int, name: str = "noise_seed") -> None:
         raise ConfigError(f"{name} must be >= 0, got {seed}")
 
 
+#: The parsers of the build_plan arguments a config's plan object sets: all
+#: but key_seed, which is one of the run's two seeds beside noise_seed.
+PLAN_PARSERS = {name: parse for name, (parse, _) in plan_mod.PLAN_KEYWORDS.items()}
+del PLAN_PARSERS["key_seed"]
+
+
+def _plan_settings(value) -> dict:
+    """A config's plan object parsed over build_plan's defaults; grid and the two rates have none."""
+    return parse_fields(value, PLAN_PARSERS, plan_mod.build_plan.__kwdefaults__, "plan")
+
+
 _CONFIG_FORMAT = "caossim-experiment"
-_CONFIG_VERSION = 1
+_CONFIG_VERSION = 2
 
 
 @dataclass
@@ -239,30 +248,31 @@ class ExperimentConfig:
     """Lossless, strictly-validated description of one experiment run."""
 
     name: str = _json_field(MISSING, json_text)
-    mode: str = _json_field(MISSING, json_choice(json_text, *(mode.value for mode in Mode)))
-    grid_columns: int = _json_field(MISSING, json_int)
-    grid_rows: int = _json_field(MISSING, json_int)
-    scene: dict = _json_field(MISSING, _scene_params)
-    channels: int | None = _json_field(None, json_optional(json_int))
-    f1: float | None = _json_field(None, json_optional(json_real))
-    frequencies: list | None = _json_field(None, json_optional(_real_list))
-    bit_rate: float = _json_field(1.0, json_real)
-    sample_rate: float = _json_field(2.0, json_real)
-    code_length: int | None = _json_field(None, json_optional(json_int))
+    plan: dict = _json_field(MISSING, _as_given(_plan_settings))
+    scene: dict = _json_field(MISSING, _as_given(_scene_settings))
     key_seed: int = _json_field(0, json_int)
-    hopping: bool = _json_field(False, json_flag)
     noise_seed: int = _json_field(0, json_int)
     detector: DetectorConfig = _json_field(MISSING, DetectorConfig.from_dict, DetectorConfig)
     detector2: DetectorConfig | None = _json_field(None, json_optional(DetectorConfig.from_dict))
     convention: int = _json_field(20, json_choice(json_int, 10, 20))
 
     def to_json(self) -> str:
-        return json_document({**asdict(self), "format": _CONFIG_FORMAT, "version": _CONFIG_VERSION})
+        return json_document({
+            **asdict(self), "plan": plan_mod.keywords_doc(self.plan),
+            "format": _CONFIG_FORMAT, "version": _CONFIG_VERSION,
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         """Parse a config file; unknown, missing or mistyped fields raise ConfigError."""
-        body = document_fields(json.loads(text), _CONFIG_FORMAT, _CONFIG_VERSION)
+        data = json.loads(text)
+        ours = isinstance(data, dict) and data.get("format") == _CONFIG_FORMAT
+        if ours and data.get("version") == 1:
+            raise ConfigError(
+                f"{_CONFIG_FORMAT} version 1 is no longer read: version {_CONFIG_VERSION} holds"
+                " the plan settings in one \"plan\" object of build_plan's arguments"
+            )
+        body = document_fields(data, _CONFIG_FORMAT, _CONFIG_VERSION)
         return _from_json_fields(cls, body, "experiment config")
 
     @property
@@ -275,18 +285,7 @@ class ExperimentConfig:
         return (self.detector, self.detector2)[: 1 + self.dual]
 
     def build_plan(self) -> plan_mod.CodingPlan:
-        return plan_mod.build_plan(
-            PixelGrid(self.grid_columns, self.grid_rows),
-            mode=Mode(self.mode),
-            channels=self.channels,
-            f1=self.f1,
-            frequencies=None if self.frequencies is None else tuple(self.frequencies),
-            bit_rate=self.bit_rate,
-            sample_rate=self.sample_rate,
-            key_seed=self.key_seed,
-            hopping=self.hopping,
-            min_code_length=self.code_length,
-        )
+        return plan_mod.build_plan(**self.plan, key_seed=self.key_seed)
 
     def build_scene(self, grid: PixelGrid) -> Scene:
         return build_scene(grid, self.scene, self.convention)
@@ -316,10 +315,8 @@ def _hdr_config(name, full_scale, *, mode, channels, f1, noise_seed):
     sigma = HDR_NOISE_SIGMA * math.sqrt(16.0 / scale)
     return ExperimentConfig(
         name=name,
-        mode=mode.value,
-        grid_columns=44, grid_rows=29,
-        channels=channels, f1=f1 * scale,
-        bit_rate=1.0 * scale, sample_rate=65536.0,
+        plan=dict(grid=PixelGrid(44, 29), mode=mode.value, channels=channels, f1=f1 * scale,
+                  bit_rate=1.0 * scale, sample_rate=65536.0),
         key_seed=101, noise_seed=noise_seed,
         detector=DetectorConfig(gain=0.1, noise_sigma=sigma, adc_bits=16, adc_fullscale=10.0),
         scene={"preset": "hdr-patches", "levels_db": list(HDR_LEVELS_DB), "layout": [2, 3]},
@@ -330,10 +327,8 @@ def _dualband_config(name, full_scale):
     cols, rows, bit_rate, f1 = (65, 63, 4.0, 128.0) if full_scale else (21, 21, 16.0, 2048.0)
     return ExperimentConfig(
         name=name,
-        mode=Mode.PASSIVE_FDMA_CDMA.value,
-        grid_columns=cols, grid_rows=rows,
-        channels=4, f1=f1,
-        bit_rate=bit_rate, sample_rate=65536.0,
+        plan=dict(grid=PixelGrid(cols, rows), mode=Mode.PASSIVE_FDMA_CDMA.value, channels=4, f1=f1,
+                  bit_rate=bit_rate, sample_rate=65536.0),
         key_seed=202,
         detector=DetectorConfig(responsivity="si-band"),
         detector2=DetectorConfig(responsivity="ge-band"),
@@ -345,10 +340,8 @@ def _active_config(name, full_scale):
     bit_rate, fs = (31.25, 2_000_000.0) if full_scale else (500.0, 256_000.0)
     return ExperimentConfig(
         name=name,
-        mode=Mode.ACTIVE_OVERLAPPED.value,
-        grid_columns=32, grid_rows=15,
-        channels=3, frequencies=[25000.0, 29000.0, 35000.0],
-        bit_rate=bit_rate, sample_rate=fs,
+        plan=dict(grid=PixelGrid(32, 15), mode=Mode.ACTIVE_OVERLAPPED.value, channels=3,
+                  frequencies=(25000.0, 29000.0, 35000.0), bit_rate=bit_rate, sample_rate=fs),
         key_seed=303,
         scene={"preset": "two-hole", "variant": "a"},
     )

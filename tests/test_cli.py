@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from caossim import cli, plan as planmod, presets, scene as sc, sensor
 from caossim.errors import CaosError, ConfigError
-from caossim.plan import PixelGrid, build_plan
+from caossim.plan import Mode, PixelGrid, build_plan
 from test_sensor import whole_stream_capture
 
 
@@ -36,7 +36,7 @@ class TestPlanCommand:
 
     def test_nyquist_violation_exits_nonzero(self, tmp_path):
         config = presets.preset_config("exp1-hdr")
-        config.f1 = 65536.0  # top carrier lands beyond Nyquist
+        config.plan["f1"] = 65536.0  # top carrier lands beyond Nyquist
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(config.to_json())
         code = run_cli("plan", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
@@ -62,13 +62,14 @@ class TestPipeline:
     def write_small_config(self, tmp_path):
         config = presets.ExperimentConfig(
             name="tiny",
-            mode="passive-fdma-cdma",
-            grid_columns=4,
-            grid_rows=4,
-            channels=2,
-            f1=2.0,
-            bit_rate=1.0,
-            sample_rate=64.0,
+            plan=dict(
+                grid=PixelGrid(4, 4),
+                mode="passive-fdma-cdma",
+                channels=2,
+                f1=2.0,
+                bit_rate=1.0,
+                sample_rate=64.0,
+            ),
             key_seed=7,
             scene={"preset": "uniform"},
         )
@@ -237,13 +238,16 @@ _DROP = object()
 
 
 def _config_edit(field, value):
-    """Set one experiment-config field to value, or delete it for _DROP."""
+    """Set one experiment-config field, a dotted path into its objects, to value; _DROP deletes it."""
+    *parents, key = field.split(".")
 
     def edit(data):
+        for name in parents:
+            data = data[name]
         if value is _DROP:
-            del data[field]
+            del data[key]
         else:
-            data[field] = value
+            data[key] = value
 
     return edit
 
@@ -251,13 +255,18 @@ def _config_edit(field, value):
 @pytest.mark.parametrize(
     "edit",
     [
-        _config_edit("grid_columns", "x"),
-        _config_edit("bit_rate", "fast"),
-        _config_edit("hopping", 1),
-        _config_edit("frequencies", 25000.0),
-        _config_edit("frequencies", [25000.0, "x", 35000.0]),
-        _config_edit("mode", "no-such-mode"),
-        _config_edit("grid_rows", _DROP),
+        _config_edit("plan.grid.columns", "x"),
+        _config_edit("plan.bit_rate", "fast"),
+        _config_edit("plan.hopping", 1),
+        _config_edit("plan.frequencies", 25000.0),
+        _config_edit("plan.frequencies", [25000.0, "x", 35000.0]),
+        _config_edit("plan.mode", "no-such-mode"),
+        _config_edit("plan.grid.rows", _DROP),
+        _config_edit("plan.sample_rate", _DROP),
+        _config_edit("plan", _DROP),
+        _config_edit("plan", [1]),
+        _config_edit("plan.key_seed", 5),
+        _config_edit("plan.shuffle_codes", None),
         _config_edit("scene", {"preset": "uniform", "valu": 3}),
         _config_edit("scene", {"preset": "no-such-scene"}),
         _config_edit("scene", [1]),
@@ -265,7 +274,8 @@ def _config_edit(field, value):
     ],
     ids=[
         "text-int", "text-real", "int-flag", "number-list", "text-in-list", "unknown-mode",
-        "missing-required", "unknown-scene-key", "unknown-scene", "list-scene", "convention-15",
+        "missing-required", "missing-sample-rate", "missing-plan", "list-plan", "plan-key-seed",
+        "null-flag", "unknown-scene-key", "unknown-scene", "list-scene", "convention-15",
     ],
 )
 def test_plan_mistyped_experiment_config_exits_config_code(tmp_path, capsys, edit):
@@ -370,20 +380,87 @@ def test_variant_is_refused_for_a_preset_without_variants(
 def test_experiment_config_fills_defaults_and_accepts_ints_for_numbers():
     data = {
         "format": "caossim-experiment",
-        "version": 1,
+        "version": 2,
         "name": "tiny",
-        "mode": "passive-fdma-cdma",
-        "grid_columns": 4,
-        "grid_rows": 4,
-        "f1": 2,
+        "plan": {"grid": {"columns": 4, "rows": 4}, "f1": 2, "bit_rate": 1, "sample_rate": 8},
         "scene": {"preset": "uniform"},
     }
     config = presets.ExperimentConfig.from_json(json.dumps(data))
     assert config == presets.ExperimentConfig(
-        name="tiny", mode="passive-fdma-cdma", grid_columns=4, grid_rows=4, f1=2.0,
+        name="tiny", plan=dict(grid=PixelGrid(4, 4), f1=2.0, bit_rate=1.0, sample_rate=8.0),
         scene={"preset": "uniform"},
     )
-    assert isinstance(config.f1, float)
+    assert all(isinstance(config.plan[name], float) for name in ("f1", "bit_rate", "sample_rate"))
+    # The keywords left out take build_plan's defaults.
+    assert config.build_plan().mode is Mode.PASSIVE_FDMA_CDMA
+
+
+#: The desk exp1-hdr experiment config as format version 1 wrote it, its plan
+#: settings spelled as fields of their own.
+_VERSION_1_CONFIG = """{
+  "bit_rate": 16.0,
+  "channels": 4,
+  "code_length": null,
+  "convention": 20,
+  "detector": {
+    "adc_bits": 16,
+    "adc_fullscale": 10.0,
+    "gain": 0.1,
+    "noise_sigma": 0.091876,
+    "pink_noise": [
+      0.0,
+      1.0
+    ],
+    "responsivity": "flat",
+    "shot_noise": 0.0
+  },
+  "detector2": null,
+  "f1": 2048.0,
+  "format": "caossim-experiment",
+  "frequencies": null,
+  "grid_columns": 44,
+  "grid_rows": 29,
+  "hopping": false,
+  "key_seed": 101,
+  "mode": "passive-fdma-cdma",
+  "name": "exp1-hdr",
+  "noise_seed": 2101,
+  "sample_rate": 65536.0,
+  "scene": {
+    "layout": [
+      2,
+      3
+    ],
+    "levels_db": [
+      0.0,
+      20.0,
+      30.0,
+      48.0,
+      58.0,
+      64.0
+    ],
+    "preset": "hdr-patches"
+  },
+  "version": 1
+}
+"""
+
+
+def test_version_1_experiment_config_is_refused_naming_the_plan_object(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(_VERSION_1_CONFIG)
+    assert run_cli("plan", "--config", str(path), "--out", str(tmp_path / "p")) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: caossim-experiment version 1 is no longer read: version 2 holds"
+        " the plan settings in one \"plan\" object of build_plan's arguments\n"
+    )
+    assert not (tmp_path / "p").exists()
+    # Version 2 holds the settings it gave in its plan object, under build_plan's names.
+    old = json.loads(_VERSION_1_CONFIG)
+    assert json.loads(presets.preset_config("exp1-hdr").to_json())["plan"] == {
+        "grid": {"columns": old["grid_columns"], "rows": old["grid_rows"]},
+        **{name: old[name] for name in ("mode", "channels", "f1", "bit_rate", "sample_rate")},
+    }
 
 
 @pytest.mark.parametrize(
@@ -703,10 +780,25 @@ def test_decode_non_finite_truth_cell_exits_config_code(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: {truth_path}: non-finite value nan in row 5, column 8\n"
 
 
+#: The build_plan arguments an experiment config sets inside its plan object:
+#: all but key_seed, one of the run's two seeds.
+_PLAN_SETTINGS = set(inspect.signature(build_plan).parameters) - {"key_seed"}
+
+
 def _config_file(tmp_path, preset, fields):
-    """Path of the desk preset's experiment config with fields set."""
+    """Path of the desk preset's experiment config with fields set.
+
+    A build_plan argument other than key_seed is set inside the config's plan
+    object, and a None one deleted there, so that it takes build_plan's default.
+    """
     data = json.loads(presets.preset_config(preset).to_json())
-    data.update(fields)
+    for name, value in fields.items():
+        if name not in _PLAN_SETTINGS:
+            data[name] = value
+        elif value is None:
+            data["plan"].pop(name, None)
+        else:
+            data["plan"][name] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return path
@@ -751,12 +843,15 @@ _OFF_F1 = {0.0: "zero", -1.0: "negative", math.nan: "nan", math.inf: "inf"}
 #: grid: a name with no preset record and a uniform scene.
 _UNCHECKED = dict(name="uniform-target", scene={"preset": "uniform"})
 
+#: A config's plan grid of two pixels, one code set on more than one carrier, and of one pixel.
+_GRID_2X1, _GRID_1X1 = {"columns": 2, "rows": 1}, {"columns": 1, "rows": 1}
+
 
 #: Config edits that leave each mode on one carrier.
 _ONE_CARRIER = {
     "fm-cdma": ("exp1-fmcdma", {}),
     "fm-tdma": ("exp1-fmcdma", dict(mode="fm-tdma")),
-    "plain-cdma": ("exp1-fmcdma", dict(mode="plain-cdma", f1=None)),
+    "plain-cdma": ("exp1-fmcdma", dict(mode="plain-cdma", f1=None)),  # None deletes f1
     "passive": ("exp1-hdr", dict(channels=1)),
     "active": ("exp3-active", dict(channels=1, frequencies=[25000.0])),
 }
@@ -803,13 +898,24 @@ _ONE_CARRIER = {
          "shuffle_codes = True in fm-tdma"),
         (_plan_file_case("frame_index", 2, key_seed=0),
          "frame_index = 2 keys only the code shuffle"),
-        (_plan_file_case("shuffle_codes", True, grid_columns=2, grid_rows=1, **_UNCHECKED),
+        (_plan_file_case("shuffle_codes", True, grid=_GRID_2X1, **_UNCHECKED),
          "shuffle_codes = True on one code set"),
-        (_plan_file_case("frame_index", 3, grid_columns=2, grid_rows=1, **_UNCHECKED),
+        (_plan_file_case("frame_index", 3, grid=_GRID_2X1, **_UNCHECKED),
          "frame_index = 3 keys only the code shuffle"),
-        (_plan_file_case("shuffle_pixels", True, preset="exp1-fmcdma", grid_columns=1, grid_rows=1,
+        (_plan_file_case("shuffle_pixels", True, preset="exp1-fmcdma", grid=_GRID_1X1,
                          **_UNCHECKED),
          "shuffle_pixels = True on one pixel"),
+        # The same keyed layers set by a config, which reaches build_plan through plan.
+        (_config_case("shuffle_codes", True, preset="exp1-fmcdma", mode="fm-tdma"),
+         "shuffle_codes = True in fm-tdma"),
+        (_config_case("frame_index", 2, key_seed=0), "frame_index = 2 keys only the code shuffle"),
+        (_config_case("shuffle_codes", True, grid=_GRID_2X1, **_UNCHECKED),
+         "shuffle_codes = True on one code set"),
+        (_config_case("shuffle_pixels", True, preset="exp1-fmcdma", grid=_GRID_1X1, **_UNCHECKED),
+         "shuffle_pixels = True on one pixel"),
+        (_config_case("frame_index", -1), "frame_index"),
+        (_config_case("grid", {"columns": 2, "rows": 2, "active_pixels": [[1, 1], [1, 1]]}),
+         "unique"),
     ],
     ids=[
         "plan-zero-bit-rate", "plan-nan-bit-rate", "config-inf-bit-rate", "plan-zero-sample-rate",
@@ -825,7 +931,10 @@ _ONE_CARRIER = {
         "config-plain-cdma-with-f1", *(f"config-{mode}-hopping" for mode in _ONE_CARRIER),
         *(f"plan-{mode}-hopping" for mode in _ONE_CARRIER), "plan-fm-tdma-shuffle-codes",
         "plan-frame-index-unkeyed", "plan-one-set-shuffle-codes", "plan-one-set-frame-index",
-        "plan-one-pixel-shuffle-pixels",
+        "plan-one-pixel-shuffle-pixels", "config-fm-tdma-shuffle-codes",
+        "config-frame-index-unkeyed", "config-one-set-shuffle-codes",
+        "config-one-pixel-shuffle-pixels", "config-negative-frame-index",
+        "config-repeated-active-pixel",
     ],
 )
 def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, names):
@@ -851,7 +960,8 @@ def test_keyed_fm_tdma_config_plans_without_a_code_shuffle(tmp_path):
 def test_keyed_config_plans_without_shuffles_that_permute_nothing(
     tmp_path, preset, columns, shuffles
 ):
-    argv = _config_case("grid_columns", columns, preset=preset, grid_rows=1, **_UNCHECKED)(tmp_path)
+    grid = {"columns": columns, "rows": 1}
+    argv = _config_case("grid", grid, preset=preset, **_UNCHECKED)(tmp_path)
     assert run_cli(*argv) == 0
     data = json.loads((tmp_path / "p" / "plan.json").read_text())
     assert data["key_seed"] == 101 and (data["shuffle_pixels"], data["shuffle_codes"]) == shuffles
@@ -962,7 +1072,7 @@ def test_file_with_dual_pixel_size_or_null_pink_noise_exits_config_code(
 @pytest.mark.parametrize("length", [7, 1, 0, -4, 200])
 def test_unsupported_code_length_exits_validation_code(tmp_path, capsys, length):
     # Every order that is not s * 2**a is refused, however it compares with the one needed.
-    argv = _config_case("code_length", length)(tmp_path)
+    argv = _config_case("min_code_length", length)(tmp_path)
     capsys.readouterr()
     assert run_cli(*argv) == cli.EXIT_VALIDATION
     assert f"min_length {length} is not a supported order" in capsys.readouterr().err
@@ -1135,10 +1245,15 @@ _VALID_FILES = ("plan.json", "stream_pd1.json", "det.json", "config.json")
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
-    """A directory of valid inputs: a desk exp2-dualband plan, its PD1 stream, a
-    scene and a detector config, and the desk exp1-hdr experiment config."""
+    """A directory of valid inputs: a desk exp2-dualband plan on the odd rows and
+    columns of its grid, its PD1 stream, a scene and a detector config, and the
+    desk exp1-hdr experiment config."""
     root = tmp_path_factory.mktemp("valid")
-    assert run_cli("plan", "--preset", "exp2-dualband", "--out", str(root)) == 0
+    config = presets.preset_config("exp2-dualband")
+    odd = [(m, n) for n in range(1, 22, 2) for m in range(1, 22, 2)]
+    config.plan["grid"] = PixelGrid(21, 21, tuple(odd))  # so grid.active_pixels is a field
+    (root / "exp2.json").write_text(config.to_json())
+    assert run_cli("plan", "--config", str(root / "exp2.json"), "--out", str(root)) == 0
     sc.write_image_csv(np.random.default_rng(4).uniform(0.1, 1.0, (21, 21)), root / "scene.csv")
     detector = {
         "gain": 2.0, "noise_sigma": 0.01, "shot_noise": 0.0, "pink_noise": [0.01, 1.0],
@@ -1147,17 +1262,23 @@ def valid_inputs(tmp_path_factory):
     (root / "det.json").write_text(json.dumps(detector))
     assert run_cli("simulate", "--plan", str(root / "plan.json"), "--scene", str(root / "scene.csv"),
                    "--detector", str(root / "det.json"), "--out", str(root)) == 0
-    (root / "config.json").write_text(presets.preset_config("exp1-hdr").to_json())
+    config = presets.preset_config("exp1-hdr")
+    # Every plan setting at the value the plan resolves it to, so that each
+    # takes the hostile values; frequencies aside, since f1 and channels set them.
+    recorded = planmod.plan_to_dict(config.build_plan())
+    keyed = ("hopping", "waveform", "min_code_length", "shuffle_pixels", "shuffle_codes")
+    config.plan.update((name, recorded[name]) for name in (*keyed, "frame_index"))
+    (root / "config.json").write_text(config.to_json())
     return root
 
 
 def _field_paths(doc):
-    """Every top-level field of a JSON object and every field of an object inside it."""
+    """The path of every field of a JSON object, of the objects inside it at any depth too."""
     paths = []
     for key, value in doc.items():
         paths.append((key,))
         if isinstance(value, dict):
-            paths.extend((key, inner) for inner in value)
+            paths.extend((key, *inner) for inner in _field_paths(value))
     return paths
 
 
@@ -1170,7 +1291,10 @@ def test_hostile_field_ends_in_an_exit_code_not_an_exception(valid_inputs, data)
     name = data.draw(st.sampled_from(_VALID_FILES), label="file")
     doc = json.loads((root / name).read_text())
     *parents, key = data.draw(st.sampled_from(_field_paths(doc)), label="field")
-    (doc[parents[0]] if parents else doc)[key] = data.draw(st.sampled_from(_HOSTILE), label="value")
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[key] = data.draw(st.sampled_from(_HOSTILE), label="value")
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, name), os.path.join(tmp, "out")
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import os
@@ -221,9 +222,11 @@ def test_hop_schedule_shared_across_sets():
             assert inverse[row[member]] == member
 
 
-def plan_command_facts(tmp_path, **fields):
-    """The validation.txt lines of `caossim plan --config`, the exp1-hdr config with fields set."""
-    config = dataclasses.replace(presets.preset_config("exp1-hdr"), **fields)
+def plan_command_facts(tmp_path, **keywords):
+    """The validation.txt lines of `caossim plan --config`, the exp1-hdr config with these
+    build_plan arguments set in its plan object."""
+    config = presets.preset_config("exp1-hdr")
+    config.plan.update(keywords)
     path, out = tmp_path / "config.json", tmp_path / "plan"
     path.write_text(config.to_json())
     assert cli.main(["plan", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
@@ -233,7 +236,7 @@ def plan_command_facts(tmp_path, **fields):
 def test_validate_passes_and_reports_speedup(tmp_path, capsys):
     # 1276 pixels need W = 1280 on one carrier and 320 on four.
     facts = plan_command_facts(
-        tmp_path, grid_columns=44, grid_rows=29, channels=4, f1=128.0, bit_rate=1.0,
+        tmp_path, grid=PixelGrid(44, 29), channels=4, f1=128.0, bit_rate=1.0,
         sample_rate=65536.0,
     )
     assert facts == [
@@ -248,7 +251,7 @@ def test_validate_passes_and_reports_speedup(tmp_path, capsys):
 def test_validate_worked_example_speedup_eight(tmp_path):
     # 2032 pixels: W = 2048 on one carrier, 256 on eight.
     facts = plan_command_facts(
-        tmp_path, grid_columns=254, grid_rows=8, channels=8, f1=16.0, bit_rate=1.0,
+        tmp_path, grid=PixelGrid(254, 8), channels=8, f1=16.0, bit_rate=1.0,
         sample_rate=8192.0,
     )
     assert facts[1:] == [
@@ -520,8 +523,12 @@ def test_plan_file_roundtrip_byte_identical(tmp_path):
 
 
 @st.composite
-def random_plans(draw):
-    """A random valid plan over every mode, some re-keyed for a later frame by reallocate."""
+def plan_keywords(draw):
+    """build_plan's arguments for a random valid plan over every mode, grid and key included.
+
+    A keyword drawn as None takes build_plan's default. frame_index is above 0
+    only with the code shuffle on, as reallocate sets it.
+    """
     mode = draw(st.sampled_from(list(Mode)))
     columns, rows = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     cells = st.tuples(st.integers(1, columns), st.integers(1, rows))
@@ -535,6 +542,8 @@ def random_plans(draw):
         Mode.PLAIN_CDMA: dict(sample_rate=64.0),
         Mode.ACTIVE_OVERLAPPED: dict(frequencies=(3.0, 5.0, 7.0, 9.0)[:channels], sample_rate=64.0),
     }[mode]
+    # Square harmonics of the active carriers 3, 5, 7 and 9 land on each other's bins.
+    waveforms = {Mode.PLAIN_CDMA: ("none",), Mode.ACTIVE_OVERLAPPED: ("sine",)}
     # Only keyed layers with something to permute: hopping over two or more
     # carriers, the pixel shuffle over two or more pixels, and the code
     # shuffle (so reallocate) over two or more code sets outside fm-tdma.
@@ -543,20 +552,32 @@ def random_plans(draw):
     q = grid.pixel_count
     sets = -(-q // carriers) if mode is Mode.PASSIVE_FDMA_CDMA else q
     code_shuffle = not tdma and sets > 1
-    plan = build_plan(
-        grid,
+    keywords = dict(
+        grid=grid,
         mode=mode,
         bit_rate=1.0,
         key_seed=draw(st.integers(0, 2**63 - 1)),
         hopping=carriers > 1 and draw(st.booleans()),
+        waveform=draw(st.sampled_from((None, *waveforms.get(mode, ("square", "sine"))))),
         min_code_length=None if tdma else draw(
             st.sampled_from((None, 8, 12, 20, 32, 40, 64, 96))
         ),
         shuffle_pixels=draw(st.sampled_from((None, False, True) if q > 1 else (None, False))),
         shuffle_codes=draw(st.sampled_from((None, False, True) if code_shuffle else (None, False))),
+        frame_index=draw(st.integers(0, 5)) if code_shuffle else 0,
         **timing,
     )
-    frame_index = draw(st.integers(0, 5)) if code_shuffle else 0
+    if keywords["frame_index"]:
+        keywords["shuffle_codes"] = True
+    return keywords
+
+
+@st.composite
+def random_plans(draw):
+    """A random valid plan over every mode, some re-keyed for a later frame by reallocate."""
+    keywords = draw(plan_keywords())
+    frame_index = keywords.pop("frame_index")
+    plan = build_plan(**keywords)
     return planmod.reallocate(plan, frame_index) if frame_index else plan
 
 
@@ -585,6 +606,38 @@ def test_plan_file_roundtrip_is_exact(plan):
         planmod.save_plan(loaded, second)
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def test_plan_keywords_parse_every_build_plan_argument():
+    # One table, in build_plan's order, for plan files and experiment configs alike.
+    assert list(planmod.PLAN_KEYWORDS) == list(inspect.signature(build_plan).parameters)
+
+
+def plan_object(keywords):
+    """The JSON plan object of build_plan arguments: the grid as a plan file writes
+    it, the mode by its value, and a None argument left out."""
+    grid = keywords["grid"]
+    doc = {"columns": grid.columns, "rows": grid.rows}
+    if grid.active_pixels is not None:
+        doc["active_pixels"] = [list(cell) for cell in grid.active_pixels]
+    given = {name: value for name, value in keywords.items() if value is not None}
+    return json.loads(json.dumps({**given, "grid": doc, "mode": Mode(keywords["mode"]).value}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan_keywords())
+def test_config_plan_object_builds_the_plan_of_its_keywords(keywords):
+    # Every build_plan argument but key_seed, the run's own, sits in the plan object.
+    key_seed = keywords.pop("key_seed")
+    doc = {
+        "format": "caossim-experiment", "version": 2, "name": "random", "key_seed": key_seed,
+        "plan": plan_object(keywords), "scene": {"preset": "uniform"},
+    }
+    config = presets.ExperimentConfig.from_json(json.dumps(doc))
+    assert set(config.plan) == set(doc["plan"])  # kept as given, defaults left out
+    want = planmod.plan_to_dict(build_plan(**keywords, key_seed=key_seed))
+    assert planmod.plan_to_dict(config.build_plan()) == want
+    assert presets.ExperimentConfig.from_json(config.to_json()) == config
 
 
 @pytest.mark.parametrize("bit_rate", [49.0, 93.0, 1999.0, 31.25])
