@@ -85,10 +85,6 @@ def _seed_order(order: int) -> int | None:
     return None
 
 
-def is_supported_order(order: int) -> bool:
-    return order >= 2 and _seed_order(order) is not None
-
-
 def min_supported_order(minimum: int) -> int:
     """Smallest supported Hadamard order >= minimum."""
     best = None
@@ -178,18 +174,13 @@ class CodeBook:
         return ((1 + rows) // 2).astype(np.uint8)
 
 
-def codebook(num_codes: int, min_length: int | None = None) -> CodeBook:
+def codebook(num_codes: int) -> CodeBook:
     """Build a book of balanced on/off codes for num_codes pixel sets.
 
     The code length is the smallest supported Hadamard order >= num_codes + 1
-    (the all-ones row is skipped), or min_length when that is larger. A
-    min_length that is not a supported order raises UnsupportedOrder, whether
-    or not it is larger.
+    (the all-ones row is skipped), the shortest frame that fits the sets.
     """
     if num_codes < 1:
         raise ValueError("num_codes must be >= 1")
-    if min_length is not None and not is_supported_order(min_length):
-        raise UnsupportedOrder(f"min_length {min_length} is not a supported order")
-    length = min_supported_order(num_codes + 1)
-    return CodeBook(length=max(length, min_length or 0), num_codes=num_codes)
+    return CodeBook(length=min_supported_order(num_codes + 1), num_codes=num_codes)
 

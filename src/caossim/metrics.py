@@ -20,7 +20,7 @@ from . import decode as decode_mod
 from . import plan as plan_mod
 from . import sensor as sensor_mod
 from .errors import EmptyRegion
-from .plan import CodingPlan
+from .plan import CodingPlan, Mode
 from .scene import Scene
 
 Rect = tuple[int, int, int, int]  # (col0, row0, width, height), 0-based
@@ -123,14 +123,24 @@ def crosstalk(plan: CodingPlan, probe_channel: int) -> np.ndarray:
 
     Synthesizes a noiseless one-pixel scene on the probe channel, decodes
     the per-bit spectra, and reports per-channel energy relative to the
-    probe channel. Exact-zero leakage is floored at -400 dB.
+    probe channel. In the active overlapped mode every pixel rides every
+    source carrier, so the probe is one pixel lit by source probe_channel
+    only. Exact-zero leakage is floored at -400 dB.
     """
     member = probe_channel - 1
-    candidates = np.flatnonzero(plan.member_index == member)
-    if candidates.size == 0:
-        raise ValueError(f"no pixel carries channel {probe_channel}")
-    probe = plan.image(np.arange(plan.grid.pixel_count) == candidates[0])
-    stream = sensor_mod.synthesize(plan, Scene(grid=plan.grid, irradiance=probe))
+    pixels = np.arange(plan.grid.pixel_count)
+    if plan.mode is Mode.ACTIVE_OVERLAPPED:
+        if not 0 <= member < plan.channel_count:
+            raise ValueError(f"probe channel {probe_channel} outside 1..{plan.channel_count}")
+        per_source = np.zeros((plan.channel_count, plan.grid.rows, plan.grid.columns))
+        per_source[member] = plan.image(pixels == 0)
+        scene = Scene(grid=plan.grid, per_source=per_source)
+    else:
+        candidates = np.flatnonzero(plan.member_index == member)
+        if candidates.size == 0:
+            raise ValueError(f"no pixel carries channel {probe_channel}")
+        scene = Scene(grid=plan.grid, irradiance=plan.image(pixels == candidates[0]))
+    stream = sensor_mod.synthesize(plan, scene)
     spectra = decode_mod.per_bit_spectra(stream, plan)
     energy = (spectra**2).sum(axis=0)
     with np.errstate(divide="ignore"):

@@ -55,6 +55,11 @@ class Mode(str, Enum):
     FM_TDMA = "fm-tdma"
     ACTIVE_OVERLAPPED = "active-overlapped"
 
+    @property
+    def waveform(self) -> str:
+        """Carrier shape: DMD mirrors toggle "square", sources ride "sine", plain CDMA "none"."""
+        return {Mode.PLAIN_CDMA: "none", Mode.ACTIVE_OVERLAPPED: "sine"}.get(self, "square")
+
 
 #: Modes whose parked (code bit 0) state routes carrier-modulated light to
 #: the complement detector, so a PD2 decode must correlate against the
@@ -109,14 +114,12 @@ class FrequencyPlan:
 
     frequencies holds the final per-channel rates in Hz (octave ladder from
     f1 unless an explicit list was given). bit_rate is kept as given, so a
-    plan file records it unchanged. waveform is "square" for DMD mirror
-    toggling, "sine" for modulated active sources, or "none" for the plain
-    CDMA mode where pixels sit statically on or off during a bit.
+    plan file records it unchanged. The carrier shape follows from the mode
+    (Mode.waveform).
     """
 
     frequencies: tuple[float, ...]
     bit_rate: float
-    waveform: str = "square"
 
     @property
     def bit_duration(self) -> float:
@@ -166,7 +169,6 @@ class CodingPlan:
     shuffle_codes: bool
     hopping: bool
     carrier_phases: tuple[float, ...]
-    code_length_override: int | None = None
 
     @property
     def channel_count(self) -> int:
@@ -203,13 +205,13 @@ class CodingPlan:
     def carrier_matrix(self) -> np.ndarray:
         """One bit of every channel's unit carrier, shape (channels, F).
 
-        Square: 50% duty 0/1 wave at f_p starting ON at the bit boundary.
-        Sine: (1 + sin(2 pi f_p t + phase_p)) / 2 with keyed per-channel phase.
-        Plain (waveform "none"): constant 1, the mirror statically on.
+        The mode's waveform: square, a 50% duty 0/1 wave at f_p starting ON at
+        the bit boundary; sine, (1 + sin(2 pi f_p t + phase_p)) / 2 with keyed
+        per-channel phase; none (plain CDMA), constant 1, the mirror statically on.
         """
         f_count = self.samples_per_bit
         return _read_only(_carrier_rows(
-            self.carrier_bins, f_count, self.frequencies.waveform, self.carrier_phases, f_count
+            self.carrier_bins, f_count, self.mode.waveform, self.carrier_phases, f_count
         ))
 
     @cached_property
@@ -370,9 +372,9 @@ def _check_timing(freq: FrequencyPlan, sample_rate: float, mode: Mode) -> int:
     top = max(freq.frequencies)
     if not sample_rate > 2.0 * top:
         raise NyquistError(
-            f"sample_rate {sample_rate} too low for {top} Hz {freq.waveform} carrier"
+            f"sample_rate {sample_rate} too low for {top} Hz {mode.waveform} carrier"
         )
-    if freq.waveform == "square":
+    if mode.waveform == "square":
         # No harmonic of one carrier may reach another's bin, folded past
         # Nyquist or not, so the sampled carriers are read at every bin. One
         # period of them gives each magnitude over g.
@@ -430,8 +432,6 @@ def build_plan(
     sample_rate: float,
     key_seed: int = 0,
     hopping: bool = False,
-    waveform: str | None = None,
-    min_code_length: int | None = None,
     shuffle_pixels: bool | None = None,
     shuffle_codes: bool | None = None,
     frame_index: int = 0,
@@ -487,15 +487,6 @@ def build_plan(
         raise ConfigError(f"plain-cdma rides one static carrier, got frequencies {list(freq_list)}")
     if not all(map(math.isfinite, freq_list)):
         raise ConfigError(f"carrier frequencies must be finite, got {freq_list}")
-    allowed = ("none",) if plain else ("square", "sine")
-    if waveform is None:
-        waveform = "sine" if mode is Mode.ACTIVE_OVERLAPPED else allowed[0]
-    if waveform not in allowed:
-        raise ConfigError(
-            f"waveform must be {' or '.join(map(repr, allowed))} in {mode.value}, got {waveform!r}"
-        )
-    if mode is Mode.FM_TDMA and min_code_length is not None:
-        raise ConfigError(f"fm-tdma has no codes, got min_code_length {min_code_length}")
     if hopping and channels < 2:
         raise ConfigError(f"hopping = True needs two or more carriers, {mode.value} has {channels}")
     slots = _slots_per_set(mode, channels)
@@ -515,7 +506,7 @@ def build_plan(
             f"frame_index = {frame_index} keys only the code shuffle, and shuffle_codes is off"
         )
 
-    freq = FrequencyPlan(frequencies=freq_list, bit_rate=float(bit_rate), waveform=waveform)
+    freq = FrequencyPlan(frequencies=freq_list, bit_rate=float(bit_rate))
     samples_per_bit = _check_timing(freq, float(sample_rate), mode)
 
     base_set, base_member = np.divmod(np.arange(q), slots)
@@ -529,7 +520,7 @@ def build_plan(
     member_index[order] = base_member
 
     # Codebook and per-set code rows; an FM-TDMA set owns the slot of its index.
-    book = None if mode is Mode.FM_TDMA else codes.codebook(set_count, min_length=min_code_length)
+    book = None if mode is Mode.FM_TDMA else codes.codebook(set_count)
     code_length = q if book is None else book.length
     code_row = (
         _rng(key_seed, _STREAM_CODES, frame_index).permutation(set_count)
@@ -565,7 +556,6 @@ def build_plan(
         shuffle_codes=bool(shuffle_codes),
         hopping=bool(hopping),
         carrier_phases=phases,
-        code_length_override=min_code_length,
     )
 
 
@@ -712,8 +702,6 @@ PLAN_KEYWORDS = {
     "sample_rate": (json_real, "sample_rate"),
     "key_seed": (json_int, "key_seed"),
     "hopping": (json_flag, "hopping"),
-    "waveform": (json_text, "frequencies.waveform"),
-    "min_code_length": (json_optional(json_int), "code_length_override"),
     "shuffle_pixels": (json_flag, "shuffle_pixels"),
     "shuffle_codes": (json_flag, "shuffle_codes"),
     "frame_index": (json_int, "frame_index"),
@@ -747,7 +735,7 @@ def save_plan(plan: CodingPlan, path) -> None:
 def plan_from_dict(data: dict) -> CodingPlan:
     body = document_fields(data, _PLAN_FORMAT, _PLAN_VERSION)
     parsers = {"code_length": json_int, **{name: PLAN_KEYWORDS[name][0] for name in _RECORDED}}
-    fields = parse_fields(body, parsers, {"frame_index": 0, "min_code_length": None}, "plan")
+    fields = parse_fields(body, parsers, {"frame_index": 0}, "plan")
     code_length = fields.pop("code_length")
     plan = build_plan(**fields)
     if plan.code_length != code_length:

@@ -281,11 +281,10 @@ def test_criterion_09_crosstalk():
         worst = max(worst, float(np.delete(leak, probe - 1).max()))
     sine = build_plan(
         PixelGrid(3, 2),
-        channels=3,
+        mode=Mode.ACTIVE_OVERLAPPED,
         frequencies=(25000.0, 29000.0, 35000.0),
         bit_rate=500.0,
         sample_rate=256000.0,
-        waveform="sine",
     )
     for probe in range(1, 4):
         leak = metrics.crosstalk(sine, probe)

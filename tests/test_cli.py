@@ -1069,21 +1069,95 @@ def test_file_with_dual_pixel_size_or_null_pink_noise_exits_config_code(
     assert not (tmp_path / "s").exists() and not (tmp_path / "d").exists()
 
 
+def _older_plan_config(field, value):
+    """argv of a plan from the desk exp1-hdr config whose plan object sets field to value."""
+
+    def argv(tmp_path):
+        data = json.loads(presets.preset_config("exp1-hdr").to_json())
+        data["plan"][field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        return ["plan", "--config", str(path), "--out", str(tmp_path / "p")]
+
+    return argv
+
+
 @pytest.mark.parametrize("length", [7, 1, 0, -4, 200])
-def test_unsupported_code_length_exits_validation_code(tmp_path, capsys, length):
-    # Every order that is not s * 2**a is refused, however it compares with the one needed.
-    argv = _config_case("min_code_length", length)(tmp_path)
+def test_config_with_a_min_code_length_exits_config_code(tmp_path, capsys, length):
+    # A plan's code length follows from its set count, so a config that still
+    # sets one is refused by the field's name, whatever the length.
+    argv = _older_plan_config("min_code_length", length)(tmp_path)
     capsys.readouterr()
-    assert run_cli(*argv) == cli.EXIT_VALIDATION
-    assert f"min_length {length} is not a supported order" in capsys.readouterr().err
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    assert "unknown plan fields: ['min_code_length']" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (_older_plan_config("waveform", "sine"), "unknown plan fields: ['waveform']"),
+        (_plan_file_case("waveform", "square"), "unknown plan fields: ['waveform']"),
+        (_plan_file_case("min_code_length", None), "unknown plan fields: ['min_code_length']"),
+    ],
+    ids=["config-waveform", "plan-waveform", "plan-min-code-length"],
+)
+def test_file_with_a_waveform_or_a_min_code_length_exits_config_code(
+    tmp_path, capsys, case, message
+):
+    # The carrier waveform follows from the mode and the code length from the
+    # set count, so files that still set either are refused, never read with
+    # a new meaning.
+    argv = case(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not os.path.exists(argv[argv.index("--out") + 1])
+
+
+@pytest.mark.parametrize("hopping", [False, True], ids=["fixed", "hopping"])
+def test_plan_file_asking_for_a_huge_code_is_refused_before_the_plan_is_built(
+    tmp_path, capsys, hopping
+):
+    # A 4-pixel plan file as older builds wrote it, padded to a 2**40-bit
+    # code. Read with its old meaning, simulate would ask for 16 TiB of slot
+    # sums, and a hopping plan would draw 2**40 hop rows.
+    length = 2**40
+    doc = {
+        "format": "caossim-plan", "version": 1, "code_length": length,
+        "grid": {"columns": 2, "rows": 2}, "mode": "passive-fdma-cdma",
+        "frequencies": [1.0, 2.0], "bit_rate": 1.0, "sample_rate": 16.0, "key_seed": 0,
+        "hopping": hopping, "waveform": "square", "min_code_length": length,
+        "shuffle_pixels": False, "shuffle_codes": False, "frame_index": 0,
+    }
+    path, scene = tmp_path / "plan.json", tmp_path / "scene.csv"
+    path.write_text(json.dumps(doc))
+    sc.write_image_csv(np.ones((2, 2)), scene)
+    for argv in (
+        ["simulate", "--plan", str(path), "--scene", str(scene), "--out", str(tmp_path / "s")],
+        ["decode", "--plan", str(path), "--stream", str(tmp_path / "none"),
+         "--out", str(tmp_path / "d")],
+    ):
+        capsys.readouterr()
+        with mock.patch.object(planmod, "build_plan") as build:
+            assert run_cli(*argv) == cli.EXIT_CONFIG
+        build.assert_not_called()
+        err = capsys.readouterr().err
+        assert err == "config error: unknown plan fields: ['min_code_length', 'waveform']\n", err
+    assert not (tmp_path / "s").exists() and not (tmp_path / "d").exists()
 
 
 #: Plan-file edits after which a plan cannot decode exactly or breaks a
 #: timing rule, with the exit code and error text that refuse the file.
 _UNDECODABLE_PLANS = {
-    "static-waveform": (dict(waveform="none"), cli.EXIT_CONFIG, "must be 'square' or 'sine'"),
-    "unknown-waveform": (dict(waveform="triangle"), cli.EXIT_CONFIG, "got 'triangle'"),
+    # A passive plan rides square carriers, and a plan file sets no waveform.
+    "static-waveform": (
+        dict(waveform="none"), cli.EXIT_CONFIG, "unknown plan fields: ['waveform']"
+    ),
+    "unknown-waveform": (
+        dict(waveform="triangle"), cli.EXIT_CONFIG, "unknown plan fields: ['waveform']"
+    ),
     "shared-bin": (
         dict(frequencies=[2.0, 2.0]), cli.EXIT_VALIDATION, "carriers share a bin: [2, 2]"
     ),
@@ -1098,8 +1172,7 @@ _UNDECODABLE_PLANS = {
     ),
     # One sample per bit has no DSP gain 10 log10(F / 2) to report.
     "one-sample-bit": (
-        dict(mode="plain-cdma", frequencies=[0.0], waveform="none", bit_rate=4.0,
-             sample_rate=4.0),
+        dict(mode="plain-cdma", frequencies=[0.0], bit_rate=4.0, sample_rate=4.0),
         cli.EXIT_VALIDATION, "sample_rate * T = 1.0 is not an integer from 2 to 2**32 - 1",
     ),
     "samples-per-bit-overflow": (
@@ -1266,7 +1339,7 @@ def valid_inputs(tmp_path_factory):
     # Every plan setting at the value the plan resolves it to, so that each
     # takes the hostile values; frequencies aside, since f1 and channels set them.
     recorded = planmod.plan_to_dict(config.build_plan())
-    keyed = ("hopping", "waveform", "min_code_length", "shuffle_pixels", "shuffle_codes")
+    keyed = ("hopping", "shuffle_pixels", "shuffle_codes")
     config.plan.update((name, recorded[name]) for name in (*keyed, "frame_index"))
     (root / "config.json").write_text(config.to_json())
     return root

@@ -102,7 +102,10 @@ def test_hadamard_unsupported_orders(order):
 
 @pytest.mark.parametrize(
     "num_codes,expected_length",
-    [(255, 256), (319, 320), (480, 512), (1, 2), (1276, 1280)],
+    # The Paley-seeded orders 12, 20, 40 and 96 are the shortest codes of 8-11,
+    # 16-19, 32-39 and 80-95 sets.
+    [(255, 256), (319, 320), (480, 512), (1, 2), (1276, 1280), (8, 12), (11, 12), (16, 20),
+     (19, 20), (33, 40), (39, 40), (81, 96), (95, 96), (96, 128)],
 )
 def test_codebook_lengths(num_codes, expected_length):
     book = codes.codebook(num_codes)
@@ -113,16 +116,6 @@ def test_codebook_lengths(num_codes, expected_length):
 def test_codebook_single_code_is_half_on():
     book = codes.codebook(1)
     assert book.codes.tolist() in ([[1, 0]], [[0, 1]])
-
-
-def test_codebook_min_length_override():
-    assert codes.codebook(3, min_length=12).length == 12
-    # Smaller than required: ignored.
-    assert codes.codebook(255, min_length=16).length == 256
-    # An order that is not s * 2**a is refused, larger than required or not.
-    for length in (52, 7, 1, 0, -4):
-        with pytest.raises(UnsupportedOrder, match=f"min_length {length} is not"):
-            codes.codebook(3, min_length=length)
 
 
 @settings(deadline=None, max_examples=25)

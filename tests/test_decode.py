@@ -423,7 +423,7 @@ def test_non_finite_sample_names_its_bit(bad):
 
 
 def draw_spectra_plan(draw):
-    """A random valid plan on square, sine or static carriers, over F from 20 to 300."""
+    """A random valid plan on its mode's square, sine or static carriers, over F from 20 to 300."""
     mode = draw(st.sampled_from(list(Mode)))
     f_count = draw(st.integers(20, 300))
     top = (f_count - 1) // 2  # highest bin below Nyquist
@@ -436,8 +436,7 @@ def draw_spectra_plan(draw):
         timing = {}
     else:
         f1 = draw(st.integers(1, top >> (channels - 1)))
-        waveform = draw(st.sampled_from(("square", "sine")))
-        timing = dict(channels=channels, f1=float(f1), waveform=waveform)
+        timing = dict(channels=channels, f1=float(f1))
     try:
         plan = build_plan(
             PixelGrid(draw(st.integers(1, 4)), draw(st.integers(1, 4))),
@@ -495,7 +494,7 @@ def longdouble_carriers(plan):
     """Reference unit carriers in np.longdouble, the angle reduced as (k n) mod F first."""
     f_count, bins = plan.samples_per_bit, plan.carrier_bins[:, None]
     ticks = (bins * np.arange(f_count, dtype=np.int64)) % f_count
-    waveform = plan.frequencies.waveform
+    waveform = plan.mode.waveform
     if waveform == "none":
         return np.ones(ticks.shape, dtype=np.longdouble)
     if waveform == "square":
@@ -952,15 +951,13 @@ def test_files_are_overwritten_in_place_as_a_fresh_write(tmp_path, name):
 
 def test_block_pipeline_holds_one_block_at_a_time(tmp_path):
     # F = 4096 folds onto a 64-sample carrier period, so every per-block
-    # temporary but the block itself is small; 16 blocks of 16 bits, 256 KiB
-    # of float32 each. A block dropped only once the next one exists shows as
-    # a peak of two blocks.
-    plan = build_plan(
-        PixelGrid(4, 4), channels=2, f1=64.0, bit_rate=1.0, sample_rate=4096.0,
-        min_code_length=256,
-    )
+    # temporary but the block itself is small; 200 code sets of 20x20 pixels on
+    # two carriers take W = 256, so 16 blocks of 16 bits, 256 KiB of float32
+    # each. A block dropped only once the next one exists shows as a peak of
+    # two blocks.
+    plan = build_plan(PixelGrid(20, 20), channels=2, f1=64.0, bit_rate=1.0, sample_rate=4096.0)
     assert plan.carrier_period == 64
-    scene = Scene(grid=plan.grid, irradiance=np.ones((4, 4)))
+    scene = Scene(grid=plan.grid, irradiance=np.ones((20, 20)))
     block = 16 * plan.samples_per_bit
     block_bytes = block * np.dtype(np.float32).itemsize
     plan.carrier_matrix, plan.period_basis, plan.carrier_bin_gains  # kept by the plan

@@ -73,20 +73,15 @@ class TestCrosstalk:
             sample_rate=256000.0,
             key_seed=2,
         )
-        # Active mode has no member slots; probe through a passive sine plan
-        # carrying the same carriers instead.
-        passive = build_plan(
-            PixelGrid(3, 2),
-            channels=3,
-            frequencies=(25000.0, 29000.0, 35000.0),
-            bit_rate=500.0,
-            sample_rate=256000.0,
-            waveform="sine",
-        )
+        # Every pixel rides every source carrier: the probe is one pixel lit by one source.
         for probe in range(1, 4):
-            leak = metrics.crosstalk(passive, probe)
+            leak = metrics.crosstalk(p, probe)
             others = np.delete(leak, probe - 1)
+            assert leak[probe - 1] == 0.0
             assert np.all(others < -100.0)
+        for probe in (0, 4):
+            with pytest.raises(ValueError, match=f"probe channel {probe} outside 1..3"):
+                metrics.crosstalk(p, probe)
 
 
 class TestWrongKey:

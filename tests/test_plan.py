@@ -85,8 +85,17 @@ def test_build_plan_active_overlapped():
     assert p.set_count == 480
     assert p.code_length == 512
     assert p.samples_per_bit == 64000
-    assert p.frequencies.waveform == "sine"
+    assert p.mode.waveform == "sine"
     assert [round(k) for k in p.frequencies.cycles_per_bit()] == [800, 928, 1120]
+
+
+def test_each_mode_rides_the_waveform_of_its_hardware():
+    # DMD mirrors toggle square carriers, modulated sources ride sines, and
+    # plain CDMA sits static during a bit.
+    assert {mode: mode.waveform for mode in Mode} == {
+        Mode.PASSIVE_FDMA_CDMA: "square", Mode.FM_CDMA: "square", Mode.FM_TDMA: "square",
+        Mode.PLAIN_CDMA: "none", Mode.ACTIVE_OVERLAPPED: "sine",
+    }
 
 
 @pytest.mark.parametrize(
@@ -124,42 +133,42 @@ def magnitudes():
 
 @st.composite
 def raw_timings(draw):
-    """Raw (mode, sample_rate, bit_rate, frequencies, waveform), mostly ones build_plan refuses.
+    """Raw (mode, sample_rate, bit_rate, frequencies), mostly ones build_plan refuses.
 
-    Carrier counts and waveforms fit the mode, so that the timing decides.
+    Carrier counts fit the mode, so that the timing decides.
     """
     mode = draw(st.sampled_from(list(Mode)))
     bit_rate = draw(magnitudes())
     whole_bit = st.integers(0, 256).map(lambda f: f * bit_rate)  # F = f samples per bit
     sample_rate = draw(magnitudes() if draw(st.booleans()) else whole_bit)
     if mode is Mode.PLAIN_CDMA:
-        return mode, sample_rate, bit_rate, None, None
+        return mode, sample_rate, bit_rate, None
     count = 1 if mode in (Mode.FM_CDMA, Mode.FM_TDMA) else draw(st.integers(1, 4))
     cycles = st.lists(st.integers(0, 64), min_size=count, max_size=count)
     frequencies = [k * bit_rate for k in draw(cycles)]
     if draw(st.booleans()):
         frequencies[draw(st.integers(0, count - 1))] = draw(magnitudes())
-    return mode, sample_rate, bit_rate, frequencies, draw(st.sampled_from((None, "square", "sine")))
+    return mode, sample_rate, bit_rate, frequencies
 
 
 @settings(max_examples=300, deadline=None)
 @given(raw_timings(), st.integers(0, 2**32 - 1))
-@example((Mode.PLAIN_CDMA, 4.0, 4.0, None, None), 0)  # F = 1
-@example((Mode.PASSIVE_FDMA_CDMA, 64.0, 1e-300, [1.0], None), 0)  # F = 6.4e301
-@example((Mode.PASSIVE_FDMA_CDMA, 1e308, 1e-10, [1e-10], None), 0)  # F overflows
-@example((Mode.PASSIVE_FDMA_CDMA, 64.0, 1e-307, [1e-307], None), 0)  # F overflows
-@example((Mode.PASSIVE_FDMA_CDMA, 0.1, 1e-10, [1e308], None), 0)  # cycles overflow
-@example((Mode.PASSIVE_FDMA_CDMA, 2.0**32, 1.0, [1.0], None), 0)  # F = 2**32
+@example((Mode.PLAIN_CDMA, 4.0, 4.0, None), 0)  # F = 1
+@example((Mode.PASSIVE_FDMA_CDMA, 64.0, 1e-300, [1.0]), 0)  # F = 6.4e301
+@example((Mode.PASSIVE_FDMA_CDMA, 1e308, 1e-10, [1e-10]), 0)  # F overflows
+@example((Mode.PASSIVE_FDMA_CDMA, 64.0, 1e-307, [1e-307]), 0)  # F overflows
+@example((Mode.PASSIVE_FDMA_CDMA, 0.1, 1e-10, [1e308]), 0)  # cycles overflow
+@example((Mode.PASSIVE_FDMA_CDMA, 2.0**32, 1.0, [1.0]), 0)  # F = 2**32
 def test_timing_predicate_is_total(timing, seed):
     # Raw timing is refused with a CaosError, or it builds a plan whose
     # carriers repeat every carrier period and which decodes a scene exactly.
     # Bits of 2**16 to 2**32 samples are skipped: an accepted one would take
     # (F, 2 carriers) floats in the harmonic check.
-    mode, sample_rate, bit_rate, frequencies, waveform = timing
+    mode, sample_rate, bit_rate, frequencies = timing
     assume(not 2**16 < sample_rate * (1.0 / bit_rate) < 2**32)
     try:
         plan = build_plan(PixelGrid(2, 2), mode=mode, sample_rate=sample_rate,
-                          bit_rate=bit_rate, frequencies=frequencies, waveform=waveform)
+                          bit_rate=bit_rate, frequencies=frequencies)
     except CaosError:
         return
     periods = plan.carrier_matrix.reshape(plan.channel_count, -1, plan.carrier_period)
@@ -272,9 +281,10 @@ def test_validate_flags_fractional_cycles():
 def test_nyquist_is_one_strict_rule_for_every_waveform(waveform):
     # sample_rate must exceed twice the top carrier: an 8 Hz carrier is
     # refused at 16 Hz sampling (bin 8 of F = 16) and kept at 17 Hz.
+    mode = {"square": Mode.PASSIVE_FDMA_CDMA, "sine": Mode.ACTIVE_OVERLAPPED}[waveform]
     with pytest.raises(NyquistError, match=f"too low for 8.0 Hz {waveform} carrier"):
-        small_plan(channels=1, f1=8.0, sample_rate=16.0, waveform=waveform)
-    p = small_plan(channels=1, f1=8.0, sample_rate=17.0, waveform=waveform)
+        small_plan(mode=mode, channels=1, f1=8.0, sample_rate=16.0)
+    p = small_plan(mode=mode, channels=1, f1=8.0, sample_rate=17.0)
     assert p.samples_per_bit == 17 and p.carrier_bins.tolist() == [8]
 
 
@@ -316,15 +326,19 @@ def test_unhopped_schedule_is_a_read_only_identity_without_memory():
 
 
 def test_carrier_refusals_spare_plans_that_decode_exactly():
-    # test_cli.py refuses plan files that break the carrier rules. Sines have
-    # no harmonics, and plain-cdma keeps its one static carrier.
-    sines = small_plan(frequencies=(1.0, 3.0), sample_rate=16.0, waveform="sine")
-    static = small_plan(mode=Mode.PLAIN_CDMA, waveform="none")
-    assert static.frequencies.waveform == "none"
-    truth = np.random.default_rng(3).uniform(0.1, 1.0, (4, 4))
-    for p in (sines, static):
-        image = decode.decode_frame(sensor.synthesize(p, sc.Scene(p.grid, truth)), p)
-        assert np.max(np.abs(image.raw - truth) / truth) < 1e-9
+    # test_cli.py refuses plan files that break the carrier rules. The active
+    # mode's sines have no harmonics, so bins 1 and 3 that square carriers
+    # could not share pass, and plain-cdma keeps its one static carrier.
+    sines = small_plan(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(1.0, 3.0), sample_rate=16.0)
+    static = small_plan(mode=Mode.PLAIN_CDMA)
+    truth = np.random.default_rng(3).uniform(0.1, 1.0, (2, 4, 4))
+    cases = ((sines, sc.Scene(sines.grid, per_source=truth), truth),
+             (static, sc.Scene(static.grid, truth[0]), truth[:1]))
+    for p, scene, maps in cases:
+        images = decode.image_list(decode.decode_frame(sensor.synthesize(p, scene), p))
+        assert len(images) == len(maps)
+        for image, want in zip(images, maps):
+            assert np.max(np.abs(image.raw - want) / want) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -336,12 +350,8 @@ def test_carrier_refusals_spare_plans_that_decode_exactly():
          "channels = 2 but the carriers are"),
         (dict(mode=Mode.PLAIN_CDMA, channels=4, f1=2.0), "f1 = 2.0 would be ignored next to"),
         (dict(mode=Mode.PLAIN_CDMA, channels=4), "channels = 4 but the carriers are [0.0]"),
-        (dict(mode=Mode.PLAIN_CDMA, waveform="sine"), "waveform must be 'none' in plain-cdma"),
-        (dict(mode=Mode.PLAIN_CDMA, waveform="square"), "waveform must be 'none' in plain-cdma"),
         (dict(mode=Mode.PLAIN_CDMA, frequencies=(2.0,)),
          "plain-cdma rides one static carrier, got frequencies [2.0]"),
-        (dict(mode=Mode.FM_TDMA, channels=1, min_code_length=64),
-         "fm-tdma has no codes, got min_code_length 64"),
         (dict(channels=0), "channels must be >= 1, got 0"),
         # A keyed layer with nothing to permute.
         (dict(mode=Mode.FM_CDMA, channels=1, hopping=True),
@@ -371,12 +381,11 @@ def test_carrier_refusals_spare_plans_that_decode_exactly():
          "shuffle_pixels = True on one pixel"),
     ],
     ids=["channels-and-frequencies", "f1-and-frequencies", "active-channels", "plain-ladder",
-         "plain-channels", "plain-sine", "plain-square", "plain-frequencies", "fm-tdma-code-length",
-         "zero-channels", "fm-cdma-hopping", "fm-tdma-hopping", "plain-cdma-hopping",
-         "passive-one-carrier-hopping", "active-one-carrier-hopping", "fm-tdma-shuffle-codes",
-         "fm-tdma-reallocated", "frame-index-shuffle-off", "frame-index-unkeyed",
-         "fm-tdma-frame-index", "one-set-shuffle-codes", "one-set-frame-index",
-         "one-pixel-shuffle-pixels"],
+         "plain-channels", "plain-frequencies", "zero-channels", "fm-cdma-hopping",
+         "fm-tdma-hopping", "plain-cdma-hopping", "passive-one-carrier-hopping",
+         "active-one-carrier-hopping", "fm-tdma-shuffle-codes", "fm-tdma-reallocated",
+         "frame-index-shuffle-off", "frame-index-unkeyed", "fm-tdma-frame-index",
+         "one-set-shuffle-codes", "one-set-frame-index", "one-pixel-shuffle-pixels"],
 )
 def test_build_plan_refuses_inputs_it_would_ignore(inputs, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -530,11 +539,22 @@ def plan_keywords(draw):
     only with the code shuffle on, as reallocate sets it.
     """
     mode = draw(st.sampled_from(list(Mode)))
-    columns, rows = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    cells = st.tuples(st.integers(1, columns), st.integers(1, rows))
-    active = draw(st.none() | st.lists(cells, min_size=1, unique=True).map(tuple))
-    grid = PixelGrid(columns, rows, active)
     channels = draw(st.integers(1, 4))
+    carriers = channels if mode in (Mode.PASSIVE_FDMA_CDMA, Mode.ACTIVE_OVERLAPPED) else 1
+    slots = carriers if mode is Mode.PASSIVE_FDMA_CDMA else 1
+    if draw(st.booleans()):
+        # A set count whose shortest code has a Paley-seeded order: 9-11 sets
+        # give W = 12, 17-19 give 20, 33-39 give 40 and 81-95 give 96.
+        low, high = draw(st.sampled_from(((9, 11), (17, 19), (33, 39), (81, 95))))
+        sets = draw(st.integers(low, high))
+        q = draw(st.integers(slots * (sets - 1) + 1, slots * sets))
+        rows = draw(st.sampled_from([r for r in range(1, 9) if q % r == 0]))
+        grid = PixelGrid(q // rows, rows)
+    else:
+        columns, rows = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        cells = st.tuples(st.integers(1, columns), st.integers(1, rows))
+        active = draw(st.none() | st.lists(cells, min_size=1, unique=True).map(tuple))
+        grid = PixelGrid(columns, rows, active)
     timing = {
         Mode.PASSIVE_FDMA_CDMA: dict(channels=channels, f1=2.0, sample_rate=128.0),
         Mode.FM_CDMA: dict(f1=4.0, sample_rate=64.0),
@@ -542,26 +562,17 @@ def plan_keywords(draw):
         Mode.PLAIN_CDMA: dict(sample_rate=64.0),
         Mode.ACTIVE_OVERLAPPED: dict(frequencies=(3.0, 5.0, 7.0, 9.0)[:channels], sample_rate=64.0),
     }[mode]
-    # Square harmonics of the active carriers 3, 5, 7 and 9 land on each other's bins.
-    waveforms = {Mode.PLAIN_CDMA: ("none",), Mode.ACTIVE_OVERLAPPED: ("sine",)}
     # Only keyed layers with something to permute: hopping over two or more
     # carriers, the pixel shuffle over two or more pixels, and the code
     # shuffle (so reallocate) over two or more code sets outside fm-tdma.
-    tdma = mode is Mode.FM_TDMA
-    carriers = channels if mode in (Mode.PASSIVE_FDMA_CDMA, Mode.ACTIVE_OVERLAPPED) else 1
     q = grid.pixel_count
-    sets = -(-q // carriers) if mode is Mode.PASSIVE_FDMA_CDMA else q
-    code_shuffle = not tdma and sets > 1
+    code_shuffle = mode is not Mode.FM_TDMA and -(-q // slots) > 1
     keywords = dict(
         grid=grid,
         mode=mode,
         bit_rate=1.0,
         key_seed=draw(st.integers(0, 2**63 - 1)),
         hopping=carriers > 1 and draw(st.booleans()),
-        waveform=draw(st.sampled_from((None, *waveforms.get(mode, ("square", "sine"))))),
-        min_code_length=None if tdma else draw(
-            st.sampled_from((None, 8, 12, 20, 32, 40, 64, 96))
-        ),
         shuffle_pixels=draw(st.sampled_from((None, False, True) if q > 1 else (None, False))),
         shuffle_codes=draw(st.sampled_from((None, False, True) if code_shuffle else (None, False))),
         frame_index=draw(st.integers(0, 5)) if code_shuffle else 0,
