@@ -123,9 +123,11 @@ def crosstalk(plan: CodingPlan, probe_channel: int) -> np.ndarray:
 
     Synthesizes a noiseless one-pixel scene on the probe channel, decodes
     the per-bit spectra, and reports per-channel energy relative to the
-    probe channel. In the active overlapped mode every pixel rides every
-    source carrier, so the probe is one pixel lit by source probe_channel
-    only. Exact-zero leakage is floored at -400 dB.
+    probe channel. A hopping plan's spectra are un-hopped first, as
+    CodingPlan.estimates reads them, so each channel slot's energy is read
+    at the carrier it rides during each bit. In the active overlapped mode
+    every pixel rides every source carrier, so the probe is one pixel lit by
+    source probe_channel only. Exact-zero leakage is floored at -400 dB.
     """
     member = probe_channel - 1
     pixels = np.arange(plan.grid.pixel_count)
@@ -142,6 +144,7 @@ def crosstalk(plan: CodingPlan, probe_channel: int) -> np.ndarray:
         scene = Scene(grid=plan.grid, irradiance=plan.image(pixels == candidates[0]))
     stream = sensor_mod.synthesize(plan, scene)
     spectra = decode_mod.per_bit_spectra(stream, plan)
+    spectra = np.take_along_axis(spectra, plan.hop_schedule, axis=1)  # (W, slots)
     energy = (spectra**2).sum(axis=0)
     with np.errstate(divide="ignore"):
         leak_db = 10.0 * np.log10(energy / energy[member])

@@ -202,17 +202,27 @@ class CodingPlan:
         return _read_only(np.asarray(self.grid.positions(), dtype=np.int64)[:, ::-1] - 1)
 
     @cached_property
-    def carrier_matrix(self) -> np.ndarray:
-        """One bit of every channel's unit carrier, shape (channels, F).
+    def period_carriers(self) -> np.ndarray:
+        """One carrier period of every channel's unit carrier, shape (channels, L).
 
         The mode's waveform: square, a 50% duty 0/1 wave at f_p starting ON at
         the bit boundary; sine, (1 + sin(2 pi f_p t + phase_p)) / 2 with keyed
         per-channel phase; none (plain CDMA), constant 1, the mirror statically on.
         """
-        f_count = self.samples_per_bit
         return _read_only(_carrier_rows(
-            self.carrier_bins, f_count, self.mode.waveform, self.carrier_phases, f_count
+            self.carrier_bins, self.samples_per_bit, self.mode.waveform, self.carrier_phases,
+            self.carrier_period,
         ))
+
+    @cached_property
+    def carrier_matrix(self) -> np.ndarray:
+        """One bit of every channel's unit carrier, shape (channels, F): period_carriers g times.
+
+        Bitwise the whole-bit build, since the ticks (k n) mod F repeat every L.
+        No capture or decode reads it; it is the whole-bit reference.
+        """
+        g = self.samples_per_bit // self.carrier_period
+        return _read_only(np.tile(self.period_carriers, g))
 
     @cached_property
     def carrier_bins(self) -> np.ndarray:
@@ -234,7 +244,10 @@ class CodingPlan:
     def carrier_bin_gains(self) -> np.ndarray:
         """Unit-carrier DFT magnitude at each channel's own bin, read as per_bit_spectra reads."""
         p, period = self.channel_count, self.carrier_period
-        parts = self.carrier_matrix.reshape(p, -1, period).sum(axis=1) @ self.period_basis
+        # The g periods of a bit, summed as the (p, g, L) fold of the whole bit sums them.
+        periods = (p, self.samples_per_bit // period, period)
+        folded = np.broadcast_to(self.period_carriers[:, None, :], periods).sum(axis=1)
+        parts = folded @ self.period_basis
         return _read_only(np.hypot(np.diagonal(parts[:, :p]), np.diagonal(parts[:, p:])))
 
     # The keyed pixel -> (code, slot, carrier) map. Forward, each pixel's

@@ -13,7 +13,8 @@ full modulated signal to PD2.
 The keyed pixel -> (code, slot, carrier) map belongs to the plan: its
 pixel_values, on_sums and hop methods give each bit's summed light per
 carrier, and this module turns those sums into samples. Every carrier
-repeats bitwise every plan.carrier_period samples, so synthesize multiplies
+repeats bitwise every plan.carrier_period samples L, so the plan keeps one
+period of each, (channels, L) plan.period_carriers, and synthesize multiplies
 out one period per bit and copies it over the bit.
 
 capture_blocks runs the capture chain synthesize -> add_noise -> apply_adc
@@ -104,9 +105,10 @@ def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str)
     """One detector side's per-bit coherent channel sums and what they ride on.
 
     Returns (amplitudes, waves, constant): the side's samples during bit w
-    are amplitudes[w] @ waves + constant[w]. amplitudes is (W, channels), the
-    summed irradiance riding each channel slot during each bit; waves is the
-    (channels, F) unit waveform of each slot. PD1 and both sides of the
+    are amplitudes[w] @ waves + constant[w], repeated over the bit. amplitudes
+    is (W, channels), the summed irradiance riding each channel slot during
+    each bit; waves is one carrier period, the (channels, L) unit waveform of
+    each slot over L = plan.carrier_period samples. PD1 and both sides of the
     complement-coded active mode ride the carriers, with no constant. Passive
     PD2 sees PD1's sums on the complement waveforms plus, as constant, the
     parked pixels' unmodulated light. PD2's light is taken from the sums
@@ -118,7 +120,7 @@ def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str)
             f" != plan grid {plan.grid.columns}x{plan.grid.rows}"
         )
     channels = plan.channel_count
-    carriers = plan.carrier_matrix
+    carriers = plan.period_carriers
 
     if plan.mode is Mode.ACTIVE_OVERLAPPED:
         if scene.per_source is None:
@@ -174,7 +176,7 @@ def synthesize(
 ) -> SampleStream:
     """Noiseless, unquantized encoded stream for one detector side.
 
-    Each bit block's samples are one (bits, L) float64 product over the first
+    Each bit block's samples are one (bits, L) float64 product over one
     carrier period L = plan.carrier_period, plus the constant, times the
     gain, cast once to dtype and copied into each of the bit's F / L periods:
     bitwise the whole-bit (bits, F) product, at 1/g of its multiplies.
@@ -195,7 +197,7 @@ def synthesize(
     out = np.empty((last - first) * f_count, dtype=dtype)
     for start, stop in bit_blocks(plan.code_length, f_count, first, last):
         # Whole frame blocks: a product's rounding can depend on its shape.
-        block = amplitudes[start:stop] @ waves[:, :period]
+        block = amplitudes[start:stop] @ waves
         if constant is not None:
             block += constant[start:stop, None]
         block *= gain

@@ -960,7 +960,7 @@ def test_block_pipeline_holds_one_block_at_a_time(tmp_path):
     scene = Scene(grid=plan.grid, irradiance=np.ones((20, 20)))
     block = 16 * plan.samples_per_bit
     block_bytes = block * np.dtype(np.float32).itemsize
-    plan.carrier_matrix, plan.period_basis, plan.carrier_bin_gains  # kept by the plan
+    plan.period_carriers, plan.period_basis, plan.carrier_bin_gains  # kept by the plan
 
     def traced_peak(run, *args):
         tracemalloc.start()

@@ -63,6 +63,25 @@ class TestCrosstalk:
             assert leak[probe - 1] == 0.0
             assert np.all(others < -100.0)
 
+    def test_hopping_plan_is_read_per_channel_slot(self):
+        # Each bit's spectra are un-hopped before summing, so the probe's own
+        # hopped light is not read as leakage on the carriers it hops to.
+        keys = dict(channels=4, f1=4.0, bit_rate=1.0, sample_rate=128.0, key_seed=3)
+        hopping = build_plan(PixelGrid(4, 4), hopping=True, **keys)
+        fixed = build_plan(PixelGrid(4, 4), **keys)
+        for probe in range(1, 5):
+            leak = metrics.crosstalk(hopping, probe)
+            others = np.delete(leak, probe - 1)
+            assert leak[probe - 1] == 0.0
+            assert np.all(others < -300.0)
+        # Unhopped, the un-hop is the identity: the energies as summed in bin order.
+        probe = np.arange(fixed.grid.pixel_count) == np.flatnonzero(fixed.member_index == 0)[0]
+        stream = sensor.synthesize(fixed, sc.Scene(grid=fixed.grid, irradiance=fixed.image(probe)))
+        energy = (decode.per_bit_spectra(stream, fixed) ** 2).sum(axis=0)
+        with np.errstate(divide="ignore"):
+            want = np.maximum(10.0 * np.log10(energy / energy[0]), -400.0)
+        assert metrics.crosstalk(fixed, 1).tobytes() == want.tobytes()
+
     def test_sine_exact_bin_plan_clean(self):
         # Scaled version of the 25/29/35 kHz ladder: same bin structure.
         p = build_plan(

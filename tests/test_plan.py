@@ -815,7 +815,8 @@ def test_coding_element_on_an_active_pixel_list():
 
 #: The carrier and pixel constants a plan builds once, on first read.
 PLAN_CONSTANTS = (
-    "pixel_index", "carrier_matrix", "carrier_bins", "period_basis", "carrier_bin_gains"
+    "pixel_index", "period_carriers", "carrier_matrix", "carrier_bins", "period_basis",
+    "carrier_bin_gains",
 )
 
 CONSTANT_PLANS = {
@@ -845,6 +846,36 @@ def test_plan_constants_are_built_once_and_read_only(kind, name):
         rebuilt = getattr(other, name)
         assert rebuilt is not value
         assert rebuilt.dtype == value.dtype and np.array_equal(rebuilt, value)
+
+
+def assert_period_carriers_give_the_whole_bit_bitwise(plan):
+    # One carrier period tiled is the whole-bit build, and its fold is the
+    # whole bit's (p, g, L) fold, byte for byte.
+    f_count, period = plan.samples_per_bit, plan.carrier_period
+    rows = (plan.carrier_bins, f_count, plan.mode.waveform, plan.carrier_phases)
+    whole = planmod._carrier_rows(*rows, f_count)
+    assert plan.period_carriers.tobytes() == planmod._carrier_rows(*rows, period).tobytes()
+    assert plan.carrier_matrix.shape == whole.shape
+    assert plan.carrier_matrix.tobytes() == whole.tobytes()
+    parts = whole.reshape(plan.channel_count, -1, period).sum(axis=1) @ plan.period_basis
+    p = plan.channel_count
+    gains = np.hypot(np.diagonal(parts[:, :p]), np.diagonal(parts[:, p:]))
+    assert plan.carrier_bin_gains.tobytes() == gains.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_plans())
+def test_period_carriers_tile_and_fold_as_the_whole_bit_bitwise(plan):
+    assert_period_carriers_give_the_whole_bit_bitwise(plan)
+
+
+@pytest.mark.parametrize("full_scale", [False, True])
+@pytest.mark.parametrize("name", presets.PRESET_NAMES)
+def test_preset_period_carriers_tile_and_fold_as_the_whole_bit_bitwise(name, full_scale):
+    # The presets' sine carriers span g = 2 (desk) and 32 (full scale) periods a bit.
+    assert_period_carriers_give_the_whole_bit_bitwise(
+        presets.preset_config(name, full_scale=full_scale).build_plan()
+    )
 
 
 def test_pixel_index_lists_positions_as_zero_based_rows_and_columns():

@@ -93,10 +93,11 @@ def test_in_memory_run_never_holds_the_whole_stream():
 def test_in_memory_run_holds_a_few_blocks():
     # The same run in 2**19-sample blocks, each noised and quantized in its
     # own float32 samples, with white noise handed over from a ring of two
-    # 2**17-sample float64 chunks: 7.6 MiB, bound at that plus 4 MiB, one
-    # float64 block. It was 15.6 MiB with a separate noise and ADC output per
-    # block and a ring of two whole-block buffers, 27.6 MiB in 2**20-sample
-    # blocks and 99 MiB in 4 M-sample blocks.
+    # 2**17-sample float64 chunks and carriers kept as one period: 5.2 MiB,
+    # bound at that plus 4 MiB, one float64 block. It was 7.6 MiB with the
+    # whole-bit (4, 65536) carrier table, 15.6 MiB with a separate noise and
+    # ADC output per block and a ring of two whole-block buffers, 27.6 MiB in
+    # 2**20-sample blocks and 99 MiB in 4 M-sample blocks.
     config = presets.preset_config("exp1-hdr", full_scale=True)
     tracemalloc.start()
     try:
@@ -104,7 +105,7 @@ def test_in_memory_run_holds_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 9.25 * 2**20
 
 
 def test_file_writing_run_never_holds_the_whole_stream(tmp_path):

@@ -220,9 +220,10 @@ def dense_synthesis(plan, scene, detector, pd_side, dtype):
     One product per bit block, as synthesize forms its own, since a product's
     rounding can depend on its number of rows.
     """
-    amplitudes, waves, constant = sensor._side_amplitudes(
-        plan, scene, detector.responsivity, pd_side
-    )
+    amplitudes, _, constant = sensor._side_amplitudes(plan, scene, detector.responsivity, pd_side)
+    waves = plan.carrier_matrix  # the whole bit, not _side_amplitudes' one period
+    if pd_side == sensor.PD2 and plan.mode is not Mode.ACTIVE_OVERLAPPED:
+        waves = 1.0 - waves  # the complement mirror state
     blocks = sensor.bit_blocks(plan.code_length, plan.samples_per_bit)
     dense = np.concatenate([amplitudes[start:stop] @ waves for start, stop in blocks])
     if constant is not None:
@@ -282,7 +283,6 @@ def test_synthesize_holds_no_whole_bit_float64_block():
     detector = config.detector.build()
     start, stop = next(sensor.bit_blocks(plan.code_length, plan.samples_per_bit))
     assert (stop - start) * plan.samples_per_bit == sensor.BLOCK_SAMPLES
-    plan.carrier_matrix  # built on first read and kept by the plan, so left out of the trace
     assert plan.carrier_period < plan.samples_per_bit
     tracemalloc.start()
     try:
@@ -290,6 +290,26 @@ def test_synthesize_holds_no_whole_bit_float64_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < stream.samples.nbytes + 2**20
+
+
+def test_first_block_of_a_fresh_plan_builds_no_whole_bit_carrier_table():
+    # Full-scale exp1-hdr, F = 65536 on a 512-sample carrier period: the first
+    # block's trace includes the plan's first read of its carrier constants,
+    # which are one period, so the peak stays near the 2 MiB float32 block.
+    # It was 4.25 MiB when the plan built its (4, 65536) float64 carrier table.
+    config = presets.preset_config("exp1-hdr", full_scale=True)
+    plan = config.build_plan()
+    scene = config.build_scene(plan.grid)
+    detector = config.detector.build()
+    start, stop = next(sensor.bit_blocks(plan.code_length, plan.samples_per_bit))
+    tracemalloc.start()
+    try:
+        stream = sensor.synthesize(plan, scene, detector, dtype=np.float32, bit_range=(start, stop))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "carrier_matrix" not in vars(plan)
     assert peak < stream.samples.nbytes + 2**20
 
 
