@@ -152,8 +152,8 @@ def _side_amplitudes(plan: CodingPlan, scene: Scene, responsivity, pd_side: str)
 #: only the memory a capture holds: 2**19 samples keep one float64 block at 4 MiB.
 BLOCK_SAMPLES = 1 << 19
 
-#: Samples per white-noise chunk and chunk buffers in capture_blocks' ring: sample k
-#: of a side's frame is drawn into chunk k // NOISE_CHUNK, whatever the block size.
+#: Samples per white-noise chunk and chunk buffers in a Noise's ring: sample k of a
+#: side's frame is drawn into chunk k // NOISE_CHUNK, whatever the block size.
 NOISE_CHUNK, NOISE_RING = 1 << 17, 2
 
 
@@ -251,14 +251,17 @@ def _pink_segments(rng: np.random.Generator, amplitude: float, alpha: float):
 
     Kasdin's fractional integration (Proc. IEEE 83(5), 1995): normals from
     rng, history included, through the taps h_0 = 1, h_k = h_(k-1) * (alpha/2
-    + k - 1) / k scaled to sum(h**2) = amplitude**2, by overlap-save FFTs.
+    + k - 1) / k scaled to sum(h**2) = amplitude**2, by overlap-save FFTs
+    run in place, so that a segment allocates only its own copy.
     """
-    size = PINK_TAPS
+    size, inputs = PINK_TAPS, rng.standard_normal(2 * PINK_TAPS)
     response = _pink_response(size, amplitude, alpha)
-    inputs = rng.standard_normal(2 * size)
+    spectrum, out = np.empty_like(response), np.empty(2 * size)
     while True:
-        yield np.fft.irfft(np.fft.rfft(inputs) * response, 2 * size)[size:].copy()
-        inputs = np.concatenate((inputs[size:], rng.standard_normal(size)))
+        np.multiply(np.fft.rfft(inputs, out=spectrum), response, out=spectrum)
+        yield np.fft.irfft(spectrum, 2 * size, out=out)[size:].copy()
+        inputs[:size] = inputs[size:]
+        rng.standard_normal(size, out=inputs[size:])
 
 
 class Noise:
@@ -266,13 +269,51 @@ class Noise:
 
     White draws from rng = default_rng(seed), shot and 1/f from rng.spawn(2) when either is
     on, each in order, so no realization depends on how the stream is cut into blocks or chunks.
+    pieces cuts each call's samples where sample k of the side's stream lies in white chunk
+    k // NOISE_CHUNK. Without a pool each piece's white term is drawn as it is taken, into one
+    chunk buffer. With pool, a one-thread executor (numpy releases the GIL), and the stream's
+    length, the worker draws chunk after chunk into a ring of NOISE_RING buffers that chunks
+    use in turn: once a chunk's last piece is added, the draw of the chunk NOISE_RING further
+    on is submitted into its buffer, so the worker draws ahead while the caller works. One
+    worker runs its draws in the order they are submitted, so rng is drawn in order.
     """
 
-    def __init__(self, seed, detector: DetectorModel):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self, seed, detector: DetectorModel, pool=None, length=0):
+        self.rng, self.detector = np.random.default_rng(seed), detector
+        self.sigma = detector.noise_sigma
+        self.pool, self.length, self.at, self.drawn = pool, length, 0, {}  # drawn: chunk -> future
         if detector.shot_noise > 0 or detector.pink_noise[0] > 0:
             self.shot, pink = self.rng.spawn(2)
             self.pink, self.held = _pink_segments(pink, *detector.pink_noise), np.empty(0)
+        self.ring = [np.empty(NOISE_CHUNK) for _ in range(NOISE_RING if pool else self.sigma > 0)]
+        for chunk in range(len(self.ring) if pool else 0):
+            self._draw(chunk)
+
+    def _draw(self, chunk: int):
+        """Submit the white draw of chunk, if the stream has it, into its ring buffer."""
+        if chunk * NOISE_CHUNK < self.length:
+            out = self.ring[chunk % len(self.ring)][: self.length - chunk * NOISE_CHUNK]
+            self.drawn[chunk] = self.pool.submit(white_noise, self.rng, self.sigma, out.size, out)
+
+    def pieces(self, n: int):
+        """(start, stop, white) of the next n samples, cut at chunk ends; white is None when off.
+
+        Run it to its end: a chunk's buffer is recycled only after its last piece is added.
+        """
+        start = 0
+        while start < n:
+            chunk, offset = divmod(self.at, NOISE_CHUNK)
+            size = min(n - start, NOISE_CHUNK - offset)
+            white = None
+            if self.pool is not None:
+                white = self.drawn[chunk].result()[offset : offset + size]
+            elif self.sigma > 0:
+                white = white_noise(self.rng, self.sigma, size, self.ring[0][:size])
+            yield start, start + size, white
+            self.at, start = self.at + size, start + size
+            if self.pool is not None and self.at % NOISE_CHUNK == 0:
+                del self.drawn[chunk]  # added, so its buffer is free
+                self._draw(chunk + len(self.ring))
 
     def pink_term(self, n: int) -> np.ndarray:
         """The next n samples of the 1/f term; the rest of the last segment is held."""
@@ -284,50 +325,39 @@ class Noise:
         return term[:n]
 
 
-def add_noise(
-    stream: SampleStream, detector: DetectorModel, seed, *, white=None, out=None
-) -> SampleStream:
+def add_noise(stream: SampleStream, detector: DetectorModel, seed, *, out=None) -> SampleStream:
     """Seeded detector noise: white Gaussian, shot and 1/f terms, each on when its size is > 0.
 
     seed is a Noise, which the call continues, or anything np.random.default_rng
     accepts, for a Noise of its own: an int repeats every term, a Generator draws
     each anew, and a SeedSequence repeats white but spawns new shot and 1/f terms.
-    white, if given, is the white term already drawn with white_noise from
-    the Noise's rng, as one array or as consecutive pieces, and is added
-    instead of drawing it. The terms are drawn in that order. Each white
-    piece is summed with its slices of the shot and 1/f terms, (white +
-    shot) + 1/f in float64, and added to the stream with one rounding to its
-    dtype, into out (np.empty_like if None, else an array of the stream's
-    shape, such as stream.samples). Returns the input stream itself when the
-    detector has no noise term.
+    A Noise built for other noise terms is refused (ConfigError). The stream is
+    noised in the Noise's pieces: each piece's white, shot and 1/f terms are drawn
+    in that order, summed, (white + shot) + 1/f in float64, and added to the
+    stream with one rounding to its dtype, into out (np.empty_like if None, else
+    an array of the stream's shape, such as stream.samples). Returns the input
+    stream itself when the detector has no noise term.
     """
     state = seed if isinstance(seed, Noise) else Noise(seed, detector)
-    n = stream.samples.size
-    if not (detector.noise_sigma > 0 or detector.shot_noise > 0 or detector.pink_noise[0] > 0):
+    for name in ("noise_sigma", "shot_noise", "pink_noise"):
+        if getattr(state.detector, name) != getattr(detector, name):
+            raise ConfigError(f"noise built for another {name}: {state.detector} != {detector}")
+    shot, pink = detector.shot_noise, detector.pink_noise[0]
+    if not (detector.noise_sigma > 0 or shot > 0 or pink > 0):
         return stream
     # The output comes before the draws, so freeing them leaves no hole in the heap below it.
     samples = np.empty_like(stream.samples) if out is None else out
-    if white is None and detector.noise_sigma > 0:
-        white = white_noise(state.rng, detector.noise_sigma, n)
-    shot = pink = None
-    if detector.shot_noise > 0:
-        # Gaussian approximation: variance proportional to the clean signal.
-        shot = state.shot.standard_normal(n)
-        shot *= np.sqrt(detector.shot_noise * np.clip(stream.samples, 0.0, None))
-    if detector.pink_noise[0] > 0:
-        pink = state.pink_term(n)
-    start = 0
-    for piece in [white] if white is None or isinstance(white, np.ndarray) else white:
-        stop = n if piece is None else start + piece.size
-        noise = piece
-        for term in (shot, pink):
-            if term is not None:
-                part = term[start:stop]
-                noise = part if noise is None else np.add(noise, part, out=part)
-        np.add(stream.samples[start:stop], noise, out=samples[start:stop], casting="same_kind")
-        start = stop
-    if start != n:
-        raise LengthMismatch(f"white noise of {start} samples for a stream of {n}")
+    for start, stop, noise in state.pieces(stream.samples.size):
+        clean = stream.samples[start:stop]
+        if shot > 0:
+            # Gaussian approximation: variance proportional to the clean signal.
+            term = state.shot.standard_normal(stop - start)
+            term *= np.sqrt(shot * np.clip(clean, 0.0, None))
+            noise = term if noise is None else np.add(noise, term, out=term)
+        if pink > 0:
+            term = state.pink_term(stop - start)
+            noise = term if noise is None else np.add(noise, term, out=term)
+        np.add(clean, noise, out=samples[start:stop], casting="same_kind")
     return replace(stream, samples=samples)
 
 
@@ -413,57 +443,26 @@ def capture_blocks(
     add_noise's whole-stream realization, whatever noise terms are on.
 
     Each block is noised and quantized in place, in the samples synthesize
-    made for it. With white noise and several blocks, one worker thread
-    (numpy releases the GIL) draws the white term chunk after chunk of
-    NOISE_CHUNK samples into a ring of NOISE_RING buffers, which chunks use in
-    turn. add_noise takes each block's white term as the pieces of the chunks
-    holding it, a block edge inside a chunk leaving the rest of the chunk to
-    the next block. Once a chunk's last piece is added, the draw of the chunk
-    NOISE_RING further on is submitted into its buffer, so the worker draws
-    ahead while the blocks are noised, consumed and synthesized. One worker
-    runs its draws in the order they are submitted, so the generator is drawn
-    in order. The worker calls numpy only, through white_noise. Closing the
-    generator, or an error in either thread, ends the worker before the
-    generator returns, after at most NOISE_RING draws already submitted.
+    made for it. With white noise and several blocks, the Noise gets one
+    worker thread, which draws its ring ahead while the blocks are noised,
+    consumed and synthesized. The worker calls numpy only, through
+    white_noise. Closing the generator, or an error in either thread, ends
+    the worker before the generator returns, after at most NOISE_RING draws
+    already submitted.
     """
-    f_count, sigma, n = plan.samples_per_bit, detector.noise_sigma, plan.frame_samples
-    ranges = list(bit_blocks(plan.code_length, f_count))
+    ranges = list(bit_blocks(plan.code_length, plan.samples_per_bit))
     sums = cache(partial(_side_amplitudes, plan, scene, detector.responsivity, pd_side))
-    noise = Noise(seed, detector)
-    # One block has nothing to overlap, so add_noise draws its white term itself.
-    prefetch = sigma > 0 and len(ranges) > 1
-    ring = [np.empty(min(NOISE_CHUNK, n)) for _ in range(NOISE_RING if prefetch else 0)]
+    # One block has nothing to overlap, so its Noise draws the white term itself.
+    prefetch = detector.noise_sigma > 0 and len(ranges) > 1
     if prefetch:  # imported here, so that `import caossim` loads neither it nor logging
         from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1, "caossim-noise") if prefetch else nullcontext() as pool:
-        drawn = {}  # chunk -> the future of its draw
-
-        def draw(chunk):
-            """Submit the white draw of chunk, if the frame has it, into its ring buffer."""
-            if chunk * NOISE_CHUNK < n:
-                out = ring[chunk % len(ring)][: n - chunk * NOISE_CHUNK]
-                drawn[chunk] = pool.submit(white_noise, noise.rng, sigma, out.size, out)
-
-        def pieces(start, stop):
-            """The white term of frame samples start..stop-1, as pieces of their chunks."""
-            while start < stop:
-                chunk, offset = divmod(start, NOISE_CHUNK)
-                values = drawn[chunk].result()
-                yield values[offset : offset + stop - start]
-                start += values.size - offset
-                if start > stop:
-                    return  # the next block takes the rest of the chunk
-                del drawn[chunk]  # added, so its buffer is free
-                draw(chunk + len(ring))
-
-        for chunk in range(len(ring)):
-            draw(chunk)
+        noise = Noise(seed, detector, pool, plan.frame_samples)
         for bits in ranges:
             # Each stage rebinds block, so no earlier stage is held across the yield.
             block = synthesize(plan, scene, detector, pd_side, dtype, bit_range=bits, sums=sums)
-            white = pieces(bits[0] * f_count, bits[1] * f_count) if prefetch else None
-            block = add_noise(block, detector, noise, white=white, out=block.samples)
+            block = add_noise(block, detector, noise, out=block.samples)
             block = apply_adc(block, detector, out=block.samples)
             yield block
             del block  # before the next block is made

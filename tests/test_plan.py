@@ -555,12 +555,16 @@ def plan_keywords(draw):
         cells = st.tuples(st.integers(1, columns), st.integers(1, rows))
         active = draw(st.none() | st.lists(cells, min_size=1, unique=True).map(tuple))
         grid = PixelGrid(columns, rows, active)
+    # Sine carriers on bins 3g, 5g, 7g and 9g of F = 64g, so a bit spans g = gcd(F, bins) periods.
+    g = draw(st.integers(1, 8)) if mode is Mode.ACTIVE_OVERLAPPED else 1
     timing = {
         Mode.PASSIVE_FDMA_CDMA: dict(channels=channels, f1=2.0, sample_rate=128.0),
         Mode.FM_CDMA: dict(f1=4.0, sample_rate=64.0),
         Mode.FM_TDMA: dict(f1=4.0, sample_rate=64.0),
         Mode.PLAIN_CDMA: dict(sample_rate=64.0),
-        Mode.ACTIVE_OVERLAPPED: dict(frequencies=(3.0, 5.0, 7.0, 9.0)[:channels], sample_rate=64.0),
+        Mode.ACTIVE_OVERLAPPED: dict(
+            frequencies=tuple(g * k for k in (3.0, 5.0, 7.0, 9.0)[:channels]), sample_rate=64.0 * g
+        ),
     }[mode]
     # Only keyed layers with something to permute: hopping over two or more
     # carriers, the pixel shuffle over two or more pixels, and the code

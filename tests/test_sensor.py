@@ -664,11 +664,12 @@ def traced_desk_fmcdma_capture(**terms):
 
 
 def test_capture_with_every_noise_term_holds_blocks_not_the_frame():
-    # With shot 0.001 and 1/f (0.01, 1.0) on as well: 20.2 MiB traced in the
-    # ten blocks, bound at that plus 4 MiB, one float64 block. It was 28.2 MiB
-    # before blocks were noised in place, and 220 MiB when these terms forced
-    # one whole-frame block.
-    assert traced_desk_fmcdma_capture(shot_noise=0.001, pink_noise=[0.01, 1.0]) < 24 * 2**20
+    # With shot 0.001 and 1/f (0.01, 1.0) on as well: 13.2 MiB traced in the
+    # ten blocks, bound at 16 MiB, 2.8 MiB above it, two float64 noise chunks
+    # and some. It was 20.2 MiB while the shot and 1/f terms were drawn a
+    # whole block at a time, 28.2 MiB before blocks were noised in place, and
+    # 220 MiB when these terms forced one whole-frame block.
+    assert traced_desk_fmcdma_capture(shot_noise=0.001, pink_noise=[0.01, 1.0]) < 16 * 2**20
 
 
 @pytest.mark.parametrize("side", [sensor.PD1, sensor.PD2])
@@ -695,13 +696,15 @@ def test_multi_block_capture_computes_the_channel_sums_once_per_side(mode, side)
 def test_noise_ring_draws_the_next_chunk_while_this_block_is_noised():
     # Chunks of 5/8 of a block, so block edges fall inside chunks. When
     # add_noise takes a piece of chunk k, the draw of chunk k + 1 has started,
-    # so a capture that submitted a draw only after a block's noise would time
-    # out here. One draw per chunk, the chunks take the ring's two buffers in
-    # turn, and the bytes are the capture's at the real chunk size.
+    # so a Noise that submitted a draw only after a block's noise would time
+    # out here, and one that recycled a buffer before its chunk's last piece
+    # was added would change the bytes. One draw per chunk, the chunks take
+    # the ring's two buffers in turn, and the bytes are the capture's at the
+    # real chunk size.
     plan, scene, block = multi_block_frame()
     detector = DetectorModel(noise_sigma=0.1, adc_bits=10)
     chunk = block * 5 // 8
-    real_white_noise, real_add_noise = sensor.white_noise, sensor.add_noise
+    real_white_noise, real_pieces = sensor.white_noise, sensor.Noise.pieces
     with mock.patch.object(sensor, "BLOCK_SAMPLES", block):
         want = np.concatenate([b.samples for b in sensor.capture_blocks(plan, scene, detector, 3)])
     count = -(-want.size // chunk)
@@ -713,23 +716,18 @@ def test_noise_ring_draws_the_next_chunk_while_this_block_is_noised():
         started[len(buffers) - 1].set()
         return real_white_noise(rng, sigma, n, out)
 
-    def waiting_add_noise(stream, *args, white, **kwargs):
-        def checked(start):
-            for piece in white:
-                k = start // chunk
-                taken.append(k)
-                if k + 1 < count:
-                    assert started[k + 1].wait(timeout=5), f"chunk {k + 1} not started at {k}"
-                start += piece.size
-                yield piece
-
-        start = stream.first_bit * stream.samples_per_bit
-        return real_add_noise(stream, *args, white=checked(start), **kwargs)
+    def waiting_pieces(noise, n):
+        for piece in real_pieces(noise, n):
+            k = noise.at // chunk  # the frame sample this piece starts at, in chunks
+            taken.append(k)
+            if k + 1 < count:
+                assert started[k + 1].wait(timeout=5), f"chunk {k + 1} not started at {k}"
+            yield piece
 
     with mock.patch.object(sensor, "BLOCK_SAMPLES", block), \
             mock.patch.object(sensor, "NOISE_CHUNK", chunk), \
             mock.patch.object(sensor, "white_noise", recording_white_noise), \
-            mock.patch.object(sensor, "add_noise", waiting_add_noise):
+            mock.patch.object(sensor.Noise, "pieces", waiting_pieces):
         got = np.concatenate([b.samples for b in sensor.capture_blocks(plan, scene, detector, 3)])
     assert count > 4 and len(buffers) == count and len(taken) > count
     assert sorted(set(taken)) == list(range(count))
@@ -787,25 +785,69 @@ def test_chunked_noise_handoff_is_the_whole_stream_capture(sizes, detector, dtyp
     st.sampled_from(HANDOFF_DETECTORS),
     st.sampled_from([np.float64, np.float32]),
     st.lists(st.integers(0, 768), max_size=6).map(sorted),
+    st.integers(5, 800),
 )
-def test_add_noise_in_place_and_in_white_pieces_is_the_whole_array_call(detector, dtype, cuts):
-    # out=stream.samples, and white as one array, a list of pieces or an
-    # iterator of them, empty pieces included: each call's bytes are the
-    # whole-array call's, and no call writes to a stream it was not given out for.
+def test_add_noise_continuing_one_noise_over_any_cuts_is_the_whole_array_call(
+    detector, dtype, cuts, chunk
+):
+    # Successive add_noise calls on the stream cut anywhere, empty parts
+    # included, continue one Noise: without out= and in place, at any chunk
+    # size, their bytes are the whole-array call's at the real chunk size, and
+    # no call writes to a stream it was not given out for.
     plan = make_plan(grid=PixelGrid(6, 5), channels=2, f1=2.0, sample_rate=48.0)
     stream = sensor.synthesize(plan, uniform_scene(plan.grid), dtype=dtype)
     want = sensor.add_noise(stream, detector, 5).samples
-    n = stream.samples.size
-    white = sensor.white_noise(np.random.default_rng(5), detector.noise_sigma, n)
     clean = stream.samples.tobytes()
-    whole, split, pieces = (lambda: white), (lambda: np.split(white, cuts)), (lambda: iter(split()))
-    for given in (whole, split, pieces):
-        for out in (None, stream.samples.copy()):
-            target = stream if out is None else replace(stream, samples=out)
-            got = sensor.add_noise(target, detector, 5, white=given(), out=out)
-            assert got.samples is out if out is not None else got.samples is not stream.samples
-            assert got.samples.tobytes() == want.tobytes()
+    for in_place in (False, True):
+        noise, got = sensor.Noise(5, detector), []
+        with mock.patch.object(sensor, "NOISE_CHUNK", chunk):
+            for part in np.split(stream.samples, cuts):
+                out = part.copy() if in_place else None
+                given = sensor.SampleStream(stream.rate, part if out is None else out, 1, part.size)
+                noisy = sensor.add_noise(given, detector, noise, out=out).samples
+                assert noisy is out if in_place else noisy is not part
+                got.append(noisy)
+        assert np.concatenate(got).tobytes() == want.tobytes()
     assert stream.samples.tobytes() == clean
+
+
+def test_add_noise_holds_one_chunk_piece_per_term():
+    # One call with every term on a 2**19-sample float64 stream, in place:
+    # the white chunk buffer, one piece of shot noise and its scale, the 1/f
+    # filter's three 1 MiB buffers, its segment and the piece, 7.0 MiB traced,
+    # bound at 8 MiB, eight 2**17-sample float64 chunks. Whole-stream white,
+    # shot and 1/f arrays took it to 17.0 MiB. The 1/f response is cached
+    # first, as a process's first call with this term builds it once.
+    detector = DetectorModel(noise_sigma=0.1, shot_noise=0.01, pink_noise=(0.01, 1.0))
+    sensor.add_noise(sensor.SampleStream(1.0, np.ones(64), 1, 64), detector, 1)
+    n = 1 << 19
+    stream = sensor.SampleStream(1.0, np.ones(n), 1, n)
+    tracemalloc.start()
+    try:
+        sensor.add_noise(stream, detector, 3, out=stream.samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * sensor.NOISE_CHUNK
+
+
+@pytest.mark.parametrize(
+    "given, name",
+    [
+        (DetectorModel(noise_sigma=0.1, shot_noise=0.01), "shot_noise"),
+        (DetectorModel(noise_sigma=0.1, pink_noise=(0.01, 1.0)), "pink_noise"),
+        (DetectorModel(noise_sigma=0.2), "noise_sigma"),
+    ],
+    ids=["shot-it-lacks", "pink-it-lacks", "other-sigma"],
+)
+def test_add_noise_refuses_a_noise_built_for_other_terms(given, name):
+    # A term the Noise has no generator for, or a white sigma other than the
+    # one it draws with, is refused by name rather than crashing or drawing
+    # the Noise's own sigma.
+    stream = sensor.SampleStream(rate=1.0, samples=np.ones(64), bits=1, samples_per_bit=64)
+    noise = sensor.Noise(0, DetectorModel(noise_sigma=0.1))
+    with pytest.raises(ConfigError, match=name):
+        sensor.add_noise(stream, given, noise)
 
 
 def test_noise_ring_holds_two_chunk_buffers_whatever_the_block_size():
