@@ -17,8 +17,9 @@ seed and H2^a the Sylvester matrix, whose entry (i, j) is (-1)**popcount(i & j).
 So hadamard_transform computes H @ x as a fast Walsh-Hadamard transform
 (in-place butterflies, O(W log W) per column; Fino & Algazi 1976) followed
 by a dense s x s product with the seed. Encoding is a transform by H.T of
-the per-set sums, decoding a transform by H of the per-bit readings, and one
-code is the transform by H.T of a one-hot vector.
+the per-set sums, decoding a transform by H of the per-bit readings, one
+code is the transform by H.T of a one-hot vector, and one code bit is one
+entry of H (hadamard_entry).
 """
 
 from __future__ import annotations
@@ -124,6 +125,14 @@ def hadamard(order: int) -> np.ndarray:
     """
     seed = seed_matrix(order)
     return np.kron(seed, _sylvester(order // len(seed)))
+
+
+def hadamard_entry(order: int, row: int, column: int) -> int:
+    """H[row, column] of the order's Hadamard matrix: a seed entry times one of H2^a."""
+    seed = seed_matrix(order)
+    span = order // len(seed)
+    (i, r), (j, c) = divmod(int(row), span), divmod(int(column), span)
+    return int(seed[i, j]) * (-1) ** (r & c).bit_count()
 
 
 def hadamard_transform(x, transpose: bool = False) -> np.ndarray:

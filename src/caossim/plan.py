@@ -141,7 +141,8 @@ class CodingPlan:
 
     set_index / member_index map each active pixel (in grid position order)
     to its code set and its channel slot within the set. code_row maps a set
-    to its codebook row (to its own slot in the FM-TDMA mode). hop_schedule
+    to its codebook row (to its own slot in the FM-TDMA mode). A nonzero
+    key_seed shuffles both maps, code_row keyed by frame_index too. hop_schedule
     is a read-only (W, P) table whose row w is the permutation applied to
     channel slots during bit w; one global permutation shared by every set,
     which is the weakest condition that preserves exact correlation
@@ -165,8 +166,6 @@ class CodingPlan:
     frame_index: int
     sample_rate: float
     samples_per_bit: int
-    shuffle_pixels: bool
-    shuffle_codes: bool
     hopping: bool
     carrier_phases: tuple[float, ...]
 
@@ -339,7 +338,12 @@ def coding_element(plan: CodingPlan, pixel: tuple[int, int], bit_index: int):
     if not found.size:
         raise ValueError(f"pixel {pixel} is not in the plan grid")
     idx = found[0]
-    if plan.code_bits(plan.set_index[idx])[bit_index - 1] == 0:
+    set_idx = plan.set_index[idx]
+    if plan.mode is Mode.FM_TDMA:
+        on = set_idx == bit_index - 1
+    else:  # code bit (1 + H[1 + code_row[set_idx], bit_index - 1]) / 2
+        on = codes.hadamard_entry(plan.code_length, 1 + plan.code_row[set_idx], bit_index - 1) == 1
+    if not on:
         return 0, None
     carriers = (plan.hop_schedule[bit_index - 1] + 1).tolist()  # the carrier of each slot
     if plan.mode is Mode.ACTIVE_OVERLAPPED:
@@ -445,8 +449,6 @@ def build_plan(
     sample_rate: float,
     key_seed: int = 0,
     hopping: bool = False,
-    shuffle_pixels: bool | None = None,
-    shuffle_codes: bool | None = None,
     frame_index: int = 0,
 ) -> CodingPlan:
     """Build and validate a coding plan; a deterministic function of its inputs.
@@ -456,10 +458,10 @@ def build_plan(
     rides one static carrier and the FM-CDMA and FM-TDMA modes one carrier.
     An input the plan would ignore, such as f1 next to frequencies or a
     channels count other than the carriers', raises ConfigError. So does a
-    keyed layer with nothing to permute: hopping on one carrier, the code
-    shuffle in fm-tdma or on one code set, the pixel shuffle on one pixel,
-    or a frame_index with the code shuffle off. A keyed shuffle defaults to
-    on whenever key_seed != 0 and it has something to permute.
+    keyed layer with nothing to permute: hopping on one carrier, or a
+    frame_index on a plan without a code shuffle. A nonzero key_seed
+    shuffles the pixels, if there are two or more, and the codes, if there
+    are two or more code sets outside fm-tdma.
     """
     grid.check()
     for name, value, ok, rule in (
@@ -504,29 +506,20 @@ def build_plan(
         raise ConfigError(f"hopping = True needs two or more carriers, {mode.value} has {channels}")
     slots = _slots_per_set(mode, channels)
     set_count = -(-q // slots)
-    if shuffle_codes is None:
-        shuffle_codes = key_seed != 0 and mode is not Mode.FM_TDMA and set_count > 1
-    if shuffle_codes and mode is Mode.FM_TDMA:
-        raise ConfigError("shuffle_codes = True in fm-tdma, which has no codes to shuffle")
-    if shuffle_codes and set_count == 1:
-        raise ConfigError("shuffle_codes = True on one code set, which has no other code to take")
-    if shuffle_pixels is None:
-        shuffle_pixels = key_seed != 0 and q > 1
-    if shuffle_pixels and q == 1:
-        raise ConfigError("shuffle_pixels = True on one pixel, which has no other slot to take")
+    # The key switches on each shuffle that has something to permute.
+    shuffle_pixels = key_seed != 0 and q > 1
+    shuffle_codes = key_seed != 0 and mode is not Mode.FM_TDMA and set_count > 1
     if frame_index and not shuffle_codes:
         raise ConfigError(
-            f"frame_index = {frame_index} keys only the code shuffle, and shuffle_codes is off"
+            f"frame_index = {frame_index} keys only the code shuffle, and this plan has none"
+            " (key_seed 0, fm-tdma or a single code set)"
         )
 
     freq = FrequencyPlan(frequencies=freq_list, bit_rate=float(bit_rate))
     samples_per_bit = _check_timing(freq, float(sample_rate), mode)
 
     base_set, base_member = np.divmod(np.arange(q), slots)
-    if shuffle_pixels:
-        order = _rng(key_seed, _STREAM_PIXELS).permutation(q)
-    else:
-        order = np.arange(q)
+    order = _rng(key_seed, _STREAM_PIXELS).permutation(q) if shuffle_pixels else np.arange(q)
     set_index = np.empty(q, dtype=np.int64)
     member_index = np.empty(q, dtype=np.int64)
     set_index[order] = base_set
@@ -565,8 +558,6 @@ def build_plan(
         frame_index=int(frame_index),
         sample_rate=float(sample_rate),
         samples_per_bit=samples_per_bit,
-        shuffle_pixels=bool(shuffle_pixels),
-        shuffle_codes=bool(shuffle_codes),
         hopping=bool(hopping),
         carrier_phases=phases,
     )
@@ -578,12 +569,8 @@ def rebuild(plan: CodingPlan, **overrides) -> CodingPlan:
 
 
 def reallocate(plan: CodingPlan, frame_index: int) -> CodingPlan:
-    """Next-frame plan: the set -> code allocation is re-keyed per frame.
-
-    An fm-tdma plan, or one of a single code set, has no code allocation to
-    re-key, so build_plan refuses it.
-    """
-    return rebuild(plan, frame_index=frame_index, shuffle_codes=True)
+    """Next-frame plan, its set -> code allocation re-keyed; refused without a code shuffle."""
+    return rebuild(plan, frame_index=frame_index)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +588,10 @@ def _typed(kind, *accepted):
     def parse(value):
         if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
             raise TypeError(f"expected {kind.__name__}, got {value!r}")
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError as exc:  # an integer too big for a float
+            raise ValueError(exc) from None
 
     return parse
 
@@ -715,8 +705,6 @@ PLAN_KEYWORDS = {
     "sample_rate": (json_real, "sample_rate"),
     "key_seed": (json_int, "key_seed"),
     "hopping": (json_flag, "hopping"),
-    "shuffle_pixels": (json_flag, "shuffle_pixels"),
-    "shuffle_codes": (json_flag, "shuffle_codes"),
     "frame_index": (json_int, "frame_index"),
 }
 _RECORDED = {name: attr for name, (_, attr) in PLAN_KEYWORDS.items() if attr}

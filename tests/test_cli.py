@@ -266,7 +266,7 @@ def _config_edit(field, value):
         _config_edit("plan", _DROP),
         _config_edit("plan", [1]),
         _config_edit("plan.key_seed", 5),
-        _config_edit("plan.shuffle_codes", None),
+        _config_edit("plan.hopping", None),
         _config_edit("scene", {"preset": "uniform", "valu": 3}),
         _config_edit("scene", {"preset": "no-such-scene"}),
         _config_edit("scene", [1]),
@@ -781,8 +781,10 @@ def test_decode_non_finite_truth_cell_exits_config_code(tmp_path, capsys):
 
 
 #: The build_plan arguments an experiment config sets inside its plan object:
-#: all but key_seed, one of the run's two seeds.
+#: all but key_seed, one of the run's two seeds. Older builds took the two
+#: shuffle switches there too.
 _PLAN_SETTINGS = set(inspect.signature(build_plan).parameters) - {"key_seed"}
+_PLAN_SETTINGS |= {"shuffle_pixels", "shuffle_codes"}
 
 
 def _config_file(tmp_path, preset, fields):
@@ -894,25 +896,29 @@ _ONE_CARRIER = {
           for preset, edits in _ONE_CARRIER.values()],
         *[(_plan_file_case("hopping", True, preset=preset, **edits),
            "hopping = True needs two or more") for preset, edits in _ONE_CARRIER.values()],
+        # The key switches the pixel and code shuffles, so a file that still
+        # sets either is refused by the field's name, never read with a new
+        # meaning.
         (_plan_file_case("shuffle_codes", True, preset="exp1-fmcdma", mode="fm-tdma"),
-         "shuffle_codes = True in fm-tdma"),
+         "unknown plan fields: ['shuffle_codes']"),
         (_plan_file_case("frame_index", 2, key_seed=0),
-         "frame_index = 2 keys only the code shuffle"),
+         "frame_index = 2 keys only the code shuffle, and this plan has none"),
         (_plan_file_case("shuffle_codes", True, grid=_GRID_2X1, **_UNCHECKED),
-         "shuffle_codes = True on one code set"),
+         "unknown plan fields: ['shuffle_codes']"),
         (_plan_file_case("frame_index", 3, grid=_GRID_2X1, **_UNCHECKED),
-         "frame_index = 3 keys only the code shuffle"),
+         "frame_index = 3 keys only the code shuffle, and this plan has none"),
         (_plan_file_case("shuffle_pixels", True, preset="exp1-fmcdma", grid=_GRID_1X1,
                          **_UNCHECKED),
-         "shuffle_pixels = True on one pixel"),
-        # The same keyed layers set by a config, which reaches build_plan through plan.
+         "unknown plan fields: ['shuffle_pixels']"),
+        # The same settings in a config, which reaches build_plan through plan.
         (_config_case("shuffle_codes", True, preset="exp1-fmcdma", mode="fm-tdma"),
-         "shuffle_codes = True in fm-tdma"),
-        (_config_case("frame_index", 2, key_seed=0), "frame_index = 2 keys only the code shuffle"),
+         "unknown plan fields: ['shuffle_codes']"),
+        (_config_case("frame_index", 2, key_seed=0),
+         "frame_index = 2 keys only the code shuffle, and this plan has none"),
         (_config_case("shuffle_codes", True, grid=_GRID_2X1, **_UNCHECKED),
-         "shuffle_codes = True on one code set"),
+         "unknown plan fields: ['shuffle_codes']"),
         (_config_case("shuffle_pixels", True, preset="exp1-fmcdma", grid=_GRID_1X1, **_UNCHECKED),
-         "shuffle_pixels = True on one pixel"),
+         "unknown plan fields: ['shuffle_pixels']"),
         (_config_case("frame_index", -1), "frame_index"),
         (_config_case("grid", {"columns": 2, "rows": 2, "active_pixels": [[1, 1], [1, 1]]}),
          "unique"),
@@ -945,26 +951,28 @@ def test_out_of_range_plan_parameter_exits_config_code(tmp_path, capsys, case, n
     assert err.startswith("config error: ") and names in err, err
 
 
+def _assert_keyed_plan_without_a_code_shuffle(path):
+    """The plan file at path is keyed, records no shuffle, and has no codes to re-key."""
+    data = json.loads(path.read_text())
+    assert data["key_seed"] == 101 and not {"shuffle_pixels", "shuffle_codes"} & set(data)
+    with pytest.raises(ConfigError, match="frame_index = 1 keys only the code shuffle"):
+        planmod.reallocate(planmod.load_plan(path), 1)
+
+
 def test_keyed_fm_tdma_config_plans_without_a_code_shuffle(tmp_path):
-    # An fm-tdma plan has no codes, so its code shuffle is off under any key.
+    # An fm-tdma plan has no codes, so it has no code shuffle under any key.
     assert run_cli(*_config_case("mode", "fm-tdma", preset="exp1-fmcdma")(tmp_path)) == 0
-    data = json.loads((tmp_path / "p" / "plan.json").read_text())
-    assert data["key_seed"] == 101 and data["shuffle_pixels"] and not data["shuffle_codes"]
+    _assert_keyed_plan_without_a_code_shuffle(tmp_path / "p" / "plan.json")
 
 
 @pytest.mark.parametrize(
-    "preset, columns, shuffles",
-    [("exp1-hdr", 2, (True, False)), ("exp1-fmcdma", 1, (False, False))],
-    ids=["one-code-set", "one-pixel"],
+    "preset, columns", [("exp1-hdr", 2), ("exp1-fmcdma", 1)], ids=["one-code-set", "one-pixel"]
 )
-def test_keyed_config_plans_without_shuffles_that_permute_nothing(
-    tmp_path, preset, columns, shuffles
-):
+def test_keyed_config_plans_without_shuffles_that_permute_nothing(tmp_path, preset, columns):
     grid = {"columns": columns, "rows": 1}
     argv = _config_case("grid", grid, preset=preset, **_UNCHECKED)(tmp_path)
     assert run_cli(*argv) == 0
-    data = json.loads((tmp_path / "p" / "plan.json").read_text())
-    assert data["key_seed"] == 101 and (data["shuffle_pixels"], data["shuffle_codes"]) == shuffles
+    _assert_keyed_plan_without_a_code_shuffle(tmp_path / "p" / "plan.json")
 
 
 def _older_config(tmp_path):
@@ -1144,7 +1152,10 @@ def test_plan_file_asking_for_a_huge_code_is_refused_before_the_plan_is_built(
             assert run_cli(*argv) == cli.EXIT_CONFIG
         build.assert_not_called()
         err = capsys.readouterr().err
-        assert err == "config error: unknown plan fields: ['min_code_length', 'waveform']\n", err
+        assert err == (
+            "config error: unknown plan fields:"
+            " ['min_code_length', 'shuffle_codes', 'shuffle_pixels', 'waveform']\n"
+        ), err
     assert not (tmp_path / "s").exists() and not (tmp_path / "d").exists()
 
 
@@ -1339,8 +1350,7 @@ def valid_inputs(tmp_path_factory):
     # Every plan setting at the value the plan resolves it to, so that each
     # takes the hostile values; frequencies aside, since f1 and channels set them.
     recorded = planmod.plan_to_dict(config.build_plan())
-    keyed = ("hopping", "shuffle_pixels", "shuffle_codes")
-    config.plan.update((name, recorded[name]) for name in (*keyed, "frame_index"))
+    config.plan.update((name, recorded[name]) for name in ("hopping", "frame_index"))
     (root / "config.json").write_text(config.to_json())
     return root
 
@@ -1358,30 +1368,65 @@ def _field_paths(doc):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_hostile_field_ends_in_an_exit_code_not_an_exception(valid_inputs, data):
-    # A plan file or stream sidecar goes to decode, a detector config to
-    # simulate, an experiment config to plan; all other inputs stay valid.
-    root = valid_inputs
     name = data.draw(st.sampled_from(_VALID_FILES), label="file")
+    doc = json.loads((valid_inputs / name).read_text())
+    field = data.draw(st.sampled_from(_field_paths(doc)), label="field")
+    value = data.draw(st.sampled_from(_HOSTILE), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _edited_input_argv(valid_inputs, name, field, value, tmp)
+        assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_VALIDATION)
+
+
+def _edited_input_argv(root, name, field, value, tmp):
+    """argv of the command that reads valid input name with field set to value.
+
+    field is the path of keys to the field; the edited file is written into
+    tmp. A plan file or stream sidecar goes to decode, a detector config to
+    simulate, an experiment config to plan; all other inputs stay valid.
+    """
     doc = json.loads((root / name).read_text())
-    *parents, key = data.draw(st.sampled_from(_field_paths(doc)), label="field")
+    *parents, key = field
     target = doc
     for parent in parents:
         target = target[parent]
-    target[key] = data.draw(st.sampled_from(_HOSTILE), label="value")
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = os.path.join(tmp, name), os.path.join(tmp, "out")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        plan, stream = str(root / "plan.json"), str(root / "stream_pd1")
-        argv = {
-            "plan.json": ["decode", "--plan", path, "--stream", stream],
-            "stream_pd1.json": ["decode", "--plan", plan, "--stream", os.path.join(tmp, "stream_pd1")],
-            "det.json": ["simulate", "--plan", plan, "--scene", str(root / "scene.csv"),
-                         "--detector", path],
-            "config.json": ["plan", "--config", path],
-        }[name]
-        shutil.copy(root / "stream_pd1.f32", tmp)
-        assert cli.main([*argv, "--out", out]) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_VALIDATION)
+    target[key] = value
+    path = os.path.join(tmp, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    shutil.copy(root / "stream_pd1.f32", tmp)
+    plan, stream = str(root / "plan.json"), str(root / "stream_pd1")
+    argv = {
+        "plan.json": ["decode", "--plan", path, "--stream", stream],
+        "stream_pd1.json": ["decode", "--plan", plan, "--stream", os.path.join(tmp, "stream_pd1")],
+        "det.json": ["simulate", "--plan", plan, "--scene", str(root / "scene.csv"),
+                     "--detector", path],
+        "config.json": ["plan", "--config", path],
+    }[name]
+    return [*argv, "--out", os.path.join(tmp, "out")]
+
+
+#: A JSON integer with no float: float() of it raises OverflowError.
+_HUGE_INT = 10**400
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    [
+        ("config.json", ("plan", "sample_rate"), _HUGE_INT),
+        ("config.json", ("detector", "noise_sigma"), _HUGE_INT),
+        ("config.json", ("scene", "levels_db"), [0.0, 20.0, 30.0, 48.0, 58.0, _HUGE_INT]),
+        ("stream_pd1.json", ("rate",), _HUGE_INT),
+    ],
+    ids=["config-sample-rate", "detector-noise-sigma", "scene-levels-db", "sidecar-rate"],
+)
+def test_integer_too_big_for_a_float_exits_config_code(
+    valid_inputs, tmp_path, capsys, name, field, value
+):
+    argv = _edited_input_argv(valid_inputs, name, field, value, str(tmp_path))
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{field[-1]!r}: int too large" in err, err
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,10 @@ def test_hadamard_transform_is_exact_on_integers(order):
     # One-dimensional input is a single column.
     want = dense(order).T.astype(np.int64) @ r[:, 0]
     assert np.array_equal(codes.hadamard_transform(r[:, 0], transpose=True), want)
+    # One entry at a time, at rows and columns drawn over the whole matrix.
+    rows, columns = np.random.default_rng(order).integers(0, order, size=(2, 256))
+    got = [codes.hadamard_entry(order, i, j) for i, j in zip(rows, columns)]
+    assert got == dense(order)[rows, columns].tolist()
 
 
 def test_hadamard_transform_rejects_unsupported_lengths():

@@ -1,7 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from caossim import decode, metrics, scene as sc, sensor
+from caossim import decode, metrics, plan as planmod, scene as sc, sensor
 from caossim.errors import EmptyRegion
 from caossim.plan import Mode, PixelGrid, build_plan
 from caossim.scene import Scene
@@ -103,18 +106,36 @@ class TestCrosstalk:
                 metrics.crosstalk(p, probe)
 
 
+#: The keyed layers of a plan, by the CodingPlan tables each one sets.
+KEYED_LAYERS = {
+    "pixels": ("set_index", "member_index"),
+    "codes": ("code_row",),
+    "hops": ("hop_schedule",),
+}
+
+#: Every partial key: the layers an attacker knows, short of all three.
+PARTIAL_KEYS = [
+    frozenset(known) for n in range(3) for known in itertools.combinations(KEYED_LAYERS, n)
+]
+
+
+def partial_key_plan(p, wrong_seed, known):
+    """The plan of a wrong key seed whose known layers are copied from the true plan p."""
+    copied = {attr: getattr(p, attr) for layer in known for attr in KEYED_LAYERS[layer]}
+    return dataclasses.replace(planmod.rebuild(p, key_seed=wrong_seed), **copied)
+
+
 class TestWrongKey:
-    def make_capture(self, key_seed=12345, hopping=True, **flags):
+    def make_capture(self, channels=4, sample_rate=128.0):
         grid = PixelGrid(16, 16)
         p = build_plan(
             grid,
-            channels=4,
+            channels=channels,
             f1=2.0,
             bit_rate=1.0,
-            sample_rate=128.0,
-            key_seed=key_seed,
-            hopping=hopping,
-            **flags,
+            sample_rate=sample_rate,
+            key_seed=12345,
+            hopping=True,
         )
         rng = np.random.default_rng(77)
         scene = Scene(grid=grid, irradiance=rng.uniform(0.0, 1.0, (16, 16)))
@@ -135,24 +156,49 @@ class TestWrongKey:
         assert float(np.median(rhos)) < 0.3
 
     def test_combined_protection_not_weaker_than_single(self):
+        # A layer left unkeyed is one the attacker knows: a single-layer
+        # protection is a partial key of the two other layers.
         rng = np.random.default_rng(31)
         seeds = [int(s) for s in rng.integers(1, 2**62, size=24)]
-        configs = {
-            "combined": dict(hopping=True, shuffle_pixels=True, shuffle_codes=True),
-            "hop-only": dict(hopping=True, shuffle_pixels=False, shuffle_codes=False),
-            "space-only": dict(hopping=False, shuffle_pixels=True, shuffle_codes=False),
-            "code-only": dict(hopping=False, shuffle_pixels=False, shuffle_codes=True),
+        p, stream = self.make_capture()
+        truth = decode.decode_frame(stream, p)
+        known = {
+            "combined": (),
+            "hop-only": ("pixels", "codes"),
+            "space-only": ("codes", "hops"),
+            "code-only": ("pixels", "hops"),
         }
         medians = {}
-        for name, flags in configs.items():
-            hopping = flags.pop("hopping")
-            p, stream = self.make_capture(hopping=hopping, **flags)
+        for name, layers in known.items():
             rhos = [
-                abs(metrics.wrong_key_correlation(stream, p, seed)) for seed in seeds
+                abs(decode.image_correlation(
+                    decode.decode_frame(stream, partial_key_plan(p, seed, layers)), truth
+                ))
+                for seed in seeds
             ]
             medians[name] = float(np.median(rhos))
         for name in ("hop-only", "space-only", "code-only"):
             assert medians["combined"] <= medians[name] + 0.05, medians
+
+    @pytest.mark.parametrize("channels, sample_rate", [(2, 128.0), (4, 128.0), (8, 1024.0)])
+    def test_partial_keys_recover_only_set_sums(self, channels, sample_rate):
+        # Without the pixel or the code layer a decode is a shuffle of the
+        # scene: |rho| about 1 / sqrt(Q) = 1 / 16, below 0.3 by 4.8 sigma. With
+        # both, only the hops are wrong, which move values between the slots
+        # of one set in each bit, so each set's sum is exact.
+        seeds = [int(s) for s in np.random.default_rng(47).integers(1, 2**62, size=8)]
+        p, stream = self.make_capture(channels=channels, sample_rate=sample_rate)
+        truth = decode.decode_frame(stream, p)
+        set_sums = np.bincount(p.set_index, weights=p.pixel_values(truth.raw))
+        for known in PARTIAL_KEYS:
+            for seed in seeds:
+                image = decode.decode_frame(stream, partial_key_plan(p, seed, known))
+                if {"pixels", "codes"} <= known:
+                    sums = np.bincount(p.set_index, weights=p.pixel_values(image.raw))
+                    assert np.allclose(sums, set_sums, rtol=1e-9, atol=0), sorted(known)
+                else:
+                    rho = decode.image_correlation(image, truth)
+                    assert abs(rho) < 0.3, (sorted(known), seed, rho)
 
 
 class TestSpeedupAndRmse:

@@ -364,28 +364,22 @@ def test_carrier_refusals_spare_plans_that_decode_exactly():
          "hopping = True needs two or more carriers, passive-fdma-cdma has 1"),
         (dict(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(3.0,), hopping=True),
          "hopping = True needs two or more carriers, active-overlapped has 1"),
-        (dict(mode=Mode.FM_TDMA, channels=1, shuffle_codes=True),
-         "shuffle_codes = True in fm-tdma, which has no codes to shuffle"),
-        (dict(mode=Mode.FM_TDMA, channels=1, key_seed=7, shuffle_codes=True, frame_index=1),
-         "shuffle_codes = True in fm-tdma"),
-        (dict(key_seed=7, shuffle_codes=False, frame_index=2),
-         "frame_index = 2 keys only the code shuffle, and shuffle_codes is off"),
+        # A frame_index keys the code shuffle, which only a nonzero key_seed
+        # switches on, and only over two or more code sets outside fm-tdma.
+        (dict(mode=Mode.FM_TDMA, channels=1, key_seed=7, frame_index=1),
+         "frame_index = 1 keys only the code shuffle, and this plan has none"),
         (dict(frame_index=1), "frame_index = 1 keys only the code shuffle"),
         (dict(mode=Mode.FM_TDMA, channels=1, key_seed=7, frame_index=3),
          "frame_index = 3 keys only the code shuffle"),
-        (dict(grid=PixelGrid(2, 1), key_seed=7, shuffle_codes=True),
-         "shuffle_codes = True on one code set"),
         (dict(grid=PixelGrid(2, 1), key_seed=7, frame_index=3),
-         "frame_index = 3 keys only the code shuffle, and shuffle_codes is off"),
-        (dict(mode=Mode.FM_CDMA, channels=1, grid=PixelGrid(1, 1), key_seed=7, shuffle_pixels=True),
-         "shuffle_pixels = True on one pixel"),
+         "frame_index = 3 keys only the code shuffle, and this plan has none"
+         " (key_seed 0, fm-tdma or a single code set)"),
     ],
     ids=["channels-and-frequencies", "f1-and-frequencies", "active-channels", "plain-ladder",
          "plain-channels", "plain-frequencies", "zero-channels", "fm-cdma-hopping",
          "fm-tdma-hopping", "plain-cdma-hopping", "passive-one-carrier-hopping",
-         "active-one-carrier-hopping", "fm-tdma-shuffle-codes", "fm-tdma-reallocated",
-         "frame-index-shuffle-off", "frame-index-unkeyed", "fm-tdma-frame-index",
-         "one-set-shuffle-codes", "one-set-frame-index", "one-pixel-shuffle-pixels"],
+         "active-one-carrier-hopping", "fm-tdma-reallocated", "frame-index-unkeyed",
+         "fm-tdma-frame-index", "one-set-frame-index"],
 )
 def test_build_plan_refuses_inputs_it_would_ignore(inputs, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -412,19 +406,33 @@ def test_f1_off_the_positive_finite_floats_is_a_config_error(f1, channels):
 
 
 def test_keyed_shuffles_default_off_where_they_permute_nothing():
-    one_set = small_plan(grid=PixelGrid(2, 1), key_seed=7)
-    assert one_set.set_count == 1 and one_set.shuffle_pixels and not one_set.shuffle_codes
-    with pytest.raises(ConfigError, match="shuffle_codes = True on one code set"):
+    # Four pixels in one code set: the key moves the pixels, and no code.
+    one_set = small_plan(grid=PixelGrid(4, 1), key_seed=7)
+    assert one_set.set_count == 1 and one_set.code_row.tolist() == [0]
+    assert one_set.member_index.tolist() == [0, 2, 1, 3]  # the unkeyed layout is [0, 1, 2, 3]
+    with pytest.raises(ConfigError, match="frame_index = 3 keys only the code shuffle"):
         planmod.reallocate(one_set, 3)
     one_pixel = small_plan(mode=Mode.FM_CDMA, channels=1, grid=PixelGrid(1, 1), key_seed=7)
-    assert not (one_pixel.shuffle_pixels or one_pixel.shuffle_codes)
+    with pytest.raises(ConfigError, match="frame_index = 1 keys only the code shuffle"):
+        planmod.reallocate(one_pixel, 1)
 
 
 def test_fm_tdma_has_no_code_shuffle_to_reallocate():
     p = small_plan(mode=Mode.FM_TDMA, channels=1, key_seed=7)
-    assert p.shuffle_pixels and not p.shuffle_codes
-    with pytest.raises(ConfigError, match="shuffle_codes = True in fm-tdma"):
+    assert p.code_row.tolist() == list(range(p.set_count))
+    with pytest.raises(ConfigError, match="frame_index = 3 keys only the code shuffle"):
         planmod.reallocate(p, 3)
+
+
+def test_unkeyed_plan_has_no_code_shuffle_to_reallocate():
+    # A key_seed 0 plan keeps pixel rank r at divmod(r, P) and set j on code j,
+    # and no frame re-keys its codes.
+    p = small_plan(key_seed=0)
+    assert p.set_index.tolist() == [r // 4 for r in range(16)]
+    assert p.member_index.tolist() == [r % 4 for r in range(16)]
+    assert p.code_row.tolist() == [0, 1, 2, 3]
+    with pytest.raises(ConfigError, match="frame_index = 1 keys only the code shuffle"):
+        planmod.reallocate(p, 1)
 
 
 def has_rank_order_layout(plan):
@@ -535,8 +543,7 @@ def test_plan_file_roundtrip_byte_identical(tmp_path):
 def plan_keywords(draw):
     """build_plan's arguments for a random valid plan over every mode, grid and key included.
 
-    A keyword drawn as None takes build_plan's default. frame_index is above 0
-    only with the code shuffle on, as reallocate sets it.
+    frame_index is above 0 only where the plan has a code shuffle to re-key.
     """
     mode = draw(st.sampled_from(list(Mode)))
     channels = draw(st.integers(1, 4))
@@ -567,24 +574,20 @@ def plan_keywords(draw):
         ),
     }[mode]
     # Only keyed layers with something to permute: hopping over two or more
-    # carriers, the pixel shuffle over two or more pixels, and the code
-    # shuffle (so reallocate) over two or more code sets outside fm-tdma.
-    q = grid.pixel_count
-    code_shuffle = mode is not Mode.FM_TDMA and -(-q // slots) > 1
-    keywords = dict(
+    # carriers, and a frame index (so reallocate) where a key shuffles two or
+    # more code sets outside fm-tdma.
+    key_seed = draw(st.integers(0, 2**63 - 1))
+    sets = -(-grid.pixel_count // slots)
+    code_shuffle = key_seed != 0 and mode is not Mode.FM_TDMA and sets > 1
+    return dict(
         grid=grid,
         mode=mode,
         bit_rate=1.0,
-        key_seed=draw(st.integers(0, 2**63 - 1)),
+        key_seed=key_seed,
         hopping=carriers > 1 and draw(st.booleans()),
-        shuffle_pixels=draw(st.sampled_from((None, False, True) if q > 1 else (None, False))),
-        shuffle_codes=draw(st.sampled_from((None, False, True) if code_shuffle else (None, False))),
         frame_index=draw(st.integers(0, 5)) if code_shuffle else 0,
         **timing,
     )
-    if keywords["frame_index"]:
-        keywords["shuffle_codes"] = True
-    return keywords
 
 
 @st.composite
@@ -630,13 +633,12 @@ def test_plan_keywords_parse_every_build_plan_argument():
 
 def plan_object(keywords):
     """The JSON plan object of build_plan arguments: the grid as a plan file writes
-    it, the mode by its value, and a None argument left out."""
+    it and the mode by its value."""
     grid = keywords["grid"]
     doc = {"columns": grid.columns, "rows": grid.rows}
     if grid.active_pixels is not None:
         doc["active_pixels"] = [list(cell) for cell in grid.active_pixels]
-    given = {name: value for name, value in keywords.items() if value is not None}
-    return json.loads(json.dumps({**given, "grid": doc, "mode": Mode(keywords["mode"]).value}))
+    return json.loads(json.dumps({**keywords, "grid": doc, "mode": Mode(keywords["mode"]).value}))
 
 
 @settings(max_examples=100, deadline=None)
@@ -826,9 +828,9 @@ PLAN_CONSTANTS = (
 CONSTANT_PLANS = {
     "square": lambda: small_plan(key_seed=3, hopping=True),
     "sine": lambda: small_plan(mode=Mode.ACTIVE_OVERLAPPED, frequencies=(3.0, 5.0), key_seed=3),
-    "none": lambda: small_plan(mode=Mode.PLAIN_CDMA),
+    "none": lambda: small_plan(mode=Mode.PLAIN_CDMA, key_seed=3),
     "active-pixels": lambda: small_plan(
-        grid=PixelGrid(4, 3, ((2, 1), (4, 3), (1, 2))), channels=2
+        grid=PixelGrid(4, 3, ((2, 1), (4, 3), (1, 2))), channels=2, key_seed=3
     ),
 }
 
